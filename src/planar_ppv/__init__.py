@@ -8,14 +8,10 @@ forcing.
 """
 
 from .adjoint import numeric_ppv, state_transition, verify_basis
-from .cycle import LimitCycle, cycle_point, find_cycle, sample_cycle
-from .diliberto import (DilibertoBasis, FloquetSpectrum, compute_a, compute_b,
-                        covector_v1, covector_v2, eigenvector_u1,
-                        eigenvector_u2, floquet_spectrum, lie_bracket,
-                        orthogonality_defect)
+from .cycle import LimitCycle, find_cycle, sample_cycle
+from .diliberto import DilibertoBasis, lie_bracket, orthogonality_defect
 from .isochron import asymptotic_phase, isochron_experiment
-from .models import (OscillatorModel, eval_divergence, eval_field,
-                     eval_jacobian, get_model, perp)
+from .models import OscillatorModel, get_model, perp
 from .phase import (Perturbation, PhasePath, PPVSpectrum,
                     injection_lock_scan, phase_rhs, ppv_fourier,
                     simulate_phase)
@@ -26,13 +22,10 @@ from .stochastic import (DensityField, NoiseModel, PhaseEnsemble,
 __version__ = "0.1.0"
 
 __all__ = [
-    "DensityField", "DilibertoBasis", "FloquetSpectrum", "LimitCycle",
-    "NoiseModel", "OscillatorModel", "Perturbation", "PhaseEnsemble",
-    "PhasePath", "PPVSpectrum", "asymptotic_phase", "compute_a", "compute_b",
-    "covector_v1", "covector_v2", "cycle_point", "diffusion_summary",
-    "effective_noise_v", "eigenvector_u1", "eigenvector_u2",
-    "eval_divergence", "eval_field", "eval_jacobian", "find_cycle",
-    "floquet_spectrum", "get_model", "injection_lock_scan",
+    "DensityField", "DilibertoBasis", "LimitCycle", "NoiseModel",
+    "OscillatorModel", "Perturbation", "PhaseEnsemble", "PhasePath",
+    "PPVSpectrum", "asymptotic_phase", "diffusion_summary",
+    "effective_noise_v", "find_cycle", "get_model", "injection_lock_scan",
     "isochron_experiment", "lie_bracket", "numeric_ppv",
     "orthogonality_defect", "perp", "phase_rhs", "ppv_fourier",
     "sample_cycle", "simulate_phase", "simulate_sde_ensemble", "solve_fp",

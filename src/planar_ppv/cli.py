@@ -94,11 +94,9 @@ def run(config_path, outdir=None):
             p = cfg.sections["noise"]
             if p["kind"] == "isotropic":
                 nm = stochastic.NoiseModel.isotropic(p["sigma"])
-            elif p["kind"] == "directional":
+            else:
                 nm = stochastic.NoiseModel.directional(
                     p["sigma"], p.get("direction", np.array([1.0, 0.0])))
-            else:
-                raise ConfigError(f"unknown noise kind {p['kind']!r}")
             ens = stochastic.simulate_sde_ensemble(
                 basis, nm, p["n_paths"], p["t_end"], p["dt"], cfg.seed)
             stochastic.ensemble_to_csv(

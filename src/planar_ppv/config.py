@@ -6,10 +6,11 @@ typos in numerically sensitive fields must not pass silently.
 """
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigError, ConfigurationError
+from .errors import ConfigError
 from .models import get_model
 
 __all__ = ["RunConfig", "load_config", "parse_config"]
@@ -54,36 +55,60 @@ def _parse_floats(s):
     return [float(p) for p in parts]
 
 
+@dataclass(frozen=True)
+class _Key:
+    """One config key: its parser, the bound every parsed component must
+    meet (``(test, description)`` or None), its default, and whether it
+    must appear whenever its section does."""
+
+    parse: Callable
+    bound: tuple = None
+    default: object = None
+    required: bool = False
+
+
+def _at_least(n):
+    return (lambda v: v >= n, f">= {n}")
+
+
+_FINITE = (np.isfinite, "finite")
+_POSITIVE = (lambda v: 0 < v < np.inf, "finite and > 0")
+_NONNEGATIVE = (lambda v: 0 <= v < np.inf, "finite and >= 0")
+
 _SCHEMA = {
     "model": None,  # validated via the model registry
-    "cycle": {"guess": _parse_vec2, "settle_time": _parse_float,
-              "tol": _parse_float},
-    "basis": {"grid": _parse_int},
-    "output": {"dir": str, "seed": _parse_int},
-    "verify": {"tol": _parse_float},
-    "ppv-fourier": {"harmonics": _parse_int},
-    "lock-scan": {"amp": _parse_vec2, "eps": _parse_floats,
-                  "detuning_min": _parse_float, "detuning_max": _parse_float,
-                  "detuning_n": _parse_int, "t_end": _parse_float},
-    "noise": {"kind": str, "sigma": _parse_float, "direction": _parse_vec2,
-              "n_paths": _parse_int, "t_end": _parse_float,
-              "dt": _parse_float, "density": _parse_bool,
-              "density_cells": _parse_int,
-              "density_halfwidth": _parse_float},
-    "isochron": {"t_star": _parse_float, "offsets": _parse_floats,
-                 "horizon": _parse_float},
-}
-
-_DEFAULTS = {
-    "cycle": {"settle_time": 100.0, "tol": 1e-10},
-    "basis": {"grid": 1024},
-    "output": {"dir": "out", "seed": 0},
-    "verify": {"tol": 1e-5},
-    "ppv-fourier": {"harmonics": 16},
-    "lock-scan": {"t_end": -1.0},  # -1: auto per eps
-    "noise": {"kind": "isotropic", "density": True,
-              "density_cells": 321, "density_halfwidth": -1.0},
-    "isochron": {},
+    "cycle": {"guess": _Key(_parse_vec2, _FINITE),
+              "settle_time": _Key(_parse_float, _NONNEGATIVE, 100.0),
+              "tol": _Key(_parse_float, _POSITIVE, 1e-10)},
+    "basis": {"grid": _Key(_parse_int, _at_least(16), 1024)},
+    "output": {"dir": _Key(str, None, "out"),
+               "seed": _Key(_parse_int, None, 0)},
+    "verify": {"tol": _Key(_parse_float, _POSITIVE, 1e-5)},
+    "ppv-fourier": {"harmonics": _Key(_parse_int, _at_least(1), 16)},
+    "lock-scan": {
+        "amp": _Key(_parse_vec2, _FINITE, required=True),
+        "eps": _Key(_parse_floats, _POSITIVE, required=True),
+        "detuning_min": _Key(_parse_float, _FINITE, required=True),
+        "detuning_max": _Key(_parse_float, _FINITE, required=True),
+        "detuning_n": _Key(_parse_int, _at_least(1), required=True),
+        # <= 0 selects the automatic horizon per eps
+        "t_end": _Key(_parse_float, _FINITE, -1.0)},
+    "noise": {
+        "kind": _Key(str, (lambda v: v in ("isotropic", "directional"),
+                           "isotropic or directional"), "isotropic"),
+        "sigma": _Key(_parse_float, _NONNEGATIVE, required=True),
+        "direction": _Key(_parse_vec2, _FINITE),
+        "n_paths": _Key(_parse_int, _at_least(1), required=True),
+        "t_end": _Key(_parse_float, _POSITIVE, required=True),
+        "dt": _Key(_parse_float, _POSITIVE, required=True),
+        "density": _Key(_parse_bool, None, True),
+        "density_cells": _Key(_parse_int, _at_least(8), 321),
+        # <= 0 sizes the grid from the predicted diffusion
+        "density_halfwidth": _Key(_parse_float, _FINITE, -1.0)},
+    "isochron": {
+        "t_star": _Key(_parse_float, _FINITE, required=True),
+        "offsets": _Key(_parse_floats, _FINITE, required=True),
+        "horizon": _Key(_parse_float, _POSITIVE, required=True)},
 }
 
 
@@ -133,21 +158,27 @@ def parse_config(text):
         if key in raw[section]:
             raise ConfigError(f"duplicate key {key!r}", line=lineno)
         schema = _SCHEMA[section]
-        if schema is not None and key not in schema:
+        if schema is None:
+            raw[section][key] = value
+            continue
+        if key not in schema:
             raise ConfigError(
                 f"unknown key {key!r} in section [{section}]", line=lineno)
-        if schema is None:
-            raw[section][key] = (value, lineno)
-        else:
-            try:
-                raw[section][key] = (schema[key](value), lineno)
-            except ValueError as exc:
-                raise ConfigError(f"bad value for {key!r}: {exc}",
-                                  line=lineno)
+        spec = schema[key]
+        try:
+            parsed = spec.parse(value)
+        except ValueError as exc:
+            raise ConfigError(f"bad value for {key!r}: {exc}", line=lineno)
+        if spec.bound is not None:
+            test, rule = spec.bound
+            if not all(test(v) for v in np.atleast_1d(parsed)):
+                raise ConfigError(f"bad value for {key!r}: {value} is not "
+                                  f"{rule}", line=lineno)
+        raw[section][key] = parsed
 
     if "model" not in raw:
         raise ConfigError("missing [model] section")
-    model_raw = {k: v for k, (v, _) in raw["model"].items()}
+    model_raw = dict(raw["model"])
     if "name" not in model_raw:
         raise ConfigError("missing model name",
                           line=section_lines.get("model"))
@@ -155,19 +186,20 @@ def parse_config(text):
     try:
         params = {k: float(v) for k, v in model_raw.items()}
         get_model(name, **params)  # validates name + parameter keys
-    except (ConfigurationError, ValueError) as exc:
+    except (ConfigError, ValueError) as exc:
         raise ConfigError(str(exc), line=section_lines.get("model"))
 
     def section_dict(sec):
-        merged = dict(_DEFAULTS.get(sec, {}))
-        merged.update({k: v for k, (v, _) in raw.get(sec, {}).items()})
+        given = raw.get(sec, {})
+        merged = {}
+        for key, spec in _SCHEMA[sec].items():
+            if spec.required and sec in raw and key not in given:
+                raise ConfigError(f"[{sec}] needs key {key!r}",
+                                  line=section_lines[sec])
+            if spec.default is not None:
+                merged[key] = spec.default
+        merged.update(given)
         return merged
-
-    cycle = section_dict("cycle")
-    if "guess" not in cycle:
-        cycle["guess"] = np.array(_DEFAULT_GUESS[name])
-    basis = section_dict("basis")
-    output = section_dict("output")
 
     sections = {}
     for sec in EXPERIMENT_SECTIONS:
@@ -176,22 +208,12 @@ def parse_config(text):
     if not sections:
         raise ConfigError("no experiment section requested "
                           f"(one of {', '.join(EXPERIMENT_SECTIONS)})")
-    for required in ("t_star", "offsets", "horizon"):
-        if "isochron" in sections and required not in sections["isochron"]:
-            raise ConfigError(f"[isochron] needs key {required!r}",
-                              line=section_lines.get("isochron"))
-    if "lock-scan" in sections:
-        for required in ("amp", "eps", "detuning_min", "detuning_max",
-                         "detuning_n"):
-            if required not in sections["lock-scan"]:
-                raise ConfigError(f"[lock-scan] needs key {required!r}",
-                                  line=section_lines.get("lock-scan"))
-    if "noise" in sections:
-        for required in ("sigma", "n_paths", "t_end", "dt"):
-            if required not in sections["noise"]:
-                raise ConfigError(f"[noise] needs key {required!r}",
-                                  line=section_lines.get("noise"))
 
+    cycle = section_dict("cycle")
+    if "guess" not in cycle:
+        cycle["guess"] = np.array(_DEFAULT_GUESS[name])
+    basis = section_dict("basis")
+    output = section_dict("output")
     return RunConfig(model_name=name, model_params=params, cycle=cycle,
                      grid=basis["grid"], outdir=output["dir"],
                      seed=output["seed"], sections=sections)

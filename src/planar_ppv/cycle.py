@@ -16,8 +16,7 @@ from . import ode
 from .errors import ArgumentError, CycleNotFoundError, NoOscillationError
 from .models import OscillatorModel
 
-__all__ = ["LimitCycle", "find_cycle", "cycle_point", "sample_cycle",
-           "cycle_to_csv"]
+__all__ = ["LimitCycle", "find_cycle", "sample_cycle", "cycle_to_csv"]
 
 _MAX_NEWTON = 50
 _FIXED_POINT_TOL = 1e-8
@@ -39,13 +38,6 @@ class LimitCycle:
     def point(self, t):
         """x0(t mod T) from dense output; scalar or array argument."""
         return self._traj(np.mod(t, self.T))
-
-    def field_at(self, t):
-        return self.model.field(self.point(t))
-
-
-def cycle_point(cycle, t):
-    return cycle.point(t)
 
 
 def sample_cycle(cycle, n):

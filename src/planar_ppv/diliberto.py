@@ -18,25 +18,17 @@ solution normalized by v1^T f = 1.
 
 import logging
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.interpolate import CubicSpline
 
 from . import ode
-from .errors import DegenerateCycleError, InternalInconsistencyError
+from .errors import (ArgumentError, DegenerateCycleError,
+                     InternalInconsistencyError)
 from .models import perp
 
 __all__ = [
     "DilibertoBasis",
-    "FloquetSpectrum",
-    "compute_a",
-    "compute_b",
-    "floquet_spectrum",
-    "eigenvector_u1",
-    "eigenvector_u2",
-    "covector_v1",
-    "covector_v2",
     "orthogonality_defect",
     "lie_bracket",
     "basis_to_csv",
@@ -63,105 +55,49 @@ def _quad_rhs(cycle):
     return rhs
 
 
-def _quad_solve(cycle, t_end, rtol=1e-12):
-    return ode.integrate(_quad_rhs(cycle), [0.0, 0.0], 0.0, t_end,
-                         rtol=rtol, atol=1e-14)
-
-
-def _reduce(t, T):
-    """Split t into (k, tau) with t = k*T + tau, tau in [0, T)."""
-    t = np.asarray(t, dtype=float)
-    k = np.floor(t / T)
-    return k, t - k * T
-
-
-def compute_b(cycle, t, rtol=1e-12):
-    """Wronskian scalar b(t) = exp of the divergence quadrature from 0."""
-    t = float(t)
-    if t <= cycle.T:
-        if t == 0.0:
-            return 1.0
-        traj = _quad_solve(cycle, t, rtol)
-        return float(np.exp(traj.final[0]))
-    bT = compute_b(cycle, cycle.T, rtol)
-    k, tau = _reduce(t, cycle.T)
-    return compute_b(cycle, float(tau), rtol) * bT ** int(k)
-
-
-def compute_a(cycle, t, rtol=1e-12):
-    """Skew scalar a(t); quasi-periodic: a(t+T) = a(t) b(T) + a(T)."""
-    t = float(t)
-    if t <= cycle.T:
-        if t == 0.0:
-            return 0.0
-        traj = _quad_solve(cycle, t, rtol)
-        return float(traj.final[1])
-    full = _quad_solve(cycle, cycle.T, rtol)
-    bT = float(np.exp(full.final[0]))
-    aT = float(full.final[1])
-    k, tau = _reduce(t, cycle.T)
-    bk = bT ** int(k)
-    return compute_a(cycle, float(tau), rtol) * bk + aT * (bk - 1.0) / (bT - 1.0)
-
-
-@dataclass(frozen=True)
-class FloquetSpectrum:
-    """Multipliers, exponents and monodromy matrix in the Diliberto frame."""
-
-    multipliers: tuple
-    exponents: tuple
-    monodromy: np.ndarray
-
-
-def floquet_spectrum(cycle, rtol=1e-12):
-    """Floquet data from the one-period quadratures: multipliers {1, b(T)}."""
-    traj = _quad_solve(cycle, cycle.T, rtol)
-    bT = float(np.exp(traj.final[0]))
-    aT = float(traj.final[1])
-    if bT <= 0.0:
-        raise InternalInconsistencyError(
-            f"b(T) = {bT} <= 0: quadrature blow-up")
-    mu2 = np.log(bT) / cycle.T
-    if bT >= 1.0:
-        warnings.warn("second multiplier >= 1: cycle is not asymptotically "
-                      "stable", stacklevel=2)
-    monodromy = np.array([[1.0, aT], [0.0, bT]])
-    return FloquetSpectrum(multipliers=(1.0, bT), exponents=(0.0, mu2),
-                           monodromy=monodromy)
-
-
 class DilibertoBasis:
     """Sampled + evaluable closed-form basis along a limit cycle.
 
-    One augmented integration over [0, T] supplies dense a(t), b(t);
-    all vectors are evaluated from the closed forms through that dense
-    solution.  A uniform grid (default n=1024) with periodic cubic
-    interpolants backs the fast evaluation path used by the phase and
-    noise simulators.
+    One augmented integration over [0, T] supplies dense a(t), b(t), the
+    monodromy matrix [[1, a(T)], [0, b(T)]] and the exponent mu2; all
+    vectors are evaluated from the closed forms through that dense
+    solution.  Values on a uniform grid (default n=1024) feed the CSV
+    dump, the oracle and the spectral/noise kernels; periodic cubic
+    interpolants of x0 and v1 on that grid (``x0_fast``, ``v1_fast``)
+    serve the generic ``phase_rhs`` path.
     """
 
     def __init__(self, cycle, n=1024, rtol=1e-12):
         if n < 16:
-            raise ValueError("grid too coarse")
+            raise ArgumentError(f"basis grid n = {n} too coarse; need >= 16")
         self.cycle = cycle
         self.n = n
-        self._quad = _quad_solve(cycle, cycle.T, rtol)
+        self._quad = ode.integrate(_quad_rhs(cycle), [0.0, 0.0], 0.0,
+                                   cycle.T, rtol=rtol, atol=1e-14)
         IT = self._quad.final
         self.b_T = float(np.exp(IT[0]))
         self.a_T = float(IT[1])
+        if self.b_T <= 0.0:
+            raise InternalInconsistencyError(
+                f"b(T) = {self.b_T} <= 0: quadrature blow-up")
         if abs(self.b_T - 1.0) < _DEGENERATE_TOL:
             raise DegenerateCycleError(
                 f"|b(T) - 1| = {abs(self.b_T - 1.0):.3e}: non-hyperbolic "
                 "cycle, closed forms break down")
+        if self.b_T >= 1.0:
+            warnings.warn("second multiplier >= 1: cycle is not "
+                          "asymptotically stable", stacklevel=2)
         self.mu2 = np.log(self.b_T) / cycle.T
         self.alpha0 = self.a_T / (self.b_T - 1.0)
         self.monodromy = np.array([[1.0, self.a_T], [0.0, self.b_T]])
 
         T = cycle.T
         self.ts = np.arange(n) * (T / n)
-        self.a_grid = np.asarray([self._quad(float(t))[1] for t in self.ts])
-        self.b_grid = np.exp(np.asarray(
-            [self._quad(float(t))[0] for t in self.ts]))
+        # one scalar dense-output call per point: a vectorized call rounds
+        # some values 1 ulp differently and would change basis.csv
+        I = np.asarray([self._quad(float(t)) for t in self.ts])
+        self.a_grid = I[:, 1]
+        self.b_grid = np.exp(I[:, 0])
         x = cycle.point(self.ts)
         F = cycle.model.field(x)
         Fp = perp(F)
@@ -186,10 +122,6 @@ class DilibertoBasis:
 
         self._x0_spline = self._periodic_spline(x.T)
         self._v1_spline = self._periodic_spline(self.v1_grid)
-        self._u2_spline = self._periodic_spline(self.u2_grid)
-        self._v2_spline = self._periodic_spline(self.v2_grid)
-
-    # -- construction helpers -------------------------------------------------
 
     def _periodic_spline(self, vals):
         ts = np.concatenate([self.ts, [self.cycle.T]])
@@ -199,14 +131,15 @@ class DilibertoBasis:
     # -- scalar factors -------------------------------------------------------
 
     def _ab(self, t):
-        """Vectorized (a(t), b(t)) for arbitrary t via quasi-periodicity."""
-        k, tau = _reduce(t, self.cycle.T)
-        I = self._quad(tau)
-        b_tau = np.exp(I[0])
-        a_tau = I[1]
+        """(a(t), b(t)) for any scalar or array t via quasi-periodicity:
+        with t = k*T + tau, b(t) = b(tau) b(T)^k and
+        a(t) = a(tau) b(T)^k + a(T) (b(T)^k - 1) / (b(T) - 1)."""
+        t = np.asarray(t, dtype=float)
+        k = np.floor(t / self.cycle.T)
+        I = self._quad(t - k * self.cycle.T)
         bk = self.b_T ** k
-        b = b_tau * bk
-        a = a_tau * bk + self.a_T * (bk - 1.0) / (self.b_T - 1.0)
+        b = np.exp(I[0]) * bk
+        a = I[1] * bk + self.a_T * (bk - 1.0) / (self.b_T - 1.0)
         return a, b
 
     def a(self, t):
@@ -215,38 +148,30 @@ class DilibertoBasis:
     def b(self, t):
         return self._ab(t)[1]
 
-    def alpha(self, t):
-        return self.alpha0 + self.a(t)
-
-    def beta(self, t):
-        x = self.cycle.point(t)
-        F = self.cycle.model.field(x)
-        return self.b(t) / np.sum(F * F, axis=0)
-
-    # -- closed-form vectors (accurate path) ----------------------------------
+    # -- closed-form vectors --------------------------------------------------
 
     def _frame(self, t):
         x = self.cycle.point(t)
         F = self.cycle.model.field(x)
         return F, perp(F)
 
+    def _coefficients(self, t):
+        """alpha(t), beta(t) and b(t), with the frame (f, f_perp) at t."""
+        a, b = self._ab(t)
+        F, Fp = self._frame(t)
+        return self.alpha0 + a, b / np.sum(F * F, axis=0), b, F, Fp
+
     def u1(self, t):
         F, _ = self._frame(t)
         return F
 
     def u2(self, t):
-        a, b = self._ab(t)
-        F, Fp = self._frame(t)
-        alpha = self.alpha0 + a
-        beta = b / np.sum(F * F, axis=0)
+        alpha, beta, _, F, Fp = self._coefficients(t)
         return np.exp(-self.mu2 * np.asarray(t, dtype=float)) * (
             alpha * F + beta * Fp)
 
     def v1(self, t):
-        a, b = self._ab(t)
-        F, Fp = self._frame(t)
-        alpha = self.alpha0 + a
-        beta = b / np.sum(F * F, axis=0)
+        alpha, beta, b, F, Fp = self._coefficients(t)
         v = (-alpha * Fp + beta * F) / b
         if self._rescale:
             v = v / np.sum(v * F, axis=0)
@@ -257,7 +182,7 @@ class DilibertoBasis:
         _, Fp = self._frame(t)
         return (np.exp(self.mu2 * np.asarray(t, dtype=float)) / b) * Fp
 
-    # -- fast periodic-interpolant path (for simulation kernels) --------------
+    # -- periodic interpolants (generic phase_rhs path) -----------------------
 
     def _wrap(self, t):
         return np.mod(t, self.cycle.T)
@@ -268,33 +193,9 @@ class DilibertoBasis:
     def v1_fast(self, t):
         return self._v1_spline(self._wrap(t)).T
 
-    def u2_fast(self, t):
-        return self._u2_spline(self._wrap(t)).T
-
-    def v2_fast(self, t):
-        return self._v2_spline(self._wrap(t)).T
-
     @property
     def omega(self):
         return 2.0 * np.pi / self.cycle.T
-
-
-# -- spec-level operation wrappers -------------------------------------------
-
-def eigenvector_u1(basis, t):
-    return basis.u1(t)
-
-
-def eigenvector_u2(basis, t):
-    return basis.u2(t)
-
-
-def covector_v1(basis, t):
-    return basis.v1(t)
-
-
-def covector_v2(basis, t):
-    return basis.v2(t)
 
 
 def orthogonality_defect(basis):

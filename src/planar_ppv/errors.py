@@ -5,10 +5,6 @@ class PlanarPPVError(Exception):
     """Base class for all package-specific errors."""
 
 
-class ConfigurationError(PlanarPPVError):
-    """Unknown model name or invalid model parameters."""
-
-
 class DomainError(PlanarPPVError):
     """Evaluation requested at a point outside the admissible domain
     (non-finite coordinates, etc.)."""
@@ -65,7 +61,8 @@ class PerturbationKindError(PlanarPPVError):
 
 
 class ConfigError(PlanarPPVError):
-    """Run-configuration file could not be parsed or validated."""
+    """Invalid run configuration or model specification (unknown model
+    name or parameter); ``line`` is the config-file line when known."""
 
     def __init__(self, message, line=None):
         if line is not None:

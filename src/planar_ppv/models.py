@@ -11,15 +11,12 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError
+from .errors import ConfigError, DomainError
 
 __all__ = [
     "OscillatorModel",
     "get_model",
     "model_names",
-    "eval_field",
-    "eval_jacobian",
-    "eval_divergence",
     "perp",
 ]
 
@@ -133,35 +130,23 @@ def model_names():
 def get_model(name, **params):
     """Instantiate a built-in oscillator by name.
 
-    Unknown names or parameter keys raise :class:`ConfigurationError`.
+    Unknown names or parameter keys raise :class:`ConfigError`.
     """
     if name not in _BUILTINS:
-        raise ConfigurationError(
+        raise ConfigError(
             f"unknown model {name!r}; available: {', '.join(model_names())}")
     factory, defaults = _BUILTINS[name]
     unknown = set(params) - set(defaults)
     if unknown:
-        raise ConfigurationError(
+        raise ConfigError(
             f"unknown parameter(s) {sorted(unknown)} for model {name!r}")
     full = dict(defaults)
     full.update({k: float(v) for k, v in params.items()})
     if not all(np.isfinite(v) for v in full.values()):
-        raise ConfigurationError(f"non-finite parameter for model {name!r}")
+        raise ConfigError(f"non-finite parameter for model {name!r}")
     f, jac, div = factory(**full)
     return OscillatorModel(name=name, params=full,
                            _field=f, _jacobian=jac, _divergence=div)
-
-
-def eval_field(model, x):
-    return model.field(x)
-
-
-def eval_jacobian(model, x):
-    return model.jacobian(x)
-
-
-def eval_divergence(model, x):
-    return model.divergence(x)
 
 
 def perp(v):

@@ -1,9 +1,7 @@
 """Adaptive explicit Runge-Kutta integration with dense output.
 
 Thin contract layer over the Dormand-Prince 5(4) pair (scipy's ``RK45``):
-embedded error control, quartic dense-output interpolant, plus an
-augmented-state quadrature helper so running integrals share the step
-control of the carrier ODE.
+embedded error control and a quartic dense-output interpolant.
 """
 
 import numpy as np
@@ -11,7 +9,7 @@ from scipy.integrate import solve_ivp
 
 from .errors import ArgumentError, IntegrationFailureError
 
-__all__ = ["Trajectory", "integrate", "integrate_quadrature"]
+__all__ = ["Trajectory", "integrate"]
 
 
 class Trajectory:
@@ -60,23 +58,3 @@ def integrate(rhs, x0, t0, t1, rtol=1e-10, atol=1e-12):
             last_t=res.t[-1])
     return Trajectory(res.t, res.y.T, res.sol, rtol, atol)
 
-
-def integrate_quadrature(rhs, integrand, x0, t0, t1, rtol=1e-10, atol=1e-12):
-    """Integrate an ODE together with the running integral of a scalar.
-
-    The quadrature rides as one extra state component so the adaptive
-    error control covers it.  Returns ``(trajectory, value)`` where the
-    trajectory carries the augmented state (integral is the last
-    component) and ``value`` is the integral over [t0, t1].
-    """
-    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    d = x0.shape[0]
-
-    def aug(t, z):
-        x = z[:d]
-        dx = np.atleast_1d(np.asarray(rhs(t, x), dtype=float))
-        return np.concatenate([dx, [integrand(x, t)]])
-
-    traj = integrate(aug, np.concatenate([x0, [0.0]]), t0, t1,
-                     rtol=rtol, atol=atol)
-    return traj, traj.final[d]

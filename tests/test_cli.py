@@ -83,6 +83,14 @@ def test_unknown_key_exits_2(tmp_path, capsys):
     assert "setle_time" in err
 
 
+def test_coarse_grid_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(SL_MINIMAL + "\n[basis]\ngrid = 8\n")
+    assert cli.run(str(cfg), outdir=str(tmp_path / "out")) == 2
+    err = capsys.readouterr().err
+    assert "line 14" in err and "grid" in err
+
+
 def test_missing_config_exits_2(tmp_path):
     assert cli.run(str(tmp_path / "nope.cfg"), outdir=str(tmp_path)) == 2
 

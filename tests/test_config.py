@@ -113,3 +113,59 @@ detuning_n = 5
     np.testing.assert_array_equal(p["amp"], [1.0, 0.0])
     assert p["eps"] == [0.005, 0.01]
     assert p["t_end"] == -1.0  # default: auto horizon
+
+
+
+VALID = {
+    "model": {"name": "vanderpol"},
+    "cycle": {"settle_time": "10", "tol": "1e-10"},
+    "basis": {"grid": "64"},
+    "verify": {"tol": "1e-6"},
+    "lock-scan": {"amp": "1.0 0.0", "eps": "0.01", "detuning_min": "-0.01",
+                  "detuning_max": "0.01", "detuning_n": "5", "t_end": "0"},
+    "noise": {"sigma": "0.05", "n_paths": "16", "t_end": "10.0",
+              "dt": "0.02", "density_halfwidth": "-1"},
+    "isochron": {"t_star": "0", "offsets": "-0.05 0 0.05", "horizon": "19"},
+}
+
+
+def render(sections):
+    lines = []
+    for name, keys in sections.items():
+        lines.append(f"[{name}]")
+        lines.extend(f"{k} = {v}" for k, v in keys.items())
+    return "\n".join(lines) + "\n"
+
+
+def test_sign_conventions_still_accepted():
+    # t_end <= 0 (auto horizon), density_halfwidth <= 0 (auto grid) and
+    # zero or negative isochron offsets are valid
+    cfg = parse_config(render(VALID))
+    assert cfg.sections["lock-scan"]["t_end"] == 0.0
+    assert cfg.sections["noise"]["density_halfwidth"] == -1.0
+    assert cfg.sections["isochron"]["offsets"] == [-0.05, 0.0, 0.05]
+
+
+@pytest.mark.parametrize("section,key,value", [
+    ("cycle", "settle_time", "inf"),
+    ("cycle", "tol", "nan"),
+    ("basis", "grid", "-5"),
+    ("basis", "grid", "8"),
+    ("verify", "tol", "nan"),
+    ("noise", "sigma", "nan"),
+    ("noise", "n_paths", "0"),
+    ("noise", "t_end", "-1"),
+    ("lock-scan", "eps", "-1"),
+    ("lock-scan", "eps", "0"),
+    ("lock-scan", "detuning_n", "0"),
+])
+def test_out_of_range_value_reports_line(section, key, value):
+    sections = {name: dict(keys) for name, keys in VALID.items()}
+    sections[section][key] = value
+    lines = render(sections).splitlines()
+    line = lines.index(f"[{section}]") + 2 + list(sections[section]).index(key)
+    assert lines[line - 1] == f"{key} = {value}"
+    with pytest.raises(ConfigError) as exc:
+        parse_config("\n".join(lines))
+    assert exc.value.line == line
+    assert key in str(exc.value)

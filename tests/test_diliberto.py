@@ -4,23 +4,25 @@ import pytest
 import planar_ppv as pp
 from planar_ppv import adjoint
 from planar_ppv.diliberto import basis_to_csv
-from planar_ppv.errors import DegenerateCycleError
+from planar_ppv.errors import (ArgumentError, DegenerateCycleError,
+                               InternalInconsistencyError)
 from planar_ppv.models import OscillatorModel, perp
 
 
-def test_b_at_zero(sl_cycle, vdp_cycle):
-    assert pp.compute_b(sl_cycle, 0.0) == 1.0
-    assert pp.compute_b(vdp_cycle, 0.0) == 1.0
+def test_b_at_zero(sl_basis, vdp_basis):
+    assert sl_basis.b(0.0) == 1.0
+    assert vdp_basis.b(0.0) == 1.0
 
 
-def test_a_at_zero(sl_cycle, vdp_cycle):
-    assert pp.compute_a(sl_cycle, 0.0) == 0.0
-    assert pp.compute_a(vdp_cycle, 0.0) == 0.0
+def test_a_at_zero(sl_basis, vdp_basis):
+    assert sl_basis.a(0.0) == 0.0
+    assert vdp_basis.a(0.0) == 0.0
 
 
-def test_b_stuart_landau_period(sl_cycle):
-    b = pp.compute_b(sl_cycle, 2 * np.pi)
+def test_b_stuart_landau_period(sl_basis):
+    b = sl_basis.b(2 * np.pi)
     assert b == pytest.approx(np.exp(-4 * np.pi), rel=1e-8)
+    assert sl_basis.b_T == pytest.approx(np.exp(-4 * np.pi), rel=1e-8)
 
 
 def test_b_positive_on_grid(sl_basis, vdp_basis):
@@ -28,16 +30,17 @@ def test_b_positive_on_grid(sl_basis, vdp_basis):
     assert np.all(vdp_basis.b_grid > 0)
 
 
-def test_b_vanderpol_liouville(vdp_cycle):
+def test_b_vanderpol_liouville(vdp_cycle, vdp_basis):
     # Liouville: b(T) equals the determinant of the numeric monodromy
-    bT = pp.compute_b(vdp_cycle, vdp_cycle.T)
+    bT = vdp_basis.b(vdp_cycle.T)
+    assert bT == pytest.approx(vdp_basis.b_T, rel=1e-12)
     det = np.linalg.det(adjoint.numeric_monodromy(vdp_cycle))
     assert bT == pytest.approx(det, rel=1e-7)
 
 
-def test_a_stuart_landau_vanishes(sl_cycle):
-    for t in (1.7, np.pi, 2 * np.pi):
-        assert abs(pp.compute_a(sl_cycle, t)) < 1e-9
+def test_a_stuart_landau_vanishes(sl_basis):
+    for t in (1.7, np.pi, 2 * np.pi, 9.0):
+        assert abs(sl_basis.a(t)) < 1e-9
 
 
 def test_a_vanderpol_vs_numeric_frame(vdp_cycle, vdp_basis):
@@ -62,21 +65,20 @@ def test_quasi_periodicity_relations(vdp_basis):
                                rtol=0, atol=1e-8 * max(1, abs(vdp_basis.a_T)))
 
 
-def test_floquet_stuart_landau(sl_cycle):
-    spec = pp.floquet_spectrum(sl_cycle)
-    assert spec.exponents[0] == 0.0
-    assert spec.exponents[1] == pytest.approx(-2.0, abs=1e-8)
+def test_floquet_stuart_landau(sl_basis):
+    assert sl_basis.mu2 == pytest.approx(-2.0, abs=1e-8)
     np.testing.assert_allclose(
-        spec.monodromy, [[1.0, 0.0], [0.0, np.exp(-4 * np.pi)]], atol=1e-9)
-    assert spec.multipliers[0] == pytest.approx(1.0, abs=1e-9)
+        sl_basis.monodromy, [[1.0, 0.0], [0.0, np.exp(-4 * np.pi)]],
+        atol=1e-9)
+    assert sl_basis.monodromy[0, 0] == 1.0  # trivial multiplier
 
 
-def test_floquet_multiplier_exponent_relation(sl_cycle, vdp_cycle):
-    for cyc in (sl_cycle, vdp_cycle):
-        spec = pp.floquet_spectrum(cyc)
-        for lam, mu in zip(spec.multipliers, spec.exponents):
-            assert lam == pytest.approx(np.exp(mu * cyc.T), rel=1e-9)
-        assert spec.multipliers[1] < 1.0  # asymptotically stable
+def test_floquet_multiplier_exponent_relation(sl_basis, vdp_basis):
+    for basis in (sl_basis, vdp_basis):
+        assert basis.monodromy[1, 1] == basis.b_T
+        assert basis.b_T == pytest.approx(
+            np.exp(basis.mu2 * basis.cycle.T), rel=1e-9)
+        assert basis.b_T < 1.0  # asymptotically stable
 
 
 def test_floquet_vanderpol_vs_numeric(vdp_cycle, vdp_basis):
@@ -88,22 +90,19 @@ def test_floquet_vanderpol_vs_numeric(vdp_cycle, vdp_basis):
 
 
 def test_u1_is_field(sl_basis, vdp_basis):
-    np.testing.assert_allclose(pp.eigenvector_u1(sl_basis, 0.0), [0.0, 1.0],
-                               atol=1e-9)
+    np.testing.assert_allclose(sl_basis.u1(0.0), [0.0, 1.0], atol=1e-9)
     for basis in (sl_basis, vdp_basis):
         t = 0.3 * basis.cycle.T
         np.testing.assert_array_equal(
-            pp.eigenvector_u1(basis, t),
+            basis.u1(t),
             basis.cycle.model.field(basis.cycle.point(t)))
-        np.testing.assert_allclose(pp.eigenvector_u1(basis, basis.cycle.T),
-                                   pp.eigenvector_u1(basis, 0.0), atol=1e-10)
+        np.testing.assert_allclose(basis.u1(basis.cycle.T), basis.u1(0.0),
+                                   atol=1e-10)
 
 
 def test_u2_stuart_landau_radial(sl_basis):
-    np.testing.assert_allclose(pp.eigenvector_u2(sl_basis, 0.0), [1.0, 0.0],
-                               atol=1e-8)
-    np.testing.assert_allclose(pp.eigenvector_u2(sl_basis, np.pi / 2),
-                               [0.0, 1.0], atol=1e-8)
+    np.testing.assert_allclose(sl_basis.u2(0.0), [1.0, 0.0], atol=1e-8)
+    np.testing.assert_allclose(sl_basis.u2(np.pi / 2), [0.0, 1.0], atol=1e-8)
 
 
 def test_u2_periodicity(sl_basis, vdp_basis):
@@ -120,8 +119,7 @@ def test_v1_stuart_landau_closed_form(sl_basis):
     v1 = sl_basis.v1(ts)
     expected = np.stack([-np.sin(ts), np.cos(ts)])
     assert np.max(np.abs(v1 - expected)) < 1e-7
-    np.testing.assert_allclose(pp.covector_v1(sl_basis, 0.0), [0.0, 1.0],
-                               atol=1e-9)
+    np.testing.assert_allclose(sl_basis.v1(0.0), [0.0, 1.0], atol=1e-9)
 
 
 def test_v1_normalization(sl_basis, vdp_basis, rng):
@@ -142,8 +140,7 @@ def test_v1_periodicity(sl_basis, vdp_basis):
 
 
 def test_v2_closed_form(sl_basis):
-    np.testing.assert_allclose(pp.covector_v2(sl_basis, 0.0), [1.0, 0.0],
-                               atol=1e-9)
+    np.testing.assert_allclose(sl_basis.v2(0.0), [1.0, 0.0], atol=1e-9)
 
 
 def test_biorthogonality(sl_basis, vdp_basis):
@@ -236,8 +233,12 @@ def test_frame_independence(vdp_model, vdp_cycle, vdp_basis):
     assert np.max(np.abs(v_ref - v_new)) < 1e-6
 
 
-def test_degenerate_cycle_rejected():
-    # pure rotation: divergence-free, b(T) = 1, closed forms must refuse
+def rotation_cycle(div):
+    """Unit-circle rotation whose model reports a constant divergence.
+
+    The rotation itself is divergence-free; a fake nonzero value sets
+    b(T) = exp(2 pi div) without changing the orbit.
+    """
     def f(x):
         return np.stack([-x[1], x[0]])
 
@@ -245,10 +246,34 @@ def test_degenerate_cycle_rejected():
         return np.array([[0.0, -1.0], [1.0, 0.0]])
 
     model = OscillatorModel(name="rotation", params={}, _field=f,
-                            _jacobian=jac, _divergence=lambda x: 0.0 * x[0])
-    cyc = pp.find_cycle(model, (1.0, 0.0), settle_time=0.0)
+                            _jacobian=jac,
+                            _divergence=lambda x: div + 0.0 * x[0])
+    return pp.find_cycle(model, (1.0, 0.0), settle_time=0.0)
+
+
+def test_degenerate_cycle_rejected():
+    # pure rotation: divergence-free, b(T) = 1, closed forms must refuse
     with pytest.raises(DegenerateCycleError):
-        pp.DilibertoBasis(cyc)
+        pp.DilibertoBasis(rotation_cycle(0.0))
+
+
+def test_underflowing_multiplier_rejected():
+    # exp(2 pi * -200) underflows to 0: b(T) <= 0 is a quadrature blow-up
+    with pytest.raises(InternalInconsistencyError):
+        pp.DilibertoBasis(rotation_cycle(-200.0))
+
+
+def test_unstable_cycle_warns():
+    with pytest.warns(UserWarning, match="not asymptotically stable"):
+        basis = pp.DilibertoBasis(rotation_cycle(0.1))
+    assert basis.b_T == pytest.approx(np.exp(0.2 * np.pi), rel=1e-10)
+    assert basis.mu2 == pytest.approx(0.1, rel=1e-10)
+
+
+@pytest.mark.parametrize("n", [-5, 8, 15])
+def test_coarse_grid_rejected(sl_cycle, n):
+    with pytest.raises(ArgumentError):
+        pp.DilibertoBasis(sl_cycle, n=n)
 
 
 def test_basis_csv(tmp_path, sl_basis):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import planar_ppv as pp
-from planar_ppv.errors import ConfigurationError, DomainError
+from planar_ppv.errors import ConfigError, DomainError
 
 
 def central_diff_jacobian(model, x, h=1e-6):
@@ -83,7 +83,9 @@ def test_perp_properties(rng):
     for _ in range(200):
         v = rng.normal(size=2) * 10 ** rng.uniform(-3, 3)
         p = pp.perp(v)
-        assert p @ v == 0.0
+        # written out: a BLAS dot product may fuse the multiply-adds and
+        # leave a rounding residue
+        assert p[0] * v[0] + p[1] * v[1] == 0.0
         assert np.linalg.norm(p) == pytest.approx(np.linalg.norm(v), rel=1e-15)
 
 
@@ -96,9 +98,9 @@ def test_field_is_deterministic(all_models):
 
 
 def test_unknown_model_rejected():
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ConfigError):
         pp.get_model("nonexistent")
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ConfigError):
         pp.get_model("vanderpol", gamma=2.0)
 
 
@@ -112,9 +114,10 @@ def test_nonfinite_point_rejected(sl_model):
 
 
 def test_eval_wrappers(sl_model):
+    # the checked evaluation methods return what the raw callables return
     x = np.array([0.3, 0.4])
-    np.testing.assert_array_equal(pp.eval_field(sl_model, x),
-                                  sl_model.field(x))
-    np.testing.assert_array_equal(pp.eval_jacobian(sl_model, x),
-                                  sl_model.jacobian(x))
-    assert pp.eval_divergence(sl_model, x) == sl_model.divergence(x)
+    np.testing.assert_array_equal(sl_model.field(x), sl_model._field(x))
+    np.testing.assert_array_equal(sl_model.jacobian(x),
+                                  sl_model._jacobian(x))
+    assert sl_model.divergence(x) == sl_model._divergence(x)
+    np.testing.assert_array_equal(sl_model.rhs(0.0, x), sl_model.field(x))

@@ -74,27 +74,6 @@ def test_dense_output_between_steps():
         assert np.linalg.norm(traj(tm) - ref) < tol
 
 
-def test_quadrature_constant_integrand():
-    _, q = ode.integrate_quadrature(decay, lambda x, t: 1.0, [1.0], 0.0, 3.0)
-    assert q == pytest.approx(3.0, abs=1e-10)
-
-
-def test_quadrature_sin():
-    _, q = ode.integrate_quadrature(decay, lambda x, t: np.sin(t), [1.0],
-                                    0.0, np.pi, rtol=1e-11, atol=1e-13)
-    assert q == pytest.approx(2.0, abs=1e-9)
-
-
-def test_quadrature_divergence_on_cycle():
-    # on the unit cycle div f = -2, so the period integral is -4 pi
-    def div(x, t):
-        return 2.0 - 4.0 * (x[0] ** 2 + x[1] ** 2)
-
-    _, q = ode.integrate_quadrature(stuart_landau_rhs, div, [1.0, 0.0],
-                                    0.0, 2 * np.pi, rtol=1e-11, atol=1e-13)
-    assert q == pytest.approx(-4 * np.pi, abs=1e-8)
-
-
 def test_bad_span_rejected():
     with pytest.raises(ArgumentError):
         ode.integrate(decay, [1.0], 1.0, 0.0)

@@ -1,9 +1,10 @@
 """Independent numerical oracle for the closed-form basis.
 
-Integrates the variational equation (state-transition matrix, numeric
-monodromy) and the adjoint equation (numeric perturbation projection
-vector) directly.  Deliberately shares no quadrature code with the
-closed-form module so the two routes stay independent.
+Integrates the variational equation (one dense one-period state-transition
+matrix Phi(t, 0), whose endpoint is the numeric monodromy) and the adjoint
+equation (numeric perturbation projection vector) directly.  Deliberately
+shares no quadrature code with the closed-form module so the two routes
+stay independent.
 """
 
 from dataclasses import dataclass
@@ -14,16 +15,27 @@ from . import ode
 from .errors import OracleFailureError, ProvenanceError
 from .models import perp
 
-__all__ = ["StateTransition", "state_transition", "numeric_monodromy",
-           "numeric_ppv", "verify_basis", "VerificationReport"]
+__all__ = ["StateTransition", "state_transition", "numeric_ppv",
+           "verify_basis", "VerificationReport"]
 
 
-@dataclass(frozen=True)
 class StateTransition:
-    """Phi(t, 0) of the variational equation along the cycle."""
+    """Dense Phi(t, 0) of the variational equation over one period.
 
-    t: float
-    matrix: np.ndarray
+    ``st(t)`` is the 2x2 Phi(t, 0) for scalar t in [0, T] from the dense
+    output (exactly the identity at t = 0); ``st.monodromy`` is Phi(T) taken
+    from the integration endpoint rather than the interpolant.
+    """
+
+    def __init__(self, traj):
+        self._traj = traj
+
+    def __call__(self, t):
+        return self._traj(t).reshape(2, 2)
+
+    @property
+    def monodromy(self):
+        return self._traj.final.reshape(2, 2)
 
 
 def _variational_rhs(cycle):
@@ -36,17 +48,11 @@ def _variational_rhs(cycle):
     return rhs
 
 
-def state_transition(cycle, t, rtol=1e-11):
-    """Integrate the 2x2 matrix variational ODE from identity to time t."""
-    if t == 0.0:
-        return StateTransition(0.0, np.eye(2))
-    traj = ode.integrate(_variational_rhs(cycle), np.eye(2).ravel(),
-                         0.0, t, rtol=rtol, atol=1e-13)
-    return StateTransition(t, traj.final.reshape(2, 2))
-
-
-def numeric_monodromy(cycle, rtol=1e-11):
-    return state_transition(cycle, cycle.T, rtol).matrix
+def state_transition(cycle, rtol=1e-11):
+    """Integrate the 2x2 matrix variational ODE from identity over [0, T]."""
+    return StateTransition(ode.integrate(
+        _variational_rhs(cycle), np.eye(2).ravel(), 0.0, cycle.T,
+        rtol=rtol, atol=1e-13))
 
 
 def numeric_ppv(cycle, n, max_periods=50, rtol=1e-11, conv_tol=1e-9):
@@ -139,7 +145,6 @@ def verify_basis(cycle, basis, tol):
             raise ProvenanceError("basis was built on a different cycle")
     model = cycle.model
     T = cycle.T
-    ts = basis.ts
 
     u1 = basis.u1_grid
     u2 = basis.u2_grid
@@ -152,8 +157,7 @@ def verify_basis(cycle, basis, tol):
         np.sum(v2 * u2, axis=1) - 1.0,
     ])))
 
-    F = model.field(cycle.point(ts)).T
-    norm_defect = np.max(np.abs(np.sum(v1 * F, axis=1) - 1.0))
+    norm_defect = np.max(np.abs(np.sum(v1 * u1, axis=1) - 1.0))
 
     # adjoint residual of the closed-form v1, 4th-order finite differences
     h = T / 4096.0
@@ -172,8 +176,8 @@ def verify_basis(cycle, basis, tol):
         scale = max(scale, np.linalg.norm(rhs))
     adjoint_residual = np.max(np.linalg.norm(resid, axis=0)) / scale
 
-    Phi_T = numeric_monodromy(cycle)
-    eigs = np.sort(np.abs(np.linalg.eigvals(Phi_T)))
+    st = state_transition(cycle)
+    eigs = np.sort(np.abs(np.linalg.eigvals(st.monodromy)))
     lam2 = eigs[0] if abs(eigs[1] - 1.0) < abs(eigs[0] - 1.0) else eigs[1]
     mu2_num = np.log(lam2) / T
     mono_mismatch = abs(basis.mu2 - mu2_num) / abs(basis.mu2)
@@ -186,7 +190,7 @@ def verify_basis(cycle, basis, tol):
     # Liouville: det Phi(t) = exp(int div f) on 16 times
     liouville = 0.0
     for t in np.linspace(T / 16, T, 16):
-        det = np.linalg.det(state_transition(cycle, float(t)).matrix)
+        det = np.linalg.det(st(float(t)))
         b = float(basis.b(float(t)))
         liouville = max(liouville, abs(det - b) / b)
 

@@ -101,10 +101,9 @@ def run(config_path, outdir=None):
                 basis, nm, p["n_paths"], p["t_end"], p["dt"], cfg.seed)
             stochastic.ensemble_to_csv(
                 ens, os.path.join(out, "noise_ensemble.csv"))
-            summary.append(
-                f"diffusion_rate={_fmt(stochastic.diffusion_summary(basis, nm))}")
+            Dsum = stochastic.diffusion_summary(basis, nm)
+            summary.append(f"diffusion_rate={_fmt(Dsum)}")
             if p["density"]:
-                Dsum = stochastic.diffusion_summary(basis, nm)
                 hw = p["density_halfwidth"]
                 if hw <= 0:
                     hw = max(8.0 * np.sqrt(max(Dsum, 1e-30) * p["t_end"]),

@@ -56,10 +56,6 @@ class InstabilityError(PlanarPPVError):
     """Finite-difference solution developed significant negative density."""
 
 
-class PerturbationKindError(PlanarPPVError):
-    """Deterministic machinery fed a noise perturbation or vice versa."""
-
-
 class ConfigError(PlanarPPVError):
     """Invalid run configuration or model specification (unknown model
     name or parameter); ``line`` is the config-file line when known."""

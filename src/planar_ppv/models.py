@@ -40,8 +40,6 @@ class OscillatorModel:
     _jacobian: Callable = None
     _divergence: Callable = None
 
-    dimension = 2
-
     def field(self, x):
         return self._field(_check_point(x))
 

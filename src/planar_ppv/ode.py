@@ -15,24 +15,14 @@ __all__ = ["Trajectory", "integrate"]
 class Trajectory:
     """Immutable dense-output solution of an initial value problem."""
 
-    def __init__(self, ts, ys, sol, rtol, atol):
+    def __init__(self, ts, ys, sol):
         self.ts = ts
         self.ys = ys  # shape (n_samples, dim)
         self._sol = sol
-        self.rtol = rtol
-        self.atol = atol
-
-    @property
-    def t0(self):
-        return self.ts[0]
 
     @property
     def t1(self):
         return self.ts[-1]
-
-    @property
-    def dim(self):
-        return self.ys.shape[1]
 
     def __call__(self, t):
         """Dense-output evaluation; scalar or array time argument."""
@@ -56,5 +46,5 @@ def integrate(rhs, x0, t0, t1, rtol=1e-10, atol=1e-12):
         raise IntegrationFailureError(
             f"integration failed at t={res.t[-1]:.6g}: {res.message}",
             last_t=res.t[-1])
-    return Trajectory(res.t, res.y.T, res.sol, rtol, atol)
+    return Trajectory(res.t, res.y.T, res.sol)
 

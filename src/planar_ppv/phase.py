@@ -11,7 +11,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from . import ode
-from .errors import ArgumentError, PerturbationKindError
+from .errors import ArgumentError
 
 __all__ = ["Perturbation", "PhasePath", "PPVSpectrum", "phase_rhs",
            "simulate_phase", "ppv_fourier", "injection_lock_scan",
@@ -22,23 +22,19 @@ _LOCK_SLOPE_TOL = 1e-4
 
 @dataclass(frozen=True)
 class Perturbation:
-    """Deterministic forcing g(x, t) with strength eps, or a noise tag.
+    """Deterministic forcing g(x, t) with strength eps.
 
-    Noise-kind perturbations carry a :class:`~planar_ppv.stochastic.NoiseModel`
-    and are only accepted by the stochastic module.
+    Noise is not a perturbation: the stochastic module takes a
+    :class:`~planar_ppv.stochastic.NoiseModel` directly.
     """
 
-    kind: str
     eps: float = 0.0
     g: object = None
     omega_inj: float = None
-    noise: object = None
     amp: object = None       # set for additive sinusoidal injection
     phase_off: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in ("deterministic", "noise"):
-            raise ArgumentError(f"unknown perturbation kind {self.kind!r}")
         if self.eps < 0:
             raise ArgumentError("eps must be non-negative")
 
@@ -50,22 +46,17 @@ class Perturbation:
         def g(x, t):
             return amp * np.cos(omega_inj * t + phase)
 
-        return cls(kind="deterministic", eps=float(eps), g=g,
-                   omega_inj=float(omega_inj), amp=amp, phase_off=float(phase))
+        return cls(eps=float(eps), g=g, omega_inj=float(omega_inj), amp=amp,
+                   phase_off=float(phase))
 
     @classmethod
     def along_flow(cls, model, eps):
         """g = f: projects to exactly 1, so dpsi/dt = eps identically."""
-        return cls(kind="deterministic", eps=float(eps),
-                   g=lambda x, t: model.field(x))
+        return cls(eps=float(eps), g=lambda x, t: model.field(x))
 
     @classmethod
     def zero(cls):
-        return cls(kind="deterministic", eps=0.0, g=lambda x, t: 0.0 * x)
-
-    @classmethod
-    def from_noise(cls, noise):
-        return cls(kind="noise", eps=noise.sigma, noise=noise)
+        return cls(eps=0.0, g=lambda x, t: 0.0 * x)
 
 
 @dataclass(frozen=True)
@@ -93,9 +84,6 @@ class PhasePath:
 
 def phase_rhs(basis, pert, psi, t):
     """Instantaneous phase slip eps * v1(t+psi)^T g(x0(t+psi), t)."""
-    if pert.kind != "deterministic":
-        raise PerturbationKindError(
-            "noise perturbations belong to the stochastic module")
     tau = t + psi
     return pert.eps * float(basis.v1_fast(tau) @ np.asarray(
         pert.g(basis.x0_fast(tau), t), dtype=float))
@@ -103,9 +91,6 @@ def phase_rhs(basis, pert, psi, t):
 
 def simulate_phase(basis, pert, t_end, rtol=1e-8, n_store=2000):
     """Integrate the phase-deviation ODE from psi(0) = 0."""
-    if pert.kind != "deterministic":
-        raise PerturbationKindError(
-            "noise perturbations belong to the stochastic module")
     if t_end <= 0:
         raise ArgumentError("t_end must be positive")
 

@@ -68,14 +68,14 @@ def test_criterion_2_vanderpol_vs_adjoint_oracle():
     v1_err = (np.max(np.linalg.norm(v1c - ny, axis=1))
               / np.max(np.linalg.norm(ny, axis=1)))
 
-    Phi = adjoint.numeric_monodromy(cyc)
-    eigs = np.sort(np.abs(np.linalg.eigvals(Phi)))
+    st = adjoint.state_transition(cyc)
+    eigs = np.sort(np.abs(np.linalg.eigvals(st.monodromy)))
     mu2_num = np.log(eigs[0]) / cyc.T
     mu2_err = abs(basis.mu2 - mu2_num) / abs(basis.mu2)
 
     liouville = 0.0
     for t in np.linspace(cyc.T / 8, cyc.T, 8):
-        det = np.linalg.det(adjoint.state_transition(cyc, float(t)).matrix)
+        det = np.linalg.det(st(float(t)))
         b = float(basis.b(float(t)))
         liouville = max(liouville, abs(det - b) / b)
     elapsed = time.perf_counter() - t0

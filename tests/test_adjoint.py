@@ -6,25 +6,27 @@ from planar_ppv import adjoint
 from planar_ppv.errors import ProvenanceError
 
 
-def test_state_transition_identity_at_zero(sl_cycle):
-    st = adjoint.state_transition(sl_cycle, 0.0)
-    np.testing.assert_array_equal(st.matrix, np.eye(2))
+def test_state_transition_identity_at_zero(sl_cycle, vdp_cycle):
+    for cyc in (sl_cycle, vdp_cycle):
+        np.testing.assert_array_equal(
+            adjoint.state_transition(cyc)(0.0), np.eye(2))
 
 
 def test_state_transition_propagates_field(sl_cycle, vdp_cycle):
     # Phi(t, 0) f(x0(0)) = f(x0(t)) for any t
     for cyc in (sl_cycle, vdp_cycle):
+        st = adjoint.state_transition(cyc)
         F0 = cyc.model.field(cyc.anchor)
         for frac in (0.25, 0.7, 1.0):
             t = frac * cyc.T
-            st = adjoint.state_transition(cyc, t)
             Ft = cyc.model.field(cyc.point(t))
-            np.testing.assert_allclose(st.matrix @ F0, Ft, atol=1e-7)
+            np.testing.assert_allclose(st(t) @ F0, Ft, atol=1e-7)
+        np.testing.assert_allclose(st.monodromy @ F0, F0, atol=1e-7)
 
 
 def test_numeric_monodromy_stuart_landau(sl_cycle):
-    eigs = np.sort(np.abs(np.linalg.eigvals(adjoint.numeric_monodromy(
-        sl_cycle))))
+    eigs = np.sort(np.abs(np.linalg.eigvals(
+        adjoint.state_transition(sl_cycle).monodromy)))
     assert eigs[1] == pytest.approx(1.0, abs=1e-7)
     assert eigs[0] == pytest.approx(np.exp(-4 * np.pi), abs=1e-7)
 
@@ -68,6 +70,19 @@ def test_report_items_and_text(vdp_report):
     lines = vdp_report.to_kv_lines()
     assert len(lines) == len(vdp_report.metrics)
     assert all("=" in ln for ln in lines)
+
+
+def test_verify_integrates_variational_once(monkeypatch, sl_cycle, sl_basis):
+    calls = []
+    original = adjoint.state_transition
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(adjoint, "state_transition", counting)
+    assert adjoint.verify_basis(sl_cycle, sl_basis, 1e-5).passed
+    assert len(calls) == 1
 
 
 def test_verify_rejects_foreign_cycle(sl_model, vdp_cycle, vdp_basis):

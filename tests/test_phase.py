@@ -3,7 +3,7 @@ import pytest
 from scipy.integrate import quad
 
 import planar_ppv as pp
-from planar_ppv.errors import ArgumentError, PerturbationKindError
+from planar_ppv.errors import ArgumentError
 from planar_ppv.phase import Perturbation, phase_rhs, spectrum_to_csv
 
 
@@ -132,20 +132,7 @@ def test_fourier_bad_K(sl_basis):
         pp.ppv_fourier(sl_basis, sl_basis.n // 2)
 
 
-def test_noise_perturbation_rejected(sl_basis):
-    from planar_ppv.stochastic import NoiseModel
-
-    noise = NoiseModel.isotropic(0.05)
-    pert = Perturbation.from_noise(noise)
-    with pytest.raises(PerturbationKindError):
-        pp.simulate_phase(sl_basis, pert, t_end=1.0)
-    with pytest.raises(PerturbationKindError):
-        phase_rhs(sl_basis, pert, 0.0, 0.0)
-
-
 def test_bad_perturbation_arguments():
-    with pytest.raises(ArgumentError):
-        Perturbation(kind="chaotic")
     with pytest.raises(ArgumentError):
         Perturbation.sinusoidal([1.0, 0.0], 1.0, eps=-0.1)
 

@@ -126,9 +126,6 @@ def run(config_path, outdir=None):
             summary.append(f"control_spread={_fmt(rep.control_spread)}")
             summary.append(f"isochron_degenerate={int(rep.degenerate)}")
 
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
     except PlanarPPVError as exc:
         print(f"stage {stage!r} failed: {exc}", file=sys.stderr)
         return 1

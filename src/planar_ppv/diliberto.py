@@ -16,7 +16,6 @@ v1 is the perturbation projection vector: the T-periodic adjoint
 solution normalized by v1^T f = 1.
 """
 
-import logging
 import warnings
 
 import numpy as np
@@ -33,8 +32,6 @@ __all__ = [
     "lie_bracket",
     "basis_to_csv",
 ]
-
-log = logging.getLogger(__name__)
 
 _DEGENERATE_TOL = 1e-12
 
@@ -62,9 +59,8 @@ class DilibertoBasis:
     monodromy matrix [[1, a(T)], [0, b(T)]] and the exponent mu2; all
     vectors are evaluated from the closed forms through that dense
     solution.  Values on a uniform grid (default n=1024) feed the CSV
-    dump, the oracle and the spectral/noise kernels; periodic cubic
-    interpolants of x0 and v1 on that grid (``x0_fast``, ``v1_fast``)
-    serve the generic ``phase_rhs`` path.
+    dump, the oracle and the spectral kernel; ``projection(G)``
+    interpolates v1^T G(x0) on that grid for the phase and noise layers.
     """
 
     def __init__(self, cycle, n=1024, rtol=1e-12):
@@ -91,42 +87,25 @@ class DilibertoBasis:
         self.alpha0 = self.a_T / (self.b_T - 1.0)
         self.monodromy = np.array([[1.0, self.a_T], [0.0, self.b_T]])
 
-        T = cycle.T
-        self.ts = np.arange(n) * (T / n)
+        self.ts = np.arange(n) * (cycle.T / n)
         # one scalar dense-output call per point: a vectorized call rounds
         # some values 1 ulp differently and would change basis.csv
         I = np.asarray([self._quad(float(t)) for t in self.ts])
         self.a_grid = I[:, 1]
         self.b_grid = np.exp(I[:, 0])
-        x = cycle.point(self.ts)
-        F = cycle.model.field(x)
-        Fp = perp(F)
-        n2 = np.sum(F * F, axis=0)
-        self.alpha_grid = self.alpha0 + self.a_grid
-        self.beta_grid = self.b_grid / n2
-        decay = np.exp(-self.mu2 * self.ts)
-        self.u1_grid = F.T
-        self.u2_grid = (decay * (self.alpha_grid * F + self.beta_grid * Fp)).T
-        v1 = ((-self.alpha_grid * Fp + self.beta_grid * F) / self.b_grid).T
-        self.v2_grid = ((np.exp(self.mu2 * self.ts) / self.b_grid) * Fp).T
+        x, F, u2, v1, v2, self.alpha_grid, self.beta_grid = \
+            self._closed_forms(self.ts, self.a_grid, self.b_grid)
+        self.x0_grid, self.u1_grid = x.T, F.T
+        self.u2_grid, self.v1_grid, self.v2_grid = u2.T, v1.T, v2.T
 
-        # enforce the normalization v1^T f = 1 against quadrature drift
-        dots = np.sum(v1 * F.T, axis=1)
-        self.normalization_defect = float(np.max(np.abs(dots - 1.0)))
-        self._rescale = self.normalization_defect > 1e-9
-        if self._rescale:
-            log.warning("v1 normalization defect %.3e above 1e-9; "
-                        "re-scaling pointwise", self.normalization_defect)
-            v1 = v1 / dots[:, None]
-        self.v1_grid = v1
-
-        self._x0_spline = self._periodic_spline(x.T)
-        self._v1_spline = self._periodic_spline(self.v1_grid)
-
-    def _periodic_spline(self, vals):
-        ts = np.concatenate([self.ts, [self.cycle.T]])
-        vv = np.vstack([vals, vals[:1]])
-        return CubicSpline(ts, vv, axis=0, bc_type="periodic")
+        # v1^T f = 1 holds identically in a(t) and b(t), so quadrature
+        # drift cannot move it; a defect means the formulas are broken
+        self.normalization_defect = float(
+            np.max(np.abs(np.sum(v1 * F, axis=0) - 1.0)))
+        if not self.normalization_defect <= 1e-9:
+            raise InternalInconsistencyError(
+                f"v1 normalization defect {self.normalization_defect:.3e} "
+                "above 1e-9")
 
     # -- scalar factors -------------------------------------------------------
 
@@ -150,48 +129,51 @@ class DilibertoBasis:
 
     # -- closed-form vectors --------------------------------------------------
 
-    def _frame(self, t):
+    def _closed_forms(self, t, a, b):
+        """x0, f, u2, v1, v2, alpha and beta at t, given a(t) and b(t).
+
+        The one site of the closed forms; vectors have shape (2,) for
+        scalar t and (2, N) for N times.
+        """
+        t = np.asarray(t, dtype=float)
         x = self.cycle.point(t)
         F = self.cycle.model.field(x)
-        return F, perp(F)
-
-    def _coefficients(self, t):
-        """alpha(t), beta(t) and b(t), with the frame (f, f_perp) at t."""
-        a, b = self._ab(t)
-        F, Fp = self._frame(t)
-        return self.alpha0 + a, b / np.sum(F * F, axis=0), b, F, Fp
+        Fp = perp(F)
+        alpha = self.alpha0 + a
+        beta = b / np.sum(F * F, axis=0)
+        u2 = np.exp(-self.mu2 * t) * (alpha * F + beta * Fp)
+        v1 = (-alpha * Fp + beta * F) / b
+        v2 = (np.exp(self.mu2 * t) / b) * Fp
+        return x, F, u2, v1, v2, alpha, beta
 
     def u1(self, t):
-        F, _ = self._frame(t)
-        return F
+        return self._closed_forms(t, *self._ab(t))[1]
 
     def u2(self, t):
-        alpha, beta, _, F, Fp = self._coefficients(t)
-        return np.exp(-self.mu2 * np.asarray(t, dtype=float)) * (
-            alpha * F + beta * Fp)
+        return self._closed_forms(t, *self._ab(t))[2]
 
     def v1(self, t):
-        alpha, beta, b, F, Fp = self._coefficients(t)
-        v = (-alpha * Fp + beta * F) / b
-        if self._rescale:
-            v = v / np.sum(v * F, axis=0)
-        return v
+        return self._closed_forms(t, *self._ab(t))[3]
 
     def v2(self, t):
-        _, b = self._ab(t)
-        _, Fp = self._frame(t)
-        return (np.exp(self.mu2 * np.asarray(t, dtype=float)) / b) * Fp
+        return self._closed_forms(t, *self._ab(t))[4]
 
-    # -- periodic interpolants (generic phase_rhs path) -----------------------
+    # -- periodic projection --------------------------------------------------
 
-    def _wrap(self, t):
-        return np.mod(t, self.cycle.T)
+    def projection(self, G):
+        """Periodic cubic interpolant of v1(t)^T G(x0(t)) on [0, T].
 
-    def x0_fast(self, t):
-        return self._x0_spline(self._wrap(t)).T
-
-    def v1_fast(self, t):
-        return self._v1_spline(self._wrap(t)).T
+        ``G`` maps a cycle point to a (2,) or (2, m) array; the interpolant
+        returns a scalar or an (m,) vector per time t in [0, T]; callers
+        reduce their times mod T.  The two products are written out rather
+        than left to BLAS, whose FMA and gemv rounding would make the
+        values machine-dependent.
+        """
+        vals = np.array([v[0] * g[0] + v[1] * g[1]
+                         for v, g in zip(self.v1_grid, map(G, self.x0_grid))])
+        return CubicSpline(np.append(self.ts, self.cycle.T),
+                           np.concatenate([vals, vals[:1]]), axis=0,
+                           bc_type="periodic")
 
     @property
     def omega(self):

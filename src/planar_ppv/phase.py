@@ -1,9 +1,10 @@
 """Deterministic phase macromodel.
 
 The phase deviation obeys the scalar nonautonomous ODE
-``dpsi/dt = eps * v1(t + psi)^T g(x0(t + psi), t)``; everything here
-evaluates v1 and x0 through the basis interpolants, so one simulation
-costs O(steps) regardless of how the cycle was obtained.
+``dpsi/dt = eps * u(t) * v1(t + psi)^T G(x0(t + psi))`` for separable
+forcing g = G(x) u(t); the state dependence is the periodic projection
+``basis.projection(G)``, so one simulation costs O(steps) regardless of
+how the cycle was obtained.
 """
 
 from dataclasses import dataclass, field as dc_field
@@ -22,17 +23,17 @@ _LOCK_SLOPE_TOL = 1e-4
 
 @dataclass(frozen=True)
 class Perturbation:
-    """Deterministic forcing g(x, t) with strength eps.
+    """Separable deterministic forcing g(x, t) = G(x) u(t), strength eps.
 
-    Noise is not a perturbation: the stochastic module takes a
-    :class:`~planar_ppv.stochastic.NoiseModel` directly.
+    ``G`` maps a cycle point to a (2,) input direction and ``u`` is the
+    scalar time profile.  Noise is not a perturbation: the stochastic
+    module takes a :class:`~planar_ppv.stochastic.NoiseModel` directly.
     """
 
-    eps: float = 0.0
-    g: object = None
+    eps: float
+    G: object
+    u: object
     omega_inj: float = None
-    amp: object = None       # set for additive sinusoidal injection
-    phase_off: float = 0.0
 
     def __post_init__(self):
         if self.eps < 0:
@@ -42,21 +43,19 @@ class Perturbation:
     def sinusoidal(cls, amp, omega_inj, eps, phase=0.0):
         """Additive injection g(x, t) = amp * cos(omega_inj t + phase)."""
         amp = np.asarray(amp, dtype=float)
-
-        def g(x, t):
-            return amp * np.cos(omega_inj * t + phase)
-
-        return cls(eps=float(eps), g=g, omega_inj=float(omega_inj), amp=amp,
-                   phase_off=float(phase))
+        omega_inj, phase = float(omega_inj), float(phase)
+        return cls(eps=float(eps), G=lambda x: amp,
+                   u=lambda t: np.cos(omega_inj * t + phase),
+                   omega_inj=omega_inj)
 
     @classmethod
     def along_flow(cls, model, eps):
         """g = f: projects to exactly 1, so dpsi/dt = eps identically."""
-        return cls(eps=float(eps), g=lambda x, t: model.field(x))
+        return cls(eps=float(eps), G=model.field, u=lambda t: 1.0)
 
     @classmethod
     def zero(cls):
-        return cls(eps=0.0, g=lambda x, t: 0.0 * x)
+        return cls(eps=0.0, G=lambda x: np.zeros(2), u=lambda t: 0.0)
 
 
 @dataclass(frozen=True)
@@ -82,38 +81,27 @@ class PhasePath:
         return self.detuning - self.mean_freq_shift
 
 
-def phase_rhs(basis, pert, psi, t):
-    """Instantaneous phase slip eps * v1(t+psi)^T g(x0(t+psi), t)."""
-    tau = t + psi
-    return pert.eps * float(basis.v1_fast(tau) @ np.asarray(
-        pert.g(basis.x0_fast(tau), t), dtype=float))
+def phase_rhs(basis, pert):
+    """Right-hand side rhs(t, [psi]) = eps u(t) v1(t+psi)^T G(x0(t+psi)).
+
+    The state dependence enters only through the periodic projection
+    ``basis.projection(pert.G)``, built once here.
+    """
+    proj = basis.projection(pert.G)
+    eps, u, T = pert.eps, pert.u, basis.cycle.T
+
+    def rhs(t, y):
+        return [eps * u(t) * proj(np.mod(t + y[0], T))]
+
+    return rhs
 
 
 def simulate_phase(basis, pert, t_end, rtol=1e-8, n_store=2000):
     """Integrate the phase-deviation ODE from psi(0) = 0."""
     if t_end <= 0:
         raise ArgumentError("t_end must be positive")
-
-    if pert.amp is not None:
-        # additive injection: g is state-independent, so v1^T amp reduces
-        # to one periodic scalar interpolant
-        from scipy.interpolate import CubicSpline
-
-        T = basis.cycle.T
-        proj = basis.v1_grid @ pert.amp
-        ts_ext = np.concatenate([basis.ts, [T]])
-        pspl = CubicSpline(ts_ext, np.concatenate([proj, proj[:1]]),
-                           bc_type="periodic")
-        eps, w_inj, ph = pert.eps, pert.omega_inj, pert.phase_off
-
-        def rhs(t, y):
-            return [eps * np.cos(w_inj * t + ph)
-                    * pspl(np.mod(t + y[0], T))]
-    else:
-        def rhs(t, y):
-            return [phase_rhs(basis, pert, y[0], t)]
-
-    traj = ode.integrate(rhs, [0.0], 0.0, t_end, rtol=rtol, atol=1e-12)
+    traj = ode.integrate(phase_rhs(basis, pert), [0.0], 0.0, t_end,
+                         rtol=rtol, atol=1e-12)
     ts = np.linspace(0.0, t_end, n_store)
     psi = traj(ts)[0]
 

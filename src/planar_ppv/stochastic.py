@@ -1,7 +1,8 @@
 """Noise-driven phase model: SDE ensembles and a Fokker-Planck solver.
 
 The phase SDE is read in the Ito sense, dpsi = v(t+psi)^T dW with
-v(t)^T = v1(t)^T G(x0(t)); the Fokker-Planck solver uses the matching
+v(t)^T = v1(t)^T G(x0(t)), the periodic interpolant
+``basis.projection(noise.G)``; the Fokker-Planck solver uses the matching
 density equation dp/dt = d/dpsi[ (v dv^T/dpsi) p + (1/2) v^T v dp/dpsi ],
 so ensemble statistics and densities agree by construction.
 """
@@ -9,7 +10,6 @@ so ensemble statistics and densities agree by construction.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .errors import ArgumentError, InstabilityError
 
@@ -60,17 +60,6 @@ def effective_noise_v(basis, noise, t):
                      for ti in t], axis=1)
 
 
-def _v_spline(basis, noise):
-    """Periodic cubic interpolant of the m effective-noise channels."""
-    vals = np.empty((basis.n + 1, noise.m))
-    for i, t in enumerate(basis.ts):
-        x = basis.cycle.point(float(t))
-        vals[i] = basis.v1_grid[i] @ noise.G(x)
-    vals[-1] = vals[0]
-    ts = np.concatenate([basis.ts, [basis.cycle.T]])
-    return CubicSpline(ts, vals, axis=0, bc_type="periodic")
-
-
 @dataclass(frozen=True)
 class PhaseEnsemble:
     """Monte-Carlo mean/variance curves of the phase deviation."""
@@ -98,7 +87,7 @@ def simulate_sde_ensemble(basis, noise, n_paths, t_end, dt, seed,
         raise ArgumentError(
             f"dt = {dt} too large; need dt <= T/100 = {basis.cycle.T / 100:g}")
     n_steps = int(round(t_end / dt))
-    spline = _v_spline(basis, noise)
+    spline = basis.projection(noise.G)
     T = basis.cycle.T
 
     sq = np.sqrt(dt)
@@ -168,7 +157,7 @@ def solve_fp(basis, noise, psi_grid, t_end, dt, init_width=None,
     dpsi = float(d[0])
     T = basis.cycle.T
 
-    spline = _v_spline(basis, noise)
+    spline = basis.projection(noise.G)
     dspline = spline.derivative()
     vsq_max = float(np.max(np.sum(spline(basis.ts) ** 2, axis=1)))
     if vsq_max > 0 and dt > 0.4 * dpsi ** 2 / vsq_max:
@@ -215,7 +204,7 @@ def solve_fp(basis, noise, psi_grid, t_end, dt, init_width=None,
 
 def diffusion_summary(basis, noise):
     """Period-averaged v^T v: the effective phase-diffusion rate."""
-    spline = _v_spline(basis, noise)
+    spline = basis.projection(noise.G)
     vals = spline(basis.ts)
     return float(np.mean(np.sum(vals * vals, axis=1)))
 

@@ -83,6 +83,14 @@ def test_unknown_key_exits_2(tmp_path, capsys):
     assert "setle_time" in err
 
 
+def test_unknown_model_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(SL_MINIMAL.replace("stuart_landau", "no_such_model"))
+    assert cli.run(str(cfg), outdir=str(tmp_path / "out")) == 2
+    err = capsys.readouterr().err
+    assert "line 2" in err and "no_such_model" in err
+
+
 def test_coarse_grid_exits_2(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(SL_MINIMAL + "\n[basis]\ngrid = 8\n")

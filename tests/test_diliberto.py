@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 
 import planar_ppv as pp
-from planar_ppv import adjoint
+from planar_ppv import adjoint, diliberto
 from planar_ppv.diliberto import basis_to_csv
 from planar_ppv.errors import (ArgumentError, DegenerateCycleError,
                                InternalInconsistencyError)
 from planar_ppv.models import OscillatorModel, perp
+from planar_ppv.stochastic import NoiseModel
 
 
 def test_b_at_zero(sl_basis, vdp_basis):
@@ -151,6 +152,62 @@ def test_biorthogonality(sl_basis, vdp_basis):
         assert np.max(np.abs(np.sum(v1 * u2, axis=1))) < 1e-9
         assert np.max(np.abs(np.sum(v2 * u1, axis=1))) < 1e-9
         assert np.max(np.abs(np.sum(v2 * u2, axis=1) - 1.0)) < 1e-9
+
+
+def test_methods_reproduce_grid_rows(sl_basis, vdp_basis):
+    # one formula site: at a grid time _ab(t) reproduces the grid's
+    # quadrature values exactly, so u2/v1/v2(t) equal the grid rows bit for
+    # bit wherever the scalar x0(t) and f(x0) round like the vectorized
+    # grid calls (dense output and the model's array arithmetic differ in
+    # the last bit at a few points)
+    for basis in (sl_basis, vdp_basis):
+        same_frame = 0
+        for i, t in enumerate(basis.ts):
+            t = float(t)
+            assert basis.a(t) == basis.a_grid[i]
+            assert basis.b(t) == basis.b_grid[i]
+            x = basis.cycle.point(t)
+            if not (np.array_equal(x, basis.x0_grid[i]) and np.array_equal(
+                    basis.cycle.model.field(x), basis.u1_grid[i])):
+                continue
+            same_frame += 1
+            assert np.array_equal(basis.u2(t), basis.u2_grid[i])
+            assert np.array_equal(basis.v1(t), basis.v1_grid[i])
+            assert np.array_equal(basis.v2(t), basis.v2_grid[i])
+        assert same_frame >= basis.n - 8
+
+
+def test_normalization_defect_at_rounding_level(sl_basis, vdp_basis):
+    # v1^T f = 1 holds identically in a(t) and b(t)
+    assert sl_basis.normalization_defect <= 1e-13
+    assert vdp_basis.normalization_defect <= 1e-13
+
+
+def test_broken_normalization_rejected(monkeypatch, vdp_cycle):
+    # a frame "rotation" that is not orthogonal breaks v1^T f = 1; the
+    # basis must refuse instead of rescaling v1
+    def skewed(v):
+        v = np.asarray(v, dtype=float)
+        return np.stack([v[1] + 0.1 * v[0], -v[0]])
+
+    monkeypatch.setattr(diliberto, "perp", skewed)
+    with pytest.raises(InternalInconsistencyError, match="normalization"):
+        pp.DilibertoBasis(vdp_cycle, n=64)
+
+
+@pytest.mark.parametrize("G", [
+    lambda x: np.array([0.3, 0.7]),
+    NoiseModel.directional(0.05, [0.3, 0.7]).G,
+    NoiseModel.isotropic(0.05).G,
+], ids=["amp", "directional", "isotropic"])
+def test_projection_is_written_out_product(vdp_basis, G):
+    # no BLAS dot (FMA, gemv rounding): the node values are exactly the
+    # scalar products v1x*g0 + v1y*g1
+    proj = vdp_basis.projection(G)(vdp_basis.ts)
+    for i, (v, x) in enumerate(zip(vdp_basis.v1_grid, vdp_basis.x0_grid)):
+        g = G(x)
+        expected = float(v[0]) * g[0] + float(v[1]) * g[1]
+        assert np.array_equal(proj[i], expected)
 
 
 def test_adjoint_residual_of_closed_form(vdp_basis):

@@ -1,6 +1,7 @@
-"""The benchmark tracer (``perfbench/tracer.py``) wraps public names of the
-package from outside ``src/``.  Renaming or deleting one of them must fail
-here rather than only inside ``perfbench/run.py --trace 1``."""
+"""The benchmark (``perfbench/``) uses the package from outside ``src/``:
+its tracer wraps public names and its workloads are config texts.  Renaming
+a traced name, or rejecting a workload config, must fail here rather than
+only inside ``perfbench/run.py``."""
 
 import importlib
 from pathlib import Path
@@ -9,16 +10,29 @@ import pytest
 
 from planar_ppv import (adjoint, cli, diliberto, isochron, models, ode, phase,
                         stochastic)
+from planar_ppv.config import parse_config
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 OWNERS = (cli, diliberto, diliberto.DilibertoBasis, adjoint, phase,
           stochastic, isochron, ode, models.OscillatorModel)
 
 
+def perfbench_module(monkeypatch, name):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    return importlib.import_module(name)
+
+
 @pytest.fixture
 def tracer(monkeypatch):
-    monkeypatch.syspath_prepend(str(PERFBENCH))
-    return importlib.import_module("tracer")
+    return perfbench_module(monkeypatch, "tracer")
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("workload", ["lockscan", "noise", "verify-sweep"])
+def test_workload_configs_build_models(monkeypatch, workload, seed):
+    workloads = perfbench_module(monkeypatch, "workloads")
+    for config in workloads.make_configs(workload, seed):
+        parse_config(config["text"]).make_model()
 
 
 def test_tracer_installs_and_undoes(tracer):

@@ -9,16 +9,16 @@ from planar_ppv.phase import Perturbation, phase_rhs, spectrum_to_csv
 
 def test_phase_rhs_along_flow(sl_basis, sl_model):
     # g = f projects to exactly v1^T f = 1
-    pert = Perturbation.along_flow(sl_model, eps=0.01)
+    rhs = phase_rhs(sl_basis, Perturbation.along_flow(sl_model, eps=0.01))
     for t in (0.0, 1.3, 5.0):
-        assert phase_rhs(sl_basis, pert, 0.0, t) == pytest.approx(0.01,
-                                                                  abs=1e-6)
+        assert rhs(t, [0.0])[0] == pytest.approx(0.01, abs=1e-6)
 
 
 def test_phase_rhs_sinusoidal_example(sl_basis):
     # v1(0) = (0, 1), amp = (0, 1), cos(0) = 1  =>  rhs = eps
     pert = Perturbation.sinusoidal([0.0, 1.0], omega_inj=1.0, eps=0.02)
-    assert phase_rhs(sl_basis, pert, 0.0, 0.0) == pytest.approx(0.02, abs=1e-6)
+    assert phase_rhs(sl_basis, pert)(0.0, [0.0])[0] == pytest.approx(
+        0.02, abs=1e-6)
 
 
 def test_zero_perturbation_keeps_phase(sl_basis):

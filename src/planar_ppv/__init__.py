@@ -16,8 +16,8 @@ from .phase import (Perturbation, PhasePath, PPVSpectrum,
                     injection_lock_scan, phase_rhs, ppv_fourier,
                     simulate_phase)
 from .stochastic import (DensityField, NoiseModel, PhaseEnsemble,
-                         diffusion_summary, effective_noise_v,
-                         simulate_sde_ensemble, solve_fp)
+                         diffusion_summary, simulate_sde_ensemble,
+                         solve_fp)
 
 __version__ = "0.1.0"
 
@@ -25,7 +25,7 @@ __all__ = [
     "DensityField", "DilibertoBasis", "LimitCycle", "NoiseModel",
     "OscillatorModel", "Perturbation", "PhaseEnsemble", "PhasePath",
     "PPVSpectrum", "asymptotic_phase", "diffusion_summary",
-    "effective_noise_v", "find_cycle", "get_model", "injection_lock_scan",
+    "find_cycle", "get_model", "injection_lock_scan",
     "isochron_experiment", "lie_bracket", "numeric_ppv",
     "orthogonality_defect", "perp", "phase_rhs", "ppv_fourier",
     "sample_cycle", "simulate_phase", "simulate_sde_ensemble", "solve_fp",

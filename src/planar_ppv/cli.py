@@ -109,10 +109,8 @@ def run(config_path, outdir=None):
                     hw = max(8.0 * np.sqrt(max(Dsum, 1e-30) * p["t_end"]),
                              1e-3)
                 grid = np.linspace(-hw, hw, p["density_cells"])
-                dpsi = grid[1] - grid[0]
-                vmax = max(Dsum * 4.0, 1e-30)
-                dt_fp = min(p["dt"], 0.35 * dpsi ** 2 / vmax)
-                dens = stochastic.solve_fp(basis, nm, grid, p["t_end"], dt_fp)
+                dens = stochastic.solve_fp(basis, nm, grid, p["t_end"],
+                                           p["dt"])
                 stochastic.density_to_csv(
                     dens, os.path.join(out, "density.csv"))
 

@@ -48,9 +48,9 @@ def sample_cycle(cycle, n):
     return ts, cycle.point(ts).T
 
 
-def _first_return_time(model, p, n, t_hint=None):
+def _first_return_time(model, p, n):
     """Bracket and refine the first positive-aligned return to the section."""
-    span = 4.0 * t_hint if t_hint else 50.0
+    span = 50.0
     for _ in range(5):
         traj = ode.integrate(model.rhs, p, 0.0, span, rtol=1e-10, atol=1e-12)
         ts = np.linspace(0.0, span, 4096)

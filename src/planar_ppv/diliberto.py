@@ -180,6 +180,12 @@ class DilibertoBasis:
         return 2.0 * np.pi / self.cycle.T
 
 
+def _symmetric_part_times(A, v):
+    """(A + A^T) v; A is (2, 2) or a (2, 2, N) stack, transposed per matrix."""
+    S = A + np.swapaxes(A, 0, 1)
+    return S[:, 0] * v[0] + S[:, 1] * v[1]
+
+
 def orthogonality_defect(basis):
     """Normalized max of |f^T (A+A^T) f_perp| along the grid.
 
@@ -187,29 +193,23 @@ def orthogonality_defect(basis):
     orthogonal (and, equivalently, that [f, f_perp] stays parallel to
     f_perp on the cycle).
     """
-    model = basis.cycle.model
-    worst = 0.0
-    for t in basis.ts:
-        x = basis.cycle.point(float(t))
-        F = model.field(x)
-        A = model.jacobian(x)
-        w = (A + A.T) @ perp(F)
-        denom = np.linalg.norm(F) * np.linalg.norm(w)
-        if denom == 0.0:
-            continue
-        worst = max(worst, abs(F @ w) / denom)
-    return worst
+    F = basis.u1_grid.T
+    w = _symmetric_part_times(basis.cycle.model.jacobian(basis.x0_grid.T),
+                              perp(F))
+    num = np.abs(F[0] * w[0] + F[1] * w[1])
+    denom = np.linalg.norm(F, axis=0) * np.linalg.norm(w, axis=0)
+    nonzero = denom != 0.0
+    return float(np.max(num[nonzero] / denom[nonzero], initial=0.0))
 
 
 def lie_bracket(model, x):
     """[f, f_perp](x) via (div f) f_perp - (A + A^T) f_perp.
 
-    The identity avoids second derivatives of the field.
+    The identity avoids second derivatives; ``x`` is (2,) or a batch (2, N).
     """
-    F = model.field(x)
-    A = model.jacobian(x)
-    Fp = perp(F)
-    return model.divergence(x) * Fp - (A + A.T) @ Fp
+    Fp = perp(model.field(x))
+    return (model.divergence(x) * Fp
+            - _symmetric_part_times(model.jacobian(x), Fp))
 
 
 def basis_to_csv(basis, path):

@@ -2,8 +2,9 @@
 
 Built-in oscillators are addressed by name + parameter map:
 ``vanderpol`` (mu), ``stuart_landau`` (omega), ``brusselator`` (a, b).
-Field evaluations accept a single point of shape (2,) or a batch of
-shape (2, N); Jacobians are evaluated pointwise.
+Every evaluation takes a point (2,) or a batch (2, N): ``field`` returns
+(2,) or (2, N), ``jacobian`` (2, 2) or (2, 2, N), ``divergence`` a scalar
+or (N,).  For the built-ins a batch equals the stacked points bit for bit.
 """
 
 from dataclasses import dataclass, field
@@ -44,10 +45,7 @@ class OscillatorModel:
         return self._field(_check_point(x))
 
     def jacobian(self, x):
-        x = _check_point(x)
-        if x.ndim != 1:
-            raise DomainError("jacobian is evaluated pointwise")
-        return self._jacobian(x)
+        return self._jacobian(_check_point(x))
 
     def divergence(self, x):
         return self._divergence(_check_point(x))
@@ -65,7 +63,7 @@ def _vanderpol(mu):
     def jac(x):
         x1, x2 = x
         return np.array([
-            [0.0, 1.0],
+            [np.zeros_like(x1), np.ones_like(x1)],
             [-2.0 * mu * x1 * x2 - 1.0, mu * (1.0 - x1 ** 2)],
         ])
 

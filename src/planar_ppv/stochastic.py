@@ -14,8 +14,8 @@ import numpy as np
 from .errors import ArgumentError, InstabilityError
 
 __all__ = ["NoiseModel", "PhaseEnsemble", "DensityField",
-           "effective_noise_v", "simulate_sde_ensemble", "solve_fp",
-           "diffusion_summary", "ensemble_to_csv", "density_to_csv"]
+           "simulate_sde_ensemble", "solve_fp", "diffusion_summary",
+           "ensemble_to_csv", "density_to_csv"]
 
 
 @dataclass(frozen=True)
@@ -50,14 +50,10 @@ class NoiseModel:
                    label="directional")
 
 
-def effective_noise_v(basis, noise, t):
-    """v(t)^T = v1(t)^T G(x0(t)); shape (m,) for scalar t, (m, N) batched."""
-    t = np.asarray(t, dtype=float)
-    if t.ndim == 0:
-        x = basis.cycle.point(float(t))
-        return basis.v1(float(t)) @ noise.G(x)
-    return np.stack([basis.v1(float(ti)) @ noise.G(basis.cycle.point(float(ti)))
-                     for ti in t], axis=1)
+def _stored_steps(n_steps, n_store):
+    """Steps to store: 0, every (n_steps // (n_store - 1))-th, the last."""
+    stride = max(1, n_steps // (n_store - 1))
+    return set(range(0, n_steps + 1, stride)) | {n_steps}
 
 
 @dataclass(frozen=True)
@@ -96,11 +92,7 @@ def simulate_sde_ensemble(basis, noise, n_paths, t_end, dt, seed,
         rng = np.random.default_rng([int(seed), i])
         dW[i] = sq * rng.standard_normal((n_steps, noise.m))
 
-    stride = max(1, n_steps // (n_store - 1))
-    store_idx = list(range(0, n_steps + 1, stride))
-    if store_idx[-1] != n_steps:
-        store_idx.append(n_steps)
-    store_set = set(store_idx)
+    store_set = _stored_steps(n_steps, n_store)
 
     psi = np.zeros(n_paths)
     ts_out, mean_out, var_out = [], [], []
@@ -149,6 +141,9 @@ def solve_fp(basis, noise, psi_grid, t_end, dt, init_width=None,
     the periodic interpolant; diffusion is second-order central.  The
     initial condition is a narrow Gaussian at psi = 0; far boundaries
     are absorbing (place them >= 8 predicted standard deviations out).
+
+    ``dt`` is an upper bound: the step is min(dt, 0.4 dpsi^2 / max v^T v),
+    the stability limit of the scheme, and snapshots fall on its multiples.
     """
     psi = np.asarray(psi_grid, dtype=float)
     d = np.diff(psi)
@@ -160,24 +155,18 @@ def solve_fp(basis, noise, psi_grid, t_end, dt, init_width=None,
     spline = basis.projection(noise.G)
     dspline = spline.derivative()
     vsq_max = float(np.max(np.sum(spline(basis.ts) ** 2, axis=1)))
-    if vsq_max > 0 and dt > 0.4 * dpsi ** 2 / vsq_max:
-        raise ArgumentError(
-            f"CFL violation: dt = {dt} > {0.4 * dpsi ** 2 / vsq_max:g}")
+    if vsq_max > 0:
+        dt = min(dt, 0.4 * dpsi ** 2 / vsq_max)
 
     w = init_width if init_width is not None else 4.0 * dpsi
     p = np.exp(-0.5 * (psi / w) ** 2)
     p /= np.sum(p) * dpsi
 
     n_steps = int(round(t_end / dt))
-    stride = max(1, n_steps // (n_store - 1))
-    store_idx = set(range(0, n_steps + 1, stride))
-    store_idx.add(n_steps)
+    store_idx = _stored_steps(n_steps, n_store)
 
     half = psi[:-1] + 0.5 * dpsi
-    ts_out, p_out = [], []
-    if 0 in store_idx:
-        ts_out.append(0.0)
-        p_out.append(p.copy())
+    ts_out, p_out = [0.0], [p.copy()]
     for j in range(n_steps):
         t = j * dt
         theta = np.mod(t + half, T)

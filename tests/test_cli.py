@@ -51,6 +51,22 @@ horizon = 19.0
 """
 
 
+BRUSSELATOR_DIRECTIONAL = """
+[model]
+name = brusselator
+a = 1.0
+b = 3.2
+
+[noise]
+kind = directional
+direction = 1.0 0.0
+sigma = 0.05
+n_paths = 16
+t_end = 20.0
+dt = 0.02
+"""
+
+
 def read_summary(outdir):
     text = (outdir / "summary.txt").read_text()
     kv = {}
@@ -118,6 +134,16 @@ def test_full_pipeline(tmp_path):
     assert float(kv["diffusion_rate"]) > 0
     assert float(kv["isochron_spread"]) < float(kv["control_spread"])
     assert kv["isochron_degenerate"] == "0"
+
+
+def test_fp_step_capped_below_config_dt(tmp_path):
+    # the automatic density grid makes the stable FP step (~0.0042) smaller
+    # than the config dt; the solver cuts its step instead of failing
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(BRUSSELATOR_DIRECTIONAL)
+    out = tmp_path / "out"
+    assert cli.run(str(cfg), outdir=str(out)) == 0
+    assert (out / "density.csv").exists()
 
 
 def test_implicit_dependencies_still_recorded(tmp_path):

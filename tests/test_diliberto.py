@@ -236,6 +236,53 @@ def test_orthogonality_defect(sl_basis, vdp_basis):
     assert pp.orthogonality_defect(vdp_basis) > 0.1
 
 
+def test_orthogonality_defect_matches_pointwise_loop(sl_basis, vdp_basis):
+    # reference: one scalar cycle point, field and Jacobian per grid time
+    for basis in (sl_basis, vdp_basis):
+        cyc = basis.cycle
+        worst = 0.0
+        for t in basis.ts:
+            x = cyc.point(float(t))
+            F = cyc.model.field(x)
+            A = cyc.model.jacobian(x)
+            w = (A + A.T) @ perp(F)
+            worst = max(worst, abs(F @ w)
+                        / (np.linalg.norm(F) * np.linalg.norm(w)))
+        assert abs(pp.orthogonality_defect(basis) - worst) <= 1e-14
+
+
+def test_adjoint_residual_matches_pointwise_loop(sl_cycle, sl_basis, sl_report,
+                                                 vdp_cycle, vdp_basis,
+                                                 vdp_report):
+    # the verify_basis metric against a per-point A^T v1 reference
+    for cyc, basis, report in ((sl_cycle, sl_basis, sl_report),
+                               (vdp_cycle, vdp_basis, vdp_report)):
+        h = cyc.T / 4096.0
+        ts = np.arange(256) * (cyc.T / 256)
+        dv = (basis.v1(ts - 2 * h) - 8 * basis.v1(ts - h)
+              + 8 * basis.v1(ts + h) - basis.v1(ts + 2 * h)) / (12 * h)
+        worst, scale = 0.0, 0.0
+        for j, t in enumerate(ts):
+            A = cyc.model.jacobian(cyc.point(float(t)))
+            rhs = A.T @ basis.v1(float(t))
+            worst = max(worst, np.linalg.norm(dv[:, j] + rhs))
+            scale = max(scale, np.linalg.norm(rhs))
+        assert report.metrics["adjoint_residual"] == pytest.approx(
+            worst / scale, rel=1e-9)
+
+
+@pytest.mark.parametrize("n", [1, 2, 9])
+def test_lie_bracket_batch_matches_points(vdp_basis, n):
+    # n = 2 would hide a transpose of the batch axis
+    model = vdp_basis.cycle.model
+    x = vdp_basis.x0_grid[::97][:n].T
+    lb = pp.lie_bracket(model, x)
+    assert lb.shape == (2, n)
+    np.testing.assert_array_equal(
+        lb, np.stack([pp.lie_bracket(model, x[:, i]) for i in range(n)],
+                     axis=1))
+
+
 def test_lie_bracket_stuart_landau(sl_model):
     np.testing.assert_allclose(pp.lie_bracket(sl_model, [1.0, 0.0]),
                                [2.0, 0.0], atol=1e-12)

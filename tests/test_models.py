@@ -121,3 +121,21 @@ def test_eval_wrappers(sl_model):
                                   sl_model._jacobian(x))
     assert sl_model.divergence(x) == sl_model._divergence(x)
     np.testing.assert_array_equal(sl_model.rhs(0.0, x), sl_model.field(x))
+
+
+@pytest.mark.parametrize("name", pp.models.model_names())
+def test_batch_equals_stacked_points(name, rng):
+    # a (2, N) batch gives bit for bit the stacked pointwise results
+    model = pp.get_model(name)
+    for n in (1, 2, 7):
+        x = rng.uniform(-2.0, 2.0, size=(2, n))
+        J = model.jacobian(x)
+        assert J.shape == (2, 2, n)
+        np.testing.assert_array_equal(
+            J, np.stack([model.jacobian(x[:, i]) for i in range(n)], axis=2))
+        np.testing.assert_array_equal(
+            model.field(x),
+            np.stack([model.field(x[:, i]) for i in range(n)], axis=1))
+        np.testing.assert_array_equal(
+            model.divergence(x),
+            [model.divergence(x[:, i]) for i in range(n)])

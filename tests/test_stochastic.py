@@ -3,13 +3,12 @@ import pytest
 
 import planar_ppv as pp
 from planar_ppv.errors import ArgumentError
-from planar_ppv.stochastic import (NoiseModel, density_to_csv,
-                                   effective_noise_v, ensemble_to_csv)
+from planar_ppv.stochastic import NoiseModel, density_to_csv, ensemble_to_csv
 
 
 def test_effective_noise_isotropic_stuart_landau(sl_basis):
     # v1(0) = (0, 1), G = sigma I  =>  v(0) = (0, sigma)
-    v = effective_noise_v(sl_basis, NoiseModel.isotropic(0.05), 0.0)
+    v = sl_basis.projection(NoiseModel.isotropic(0.05).G)(0.0)
     assert v.shape == (2,)
     np.testing.assert_allclose(v, [0.0, 0.05], atol=1e-8)
 
@@ -18,16 +17,16 @@ def test_effective_noise_directional(sl_basis):
     # single channel along x: v(t) = sigma * v1_x(t) = -sigma sin(t)
     noise = NoiseModel.directional(0.1, [1.0, 0.0])
     ts = np.array([0.0, np.pi / 2, np.pi])
-    v = effective_noise_v(sl_basis, noise, ts)
-    assert v.shape == (1, 3)
-    np.testing.assert_allclose(v[0], [0.0, -0.1, 0.0], atol=1e-8)
+    v = sl_basis.projection(noise.G)(ts)
+    assert v.shape == (3, 1)
+    np.testing.assert_allclose(v[:, 0], [0.0, -0.1, 0.0], atol=1e-8)
 
 
 def test_effective_noise_norm_constant_stuart_landau(sl_basis):
     # |v1| = 1 on the SL cycle, so |v|^2 = sigma^2 at every t
     noise = NoiseModel.isotropic(0.05)
-    v = effective_noise_v(sl_basis, noise, sl_basis.ts[::64])
-    np.testing.assert_allclose(np.sum(v ** 2, axis=0), 0.05 ** 2, atol=1e-10)
+    v = sl_basis.projection(noise.G)(sl_basis.ts[::64])
+    np.testing.assert_allclose(np.sum(v ** 2, axis=1), 0.05 ** 2, atol=1e-10)
 
 
 def test_diffusion_summary_stuart_landau(sl_basis):
@@ -114,9 +113,25 @@ def test_fp_rejects_bad_grids(sl_basis):
     noise = NoiseModel.isotropic(0.05)
     with pytest.raises(ArgumentError):
         pp.solve_fp(sl_basis, noise, np.array([0.0, 0.1, 0.3]), 1.0, 1e-4)
-    with pytest.raises(ArgumentError):
-        # CFL: dt far above 0.4 dpsi^2 / max|v|^2
-        pp.solve_fp(sl_basis, noise, np.linspace(-1, 1, 2001), 1.0, 0.1)
+
+
+def test_fp_caps_oversized_dt(sl_basis):
+    # dt far above the stability limit 0.4 dpsi^2 / max v^T v is cut to it;
+    # a dt below the limit is kept
+    noise = NoiseModel.isotropic(0.05)
+    psi = np.linspace(-1, 1, 401)
+    dpsi = psi[1] - psi[0]
+    proj = sl_basis.projection(noise.G)
+    limit = 0.4 * dpsi ** 2 / np.max(np.sum(proj(sl_basis.ts) ** 2, axis=1))
+    dens = pp.solve_fp(sl_basis, noise, psi, t_end=1.0, dt=0.1, n_store=1000)
+    assert dens.ts[1] == limit
+    np.testing.assert_allclose(np.diff(dens.ts), limit, rtol=1e-12)
+    assert dens.ts[-1] == pytest.approx(1.0, abs=limit)
+    assert np.min(dens.p) >= -1e-12
+    np.testing.assert_allclose(dens.mass(), 1.0, atol=1e-6)
+    kept = pp.solve_fp(sl_basis, noise, psi, t_end=1.0, dt=0.5 * limit,
+                       n_store=1000)
+    assert kept.ts[1] == 0.5 * limit
 
 
 @pytest.mark.parametrize("which", ["sl-iso", "sl-dir", "vdp-iso", "vdp-dir"])

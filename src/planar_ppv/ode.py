@@ -13,12 +13,20 @@ __all__ = ["Trajectory", "integrate"]
 
 
 class Trajectory:
-    """Immutable dense-output solution of an initial value problem."""
+    """Immutable dense-output solution of an initial value problem.
 
-    def __init__(self, ts, ys, sol):
+    ``nfev``, ``njev`` and ``status`` are the integrator's statistics:
+    right-hand-side calls, Jacobian evaluations (0 for explicit RK) and
+    its termination status (0: reached the end of the span).
+    """
+
+    def __init__(self, ts, ys, sol, nfev, njev, status):
         self.ts = ts
         self.ys = ys  # shape (n_samples, dim)
         self._sol = sol
+        self.nfev = nfev
+        self.njev = njev
+        self.status = status
 
     @property
     def t1(self):
@@ -46,5 +54,6 @@ def integrate(rhs, x0, t0, t1, rtol=1e-10, atol=1e-12):
         raise IntegrationFailureError(
             f"integration failed at t={res.t[-1]:.6g}: {res.message}",
             last_t=res.t[-1])
-    return Trajectory(res.t, res.y.T, res.sol)
+    return Trajectory(res.t, res.y.T, res.sol, res.nfev, res.njev,
+                      res.status)
 

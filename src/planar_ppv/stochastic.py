@@ -121,6 +121,7 @@ class DensityField:
     ts: np.ndarray
     p: np.ndarray  # shape (n_times, n_psi)
     dpsi: float
+    n_steps: int  # time steps taken, each t_end / n_steps long
 
     def mass(self):
         return np.sum(self.p, axis=1) * self.dpsi
@@ -142,9 +143,12 @@ def solve_fp(basis, noise, psi_grid, t_end, dt, init_width=None,
     initial condition is a narrow Gaussian at psi = 0; far boundaries
     are absorbing (place them >= 8 predicted standard deviations out).
 
-    ``dt`` is an upper bound: the step is min(dt, 0.4 dpsi^2 / max v^T v),
-    the stability limit of the scheme, and snapshots fall on its multiples.
+    ``dt`` is an upper bound: the step is t_end / n for the smallest n
+    whose step does not exceed min(dt, 0.4 dpsi^2 / max v^T v), the
+    stability limit of the scheme, so the last snapshot falls on t_end.
     """
+    if t_end <= 0:
+        raise ArgumentError("t_end must be positive")
     psi = np.asarray(psi_grid, dtype=float)
     d = np.diff(psi)
     if psi.size < 8 or not np.allclose(d, d[0], rtol=1e-10, atol=0):
@@ -162,7 +166,8 @@ def solve_fp(basis, noise, psi_grid, t_end, dt, init_width=None,
     p = np.exp(-0.5 * (psi / w) ** 2)
     p /= np.sum(p) * dpsi
 
-    n_steps = int(round(t_end / dt))
+    n_steps = int(np.ceil(t_end / dt))
+    dt = t_end / n_steps
     store_idx = _stored_steps(n_steps, n_store)
 
     half = psi[:-1] + 0.5 * dpsi
@@ -188,7 +193,7 @@ def solve_fp(basis, noise, psi_grid, t_end, dt, init_width=None,
             ts_out.append((j + 1) * dt)
             p_out.append(p.copy())
     return DensityField(psi=psi, ts=np.array(ts_out),
-                        p=np.array(p_out), dpsi=dpsi)
+                        p=np.array(p_out), dpsi=dpsi, n_steps=n_steps)
 
 
 def diffusion_summary(basis, noise):

@@ -1,6 +1,7 @@
 import numpy as np
+import pytest
 
-from planar_ppv import cli
+from planar_ppv import cli, stochastic
 
 SL_MINIMAL = """
 [model]
@@ -136,14 +137,28 @@ def test_full_pipeline(tmp_path):
     assert kv["isochron_degenerate"] == "0"
 
 
-def test_fp_step_capped_below_config_dt(tmp_path):
+def test_fp_step_capped_below_config_dt(tmp_path, monkeypatch):
     # the automatic density grid makes the stable FP step (~0.0042) smaller
-    # than the config dt; the solver cuts its step instead of failing
+    # than the config dt; the solver cuts its step to 20 / 4793 instead of
+    # failing, and the last snapshot lands on t_end
+    fields = []
+    solve_fp = stochastic.solve_fp
+
+    def recording(*args, **kwargs):
+        fields.append(solve_fp(*args, **kwargs))
+        return fields[-1]
+
+    monkeypatch.setattr(stochastic, "solve_fp", recording)
     cfg = tmp_path / "run.cfg"
     cfg.write_text(BRUSSELATOR_DIRECTIONAL)
     out = tmp_path / "out"
     assert cli.run(str(cfg), outdir=str(out)) == 0
     assert (out / "density.csv").exists()
+    (dens,) = fields
+    assert dens.n_steps == 4793
+    assert dens.ts[-1] == pytest.approx(20.0, rel=1e-15)
+    last = (out / "density.csv").read_text().splitlines()[-1]
+    assert float(last.split(",")[0]) == dens.ts[-1]
 
 
 def test_implicit_dependencies_still_recorded(tmp_path):

@@ -35,6 +35,19 @@ def test_stuart_landau_radius():
     assert np.linalg.norm(traj.final) == pytest.approx(1.0, abs=1e-6)
 
 
+def test_statistics_count_rhs_calls():
+    calls = []
+
+    def counted(t, x):
+        calls.append(t)
+        return stuart_landau_rhs(t, x)
+
+    traj = ode.integrate(counted, [1.0, 0.0], 0.0, 2 * np.pi)
+    assert traj.nfev == len(calls)
+    assert traj.njev == 0
+    assert traj.status == 0
+
+
 def test_dense_output_reproduces_samples():
     traj = ode.integrate(stuart_landau_rhs, [0.3, 0.1], 0.0, 10.0)
     for i in range(0, len(traj.ts), 3):

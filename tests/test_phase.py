@@ -120,6 +120,52 @@ def test_lock_scan_rows_and_boundary(sl_basis):
     assert lm.boundaries[0.01] == pytest.approx(0.002)
 
 
+def test_lock_scan_rows_grouped_by_eps(sl_basis):
+    # rows run eps-major, and each eps row is its own integration: the
+    # 0.01 rows do not depend on which other eps values the scan holds
+    grid = [0.0, 0.002, 0.05]
+    one = pp.injection_lock_scan(sl_basis, [1.0, 0.0], [0.01], grid,
+                                 t_end=400.0)
+    both = pp.injection_lock_scan(sl_basis, [1.0, 0.0], [0.005, 0.01], grid,
+                                  t_end=400.0)
+    assert [r[:2] for r in both.rows] == [(e, dw) for e in (0.005, 0.01)
+                                          for dw in grid]
+    assert both.rows[3:] == one.rows
+    assert both.boundaries[0.01] == one.boundaries[0.01]
+
+
+@pytest.mark.parametrize("which,grid", [
+    # Adler half-widths at eps = 0.01: 0.005 (SL), about 0.006 (vdp mu=1)
+    ("sl", [-0.0075, -0.0025, 0.0025, 0.0075]),
+    ("vdp", [-0.009, -0.003, 0.003, 0.009]),
+])
+def test_lock_scan_matches_per_point_model(which, grid, sl_basis, vdp_basis):
+    # every verdict matches per-point simulate_phase at the scan's rtol,
+    # every frequency shift a per-point rtol 1e-11 reference
+    basis = sl_basis if which == "sl" else vdp_basis
+    eps = 0.01
+    lm = pp.injection_lock_scan(basis, [1.0, 0.0], [eps], grid)
+    horizon = max(400.0, 8.0 / eps)
+    verdicts = []
+    for _, dw, locked, shift in lm.rows:
+        pert = Perturbation.sinusoidal([1.0, 0.0], basis.omega + dw, eps)
+        assert locked == pp.simulate_phase(basis, pert, horizon).locked
+        ref = pp.simulate_phase(basis, pert, horizon, rtol=1e-11)
+        assert abs(shift - ref.mean_freq_shift) < 1e-7
+        verdicts.append(locked)
+    assert verdicts[0] is False and verdicts[-1] is False
+    assert any(verdicts)
+
+
+def test_lock_scan_one_point_is_simulate_phase(sl_basis):
+    # a one-point grid is the batch of one simulate_phase integrates
+    eps, dw = 0.01, 0.002
+    lm = pp.injection_lock_scan(sl_basis, [1.0, 0.0], [eps], [dw])
+    pert = Perturbation.sinusoidal([1.0, 0.0], sl_basis.omega + dw, eps)
+    path = pp.simulate_phase(sl_basis, pert, max(400.0, 8.0 / eps))
+    assert lm.rows == ((eps, dw, path.locked, path.mean_freq_shift),)
+
+
 def test_lock_scan_empty_grid_rejected(sl_basis):
     with pytest.raises(ArgumentError):
         pp.injection_lock_scan(sl_basis, [1.0, 0.0], [], [0.0])

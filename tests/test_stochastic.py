@@ -113,25 +113,34 @@ def test_fp_rejects_bad_grids(sl_basis):
     noise = NoiseModel.isotropic(0.05)
     with pytest.raises(ArgumentError):
         pp.solve_fp(sl_basis, noise, np.array([0.0, 0.1, 0.3]), 1.0, 1e-4)
+    with pytest.raises(ArgumentError):
+        pp.solve_fp(sl_basis, noise, np.linspace(-1, 1, 101), 0.0, 1e-4)
 
 
 def test_fp_caps_oversized_dt(sl_basis):
-    # dt far above the stability limit 0.4 dpsi^2 / max v^T v is cut to it;
-    # a dt below the limit is kept
+    # dt far above the stability limit 0.4 dpsi^2 / max v^T v is cut to the
+    # largest step t_end / n below it; a dt below the limit caps it instead
     noise = NoiseModel.isotropic(0.05)
     psi = np.linspace(-1, 1, 401)
     dpsi = psi[1] - psi[0]
     proj = sl_basis.projection(noise.G)
     limit = 0.4 * dpsi ** 2 / np.max(np.sum(proj(sl_basis.ts) ** 2, axis=1))
     dens = pp.solve_fp(sl_basis, noise, psi, t_end=1.0, dt=0.1, n_store=1000)
-    assert dens.ts[1] == limit
-    np.testing.assert_allclose(np.diff(dens.ts), limit, rtol=1e-12)
-    assert dens.ts[-1] == pytest.approx(1.0, abs=limit)
+    n = dens.n_steps
+    assert 1.0 / n <= limit < 1.0 / (n - 1)
+    assert dens.ts[1] == 1.0 / n
+    np.testing.assert_allclose(np.diff(dens.ts), 1.0 / n, rtol=1e-12)
+    assert dens.ts[-1] == pytest.approx(1.0, abs=1e-14)
     assert np.min(dens.p) >= -1e-12
     np.testing.assert_allclose(dens.mass(), 1.0, atol=1e-6)
     kept = pp.solve_fp(sl_basis, noise, psi, t_end=1.0, dt=0.5 * limit,
                        n_store=1000)
-    assert kept.ts[1] == 0.5 * limit
+    assert 1.0 / kept.n_steps <= 0.5 * limit < 1.0 / (kept.n_steps - 1)
+    assert kept.ts[1] == 1.0 / kept.n_steps
+    exact = pp.solve_fp(sl_basis, noise, psi, t_end=1.0, dt=0.002, n_store=3)
+    assert 0.002 < limit
+    assert exact.n_steps == 500
+    assert exact.ts[-1] == 1.0
 
 
 @pytest.mark.parametrize("which", ["sl-iso", "sl-dir", "vdp-iso", "vdp-dir"])

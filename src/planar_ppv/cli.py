@@ -61,7 +61,7 @@ def run(config_path, outdir=None):
         summary.append(f"orthogonality_defect={_fmt(defect)}")
 
         stage = "verify"
-        tol = cfg.sections.get("verify", {}).get("tol", 1e-5)
+        tol = cfg.sections["verify"]["tol"]
         report = adjoint.verify_basis(cyc, basis, tol)
         with open(os.path.join(out, "verify.csv"), "w", newline="") as fh:
             fh.write("metric,value,status\n")

@@ -208,6 +208,8 @@ def parse_config(text):
     if not sections:
         raise ConfigError("no experiment section requested "
                           f"(one of {', '.join(EXPERIMENT_SECTIONS)})")
+    # verification always runs: without [verify] it takes the defaults
+    sections.setdefault("verify", section_dict("verify"))
 
     cycle = section_dict("cycle")
     if "guess" not in cycle:

@@ -1,16 +1,16 @@
-"""Limit-cycle location by Poincare shooting.
+"""Limit-cycle location by Poincare shooting on exact derivatives.
 
-``find_cycle`` relaxes the trajectory onto the attractor, erects a
-section through the relaxed point normal to the flow, brackets the
-first return on the dense output, and Newton-polishes (point, period)
-until the closure residual is below tolerance.  The result is an
-immutable periodic dense-output object.
+``find_cycle`` relaxes the trajectory onto the attractor and erects a
+section through the relaxed point p, normal to the flow.  A terminal
+event on n.(x - p) gives the first return time; Newton then polishes
+(point, period) on the augmented state (x, Phi), whose endpoint supplies
+the exact shooting Jacobian Phi(T) - I, until the closure residual is
+below tolerance.  The result is an immutable periodic dense-output object.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import ode
 from .errors import ArgumentError, CycleNotFoundError, NoOscillationError
@@ -20,6 +20,8 @@ __all__ = ["LimitCycle", "find_cycle", "sample_cycle", "cycle_to_csv"]
 
 _MAX_NEWTON = 50
 _FIXED_POINT_TOL = 1e-8
+_RTOL = 1e-12
+_MAX_RETURN_TIME = 800.0
 
 
 @dataclass(frozen=True)
@@ -29,10 +31,7 @@ class LimitCycle:
     model: OscillatorModel
     T: float
     anchor: np.ndarray
-    section_point: np.ndarray
-    section_normal: np.ndarray
     residuals: tuple
-    tol: float
     _traj: ode.Trajectory = field(repr=False)
 
     def point(self, t):
@@ -49,23 +48,33 @@ def sample_cycle(cycle, n):
 
 
 def _first_return_time(model, p, n):
-    """Bracket and refine the first positive-aligned return to the section."""
-    span = 50.0
-    for _ in range(5):
-        traj = ode.integrate(model.rhs, p, 0.0, span, rtol=1e-10, atol=1e-12)
-        ts = np.linspace(0.0, span, 4096)
-        g = n @ (traj(ts) - p[:, None])
-        up = np.nonzero((g[:-1] < 0.0) & (g[1:] >= 0.0))[0]
-        for i in up:
-            t_ret = brentq(lambda t: n @ (traj(t) - p), ts[i], ts[i + 1],
-                           xtol=1e-13)
-            if n @ model.field(traj(t_ret)) > 0.0:
-                return t_ret
-        span *= 2.0
-    raise CycleNotFoundError("no return to the Poincare section found")
+    """Time of the first upward return to the section n.(x - p) = 0."""
+    def section(t, x):
+        # p itself lies on the section: a positive value at t = 0 keeps
+        # the start from counting as a crossing
+        return n @ (x - p) if t > 0 else 1.0
+
+    section.terminal = True
+    section.direction = 1.0
+    traj = ode.integrate(model.rhs, p, 0.0, _MAX_RETURN_TIME,
+                         events=section)
+    if traj.status != 1:
+        raise CycleNotFoundError("no return to the Poincare section found")
+    return traj.t1
 
 
-def find_cycle(model, guess, settle_time=100.0, tol=1e-10, rtol=1e-12):
+def _flow_and_monodromy(model, x, T):
+    """x(T) and Phi(T) from one integration of the augmented (x, Phi)."""
+    def rhs(t, z):
+        Phi = model.jacobian(z[:2]) @ z[2:].reshape(2, 2)
+        return np.concatenate([model.rhs(t, z[:2]), Phi.ravel()])
+
+    end = ode.integrate(rhs, np.concatenate([x, np.eye(2).ravel()]), 0.0, T,
+                        rtol=_RTOL, atol=1e-13).final
+    return end[:2], end[2:].reshape(2, 2)
+
+
+def find_cycle(model, guess, settle_time=100.0, tol=1e-10):
     """Locate the stable periodic orbit reachable from ``guess``.
 
     The phase origin t=0 is the relaxed point on the Poincare section;
@@ -76,7 +85,7 @@ def find_cycle(model, guess, settle_time=100.0, tol=1e-10, rtol=1e-12):
     guess = np.asarray(guess, dtype=float)
     if settle_time > 0:
         relax = ode.integrate(model.rhs, guess, 0.0, settle_time,
-                              rtol=rtol, atol=1e-13)
+                              rtol=_RTOL, atol=1e-13)
         p = relax.final
     else:
         p = guess.copy()
@@ -89,52 +98,36 @@ def find_cycle(model, guess, settle_time=100.0, tol=1e-10, rtol=1e-12):
     n = fp / nf
 
     T = _first_return_time(model, p, n)
-
-    def flow(x, span):
-        return ode.integrate(model.rhs, x, 0.0, span, rtol=rtol, atol=1e-13)
-
     x = p.copy()
     residuals = []
-    converged = False
     for _ in range(_MAX_NEWTON):
-        end = flow(x, T).final
+        end, Phi = _flow_and_monodromy(model, x, T)
         r = end - x
-        res = np.linalg.norm(r)
-        residuals.append(res)
+        residuals.append(np.linalg.norm(r))
         sec = n @ (x - p)
-        if res < tol and abs(sec) < tol:
-            converged = True
+        if residuals[-1] < tol and abs(sec) < tol:
             break
-        # finite-difference monodromy columns + analytic period derivative
-        h = 1e-7 * max(1.0, np.linalg.norm(x))
-        J = np.zeros((3, 3))
-        for k in range(2):
-            dx = np.zeros(2)
-            dx[k] = h
-            J[:2, k] = (flow(x + dx, T).final - (x + dx) - r) / h
-        J[:2, 2] = model.field(end)
-        J[2, :2] = n
-        rhs_vec = np.array([r[0], r[1], sec])
+        J = np.vstack([np.column_stack([Phi - np.eye(2), model.field(end)]),
+                       np.append(n, 0.0)])
         try:
-            delta = np.linalg.solve(J, rhs_vec)
+            delta = np.linalg.solve(J, np.append(r, sec))
         except np.linalg.LinAlgError as exc:
             raise CycleNotFoundError(f"singular shooting Jacobian: {exc}")
         x = x - delta[:2]
         T = T - delta[2]
         if not (T > 0) or not np.all(np.isfinite(x)):
             raise CycleNotFoundError("shooting iteration left the domain")
-    if not converged:
+    else:
         raise CycleNotFoundError(
             f"Newton did not converge in {_MAX_NEWTON} iterations "
             f"(last residual {residuals[-1]:.3e})")
 
-    traj = ode.integrate(model.rhs, x, 0.0, T, rtol=rtol, atol=1e-14)
+    traj = ode.integrate(model.rhs, x, 0.0, T, rtol=_RTOL, atol=1e-14)
     closure = np.linalg.norm(traj.final - x)
-    if closure > max(tol, 10 * rtol):
+    if closure > max(tol, 10 * _RTOL):
         raise CycleNotFoundError(f"cycle closure residual {closure:.3e}")
-    return LimitCycle(model=model, T=T, anchor=x,
-                      section_point=p, section_normal=n,
-                      residuals=tuple(residuals), tol=tol, _traj=traj)
+    return LimitCycle(model=model, T=float(T), anchor=x,
+                      residuals=tuple(residuals), _traj=traj)
 
 
 def cycle_to_csv(cycle, n, path):

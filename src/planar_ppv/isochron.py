@@ -1,14 +1,16 @@
 """Asymptotic-phase measurements and the isochron-tangency experiment.
 
-Seeds placed along u2 share (to second order in the offset) the same
-asymptotic phase; seeds along a non-isochron direction do not.  The
-experiment quantifies both spreads.
+The asymptotic phase of a seed is read off the endpoint of a long
+trajectory: the cycle time nearest to it, found by Newton on exact
+derivatives of the dense cycle, minus the horizon.  Seeds placed along
+u2 share (to second order in the offset) the same asymptotic phase;
+seeds along a non-isochron direction do not.  The experiment quantifies
+both spreads.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from . import ode
 from .errors import NotConvergedError
@@ -16,6 +18,10 @@ from .models import perp
 
 __all__ = ["PhaseReading", "IsochronReport", "asymptotic_phase",
            "isochron_experiment", "isochron_to_csv"]
+
+_MAX_NEWTON = 50
+_RTOL = 1e-10
+_RESIDUAL_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -28,41 +34,40 @@ class PhaseReading:
 
 
 def _nearest_cycle_time(cycle, pt):
-    """Cycle time minimizing distance to ``pt``.
+    """Cycle time t minimizing |x0(t) - pt|, and that distance.
 
-    Golden-section style bounded minimization restarted on three
-    subintervals of [0, T]; ties broken by the smallest time.
+    Seeds from the nearest node of the cycle's own integration (adaptive,
+    so dense where the flow is fast), then runs Newton on
+    g(t) = (x0(t) - pt)^T f(x0(t)) = 0, whose derivative is
+    |f|^2 + (x0 - pt)^T A f.
     """
-    T = cycle.T
-
-    def dist(t):
-        return float(np.linalg.norm(cycle.point(t) - pt))
-
-    best_t, best_d = 0.0, dist(0.0)
-    for k in range(3):
-        lo, hi = k * T / 3.0, (k + 1) * T / 3.0
-        res = minimize_scalar(dist, bounds=(lo, hi), method="bounded",
-                              options={"xatol": 1e-12})
-        t, d = float(np.mod(res.x, T)), float(res.fun)
-        if d < best_d - 1e-15 or (abs(d - best_d) <= 1e-15 and t < best_t):
-            best_t, best_d = t, d
-    return best_t, best_d
+    model, T, nodes = cycle.model, cycle.T, cycle._traj
+    t = nodes.ts[np.argmin(np.sum((nodes.ys - pt) ** 2, axis=1))]
+    for _ in range(_MAX_NEWTON):
+        x = cycle.point(t)
+        F = model.field(x)
+        e = x - pt
+        step = (e @ F) / (F @ F + e @ (model.jacobian(x) @ F))
+        t -= step
+        if abs(step) <= 1e-14 * T:
+            break
+    t = float(np.mod(t, T))
+    return t, float(np.linalg.norm(cycle.point(t) - pt))
 
 
-def asymptotic_phase(model, cycle, x0, horizon, rtol=1e-10,
-                     residual_tol=1e-6):
+def asymptotic_phase(model, cycle, x0, horizon):
     """Phase the trajectory from ``x0`` converges to on the cycle.
 
     Integrates for ``horizon`` (recommended >= 20/|mu2|), projects the
     endpoint to the nearest cycle time t*, and reports (t* - horizon)
-    mod T.  A residual above ``residual_tol`` raises
+    mod T.  An endpoint farther than 1e-6 from the cycle raises
     :class:`NotConvergedError`.
     """
     x0 = np.asarray(x0, dtype=float)
-    traj = ode.integrate(model.rhs, x0, 0.0, horizon, rtol=rtol, atol=1e-12)
+    traj = ode.integrate(model.rhs, x0, 0.0, horizon, rtol=_RTOL, atol=1e-12)
     end = traj.final
     t_star, resid = _nearest_cycle_time(cycle, end)
-    if resid > residual_tol:
+    if not resid <= _RESIDUAL_TOL:  # NaN fails too
         raise NotConvergedError(
             f"endpoint still {resid:.3e} from the cycle after t = {horizon}"
             " (horizon too short or seed outside the basin)")
@@ -91,8 +96,7 @@ class IsochronReport:
     degenerate: bool
 
 
-def isochron_experiment(model, cycle, basis, t_star, offsets, horizon,
-                        residual_tol=1e-6):
+def isochron_experiment(model, cycle, basis, t_star, offsets, horizon):
     """Seed along unit u2 (isochron tangent) and unit f_perp (control).
 
     When the two directions coincide (orthogonally decomposable
@@ -109,15 +113,13 @@ def isochron_experiment(model, cycle, basis, t_star, offsets, horizon,
     rows = []
     iso_phases = []
     for off in offsets:
-        r = asymptotic_phase(model, cycle, p + off * u2, horizon,
-                             residual_tol=residual_tol)
+        r = asymptotic_phase(model, cycle, p + off * u2, horizon)
         rows.append(("isochron", float(off), r.phase, r.residual))
         iso_phases.append(r.phase)
     ctrl_phases = []
     if not degenerate:
         for off in offsets:
-            r = asymptotic_phase(model, cycle, p + off * ctrl, horizon,
-                                 residual_tol=residual_tol)
+            r = asymptotic_phase(model, cycle, p + off * ctrl, horizon)
             rows.append(("control", float(off), r.phase, r.residual))
             ctrl_phases.append(r.phase)
     return IsochronReport(

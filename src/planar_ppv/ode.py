@@ -41,15 +41,16 @@ class Trajectory:
         return self.ys[-1]
 
 
-def integrate(rhs, x0, t0, t1, rtol=1e-10, atol=1e-12):
-    """Integrate ``dx/dt = rhs(t, x)`` over [t0, t1] with dense output."""
+def integrate(rhs, x0, t0, t1, rtol=1e-10, atol=1e-12, events=None):
+    """Integrate ``dx/dt = rhs(t, x)`` over [t0, t1] with dense output;
+    a terminal ``solve_ivp`` event in ``events`` ends it there (status 1)."""
     if not t1 > t0:
         raise ArgumentError(f"need t1 > t0, got [{t0}, {t1}]")
     if rtol <= 0 or atol <= 0:
         raise ArgumentError("tolerances must be positive")
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     res = solve_ivp(rhs, (t0, t1), x0, method="RK45",
-                    rtol=rtol, atol=atol, dense_output=True)
+                    rtol=rtol, atol=atol, dense_output=True, events=events)
     if not res.success:
         raise IntegrationFailureError(
             f"integration failed at t={res.t[-1]:.6g}: {res.message}",

@@ -115,6 +115,16 @@ detuning_n = 5
     assert p["t_end"] == -1.0  # default: auto horizon
 
 
+def test_verify_defaults_without_section():
+    # verification always runs; the schema owns its default tolerance
+    from planar_ppv.config import _SCHEMA
+
+    cfg = parse_config(BASE.replace("[verify]\ntol = 1e-6",
+                                    "[isochron]\nt_star = 0\noffsets = 0\n"
+                                    "horizon = 19"))
+    assert cfg.sections["verify"] == {"tol": _SCHEMA["verify"]["tol"].default}
+    assert cfg.sections["verify"]["tol"] == 1e-5
+
 
 VALID = {
     "model": {"name": "vanderpol"},

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import planar_ppv as pp
+from planar_ppv import ode
 from planar_ppv.errors import ArgumentError, NoOscillationError
 
 VDP_PERIOD = 6.6632868593  # frozen from a rtol=1e-12 shooting oracle run
@@ -80,6 +81,29 @@ def test_residuals_decrease(vdp_model):
     tail = res[-3:]
     for a, b in zip(tail, tail[1:]):
         assert b < a
+
+
+def test_newton_integrates_once_per_iteration(monkeypatch, vdp_model):
+    # settle + first return + one augmented (x, Phi) flow per Newton
+    # iteration + the final dense cycle
+    calls = []
+    original = ode.integrate
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(ode, "integrate", counting)
+    cyc = pp.find_cycle(vdp_model, (3.0, 0.5), settle_time=2.0)
+    assert len(cyc.residuals) > 3
+    assert len(calls) == 3 + len(cyc.residuals)
+    assert type(cyc.T) is float
+
+
+def test_period_is_python_float(sl_cycle, vdp_cycle):
+    # vdp_cycle converges at the first check, sl_cycle after an update
+    assert len(vdp_cycle.residuals) == 1 < len(sl_cycle.residuals)
+    assert type(vdp_cycle.T) is float and type(sl_cycle.T) is float
 
 
 def test_guess_independence(vdp_model, vdp_cycle):

@@ -87,3 +87,46 @@ def test_isochron_csv(tmp_path, vdp_model, vdp_cycle, vdp_basis):
     assert len(lines) == 5  # two seed sets x two offsets
     assert lines[1].startswith("isochron,")
     assert lines[3].startswith("control,")
+
+
+@pytest.fixture(scope="module")
+def vdp_stiff():
+    """van der Pol cycles at mu = 1, 3, 6 from one guess and settle."""
+    return {mu: pp.find_cycle(pp.get_model("vanderpol", mu=mu), (2.1, 0.0),
+                              settle_time=30.0) for mu in (1.0, 3.0, 6.0)}
+
+
+@pytest.mark.parametrize("mu", [1.0, 3.0, 6.0])
+def test_nearest_cycle_time_on_cycle(vdp_stiff, mu):
+    # exact cycle points are found at distance ~0 and at their own time,
+    # also on the relaxation cycles where a local search gets trapped
+    from planar_ppv.isochron import _nearest_cycle_time
+
+    cyc = vdp_stiff[mu]
+    for t in np.linspace(0.0, cyc.T, 200, endpoint=False):
+        t_found, d = _nearest_cycle_time(cyc, cyc.point(t))
+        assert d <= 1e-12
+        gap = abs(t_found - t)
+        assert min(gap, cyc.T - gap) <= 1e-9
+
+
+def test_stiff_isochron_experiment_completes(vdp_stiff):
+    # mu = 3, t* = 19 T / 40: a cycle point where the bounded-restart
+    # search used to miss the cycle and raise NotConvergedError
+    cyc = vdp_stiff[3.0]
+    basis = pp.DilibertoBasis(cyc)
+    rep = pp.isochron_experiment(cyc.model, cyc, basis, 19 * cyc.T / 40,
+                                 [-0.05, 0.0, 0.05], 19.0)
+    assert not rep.degenerate
+    assert rep.isochron_spread < rep.control_spread
+
+
+def test_stuart_landau_phase_is_polar_angle(sl_model, sl_cycle):
+    # Stuart-Landau isochrons are radial and the cycle is anchored at
+    # (1, 0), so a seed's asymptotic phase is its polar angle
+    for angle in (0.3, 2.0, 2 * np.pi / 3, 4.0, 5.9):
+        for radius in (0.5, 0.9, 1.5):
+            seed = radius * np.array([np.cos(angle), np.sin(angle)])
+            r = pp.asymptotic_phase(sl_model, sl_cycle, seed, horizon=30.0)
+            gap = abs(r.phase - angle)
+            assert min(gap, sl_cycle.T - gap) <= 1e-8

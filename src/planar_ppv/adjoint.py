@@ -52,7 +52,7 @@ def state_transition(cycle, rtol=1e-11):
     """Integrate the 2x2 matrix variational ODE from identity over [0, T]."""
     return StateTransition(ode.integrate(
         _variational_rhs(cycle), np.eye(2).ravel(), 0.0, cycle.T,
-        rtol=rtol, atol=1e-13))
+        rtol=rtol, atol=1e-13, method="DOP853"))
 
 
 def numeric_ppv(cycle, n, max_periods=50, rtol=1e-11, conv_tol=1e-9):
@@ -83,7 +83,7 @@ def numeric_ppv(cycle, n, max_periods=50, rtol=1e-11, conv_tol=1e-9):
     last_traj = None
     for k in range(max_periods):
         traj = ode.integrate(rhs, z, k * T, (k + 1) * T, rtol=rtol,
-                             atol=1e-13)
+                             atol=1e-13, method="DOP853")
         z_new = traj.final
         defect = np.linalg.norm(z_new - z) / np.linalg.norm(z_new)
         defects.append(defect)

@@ -57,7 +57,7 @@ def _first_return_time(model, p, n):
     section.terminal = True
     section.direction = 1.0
     traj = ode.integrate(model.rhs, p, 0.0, _MAX_RETURN_TIME,
-                         events=section)
+                         events=section, method="DOP853")
     if traj.status != 1:
         raise CycleNotFoundError("no return to the Poincare section found")
     return traj.t1
@@ -70,7 +70,7 @@ def _flow_and_monodromy(model, x, T):
         return np.concatenate([model.rhs(t, z[:2]), Phi.ravel()])
 
     end = ode.integrate(rhs, np.concatenate([x, np.eye(2).ravel()]), 0.0, T,
-                        rtol=_RTOL, atol=1e-13).final
+                        rtol=_RTOL, atol=1e-13, method="DOP853").final
     return end[:2], end[2:].reshape(2, 2)
 
 
@@ -85,7 +85,7 @@ def find_cycle(model, guess, settle_time=100.0, tol=1e-10):
     guess = np.asarray(guess, dtype=float)
     if settle_time > 0:
         relax = ode.integrate(model.rhs, guess, 0.0, settle_time,
-                              rtol=_RTOL, atol=1e-13)
+                              rtol=_RTOL, atol=1e-13, method="DOP853")
         p = relax.final
     else:
         p = guess.copy()
@@ -122,7 +122,8 @@ def find_cycle(model, guess, settle_time=100.0, tol=1e-10):
             f"Newton did not converge in {_MAX_NEWTON} iterations "
             f"(last residual {residuals[-1]:.3e})")
 
-    traj = ode.integrate(model.rhs, x, 0.0, T, rtol=_RTOL, atol=1e-14)
+    traj = ode.integrate(model.rhs, x, 0.0, T, rtol=_RTOL, atol=1e-14,
+                         method="DOP853")
     closure = np.linalg.norm(traj.final - x)
     if closure > max(tol, 10 * _RTOL):
         raise CycleNotFoundError(f"cycle closure residual {closure:.3e}")

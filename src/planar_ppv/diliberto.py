@@ -69,7 +69,8 @@ class DilibertoBasis:
         self.cycle = cycle
         self.n = n
         self._quad = ode.integrate(_quad_rhs(cycle), [0.0, 0.0], 0.0,
-                                   cycle.T, rtol=rtol, atol=1e-14)
+                                   cycle.T, rtol=rtol, atol=1e-14,
+                                   method="DOP853")
         IT = self._quad.final
         self.b_T = float(np.exp(IT[0]))
         self.a_T = float(IT[1])

@@ -64,7 +64,8 @@ def asymptotic_phase(model, cycle, x0, horizon):
     :class:`NotConvergedError`.
     """
     x0 = np.asarray(x0, dtype=float)
-    traj = ode.integrate(model.rhs, x0, 0.0, horizon, rtol=_RTOL, atol=1e-12)
+    traj = ode.integrate(model.rhs, x0, 0.0, horizon, rtol=_RTOL, atol=1e-12,
+                         method="DOP853")
     end = traj.final
     t_star, resid = _nearest_cycle_time(cycle, end)
     if not resid <= _RESIDUAL_TOL:  # NaN fails too

@@ -109,7 +109,9 @@ def _integrate_phase(rhs, n, t_end, rtol, n_store):
     least-squares slope over the last fifth of the horizon.  The step
     sequence is shared, so the error control sees the RMS over the rows.
     """
-    traj = ode.integrate(rhs, np.zeros(n), 0.0, t_end, rtol=rtol, atol=1e-12)
+    # RK45, not DOP853: the RHS is a C^2 spline (see ``ode``)
+    traj = ode.integrate(rhs, np.zeros(n), 0.0, t_end, rtol=rtol, atol=1e-12,
+                         method="RK45")
     ts = np.linspace(0.0, t_end, n_store)
     psi = traj(ts)
     tail = ts >= 0.8 * t_end

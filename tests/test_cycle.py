@@ -100,10 +100,31 @@ def test_newton_integrates_once_per_iteration(monkeypatch, vdp_model):
     assert type(cyc.T) is float
 
 
-def test_period_is_python_float(sl_cycle, vdp_cycle):
-    # vdp_cycle converges at the first check, sl_cycle after an update
-    assert len(vdp_cycle.residuals) == 1 < len(sl_cycle.residuals)
-    assert type(vdp_cycle.T) is float and type(sl_cycle.T) is float
+def test_analytic_flow_rhs_budget(monkeypatch, vdp_model):
+    # summed nfev of every ode.integrate call; the counts repeat exactly
+    # (DOP853 14,678 and 7,732; on the 5(4) pair 36,182 and 17,644)
+    nfev = []
+    original = ode.integrate
+
+    def counting(*args, **kwargs):
+        traj = original(*args, **kwargs)
+        nfev.append(traj.nfev)
+        return traj
+
+    monkeypatch.setattr(ode, "integrate", counting)
+    cyc = pp.find_cycle(vdp_model, (2.0, 0.0), settle_time=30.0)
+    assert sum(nfev) <= 20_000
+    basis = pp.DilibertoBasis(cyc)
+    nfev.clear()
+    pp.verify_basis(cyc, basis, 1e-5)
+    assert sum(nfev) <= 10_000
+
+
+def test_period_is_python_float(vdp_model, vdp_cycle):
+    # vdp_cycle converges at the first check, a short settle after updates
+    updated = pp.find_cycle(vdp_model, (3.0, 0.5), settle_time=2.0)
+    assert len(vdp_cycle.residuals) == 1 < len(updated.residuals)
+    assert type(vdp_cycle.T) is float and type(updated.T) is float
 
 
 def test_guess_independence(vdp_model, vdp_cycle):

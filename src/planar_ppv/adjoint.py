@@ -2,7 +2,8 @@
 
 Integrates the variational equation (one dense one-period state-transition
 matrix Phi(t, 0), whose endpoint is the numeric monodromy) and the adjoint
-equation (numeric perturbation projection vector) directly.  Deliberately
+equation (numeric perturbation projection vector, one backward period
+seeded from the monodromy's left eigenvector) directly.  Deliberately
 shares no quadrature code with the closed-form module so the two routes
 stay independent.
 """
@@ -12,11 +13,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ode
-from .errors import OracleFailureError, ProvenanceError
-from .models import perp
+from .errors import OracleFailureError
 
 __all__ = ["StateTransition", "state_transition", "numeric_ppv",
            "verify_basis", "VerificationReport"]
+
+_RTOL = 1e-11
+_PERIODIC_TOL = 1e-9
 
 
 class StateTransition:
@@ -48,21 +51,23 @@ def _variational_rhs(cycle):
     return rhs
 
 
-def state_transition(cycle, rtol=1e-11):
+def state_transition(cycle):
     """Integrate the 2x2 matrix variational ODE from identity over [0, T]."""
     return StateTransition(ode.integrate(
         _variational_rhs(cycle), np.eye(2).ravel(), 0.0, cycle.T,
-        rtol=rtol, atol=1e-13, method="DOP853"))
+        rtol=_RTOL, atol=1e-13, method="DOP853"))
 
 
-def numeric_ppv(cycle, n, max_periods=50, rtol=1e-11, conv_tol=1e-9):
-    """PPV samples over one period from backward adjoint integration.
+def numeric_ppv(cycle, monodromy, n):
+    """PPV samples over one period from one backward adjoint integration.
 
-    Integrates dy/dt = -A^T y backward (so the non-periodic adjoint mode
-    contracts) until the solution repeats period to period, then scales
-    it so y^T f = 1 at the anchor.  Returns ``(ts, ys, defects)`` with
-    ``ts`` the n uniform sample times and ``defects`` the per-period
-    periodicity defects (diagnostic for the convergence-rate check).
+    The periodic solution of dy/dt = -A^T y starts at the left eigenvector
+    of the monodromy for the multiplier 1, scaled so y^T f = 1 at the
+    anchor.  One backward period from there (backward, so the
+    non-periodic adjoint mode contracts) gives y on [0, T].  Returns
+    ``(ts, ys, defects)`` with ``ts`` the n uniform sample times and
+    ``defects`` the one-element tuple of that period's periodicity defect,
+    the relative change of y over the period, which must not exceed 1e-9.
     """
     if n < 16:
         raise OracleFailureError("need at least 16 samples")
@@ -74,37 +79,21 @@ def numeric_ppv(cycle, n, max_periods=50, rtol=1e-11, conv_tol=1e-9):
         A = model.jacobian(cycle.point(-s))
         return A.T @ z
 
-    # seed with f/|f|^2: unit projection on the persistent adjoint mode
-    # (f_perp would be exactly orthogonal to it and never converge)
-    F0 = model.field(cycle.anchor)
-    z = F0 / (F0 @ F0)
-    defects = []
-    converged = False
-    last_traj = None
-    for k in range(max_periods):
-        traj = ode.integrate(rhs, z, k * T, (k + 1) * T, rtol=rtol,
-                             atol=1e-13, method="DOP853")
-        z_new = traj.final
-        defect = np.linalg.norm(z_new - z) / np.linalg.norm(z_new)
-        defects.append(defect)
-        z = z_new
-        last_traj = traj
-        if defect < conv_tol:
-            converged = True
-            break
-    if not converged:
-        raise OracleFailureError(
-            f"adjoint did not become periodic in {max_periods} periods "
-            f"(defect {defects[-1]:.3e})")
-
-    # last_traj covers s in [kT, (k+1)T]; y(t) = z((k+1)T - t) for t in [0, T]
-    s1 = last_traj.t1
-    scale = last_traj.final @ F0
+    mults, vecs = np.linalg.eig(monodromy.T)
+    y0 = vecs[:, np.argmin(np.abs(mults - 1.0))].real
+    scale = y0 @ model.field(cycle.anchor)
     if scale == 0.0:
         raise OracleFailureError("degenerate adjoint normalization")
+    y0 = y0 / scale
+    traj = ode.integrate(rhs, y0, 0.0, T, rtol=_RTOL, atol=1e-13,
+                         method="DOP853")
+    defect = np.linalg.norm(traj.final - y0) / np.linalg.norm(traj.final)
+    if not defect <= _PERIODIC_TOL:  # NaN fails too
+        raise OracleFailureError(
+            f"adjoint not periodic after one period (defect {defect:.3e})")
+    # y(t) = z(-t) = z(T - t) for t in [0, T]
     ts = np.arange(n) * (T / n)
-    ys = last_traj(s1 - ts).T / scale
-    return ts, ys, defects
+    return ts, traj(T - ts).T, (defect,)
 
 
 @dataclass(frozen=True)
@@ -135,14 +124,9 @@ class VerificationReport:
         return "\n".join(lines)
 
 
-def verify_basis(cycle, basis, tol):
+def verify_basis(basis, tol):
     """Cross-check the closed-form basis against direct integrations."""
-    if basis.cycle is not cycle:
-        same = (abs(basis.cycle.T - cycle.T) < 1e-12
-                and np.allclose(basis.cycle.anchor, cycle.anchor,
-                                rtol=0, atol=1e-9))
-        if not same:
-            raise ProvenanceError("basis was built on a different cycle")
+    cycle = basis.cycle
     T = cycle.T
 
     u1 = basis.u1_grid
@@ -176,7 +160,7 @@ def verify_basis(cycle, basis, tol):
     mu2_num = np.log(lam2) / T
     mono_mismatch = abs(basis.mu2 - mu2_num) / abs(basis.mu2)
 
-    nt, ny, _ = numeric_ppv(cycle, 256)
+    nt, ny, _ = numeric_ppv(cycle, st.monodromy, 256)
     v1c = basis.v1(nt).T
     v1_mismatch = (np.max(np.linalg.norm(v1c - ny, axis=1))
                    / np.max(np.linalg.norm(ny, axis=1)))

@@ -62,7 +62,7 @@ def run(config_path, outdir=None):
 
         stage = "verify"
         tol = cfg.sections["verify"]["tol"]
-        report = adjoint.verify_basis(cyc, basis, tol)
+        report = adjoint.verify_basis(basis, tol)
         with open(os.path.join(out, "verify.csv"), "w", newline="") as fh:
             fh.write("metric,value,status\n")
             for name, value, ok in report.items():
@@ -118,7 +118,7 @@ def run(config_path, outdir=None):
             stage = "isochron"
             p = cfg.sections["isochron"]
             rep = isochron.isochron_experiment(
-                model, cyc, basis, p["t_star"], p["offsets"], p["horizon"])
+                basis, p["t_star"], p["offsets"], p["horizon"])
             isochron.isochron_to_csv(rep, os.path.join(out, "isochron.csv"))
             summary.append(f"isochron_spread={_fmt(rep.isochron_spread)}")
             summary.append(f"control_spread={_fmt(rep.control_spread)}")

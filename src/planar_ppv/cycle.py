@@ -56,8 +56,8 @@ def _first_return_time(model, p, n):
 
     section.terminal = True
     section.direction = 1.0
-    traj = ode.integrate(model.rhs, p, 0.0, _MAX_RETURN_TIME,
-                         events=section, method="DOP853")
+    traj = ode.integrate(model.rhs, p, 0.0, _MAX_RETURN_TIME, rtol=_RTOL,
+                         atol=1e-13, events=section, method="DOP853")
     if traj.status != 1:
         raise CycleNotFoundError("no return to the Poincare section found")
     return traj.t1

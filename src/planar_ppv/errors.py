@@ -48,10 +48,6 @@ class NotConvergedError(PlanarPPVError):
     """Asymptotic-phase measurement did not converge onto the cycle."""
 
 
-class ProvenanceError(PlanarPPVError):
-    """Objects from different cycles/models were mixed in one computation."""
-
-
 class InstabilityError(PlanarPPVError):
     """Finite-difference solution developed significant negative density."""
 

@@ -39,7 +39,8 @@ def _nearest_cycle_time(cycle, pt):
     Seeds from the nearest node of the cycle's own integration (adaptive,
     so dense where the flow is fast), then runs Newton on
     g(t) = (x0(t) - pt)^T f(x0(t)) = 0, whose derivative is
-    |f|^2 + (x0 - pt)^T A f.
+    |f|^2 + (x0 - pt)^T A f; it stops where that is not positive (no
+    minimum there, as for a point equidistant from the whole cycle).
     """
     model, T, nodes = cycle.model, cycle.T, cycle._traj
     t = nodes.ts[np.argmin(np.sum((nodes.ys - pt) ** 2, axis=1))]
@@ -47,7 +48,10 @@ def _nearest_cycle_time(cycle, pt):
         x = cycle.point(t)
         F = model.field(x)
         e = x - pt
-        step = (e @ F) / (F @ F + e @ (model.jacobian(x) @ F))
+        slope = F @ F + e @ (model.jacobian(x) @ F)
+        if not slope > 0:
+            break
+        step = (e @ F) / slope
         t -= step
         if abs(step) <= 1e-14 * T:
             break
@@ -55,7 +59,7 @@ def _nearest_cycle_time(cycle, pt):
     return t, float(np.linalg.norm(cycle.point(t) - pt))
 
 
-def asymptotic_phase(model, cycle, x0, horizon):
+def asymptotic_phase(cycle, x0, horizon):
     """Phase the trajectory from ``x0`` converges to on the cycle.
 
     Integrates for ``horizon`` (recommended >= 20/|mu2|), projects the
@@ -64,8 +68,8 @@ def asymptotic_phase(model, cycle, x0, horizon):
     :class:`NotConvergedError`.
     """
     x0 = np.asarray(x0, dtype=float)
-    traj = ode.integrate(model.rhs, x0, 0.0, horizon, rtol=_RTOL, atol=1e-12,
-                         method="DOP853")
+    traj = ode.integrate(cycle.model.rhs, x0, 0.0, horizon, rtol=_RTOL,
+                         atol=1e-12, method="DOP853")
     end = traj.final
     t_star, resid = _nearest_cycle_time(cycle, end)
     if not resid <= _RESIDUAL_TOL:  # NaN fails too
@@ -97,16 +101,17 @@ class IsochronReport:
     degenerate: bool
 
 
-def isochron_experiment(model, cycle, basis, t_star, offsets, horizon):
+def isochron_experiment(basis, t_star, offsets, horizon):
     """Seed along unit u2 (isochron tangent) and unit f_perp (control).
 
     When the two directions coincide (orthogonally decomposable
     oscillators) the control set is degenerate and skipped.
     """
+    cycle = basis.cycle
     p = cycle.point(t_star)
     u2 = basis.u2(float(t_star))
     u2 = u2 / np.linalg.norm(u2)
-    ctrl = perp(model.field(p))
+    ctrl = perp(cycle.model.field(p))
     ctrl = ctrl / np.linalg.norm(ctrl)
     degenerate = min(np.linalg.norm(ctrl - u2),
                      np.linalg.norm(ctrl + u2)) < 1e-6
@@ -114,13 +119,13 @@ def isochron_experiment(model, cycle, basis, t_star, offsets, horizon):
     rows = []
     iso_phases = []
     for off in offsets:
-        r = asymptotic_phase(model, cycle, p + off * u2, horizon)
+        r = asymptotic_phase(cycle, p + off * u2, horizon)
         rows.append(("isochron", float(off), r.phase, r.residual))
         iso_phases.append(r.phase)
     ctrl_phases = []
     if not degenerate:
         for off in offsets:
-            r = asymptotic_phase(model, cycle, p + off * ctrl, horizon)
+            r = asymptotic_phase(cycle, p + off * ctrl, horizon)
             rows.append(("control", float(off), r.phase, r.residual))
             ctrl_phases.append(r.phase)
     return IsochronReport(

@@ -36,13 +36,13 @@ def vdp_basis(vdp_cycle):
 
 
 @pytest.fixture(scope="session")
-def sl_report(sl_cycle, sl_basis):
-    return pp.verify_basis(sl_cycle, sl_basis, 1e-6)
+def sl_report(sl_basis):
+    return pp.verify_basis(sl_basis, 1e-6)
 
 
 @pytest.fixture(scope="session")
-def vdp_report(vdp_cycle, vdp_basis):
-    return pp.verify_basis(vdp_cycle, vdp_basis, 1e-5)
+def vdp_report(vdp_basis):
+    return pp.verify_basis(vdp_basis, 1e-5)
 
 
 @pytest.fixture(scope="session")

@@ -63,12 +63,12 @@ def test_criterion_2_vanderpol_vs_adjoint_oracle():
     cyc = pp.find_cycle(model, (2.0, 0.0))
     basis = pp.DilibertoBasis(cyc)
 
-    nt, ny, _ = adjoint.numeric_ppv(cyc, 256)
+    st = adjoint.state_transition(cyc)
+    nt, ny, _ = adjoint.numeric_ppv(cyc, st.monodromy, 256)
     v1c = basis.v1(nt).T
     v1_err = (np.max(np.linalg.norm(v1c - ny, axis=1))
               / np.max(np.linalg.norm(ny, axis=1)))
 
-    st = adjoint.state_transition(cyc)
     eigs = np.sort(np.abs(np.linalg.eigvals(st.monodromy)))
     mu2_num = np.log(eigs[0]) / cyc.T
     mu2_err = abs(basis.mu2 - mu2_num) / abs(basis.mu2)
@@ -181,15 +181,13 @@ def test_criterion_5_stochastic_self_consistency(sl_basis):
             f"pairwise={pair:.3f} mass={mass_err:.1e} {elapsed:.0f}s")
 
 
-def test_criterion_6_isochron_property(vdp_model, vdp_cycle, vdp_basis):
+def test_criterion_6_isochron_property(vdp_cycle, vdp_basis):
     t0 = time.perf_counter()
     horizon = 20.0 / abs(vdp_basis.mu2)
-    rep = pp.isochron_experiment(vdp_model, vdp_cycle, vdp_basis, 1.0,
+    rep = pp.isochron_experiment(vdp_basis, 1.0,
                                  [-0.05, -0.025, 0.0, 0.025, 0.05], horizon)
-    big = pp.isochron_experiment(vdp_model, vdp_cycle, vdp_basis, 1.0,
-                                 [0.0, 0.05], horizon)
-    small = pp.isochron_experiment(vdp_model, vdp_cycle, vdp_basis, 1.0,
-                                   [0.0, 0.025], horizon)
+    big = pp.isochron_experiment(vdp_basis, 1.0, [0.0, 0.05], horizon)
+    small = pp.isochron_experiment(vdp_basis, 1.0, [0.0, 0.025], horizon)
     quad = big.isochron_spread / small.isochron_spread
     elapsed = time.perf_counter() - t0
 

@@ -102,7 +102,9 @@ def test_newton_integrates_once_per_iteration(monkeypatch, vdp_model):
 
 def test_analytic_flow_rhs_budget(monkeypatch, vdp_model):
     # summed nfev of every ode.integrate call; the counts repeat exactly
-    # (DOP853 14,678 and 7,732; on the 5(4) pair 36,182 and 17,644)
+    # (DOP853: 15,380 and 3,523; 14,678 and 7,732 before the first return
+    # ran at the cycle's rtol and the adjoint oracle took one period; on
+    # the 5(4) pair 36,182 and 17,644)
     nfev = []
     original = ode.integrate
 
@@ -116,8 +118,8 @@ def test_analytic_flow_rhs_budget(monkeypatch, vdp_model):
     assert sum(nfev) <= 20_000
     basis = pp.DilibertoBasis(cyc)
     nfev.clear()
-    pp.verify_basis(cyc, basis, 1e-5)
-    assert sum(nfev) <= 10_000
+    pp.verify_basis(basis, 1e-5)
+    assert sum(nfev) <= 5_000
 
 
 def test_period_is_python_float(vdp_model, vdp_cycle):

@@ -6,80 +6,73 @@ from planar_ppv.errors import NotConvergedError
 from planar_ppv.isochron import isochron_to_csv
 
 
-def test_on_cycle_phase_recovers_time(sl_model, sl_cycle):
+def test_on_cycle_phase_recovers_time(sl_cycle):
     for s in (0.0, 1.0, 4.0):
-        r = pp.asymptotic_phase(sl_model, sl_cycle, sl_cycle.point(s),
-                                horizon=30.0)
+        r = pp.asymptotic_phase(sl_cycle, sl_cycle.point(s), horizon=30.0)
         diff = abs(r.phase - s)
         assert min(diff, sl_cycle.T - diff) < 1e-6
         assert r.residual < 1e-7
 
 
-def test_radial_seed_stuart_landau(sl_model, sl_cycle):
+def test_radial_seed_stuart_landau(sl_cycle):
     # radial displacements sit on the theta = 0 isochron exactly
-    r = pp.asymptotic_phase(sl_model, sl_cycle, [2.0, 0.0], horizon=30.0)
+    r = pp.asymptotic_phase(sl_cycle, [2.0, 0.0], horizon=30.0)
     assert r.phase == pytest.approx(0.0, abs=1e-6) \
         or r.phase == pytest.approx(2 * np.pi, abs=1e-6)
 
 
-def test_fixed_point_seed_never_converges(sl_model, sl_cycle):
+def test_fixed_point_seed_never_converges(sl_cycle):
     with pytest.raises(NotConvergedError):
-        pp.asymptotic_phase(sl_model, sl_cycle, [0.0, 0.0], horizon=30.0)
+        pp.asymptotic_phase(sl_cycle, [0.0, 0.0], horizon=30.0)
 
 
-def test_zero_offsets_give_zero_spread(vdp_model, vdp_cycle, vdp_basis):
+def test_zero_offsets_give_zero_spread(vdp_basis):
     horizon = 20.0 / abs(vdp_basis.mu2)
-    rep = pp.isochron_experiment(vdp_model, vdp_cycle, vdp_basis, 1.0,
-                                 [0.0], horizon)
+    rep = pp.isochron_experiment(vdp_basis, 1.0, [0.0], horizon)
     assert rep.isochron_spread == 0.0
     assert rep.control_spread == 0.0
 
 
-def test_stuart_landau_is_degenerate(sl_model, sl_cycle, sl_basis):
+def test_stuart_landau_is_degenerate(sl_basis):
     # u2 is radial = f_perp direction, so the control set collapses
-    rep = pp.isochron_experiment(sl_model, sl_cycle, sl_basis, 0.0,
-                                 [-0.05, 0.05], horizon=30.0)
+    rep = pp.isochron_experiment(sl_basis, 0.0, [-0.05, 0.05], horizon=30.0)
     assert rep.degenerate
     assert all(name == "isochron" for name, *_ in rep.rows)
     assert rep.isochron_spread < 1e-6
 
 
-def test_vanderpol_isochron_tangency(vdp_model, vdp_cycle, vdp_basis):
+def test_vanderpol_isochron_tangency(vdp_cycle, vdp_basis):
     # u2 seeds share the phase to second order; f_perp seeds do not
     horizon = 20.0 / abs(vdp_basis.mu2)
     offsets = [-0.05, -0.025, 0.0, 0.025, 0.05]
-    rep = pp.isochron_experiment(vdp_model, vdp_cycle, vdp_basis, 1.0,
-                                 offsets, horizon)
+    rep = pp.isochron_experiment(vdp_basis, 1.0, offsets, horizon)
     assert not rep.degenerate
     assert rep.isochron_spread < 1e-3 * vdp_cycle.T
     assert rep.control_spread > 10.0 * rep.isochron_spread
 
 
-def test_isochron_spread_quadratic_in_offset(vdp_model, vdp_cycle, vdp_basis):
+def test_isochron_spread_quadratic_in_offset(vdp_basis):
     # halving the offset shrinks the u2 spread by about 4x; one-sided
     # offsets {0, h} isolate the quadratic term (with +/-h it cancels)
     horizon = 20.0 / abs(vdp_basis.mu2)
-    big = pp.isochron_experiment(vdp_model, vdp_cycle, vdp_basis, 1.0,
-                                 [0.0, 0.05], horizon)
-    small = pp.isochron_experiment(vdp_model, vdp_cycle, vdp_basis, 1.0,
-                                   [0.0, 0.025], horizon)
+    big = pp.isochron_experiment(vdp_basis, 1.0, [0.0, 0.05], horizon)
+    small = pp.isochron_experiment(vdp_basis, 1.0, [0.0, 0.025], horizon)
     ratio = big.isochron_spread / small.isochron_spread
     assert 3.5 < ratio < 4.5
 
 
-def test_horizon_doubling_invariance(vdp_model, vdp_cycle, vdp_basis):
+def test_horizon_doubling_invariance(vdp_cycle, vdp_basis):
     horizon = 20.0 / abs(vdp_basis.mu2)
-    a = pp.asymptotic_phase(vdp_model, vdp_cycle, [2.1, 0.2], horizon)
-    b = pp.asymptotic_phase(vdp_model, vdp_cycle, [2.1, 0.2], 2 * horizon)
+    a = pp.asymptotic_phase(vdp_cycle, [2.1, 0.2], horizon)
+    b = pp.asymptotic_phase(vdp_cycle, [2.1, 0.2], 2 * horizon)
     diff = abs(a.phase - b.phase)
     diff = min(diff, vdp_cycle.T - diff)
     assert diff < 1e-6
 
 
-def test_isochron_csv(tmp_path, vdp_model, vdp_cycle, vdp_basis):
+def test_isochron_csv(tmp_path, vdp_basis):
     horizon = 20.0 / abs(vdp_basis.mu2)
-    rep = pp.isochron_experiment(vdp_model, vdp_cycle, vdp_basis, 1.0,
-                                 [-0.05, 0.05], horizon)
+    rep = pp.isochron_experiment(vdp_basis, 1.0, [-0.05, 0.05], horizon)
     path = tmp_path / "isochron.csv"
     isochron_to_csv(rep, path)
     lines = path.read_text().splitlines()
@@ -115,18 +108,18 @@ def test_stiff_isochron_experiment_completes(vdp_stiff):
     # search used to miss the cycle and raise NotConvergedError
     cyc = vdp_stiff[3.0]
     basis = pp.DilibertoBasis(cyc)
-    rep = pp.isochron_experiment(cyc.model, cyc, basis, 19 * cyc.T / 40,
+    rep = pp.isochron_experiment(basis, 19 * cyc.T / 40,
                                  [-0.05, 0.0, 0.05], 19.0)
     assert not rep.degenerate
     assert rep.isochron_spread < rep.control_spread
 
 
-def test_stuart_landau_phase_is_polar_angle(sl_model, sl_cycle):
+def test_stuart_landau_phase_is_polar_angle(sl_cycle):
     # Stuart-Landau isochrons are radial and the cycle is anchored at
     # (1, 0), so a seed's asymptotic phase is its polar angle
     for angle in (0.3, 2.0, 2 * np.pi / 3, 4.0, 5.9):
         for radius in (0.5, 0.9, 1.5):
             seed = radius * np.array([np.cos(angle), np.sin(angle)])
-            r = pp.asymptotic_phase(sl_model, sl_cycle, seed, horizon=30.0)
+            r = pp.asymptotic_phase(sl_cycle, seed, horizon=30.0)
             gap = abs(r.phase - angle)
             assert min(gap, sl_cycle.T - gap) <= 1e-8

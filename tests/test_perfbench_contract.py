@@ -57,3 +57,14 @@ def test_tracer_installs_and_undoes(tracer):
         now = vars(owner)
         assert now.keys() == old.keys()
         assert all(now[name] is value for name, value in old.items())
+
+
+def test_adjoint_periods_counts_one_period(tracer, vdp_basis):
+    # the tracer counts adjoint periods as len(numeric_ppv(...)[2])
+    trace = tracer.Tracer("t")
+    undo = tracer.install(trace)
+    try:
+        adjoint.verify_basis(vdp_basis, 1e-5)
+    finally:
+        undo()
+    assert trace.totals["adjoint.adjoint_periods"] == 1

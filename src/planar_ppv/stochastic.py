@@ -50,8 +50,19 @@ class NoiseModel:
                    label="directional")
 
 
+# Steps of Wiener increments drawn per chunk.  Two (n_paths, chunk, m)
+# buffers bound the ensemble's memory independently of n_steps; each chunk
+# costs one draw call per path.  At 4096 paths x 3000 steps x 2 channels on
+# a 2-vCPU x86_64 host (medians of 8 alternating rounds) the whole-array
+# draw took 3.14 s, chunks of 64, 128 and 256 steps 3.29, 3.19 and 3.05 s,
+# with buffers of 8, 17 and 34 MB.
+_CHUNK = 128
+
+
 def _stored_steps(n_steps, n_store):
     """Steps to store: 0, every (n_steps // (n_store - 1))-th, the last."""
+    if n_store < 2:
+        raise ArgumentError("need n_store >= 2")
     stride = max(1, n_steps // (n_store - 1))
     return set(range(0, n_steps + 1, stride)) | {n_steps}
 
@@ -73,26 +84,30 @@ def simulate_sde_ensemble(basis, noise, n_paths, t_end, dt, seed,
 
     Per-path Wiener substreams are keyed by (seed, path index), so
     growing the ensemble never reshuffles existing paths, and identical
-    seeds give bit-identical statistics.
+    seeds give bit-identical statistics.  The increments are drawn a fixed
+    number of steps at a time, so memory does not grow with n_steps.
     """
     if n_paths < 1:
         raise ArgumentError("need n_paths >= 1")
     if dt <= 0:
         raise ArgumentError("dt must be positive")
+    if t_end <= 0:
+        raise ArgumentError("t_end must be positive")
     if dt > basis.cycle.T / 100.0:
         raise ArgumentError(
             f"dt = {dt} too large; need dt <= T/100 = {basis.cycle.T / 100:g}")
     n_steps = int(round(t_end / dt))
+    store_set = _stored_steps(n_steps, n_store)
     spline = basis.projection(noise.G)
     T = basis.cycle.T
 
+    # Each chunk continues every path's stream: path i fills its own
+    # contiguous row of z, then one multiply lays the block out step-major
+    # in dW, so the step loop reads contiguous (n_paths, m) slices.
     sq = np.sqrt(dt)
-    dW = np.empty((n_paths, n_steps, noise.m))
-    for i in range(n_paths):
-        rng = np.random.default_rng([int(seed), i])
-        dW[i] = sq * rng.standard_normal((n_steps, noise.m))
-
-    store_set = _stored_steps(n_steps, n_store)
+    rngs = [np.random.default_rng([int(seed), i]) for i in range(n_paths)]
+    z = np.empty((n_paths, min(_CHUNK, n_steps), noise.m))
+    dW = np.empty((min(_CHUNK, n_steps), n_paths, noise.m))
 
     psi = np.zeros(n_paths)
     ts_out, mean_out, var_out = [], [], []
@@ -103,11 +118,16 @@ def simulate_sde_ensemble(basis, noise, n_paths, t_end, dt, seed,
         var_out.append(np.var(psi, ddof=1) if n_paths > 1 else 0.0)
 
     record(0)
-    for j in range(n_steps):
-        v = spline(np.mod(j * dt + psi, T))  # (n_paths, m)
-        psi = psi + np.sum(v * dW[:, j, :], axis=1)
-        if (j + 1) in store_set:
-            record(j + 1)
+    for j0 in range(0, n_steps, _CHUNK):
+        k = min(_CHUNK, n_steps - j0)
+        for i, rng in enumerate(rngs):
+            rng.standard_normal(out=z[i, :k])
+        np.multiply(sq, z[:, :k].transpose(1, 0, 2), out=dW[:k])
+        for j in range(j0, j0 + k):
+            v = spline(np.mod(j * dt + psi, T))  # (n_paths, m)
+            psi = psi + np.sum(v * dW[j - j0], axis=1)
+            if (j + 1) in store_set:
+                record(j + 1)
     return PhaseEnsemble(ts=np.array(ts_out), mean=np.array(mean_out),
                          var=np.array(var_out), n_paths=n_paths,
                          seed=int(seed))
@@ -146,9 +166,12 @@ def solve_fp(basis, noise, psi_grid, t_end, dt, init_width=None,
     ``dt`` is an upper bound: the step is t_end / n for the smallest n
     whose step does not exceed min(dt, 0.4 dpsi^2 / max v^T v), the
     stability limit of the scheme, so the last snapshot falls on t_end.
+    A density below -1e-12 after any step raises ``InstabilityError``.
     """
     if t_end <= 0:
         raise ArgumentError("t_end must be positive")
+    if dt <= 0:
+        raise ArgumentError("dt must be positive")
     psi = np.asarray(psi_grid, dtype=float)
     d = np.diff(psi)
     if psi.size < 8 or not np.allclose(d, d[0], rtol=1e-10, atol=0):
@@ -182,14 +205,14 @@ def solve_fp(basis, noise, psi_grid, t_end, dt, init_width=None,
         # flux J_{i+1/2} = -[ drift * p_half + diff * dp/dpsi ]
         p_half = 0.5 * (p[:-1] + p[1:])
         J = -(drift * p_half + diff * (p[1:] - p[:-1]) / dpsi)
-        p = p.copy()
         p[1:-1] += dt * (J[:-1] - J[1:]) / dpsi
         p[0] = 0.0   # absorbing far boundaries
         p[-1] = 0.0
+        p_min = np.min(p)
+        if p_min < -1e-12:
+            raise InstabilityError(
+                f"negative density {p_min:.3e} at t = {t + dt:g}")
         if (j + 1) in store_idx:
-            if np.min(p) < -1e-12:
-                raise InstabilityError(
-                    f"negative density {np.min(p):.3e} at t = {t + dt:g}")
             ts_out.append((j + 1) * dt)
             p_out.append(p.copy())
     return DensityField(psi=psi, ts=np.array(ts_out),
@@ -213,6 +236,8 @@ def ensemble_to_csv(ens, path):
 def density_to_csv(dens, path):
     with open(path, "w", newline="") as fh:
         fh.write("t,psi,p\n")
-        for i, t in enumerate(dens.ts):
-            for x, pv in zip(dens.psi, dens.p[i]):
-                fh.write(f"{t:.17g},{x:.17g},{pv:.17g}\n")
+        xs = [f"{x:.17g}" for x in dens.psi.tolist()]
+        for t, row in zip(dens.ts.tolist(), dens.p.tolist()):
+            t_str = f"{t:.17g}"
+            fh.writelines(f"{t_str},{x},{pv:.17g}\n"
+                          for x, pv in zip(xs, row))

@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import planar_ppv as pp
-from planar_ppv.errors import ArgumentError
+from planar_ppv import stochastic
+from planar_ppv.errors import ArgumentError, InstabilityError
 from planar_ppv.stochastic import NoiseModel, density_to_csv, ensemble_to_csv
 
 
@@ -55,17 +58,88 @@ def test_same_seed_is_deterministic(sl_basis):
     assert not np.array_equal(a.var, c.var)
 
 
-def test_substreams_stable_under_ensemble_growth(sl_basis):
-    # adding paths must not change the paths already drawn
+def _reference_paths(basis, noise, streams, t_end, dt, seed, n_store=201):
+    """Stored times and psi of each path, drawing every path's whole Wiener
+    sequence up front as one (len(streams), n_steps, m) array."""
+    n_steps = int(round(t_end / dt))
+    spline = basis.projection(noise.G)
+    T = basis.cycle.T
+    sq = np.sqrt(dt)
+    dW = np.empty((len(streams), n_steps, noise.m))
+    for k, i in enumerate(streams):
+        rng = np.random.default_rng([int(seed), i])
+        dW[k] = sq * rng.standard_normal((n_steps, noise.m))
+    stride = max(1, n_steps // (n_store - 1))
+    stored = set(range(0, n_steps + 1, stride)) | {n_steps}
+    psi = np.zeros(len(streams))
+    ts, hist = [0.0], [psi]
+    for j in range(n_steps):
+        v = spline(np.mod(j * dt + psi, T))
+        psi = psi + np.sum(v * dW[:, j, :], axis=1)
+        if (j + 1) in stored:
+            ts.append((j + 1) * dt)
+            hist.append(psi)
+    return np.array(ts), np.array(hist)
+
+
+def _assert_stats_equal(ens, ts, hist):
+    n = hist.shape[1]
+    np.testing.assert_array_equal(ens.ts, ts)
+    np.testing.assert_array_equal(ens.mean, [np.mean(r) for r in hist])
+    np.testing.assert_array_equal(
+        ens.var, [np.var(r, ddof=1) if n > 1 else 0.0 for r in hist])
+
+
+@pytest.mark.parametrize("kind", ["isotropic", "directional"])
+@pytest.mark.parametrize("steps", ["none", "below", "equal", "partial"])
+def test_chunked_draws_match_full_draw(sl_basis, kind, steps):
+    # the chunked increments continue each path's stream, so the ensemble
+    # is bit-identical to one drawn whole
+    chunk = stochastic._CHUNK
+    n_steps = {"none": 0, "below": chunk // 2 + 1, "equal": chunk,
+               "partial": 2 * chunk + 37}[steps]
+    noise = (NoiseModel.isotropic(0.05) if kind == "isotropic"
+             else NoiseModel.directional(0.05, [1.0, 0.5]))
+    dt = 0.01
+    t_end = (n_steps or 0.4) * dt  # 0.4 of a step rounds to no step
+    ens = pp.simulate_sde_ensemble(sl_basis, noise, 33, t_end, dt, seed=9,
+                                   n_store=50)
+    ts, hist = _reference_paths(sl_basis, noise, range(33), t_end, dt, 9,
+                                n_store=50)
+    assert ts[-1] == n_steps * dt
+    _assert_stats_equal(ens, ts, hist)
+
+
+def test_sde_memory_independent_of_steps(sl_basis):
+    # the Wiener increments are drawn in fixed-length chunks, so ten times
+    # the steps must not raise the peak (a full draw adds 9 MB here)
     noise = NoiseModel.isotropic(0.05)
-    small = pp.simulate_sde_ensemble(sl_basis, noise, 1, 5.0, 0.01, seed=3)
+    peaks = []
+    for n_steps in (1000, 10000):
+        tracemalloc.start()
+        try:
+            pp.simulate_sde_ensemble(sl_basis, noise, 64, n_steps * 0.01,
+                                     0.01, seed=2)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < peaks[0] + 100_000
+
+
+def test_substreams_stable_under_ensemble_growth(sl_basis):
+    # path i is drawn from substream (seed, i) alone, so the 4-path
+    # statistics equal those of substreams 0-3 each run as its own path,
+    # and adding paths never changes the paths already drawn
+    noise = NoiseModel.isotropic(0.05)
     big = pp.simulate_sde_ensemble(sl_basis, noise, 4, 5.0, 0.01, seed=3)
-    # path 0 is identical in both runs, so with n=1 mean == that path
-    assert small.mean[-1] != 0.0
-    # rebuild path 0 from the larger ensemble by rerunning with n=1
-    again = pp.simulate_sde_ensemble(sl_basis, noise, 1, 5.0, 0.01, seed=3)
-    np.testing.assert_array_equal(small.mean, again.mean)
-    assert big.n_paths == 4
+    runs = [_reference_paths(sl_basis, noise, [i], 5.0, 0.01, 3)
+            for i in range(4)]
+    ts = runs[0][0]
+    hist = np.hstack([h for _, h in runs])
+    assert len(set(hist[-1])) == 4
+    _assert_stats_equal(big, ts, hist)
+    small = pp.simulate_sde_ensemble(sl_basis, noise, 1, 5.0, 0.01, seed=3)
+    _assert_stats_equal(small, ts, hist[:, :1])
 
 
 def test_sde_variance_grows_linearly_stuart_landau(sl_basis):
@@ -81,8 +155,16 @@ def test_sde_argument_validation(sl_basis):
     noise = NoiseModel.isotropic(0.05)
     with pytest.raises(ArgumentError):
         pp.simulate_sde_ensemble(sl_basis, noise, 0, 1.0, 0.01, seed=1)
-    with pytest.raises(ArgumentError):
-        pp.simulate_sde_ensemble(sl_basis, noise, 4, 1.0, -0.01, seed=1)
+    for dt in (-0.01, 0.0):
+        with pytest.raises(ArgumentError):
+            pp.simulate_sde_ensemble(sl_basis, noise, 4, 1.0, dt, seed=1)
+    for t_end in (0.0, -1.0):
+        with pytest.raises(ArgumentError):
+            pp.simulate_sde_ensemble(sl_basis, noise, 4, t_end, 0.01, seed=1)
+    for n_store in (0, 1):
+        with pytest.raises(ArgumentError):
+            pp.simulate_sde_ensemble(sl_basis, noise, 4, 1.0, 0.01, seed=1,
+                                     n_store=n_store)
     with pytest.raises(ArgumentError):
         # dt above T/100
         pp.simulate_sde_ensemble(sl_basis, noise, 4, 1.0, 1.0, seed=1)
@@ -113,8 +195,31 @@ def test_fp_rejects_bad_grids(sl_basis):
     noise = NoiseModel.isotropic(0.05)
     with pytest.raises(ArgumentError):
         pp.solve_fp(sl_basis, noise, np.array([0.0, 0.1, 0.3]), 1.0, 1e-4)
+    grid = np.linspace(-1, 1, 101)
     with pytest.raises(ArgumentError):
-        pp.solve_fp(sl_basis, noise, np.linspace(-1, 1, 101), 0.0, 1e-4)
+        pp.solve_fp(sl_basis, noise, grid, 0.0, 1e-4)
+    for dt in (0.0, -0.01):
+        with pytest.raises(ArgumentError):
+            pp.solve_fp(sl_basis, noise, grid, 1.0, dt)
+    for n_store in (0, 1):
+        with pytest.raises(ArgumentError):
+            pp.solve_fp(sl_basis, noise, grid, 1.0, 1e-3, n_store=n_store)
+
+
+def test_fp_negative_density_caught_between_snapshots(vdp_basis):
+    # a coarse grid under a narrow start dips below zero early; storing
+    # only t = 0 and t_end must not hide it, and the first bad step is
+    # reported whatever the snapshot spacing
+    noise = NoiseModel.directional(0.05, [1.0, 0.0])
+    psi = np.linspace(-3.0, 3.0, 8)
+    width = 0.3 * (psi[1] - psi[0])
+    messages = []
+    for n_store in (2, 1000):
+        with pytest.raises(InstabilityError, match="negative density") as exc:
+            pp.solve_fp(vdp_basis, noise, psi, 6.0, 0.01, init_width=width,
+                        n_store=n_store)
+        messages.append(str(exc.value))
+    assert messages[0] == messages[1]
 
 
 def test_fp_caps_oversized_dt(sl_basis):

@@ -1,11 +1,10 @@
 """Independent numerical oracle for the closed-form basis.
 
-Integrates the variational equation (one dense one-period state-transition
-matrix Phi(t, 0), whose endpoint is the numeric monodromy) and the adjoint
-equation (numeric perturbation projection vector, one backward period
-seeded from the monodromy's left eigenvector) directly.  Deliberately
-shares no quadrature code with the closed-form module so the two routes
-stay independent.
+Reads the cycle's variational flow Phi(t, 0), integrated with the cycle,
+and integrates the adjoint equation (numeric perturbation projection
+vector, one backward period seeded from the monodromy's left
+eigenvector).  Deliberately shares no quadrature code with the
+closed-form module so the two routes stay independent.
 """
 
 from dataclasses import dataclass
@@ -23,39 +22,20 @@ _PERIODIC_TOL = 1e-9
 
 
 class StateTransition:
-    """Dense Phi(t, 0) of the variational equation over one period.
+    """Phi(t, 0) over one period: ``st(t)`` is ``cycle.phi(t)`` and
+    ``st.monodromy`` is ``cycle.monodromy``."""
 
-    ``st(t)`` is the 2x2 Phi(t, 0) for scalar t in [0, T] from the dense
-    output (exactly the identity at t = 0); ``st.monodromy`` is Phi(T) taken
-    from the integration endpoint rather than the interpolant.
-    """
-
-    def __init__(self, traj):
-        self._traj = traj
+    def __init__(self, cycle):
+        self._phi = cycle.phi
+        self.monodromy = cycle.monodromy
 
     def __call__(self, t):
-        return self._traj(t).reshape(2, 2)
-
-    @property
-    def monodromy(self):
-        return self._traj.final.reshape(2, 2)
-
-
-def _variational_rhs(cycle):
-    model = cycle.model
-
-    def rhs(s, z):
-        A = model.jacobian(cycle.point(s))
-        return (A @ z.reshape(2, 2)).ravel()
-
-    return rhs
+        return self._phi(t)
 
 
 def state_transition(cycle):
-    """Integrate the 2x2 matrix variational ODE from identity over [0, T]."""
-    return StateTransition(ode.integrate(
-        _variational_rhs(cycle), np.eye(2).ravel(), 0.0, cycle.T,
-        rtol=_RTOL, atol=1e-13, method="DOP853"))
+    """The cycle's own Phi(t, 0); integrates nothing."""
+    return StateTransition(cycle)
 
 
 def numeric_ppv(cycle, monodromy, n):

@@ -95,8 +95,8 @@ def run(config_path, outdir=None):
             if p["kind"] == "isotropic":
                 nm = stochastic.NoiseModel.isotropic(p["sigma"])
             else:
-                nm = stochastic.NoiseModel.directional(
-                    p["sigma"], p.get("direction", np.array([1.0, 0.0])))
+                nm = stochastic.NoiseModel.directional(p["sigma"],
+                                                       p["direction"])
             ens = stochastic.simulate_sde_ensemble(
                 basis, nm, p["n_paths"], p["t_end"], p["dt"], cfg.seed)
             stochastic.ensemble_to_csv(

@@ -97,7 +97,7 @@ _SCHEMA = {
         "kind": _Key(str, (lambda v: v in ("isotropic", "directional"),
                            "isotropic or directional"), "isotropic"),
         "sigma": _Key(_parse_float, _NONNEGATIVE, required=True),
-        "direction": _Key(_parse_vec2, _FINITE),
+        "direction": _Key(_parse_vec2, _FINITE, (1.0, 0.0)),
         "n_paths": _Key(_parse_int, _at_least(1), required=True),
         "t_end": _Key(_parse_float, _POSITIVE, required=True),
         "dt": _Key(_parse_float, _POSITIVE, required=True),
@@ -132,7 +132,7 @@ def parse_config(text):
     """Parse and validate configuration text into a :class:`RunConfig`."""
     raw = {}
     section = None
-    section_lines = {}
+    lines = {}  # section or (section, key) -> line
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -147,7 +147,7 @@ def parse_config(text):
                 raise ConfigError(f"duplicate section [{section}]",
                                   line=lineno)
             raw[section] = {}
-            section_lines[section] = lineno
+            lines[section] = lineno
             continue
         if "=" not in stripped:
             raise ConfigError(f"expected 'key = value', got {stripped!r}",
@@ -175,19 +175,20 @@ def parse_config(text):
                 raise ConfigError(f"bad value for {key!r}: {value} is not "
                                   f"{rule}", line=lineno)
         raw[section][key] = parsed
+        lines[section, key] = lineno
 
     if "model" not in raw:
         raise ConfigError("missing [model] section")
     model_raw = dict(raw["model"])
     if "name" not in model_raw:
         raise ConfigError("missing model name",
-                          line=section_lines.get("model"))
+                          line=lines.get("model"))
     name = model_raw.pop("name")
     try:
         params = {k: float(v) for k, v in model_raw.items()}
         get_model(name, **params)  # validates name + parameter keys
     except (ConfigError, ValueError) as exc:
-        raise ConfigError(str(exc), line=section_lines.get("model"))
+        raise ConfigError(str(exc), line=lines.get("model"))
 
     def section_dict(sec):
         given = raw.get(sec, {})
@@ -195,7 +196,7 @@ def parse_config(text):
         for key, spec in _SCHEMA[sec].items():
             if spec.required and sec in raw and key not in given:
                 raise ConfigError(f"[{sec}] needs key {key!r}",
-                                  line=section_lines[sec])
+                                  line=lines[sec])
             if spec.default is not None:
                 merged[key] = spec.default
         merged.update(given)
@@ -215,10 +216,27 @@ def parse_config(text):
     if "guess" not in cycle:
         cycle["guess"] = np.array(_DEFAULT_GUESS[name])
     basis = section_dict("basis")
+    _check_cross_keys(sections, basis["grid"], lines)
     output = section_dict("output")
     return RunConfig(model_name=name, model_params=params, cycle=cycle,
                      grid=basis["grid"], outdir=output["dir"],
                      seed=output["seed"], sections=sections)
+
+
+def _check_cross_keys(sections, grid, lines):
+    """Reject key combinations that a later stage could not run."""
+    K = sections.get("ppv-fourier", {}).get("harmonics", 1)
+    if K > grid // 2 - 1:
+        raise ConfigError(f"harmonics = {K} over grid Nyquist {grid // 2 - 1}",
+                          line=lines.get(("ppv-fourier", "harmonics"),
+                                         lines.get(("basis", "grid"))))
+    line = lines.get(("noise", "direction"))
+    if line is None:
+        return
+    if sections["noise"]["kind"] == "isotropic":
+        raise ConfigError("'direction' needs kind = directional", line=line)
+    if np.linalg.norm(sections["noise"]["direction"]) == 0:
+        raise ConfigError("bad value for 'direction': zero vector", line=line)
 
 
 def load_config(path):

@@ -165,8 +165,8 @@ class DilibertoBasis:
         """Periodic cubic interpolant of v1(t)^T G(x0(t)) on [0, T].
 
         ``G`` maps a cycle point to a (2,) or (2, m) array; the interpolant
-        returns a scalar or an (m,) vector per time t in [0, T]; callers
-        reduce their times mod T.  The two products are written out rather
+        returns a scalar or an (m,) vector per time t, reduced mod T by the
+        periodic spline itself.  The two products are written out rather
         than left to BLAS, whose FMA and gemv rounding would make the
         values machine-dependent.
         """

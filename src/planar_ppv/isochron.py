@@ -42,8 +42,8 @@ def _nearest_cycle_time(cycle, pt):
     |f|^2 + (x0 - pt)^T A f; it stops where that is not positive (no
     minimum there, as for a point equidistant from the whole cycle).
     """
-    model, T, nodes = cycle.model, cycle.T, cycle._traj
-    t = nodes.ts[np.argmin(np.sum((nodes.ys - pt) ** 2, axis=1))]
+    model, T, (ts, xs) = cycle.model, cycle.T, cycle.nodes
+    t = ts[np.argmin(np.sum((xs - pt) ** 2, axis=1))]
     for _ in range(_MAX_NEWTON):
         x = cycle.point(t)
         F = model.field(x)

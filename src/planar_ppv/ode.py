@@ -5,7 +5,7 @@ embedded error control and dense output:
 
 - ``"DOP853"``, the 8(5,3) pair with a 7th-order interpolant, for the
   smooth, analytic planar flows (settle, first return, augmented
-  (x, Phi) flow, dense cycle, (div f, a) quadrature, variational and
+  (x, Phi) flow that is also the dense cycle, (div f, a) quadrature,
   adjoint oracle, isochron endpoints).  At their rtol of 1e-10 to 1e-12
   it takes a fraction of the 5(4) pair's steps.
 - ``"RK45"``, the 5(4) pair with a quartic interpolant (the default),

@@ -84,11 +84,11 @@ class PhasePath:
         return self.detuning - self.mean_freq_shift
 
 
-def _rhs(proj, T, eps, u):
-    """rhs(t, psi) = eps u(t) proj(t + psi mod T), elementwise in psi."""
+def _rhs(proj, eps, u):
+    """rhs(t, psi) = eps u(t) proj(t + psi), elementwise in psi."""
 
     def rhs(t, psi):
-        return eps * u(t) * proj(np.mod(np.add(t, psi), T))
+        return eps * u(t) * proj(np.add(t, psi))
 
     return rhs
 
@@ -99,7 +99,7 @@ def phase_rhs(basis, pert):
     The state dependence enters only through the periodic projection
     ``basis.projection(pert.G)``, built once here.
     """
-    return _rhs(basis.projection(pert.G), basis.cycle.T, pert.eps, pert.u)
+    return _rhs(basis.projection(pert.G), pert.eps, pert.u)
 
 
 def _integrate_phase(rhs, n, t_end, rtol, n_store):
@@ -201,7 +201,7 @@ def injection_lock_scan(basis, amp, eps_list, detuning_grid, t_end=None,
         raise ArgumentError("empty scan grid")
     amp = np.asarray(amp, dtype=float)
     proj = basis.projection(lambda x: amp)
-    omega, T = basis.omega, basis.cycle.T
+    omega = basis.omega
     omega_inj = omega + np.array(detuning_grid, dtype=float)
     detuning = omega_inj - omega  # as simulate_phase rounds it
 
@@ -212,7 +212,7 @@ def injection_lock_scan(basis, amp, eps_list, detuning_grid, t_end=None,
     boundaries = {}
     for eps in eps_list:
         horizon = t_end if t_end is not None else max(400.0, 8.0 / eps)
-        _, _, slope = _integrate_phase(_rhs(proj, T, eps, u), len(omega_inj),
+        _, _, slope = _integrate_phase(_rhs(proj, eps, u), len(omega_inj),
                                        horizon, rtol, _N_STORE)
         best = 0.0
         for dw, s, lk in zip(detuning_grid, slope,

@@ -99,7 +99,6 @@ def simulate_sde_ensemble(basis, noise, n_paths, t_end, dt, seed,
     n_steps = int(round(t_end / dt))
     store_set = _stored_steps(n_steps, n_store)
     spline = basis.projection(noise.G)
-    T = basis.cycle.T
 
     # Each chunk continues every path's stream: path i fills its own
     # contiguous row of z, then one multiply lays the block out step-major
@@ -124,7 +123,7 @@ def simulate_sde_ensemble(basis, noise, n_paths, t_end, dt, seed,
             rng.standard_normal(out=z[i, :k])
         np.multiply(sq, z[:, :k].transpose(1, 0, 2), out=dW[:k])
         for j in range(j0, j0 + k):
-            v = spline(np.mod(j * dt + psi, T))  # (n_paths, m)
+            v = spline(j * dt + psi)  # (n_paths, m)
             psi = psi + np.sum(v * dW[j - j0], axis=1)
             if (j + 1) in store_set:
                 record(j + 1)
@@ -177,7 +176,6 @@ def solve_fp(basis, noise, psi_grid, t_end, dt, init_width=None,
     if psi.size < 8 or not np.allclose(d, d[0], rtol=1e-10, atol=0):
         raise ArgumentError("psi grid must be uniform")
     dpsi = float(d[0])
-    T = basis.cycle.T
 
     spline = basis.projection(noise.G)
     dspline = spline.derivative()
@@ -197,7 +195,7 @@ def solve_fp(basis, noise, psi_grid, t_end, dt, init_width=None,
     ts_out, p_out = [0.0], [p.copy()]
     for j in range(n_steps):
         t = j * dt
-        theta = np.mod(t + half, T)
+        theta = t + half
         v = spline(theta)
         dv = dspline(theta)
         drift = np.sum(v * dv, axis=1)          # v . dv^T/dpsi at half points

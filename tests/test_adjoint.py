@@ -92,13 +92,17 @@ def test_report_items_and_text(vdp_report):
 
 
 def test_verify_integrates_variational_once(monkeypatch, sl_basis):
-    calls = []
-    original = adjoint.state_transition
+    # Phi comes with the cycle; the adjoint period is the one integration
+    calls = {"state_transition": 0, "integrate": 0}
 
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
+    def counting(name, original):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
 
-    monkeypatch.setattr(adjoint, "state_transition", counting)
+    monkeypatch.setattr(adjoint, "state_transition",
+                        counting("state_transition", adjoint.state_transition))
+    monkeypatch.setattr(ode, "integrate", counting("integrate", ode.integrate))
     assert adjoint.verify_basis(sl_basis, 1e-5).passed
-    assert len(calls) == 1
+    assert calls == {"state_transition": 1, "integrate": 1}

@@ -116,6 +116,22 @@ def test_coarse_grid_exits_2(tmp_path, capsys):
     assert "line 14" in err and "grid" in err
 
 
+@pytest.mark.parametrize("extra,key", [
+    ("\n[basis]\ngrid = 32\n\n[ppv-fourier]\n", "grid"),
+    ("\n[noise]\ndirection = 0 0\nkind = directional\nsigma = 0.05\n"
+     "n_paths = 16\nt_end = 10.0\ndt = 0.02\n", "direction"),
+])
+def test_unrunnable_config_exits_2_before_any_stage(tmp_path, capsys, extra,
+                                                    key):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(SL_MINIMAL + extra)
+    out = tmp_path / "out"
+    assert cli.run(str(cfg), outdir=str(out)) == 2
+    err = capsys.readouterr().err
+    assert "line 14" in err and key in err
+    assert not (out / "cycle.csv").exists()
+
+
 def test_missing_config_exits_2(tmp_path):
     assert cli.run(str(tmp_path / "nope.cfg"), outdir=str(tmp_path)) == 2
 

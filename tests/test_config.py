@@ -115,6 +115,35 @@ detuning_n = 5
     assert p["t_end"] == -1.0  # default: auto horizon
 
 
+NOISE = "\n[noise]\nsigma = 0.05\nn_paths = 16\nt_end = 10.0\ndt = 0.02\n"
+
+
+@pytest.mark.parametrize("extra,bad_line", [
+    # the default harmonics = 16 exceeds the Nyquist limit 15 of grid = 32
+    ("\n[basis]\ngrid = 32\n\n[ppv-fourier]\n", "grid = 32"),
+    ("\n[basis]\ngrid = 32\n\n[ppv-fourier]\nharmonics = 16\n",
+     "harmonics = 16"),
+    ("\n[ppv-fourier]\nharmonics = 512\n", "harmonics = 512"),
+    (NOISE + "kind = directional\ndirection = 0 0\n", "direction = 0 0"),
+    (NOISE + "direction = 0 1\n", "direction = 0 1"),
+    (NOISE + "kind = isotropic\ndirection = 0 1\n", "direction = 0 1"),
+])
+def test_unrunnable_key_combinations_report_line(extra, bad_line):
+    text = BASE + extra
+    with pytest.raises(ConfigError) as exc:
+        parse_config(text)
+    assert exc.value.line == text.splitlines().index(bad_line) + 1
+
+
+def test_runnable_key_combinations_accepted():
+    cfg = parse_config(BASE + "\n[basis]\ngrid = 32\n\n[ppv-fourier]\n"
+                       "harmonics = 15\n" + NOISE + "kind = directional\n")
+    assert cfg.sections["ppv-fourier"]["harmonics"] == 15
+    # a directional run without a direction takes (1, 0)
+    np.testing.assert_array_equal(cfg.sections["noise"]["direction"],
+                                  [1.0, 0.0])
+
+
 def test_verify_defaults_without_section():
     # verification always runs; the schema owns its default tolerance
     from planar_ppv.config import _SCHEMA

@@ -68,3 +68,24 @@ def test_adjoint_periods_counts_one_period(tracer, vdp_basis):
     finally:
         undo()
     assert trace.totals["adjoint.adjoint_periods"] == 1
+
+
+def test_traced_run_reaches_the_traced_layers(tracer, tmp_path):
+    # a run that bypassed a traced name would leave its counter at zero
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("[model]\nname = stuart_landau\n\n[cycle]\n"
+                   "guess = 0.5 0.0\nsettle_time = 10.0\n\n"
+                   "[verify]\ntol = 1e-5\n")
+    trace = tracer.Tracer("t")
+    undo = tracer.install(trace)
+    try:
+        assert cli.run(str(cfg), outdir=str(tmp_path / "out")) == 0
+    finally:
+        undo()
+    assert {"cycle.find_cycle", "adjoint.verify"} <= {
+        span["name"] for span in trace.spans}
+    assert trace.totals["adjoint.state_transition_calls"] == 1
+    # settle, first return, one (x, Phi) flow per Newton iteration, the
+    # basis quadrature and the adjoint period
+    assert (trace.totals["ode.integrate_calls"]
+            == 4 + trace.totals["cycle.newton_iters"])

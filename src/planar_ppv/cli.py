@@ -81,9 +81,7 @@ def run(config_path, outdir=None):
             p = cfg.sections["lock-scan"]
             grid = np.linspace(p["detuning_min"], p["detuning_max"],
                                p["detuning_n"])
-            t_end = None if p["t_end"] <= 0 else p["t_end"]
-            lm = phase.injection_lock_scan(basis, p["amp"], p["eps"], grid,
-                                           t_end=t_end)
+            lm = phase.injection_lock_scan(basis, p["amp"], p["eps"], grid)
             phase.lockmap_to_csv(lm, os.path.join(out, "lock_scan.csv"))
             for eps in p["eps"]:
                 summary.append(f"lock_boundary_eps_{_fmt(eps)}="

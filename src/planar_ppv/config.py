@@ -91,7 +91,7 @@ _SCHEMA = {
         "detuning_min": _Key(_parse_float, _FINITE, required=True),
         "detuning_max": _Key(_parse_float, _FINITE, required=True),
         "detuning_n": _Key(_parse_int, _at_least(1), required=True),
-        # <= 0 selects the automatic horizon per eps
+        # ignored: verdicts come from the one-period map
         "t_end": _Key(_parse_float, _FINITE, -1.0)},
     "noise": {
         "kind": _Key(str, (lambda v: v in ("isotropic", "directional"),

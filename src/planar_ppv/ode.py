@@ -9,9 +9,10 @@ embedded error control and dense output:
   adjoint oracle, isochron endpoints).  At their rtol of 1e-10 to 1e-12
   it takes a fraction of the 5(4) pair's steps.
 - ``"RK45"``, the 5(4) pair with a quartic interpolant (the default),
-  for the phase ODE, whose right-hand side is a C^2 cubic spline: the
-  8th-order error estimate keeps tripping over the spline's knots, and
-  there the lower-order pair needs fewer calls.
+  for the phase ODE (the psi path of ``simulate_phase`` and the lock
+  scan's one-period map), whose right-hand side is a C^2 cubic spline:
+  the 8th-order error estimate keeps tripping over the spline's knots,
+  and there the lower-order pair needs fewer calls.
 """
 
 import numpy as np

@@ -4,14 +4,24 @@ The phase deviation obeys the scalar nonautonomous ODE
 ``dpsi/dt = eps * u(t) * v1(t + psi)^T G(x0(t + psi))`` for separable
 forcing g = G(x) u(t); the state dependence is the periodic projection
 ``basis.projection(G)``, so one simulation costs O(steps) regardless of
-how the cycle was obtained.  Independent deviations that share eps, G and
-a horizon integrate together as one vector state: the lock scan runs each
-eps row of its detuning grid as a single integration.
+how the cycle was obtained.
+
+Under injection u = cos(omega_inj t) the phase theta = t + psi obeys
+theta' = 1 + eps cos(omega_inj t) proj(theta), periodic in t (period
+T_inj = 2 pi / omega_inj) and in theta (period T), so its map over one
+forcing period lifts a circle map (Adler, Proc. IRE 34, 1946).  Lock
+verdicts and frequency shifts come from that map, with no horizon: a
+point locks 1:1 iff D(theta) = Psi(theta) - theta - (T - T_inj) changes
+sign, and an unlocked point's shift is the map's rotation number, a
+smooth-weighted Birkhoff average (Das et al., Nonlinearity 30, 2017).
+The lock scan evaluates the map at _MAP_PHASES phases for every detuning
+of an eps row as one vectorized state over one forcing period.
 """
 
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
+from scipy.interpolate import CubicSpline
 
 from . import ode
 from .errors import ArgumentError
@@ -20,8 +30,20 @@ __all__ = ["Perturbation", "PhasePath", "PPVSpectrum", "phase_rhs",
            "simulate_phase", "ppv_fourier", "injection_lock_scan",
            "LockMap", "spectrum_to_csv", "lockmap_to_csv"]
 
-_LOCK_SLOPE_TOL = 1e-4
 _N_STORE = 2000  # psi samples per path
+_MAP_PHASES = 64  # initial phases per detuning on the one-period map
+_MAP_RTOL = 1e-10
+_BIRKHOFF_ITERS = 4096  # map iterations per unlocked rotation number
+
+
+def _bump_weights(n):
+    """Das et al.'s weights exp(-1 / (t (1 - t))) at n interior points."""
+    t = np.arange(1, n + 1) / (n + 1.0)
+    w = np.exp(-1.0 / (t * (1.0 - t)))
+    return w / w.sum()
+
+
+_BIRKHOFF_WEIGHTS = _bump_weights(_BIRKHOFF_ITERS)
 
 
 @dataclass(frozen=True)
@@ -29,7 +51,9 @@ class Perturbation:
     """Separable deterministic forcing g(x, t) = G(x) u(t), strength eps.
 
     ``G`` maps a cycle point to a (2,) input direction and ``u`` is the
-    scalar time profile.  Noise is not a perturbation: the stochastic
+    scalar time profile.  ``omega_inj`` marks an injection
+    u = cos(omega_inj t + phase), whose lock verdict and frequency shift
+    do not depend on the phase offset.  Noise is not a perturbation: the stochastic
     module takes a :class:`~planar_ppv.stochastic.NoiseModel` directly.
     """
 
@@ -63,18 +87,18 @@ class Perturbation:
 
 @dataclass(frozen=True)
 class PhasePath:
-    """psi(t) trajectory with final-window lock diagnostics."""
+    """psi(t) trajectory with the lock verdict and mean frequency shift."""
 
     ts: np.ndarray
     psi: np.ndarray
     locked: bool
-    mean_slope: float
+    mean_freq_shift: float
     omega: float
     detuning: float = None
 
     @property
-    def mean_freq_shift(self):
-        return self.omega * self.mean_slope
+    def mean_slope(self):
+        return self.mean_freq_shift / self.omega
 
     @property
     def beat(self):
@@ -102,42 +126,114 @@ def phase_rhs(basis, pert):
     return _rhs(basis.projection(pert.G), pert.eps, pert.u)
 
 
-def _integrate_phase(rhs, n, t_end, rtol, n_store):
-    """n phase deviations from psi(0) = 0, integrated as one (n,) state.
+def _period_map(proj, T, eps, omega_inj):
+    """D(theta_m) = Psi(theta_m) - theta_m - (T - T_inj), theta_m = m T / M.
 
-    Returns the sample times (n_store,), psi (n, n_store) and each row's
-    least-squares slope over the last fifth of the horizon.  The step
-    sequence is shared, so the error control sees the RMS over the rows.
+    Psi is the map of psi over one forcing period.  Every detuning's M
+    phases are one (n * M,) state integrated over s in [0, 1], t = s T_inj,
+    so the whole row shares one step sequence.  Returns D as (n, M).
     """
+    n, M = len(omega_inj), _MAP_PHASES
+    t_inj = (2.0 * np.pi / omega_inj)[:, None]
+    theta = np.arange(M) * (T / M)
+    scale = eps * t_inj
+
+    def rhs(s, psi):
+        psi = psi.reshape(n, M)
+        return (scale * np.cos(2.0 * np.pi * s)
+                * proj(s * t_inj + psi)).ravel()
+
     # RK45, not DOP853: the RHS is a C^2 spline (see ``ode``)
-    traj = ode.integrate(rhs, np.zeros(n), 0.0, t_end, rtol=rtol, atol=1e-12,
-                         method="RK45")
-    ts = np.linspace(0.0, t_end, n_store)
-    psi = traj(ts)
-    tail = ts >= 0.8 * t_end
-    slope = np.polyfit(ts[tail], psi[:, tail].T, 1)[0]
-    return ts, psi, slope
+    traj = ode.integrate(rhs, np.tile(theta, n), 0.0, 1.0, rtol=_MAP_RTOL,
+                         atol=1e-12, method="RK45")
+    return traj.final.reshape(n, M) - theta - (T - t_inj)
 
 
-def _is_locked(slope, detuning, omega):
-    """Tail slope within _LOCK_SLOPE_TOL of the detuning's phase slope."""
-    return np.abs(slope - detuning / omega) < _LOCK_SLOPE_TOL
+def _piece_extrema(c, h):
+    """Min and max over [0, h] of cubics sum_k c[k] x^(3-k), per column."""
+    a, b, d = 3.0 * c[0], 2.0 * c[1], c[2]
+    disc = b * b - 4.0 * a * d
+    with np.errstate(divide="ignore", invalid="ignore"):
+        q = -0.5 * (b + np.copysign(np.sqrt(disc), b))
+        xs = np.stack([np.zeros_like(a), np.full_like(a, h), q / a, d / q])
+    xs = np.where((xs >= 0.0) & (xs <= h), xs, 0.0)  # drops nan as well
+    vals = ((c[0] * xs + c[1]) * xs + c[2]) * xs + c[3]
+    return vals.min(axis=(0, 1)), vals.max(axis=(0, 1))
+
+
+def _lock_row(proj, T, omega, eps, detuning):
+    """Lock verdicts and mean frequency shifts of one eps row.
+
+    A point locks 1:1 iff D changes sign on its periodic spline: then the
+    shift is its detuning exactly.  Otherwise the shift is the rotation
+    number of theta <- theta + T + D(theta), a smooth-weighted Birkhoff
+    average over _BIRKHOFF_ITERS iterations, vectorized over the row.
+    """
+    omega_inj = omega + detuning
+    for dw, w in zip(detuning, omega_inj):
+        if not w > 0:
+            raise ArgumentError(f"detuning {dw:.17g} puts the injection "
+                                f"frequency at {w:.17g} <= 0")
+    M = _MAP_PHASES
+    h = T / M
+    D = _period_map(proj, T, eps, omega_inj)
+    spl = CubicSpline(np.arange(M + 1) * h, np.vstack([D.T, D.T[:1]]),
+                      axis=0, bc_type="periodic")
+    lo, hi = _piece_extrema(spl.c, h)
+    locked = (lo <= 0.0) & (hi >= 0.0)
+    shift = detuning.copy()
+    free = np.flatnonzero(~locked)
+    if free.size:
+        t_inj = 2.0 * np.pi / omega_inj[free]
+        mean_d = _birkhoff_mean(spl.c[:, :, free], h, T)
+        shift[free] = omega * (T + mean_d - t_inj) / t_inj
+    return locked, shift
+
+
+def _birkhoff_mean(c, h, T):
+    """Weighted Birkhoff average of D along theta <- theta + D(theta) mod T.
+
+    ``c`` holds the periodic spline's cubic pieces, (4, M, k) for k maps
+    iterated together from theta = 0.
+    """
+    cols = np.arange(c.shape[2])
+    theta = np.zeros(c.shape[2])
+    mean = np.zeros(c.shape[2])
+    for w in _BIRKHOFF_WEIGHTS:
+        i = np.minimum((theta // h).astype(int), c.shape[1] - 1)
+        x = theta - i * h
+        ci = c[:, i, cols]
+        d = ((ci[0] * x + ci[1]) * x + ci[2]) * x + ci[3]
+        mean += w * d
+        theta = np.mod(theta + d, T)
+    return mean
 
 
 def simulate_phase(basis, pert, t_end, rtol=1e-8, n_store=_N_STORE):
-    """Integrate the phase-deviation ODE from psi(0) = 0."""
+    """Integrate the phase-deviation ODE from psi(0) = 0.
+
+    Under injection (``pert.omega_inj`` set) the lock verdict and the
+    frequency shift come from the one-period map, as in
+    :func:`injection_lock_scan`; otherwise the shift is omega psi(t_end) /
+    t_end, exact for :meth:`Perturbation.along_flow`.
+    """
     if t_end <= 0:
         raise ArgumentError("t_end must be positive")
-    ts, psi, slope = _integrate_phase(phase_rhs(basis, pert), 1, t_end,
-                                      rtol, n_store)
+    proj = basis.projection(pert.G)
+    # RK45, not DOP853: the RHS is a C^2 spline (see ``ode``)
+    traj = ode.integrate(_rhs(proj, pert.eps, pert.u), [0.0], 0.0, t_end,
+                         rtol=rtol, atol=1e-12, method="RK45")
+    ts = np.linspace(0.0, t_end, n_store)
+    psi = traj(ts)[0]
     omega = basis.omega
-    locked = False
-    detuning = None
-    if pert.omega_inj is not None:
-        detuning = pert.omega_inj - omega
-        locked = bool(_is_locked(slope[0], detuning, omega))
-    return PhasePath(ts=ts, psi=psi[0], locked=locked,
-                     mean_slope=float(slope[0]), omega=omega,
+    if pert.omega_inj is None:
+        return PhasePath(ts=ts, psi=psi, locked=False,
+                         mean_freq_shift=omega * psi[-1] / t_end, omega=omega)
+    detuning = pert.omega_inj - omega
+    (locked,), (shift,) = _lock_row(proj, basis.cycle.T, omega, pert.eps,
+                                    np.array([detuning]))
+    return PhasePath(ts=ts, psi=psi, locked=bool(locked),
+                     mean_freq_shift=float(shift), omega=omega,
                      detuning=detuning)
 
 
@@ -185,15 +281,14 @@ class LockMap:
     boundaries: dict = dc_field(default_factory=dict)  # eps -> max locked |dw|
 
 
-def injection_lock_scan(basis, amp, eps_list, detuning_grid, t_end=None,
-                        rtol=1e-8):
+def injection_lock_scan(basis, amp, eps_list, detuning_grid):
     """Sweep sinusoidal injection over strength and detuning grids.
 
     Records the lock flag and mean frequency shift per grid point and an
     Arnold-tongue boundary estimate (largest locked |detuning|) per eps.
-    Each eps row integrates every detuning as one vectorized state over
-    the projection of ``amp``, built once; a one-point grid is exactly
-    :func:`simulate_phase` at that point.
+    Each eps row is one integration of the one-period map over the
+    projection of ``amp``, built once; a one-point grid gives exactly
+    :func:`simulate_phase`'s verdict and shift at that point.
     """
     eps_list = list(eps_list)
     detuning_grid = list(detuning_grid)
@@ -201,23 +296,16 @@ def injection_lock_scan(basis, amp, eps_list, detuning_grid, t_end=None,
         raise ArgumentError("empty scan grid")
     amp = np.asarray(amp, dtype=float)
     proj = basis.projection(lambda x: amp)
-    omega = basis.omega
-    omega_inj = omega + np.array(detuning_grid, dtype=float)
-    detuning = omega_inj - omega  # as simulate_phase rounds it
-
-    def u(t):
-        return np.cos(omega_inj * t)
+    detuning = np.array(detuning_grid, dtype=float)
 
     rows = []
     boundaries = {}
     for eps in eps_list:
-        horizon = t_end if t_end is not None else max(400.0, 8.0 / eps)
-        _, _, slope = _integrate_phase(_rhs(proj, eps, u), len(omega_inj),
-                                       horizon, rtol, _N_STORE)
+        locked, shift = _lock_row(proj, basis.cycle.T, basis.omega, eps,
+                                  detuning)
         best = 0.0
-        for dw, s, lk in zip(detuning_grid, slope,
-                             _is_locked(slope, detuning, omega)):
-            rows.append((eps, dw, bool(lk), omega * float(s)))
+        for dw, lk, sh in zip(detuning_grid, locked, shift):
+            rows.append((eps, dw, bool(lk), float(sh)))
             if lk:
                 best = max(best, abs(dw))
         boundaries[eps] = best

@@ -140,8 +140,7 @@ def test_criterion_4_phase_model_sanity(sl_basis, sl_model, vdp_basis,
     # lock-range linearity over one eps doubling
     t0 = time.perf_counter()
     grid = np.arange(0.0, 0.0121, 0.0005)
-    lm = pp.injection_lock_scan(sl_basis, [1.0, 0.0], [0.005, 0.01], grid,
-                                t_end=2000.0, rtol=1e-7)
+    lm = pp.injection_lock_scan(sl_basis, [1.0, 0.0], [0.005, 0.01], grid)
     scan_time = time.perf_counter() - t0
     ratio = lm.boundaries[0.01] / lm.boundaries[0.005]
 

@@ -3,6 +3,7 @@ import pytest
 from scipy.integrate import quad
 
 import planar_ppv as pp
+from planar_ppv import ode
 from planar_ppv.errors import ArgumentError
 from planar_ppv.phase import Perturbation, phase_rhs, spectrum_to_csv
 
@@ -113,7 +114,7 @@ def test_no_lock_outside_tongue(sl_basis):
 
 def test_lock_scan_rows_and_boundary(sl_basis):
     lm = pp.injection_lock_scan(sl_basis, [1.0, 0.0], [0.01],
-                                [0.0, 0.002, 0.05], t_end=2000.0)
+                                [0.0, 0.002, 0.05])
     assert len(lm.rows) == 3
     by_dw = {r[1]: r[2] for r in lm.rows}
     assert by_dw[0.0] and by_dw[0.002] and not by_dw[0.05]
@@ -124,14 +125,35 @@ def test_lock_scan_rows_grouped_by_eps(sl_basis):
     # rows run eps-major, and each eps row is its own integration: the
     # 0.01 rows do not depend on which other eps values the scan holds
     grid = [0.0, 0.002, 0.05]
-    one = pp.injection_lock_scan(sl_basis, [1.0, 0.0], [0.01], grid,
-                                 t_end=400.0)
-    both = pp.injection_lock_scan(sl_basis, [1.0, 0.0], [0.005, 0.01], grid,
-                                  t_end=400.0)
+    one = pp.injection_lock_scan(sl_basis, [1.0, 0.0], [0.01], grid)
+    both = pp.injection_lock_scan(sl_basis, [1.0, 0.0], [0.005, 0.01], grid)
     assert [r[:2] for r in both.rows] == [(e, dw) for e in (0.005, 0.01)
                                           for dw in grid]
     assert both.rows[3:] == one.rows
     assert both.boundaries[0.01] == one.boundaries[0.01]
+
+
+def _strobe_psi_lock(basis, amp, eps, detunings, horizon):
+    """Independent reference verdicts: simulate psi for every detuning as
+    one state over ``horizon`` and call a point locked iff
+    psi(k T_inj) - k (T - T_inj) stays bounded over the last 40 forcing
+    periods."""
+    T = basis.cycle.T
+    proj = basis.projection(lambda x: np.asarray(amp, dtype=float))
+    omega_inj = basis.omega + np.asarray(detunings, dtype=float)
+
+    def rhs(t, psi):
+        return eps * np.cos(omega_inj * t) * proj(t + psi)
+
+    traj = ode.integrate(rhs, np.zeros(len(omega_inj)), 0.0, horizon,
+                         rtol=1e-8, atol=1e-12)
+    verdicts = []
+    for j, w in enumerate(omega_inj):
+        t_inj = 2.0 * np.pi / w
+        k = np.arange(int(horizon / t_inj) - 40, int(horizon / t_inj) + 1)
+        drift = traj(k * t_inj)[j] - k * (T - t_inj)
+        verdicts.append(bool(np.ptp(drift) < 0.05))
+    return verdicts
 
 
 @pytest.mark.parametrize("which,grid", [
@@ -140,30 +162,107 @@ def test_lock_scan_rows_grouped_by_eps(sl_basis):
     ("vdp", [-0.009, -0.003, 0.003, 0.009]),
 ])
 def test_lock_scan_matches_per_point_model(which, grid, sl_basis, vdp_basis):
-    # every verdict matches per-point simulate_phase at the scan's rtol,
-    # every frequency shift a per-point rtol 1e-11 reference
+    # every map verdict equals that of a horizon-6000 psi simulation
     basis = sl_basis if which == "sl" else vdp_basis
     eps = 0.01
     lm = pp.injection_lock_scan(basis, [1.0, 0.0], [eps], grid)
-    horizon = max(400.0, 8.0 / eps)
-    verdicts = []
-    for _, dw, locked, shift in lm.rows:
-        pert = Perturbation.sinusoidal([1.0, 0.0], basis.omega + dw, eps)
-        assert locked == pp.simulate_phase(basis, pert, horizon).locked
-        ref = pp.simulate_phase(basis, pert, horizon, rtol=1e-11)
-        assert abs(shift - ref.mean_freq_shift) < 1e-7
-        verdicts.append(locked)
+    verdicts = [r[2] for r in lm.rows]
+    assert verdicts == _strobe_psi_lock(basis, [1.0, 0.0], eps, grid, 6000.0)
     assert verdicts[0] is False and verdicts[-1] is False
     assert any(verdicts)
 
 
 def test_lock_scan_one_point_is_simulate_phase(sl_basis):
-    # a one-point grid is the batch of one simulate_phase integrates
-    eps, dw = 0.01, 0.002
-    lm = pp.injection_lock_scan(sl_basis, [1.0, 0.0], [eps], [dw])
-    pert = Perturbation.sinusoidal([1.0, 0.0], sl_basis.omega + dw, eps)
-    path = pp.simulate_phase(sl_basis, pert, max(400.0, 8.0 / eps))
-    assert lm.rows == ((eps, dw, path.locked, path.mean_freq_shift),)
+    # a one-point scan gives simulate_phase's map verdict and shift; each
+    # dw is a difference (omega + d) - omega, so that simulate_phase's
+    # detuning omega_inj - omega is dw to the bit
+    for eps, d in ((0.01, 0.002), (0.01, 0.008)):
+        dw = (sl_basis.omega + d) - sl_basis.omega
+        lm = pp.injection_lock_scan(sl_basis, [1.0, 0.0], [eps], [dw])
+        pert = Perturbation.sinusoidal([1.0, 0.0], sl_basis.omega + dw, eps)
+        path = pp.simulate_phase(sl_basis, pert, 50.0)
+        assert lm.rows == ((eps, dw, path.locked, path.mean_freq_shift),)
+
+
+def test_lock_scan_rejects_nonpositive_injection(sl_basis):
+    # omega + dw <= 0 leaves T_inj undefined; the error names the detuning
+    with pytest.raises(ArgumentError, match="-1.5"):
+        pp.injection_lock_scan(sl_basis, [1.0, 0.0], [0.01], [0.0, -1.5])
+
+
+def _adler_edges(basis, eps, hw, tol=1e-9):
+    """Tongue edges (lower, upper) by multisection on the map's sign test,
+    each bracketed in [0.5, 1.5] x the Adler half-width ``hw``."""
+    edges = []
+    for sign in (-1.0, 1.0):
+        inside, outside = 0.5 * hw, 1.5 * hw
+        while outside - inside > tol:
+            grid = np.linspace(inside, outside, 17)
+            lm = pp.injection_lock_scan(basis, [1.0, 0.0], [eps], sign * grid)
+            locked = np.array([r[2] for r in lm.rows])
+            i = int(np.argmin(locked))  # first unlocked point
+            assert i > 0 and not locked[i:].any()
+            inside, outside = grid[i - 1], grid[i]
+        edges.append(sign * 0.5 * (inside + outside))
+    return edges
+
+
+def test_lock_map_adler_second_order(vdp_basis):
+    # Adler's half-width eps omega |V1 . amp| is the O(eps) term: the
+    # map's edges and unlocked shifts approach it with an O(eps^2) error
+    amp = np.array([1.0, 0.0])
+    hw1 = vdp_basis.omega * abs(pp.ppv_fourier(vdp_basis, 16).coefficient(1)
+                                @ amp)
+    edge_err, shift_err = [], []
+    for eps in (0.01, 0.005):
+        hw = eps * hw1
+        lo, hi = _adler_edges(vdp_basis, eps, hw)
+        assert lo < 0.0 < hi
+        edge_err.append(max(abs(hi - hw), abs(lo + hw)))
+        if eps == 0.01:
+            # the O(eps^2) asymmetry of the tongue shows
+            assert abs(hi + lo) > 1e-6
+            assert hi == pytest.approx(0.006011, abs=2e-6)
+            assert lo == pytest.approx(-0.006029, abs=2e-6)
+        dws = np.array([-2.5, 2.5]) * hw
+        lm = pp.injection_lock_scan(vdp_basis, amp, [eps], dws)
+        adler = dws - np.sign(dws) * np.sqrt(dws ** 2 - hw ** 2)
+        assert not any(r[2] for r in lm.rows)
+        shift_err.append(np.max(np.abs([r[3] for r in lm.rows] - adler)))
+    assert edge_err[1] * 3.0 <= edge_err[0]
+    assert shift_err[1] * 3.0 <= shift_err[0]
+
+
+def test_full_system_agrees_with_lock_map(vdp_model, vdp_basis, vdp_cycle):
+    # ground truth: the forced oscillator x' = f(x) + eps amp cos(w t)
+    # itself, integrated through models and ode only; its stroboscopic
+    # samples x(k T_inj) settle iff the map says locked
+    eps, amp = 0.05, np.array([1.0, 0.0])
+    hw = eps * vdp_basis.omega * abs(
+        pp.ppv_fourier(vdp_basis, 16).coefficient(1) @ amp)
+    dws = np.array([0.7, 1.3]) * hw
+    lm = pp.injection_lock_scan(vdp_basis, amp, [eps], dws)
+    assert [r[2] for r in lm.rows] == [True, False]
+    omega_inj = vdp_basis.omega + dws
+
+    def rhs(t, x):
+        x = x.reshape(2, -1)
+        return (vdp_model.rhs(t, x)
+                + eps * amp[:, None] * np.cos(omega_inj * t)).ravel()
+
+    x0 = np.repeat(np.asarray(vdp_cycle.anchor, dtype=float)[:, None], 2,
+                   axis=1)
+    horizon = 1000.0
+    traj = ode.integrate(rhs, x0.ravel(), 0.0, horizon, rtol=1e-8,
+                         method="DOP853")
+    spreads = []
+    for j, w in enumerate(omega_inj):
+        t_inj = 2.0 * np.pi / w
+        k = np.arange(int(horizon / t_inj) - 40, int(horizon / t_inj) + 1)
+        x = traj(k * t_inj).reshape(2, 2, -1)[:, j]
+        spreads.append(np.max(np.ptp(x, axis=1)))
+    assert spreads[0] < 1e-5
+    assert spreads[1] > 0.05
 
 
 def test_lock_scan_empty_grid_rejected(sl_basis):

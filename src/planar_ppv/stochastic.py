@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ArgumentError, InstabilityError
+from .errors import ArgumentError, InstabilityError, InternalInconsistencyError
 
 __all__ = ["NoiseModel", "PhaseEnsemble", "DensityField",
            "simulate_sde_ensemble", "solve_fp", "diffusion_summary",
@@ -50,12 +50,11 @@ class NoiseModel:
                    label="directional")
 
 
-# Steps of Wiener increments drawn per chunk.  Two (n_paths, chunk, m)
+# Steps of Wiener increments drawn per chunk.  Two chunk x n_paths x m
 # buffers bound the ensemble's memory independently of n_steps; each chunk
 # costs one draw call per path.  At 4096 paths x 3000 steps x 2 channels on
-# a 2-vCPU x86_64 host (medians of 8 alternating rounds) the whole-array
-# draw took 3.14 s, chunks of 64, 128 and 256 steps 3.29, 3.19 and 3.05 s,
-# with buffers of 8, 17 and 34 MB.
+# a 2-vCPU x86_64 host (medians of 8 alternating rounds) chunks of 64, 128
+# and 256 steps took 1.62, 1.45 and 1.40 s, with buffers of 8, 17 and 34 MB.
 _CHUNK = 128
 
 
@@ -65,6 +64,64 @@ def _stored_steps(n_steps, n_store):
         raise ArgumentError("need n_store >= 2")
     stride = max(1, n_steps // (n_store - 1))
     return set(range(0, n_steps + 1, stride)) | {n_steps}
+
+
+class _SplineDot:
+    """v(theta)^T dW for a periodic cubic spline on uniform knots from 0.
+
+    Evaluates ``basis.projection(G)`` without its per-call wrapper and
+    per-point binary search, and returns values bit-identical to
+    ``CubicSpline.__call__``: theta is reduced with the same ``np.mod``
+    (the first knot is 0), the interval comes from one multiply on the
+    uniform grid, corrected by one knot comparison each way and closed on
+    the right as scipy closes its last interval, and the cubic is summed
+    in scipy's order of ascending powers.
+    """
+
+    def __init__(self, spline):
+        x = spline.x
+        n = x.size - 1
+        h = np.diff(x)
+        if x[0] != 0.0 or not np.allclose(h, h[0], rtol=1e-9, atol=0):
+            raise InternalInconsistencyError(
+                "spline knots are not uniform from 0")
+        self.x, self.x_next, self.n, self.T = x, x[1:], n, float(x[-1])
+        self.scale = n / self.T
+        c = spline.c.reshape(4, n, -1)
+        # per channel, the coefficients of s^0 .. s^3; scipy's power sum
+        # starts from 0.0, which turns a -0.0 constant term into 0.0
+        self.coef = [np.stack([0.0 + c[3, :, k], c[2, :, k], c[1, :, k],
+                               c[0, :, k]])
+                     for k in range(c.shape[2])]
+        self.m = len(self.coef)
+
+    def values(self, theta):
+        """v(theta) as m arrays shaped like theta."""
+        th = np.mod(theta, self.T)
+        i = (th * self.scale).astype(np.intp)
+        np.minimum(i, self.n - 1, out=i)
+        i -= th < self.x.take(i)
+        i += th >= self.x_next.take(i)
+        np.minimum(i, self.n - 1, out=i)  # np.mod can round up to T
+        s = th - self.x.take(i)
+        powers = (s, s * s, s * s * s)
+        vals = []
+        for c in self.coef:
+            v = c[0].take(i)
+            for ck, p in zip(c[1:], powers):
+                term = ck.take(i)
+                term *= p
+                v += term
+            vals.append(v)
+        return vals
+
+    def __call__(self, theta, dW):
+        """sum_k v_k(theta) dW[k], accumulated channel by channel."""
+        vals = self.values(theta)
+        acc = vals[0] * dW[0]
+        for v, w in zip(vals[1:], dW[1:]):
+            acc += v * w
+        return acc
 
 
 @dataclass(frozen=True)
@@ -98,15 +155,18 @@ def simulate_sde_ensemble(basis, noise, n_paths, t_end, dt, seed,
             f"dt = {dt} too large; need dt <= T/100 = {basis.cycle.T / 100:g}")
     n_steps = int(round(t_end / dt))
     store_set = _stored_steps(n_steps, n_store)
-    spline = basis.projection(noise.G)
+    v_dot = _SplineDot(basis.projection(noise.G))
+    if v_dot.m != noise.m:
+        raise ArgumentError(f"G gives {v_dot.m} channels, noise.m = {noise.m}")
 
     # Each chunk continues every path's stream: path i fills its own
-    # contiguous row of z, then one multiply lays the block out step-major
-    # in dW, so the step loop reads contiguous (n_paths, m) slices.
+    # contiguous row of z, then one multiply lays the block out as
+    # (step, channel, path) in dW, so each step reads one contiguous row
+    # of increments per channel.
     sq = np.sqrt(dt)
     rngs = [np.random.default_rng([int(seed), i]) for i in range(n_paths)]
     z = np.empty((n_paths, min(_CHUNK, n_steps), noise.m))
-    dW = np.empty((min(_CHUNK, n_steps), n_paths, noise.m))
+    dW = np.empty((min(_CHUNK, n_steps), noise.m, n_paths))
 
     psi = np.zeros(n_paths)
     ts_out, mean_out, var_out = [], [], []
@@ -121,10 +181,9 @@ def simulate_sde_ensemble(basis, noise, n_paths, t_end, dt, seed,
         k = min(_CHUNK, n_steps - j0)
         for i, rng in enumerate(rngs):
             rng.standard_normal(out=z[i, :k])
-        np.multiply(sq, z[:, :k].transpose(1, 0, 2), out=dW[:k])
+        np.multiply(sq, z[:, :k].transpose(1, 2, 0), out=dW[:k])
         for j in range(j0, j0 + k):
-            v = spline(j * dt + psi)  # (n_paths, m)
-            psi = psi + np.sum(v * dW[j - j0], axis=1)
+            psi = psi + v_dot(j * dt + psi, dW[j - j0])
             if (j + 1) in store_set:
                 record(j + 1)
     return PhaseEnsemble(ts=np.array(ts_out), mean=np.array(mean_out),

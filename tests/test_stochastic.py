@@ -2,10 +2,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.interpolate import CubicSpline
 
 import planar_ppv as pp
 from planar_ppv import stochastic
-from planar_ppv.errors import ArgumentError, InstabilityError
+from planar_ppv.errors import (ArgumentError, InstabilityError,
+                               InternalInconsistencyError)
 from planar_ppv.stochastic import NoiseModel, density_to_csv, ensemble_to_csv
 
 
@@ -90,11 +92,15 @@ def _assert_stats_equal(ens, ts, hist):
         ens.var, [np.var(r, ddof=1) if n > 1 else 0.0 for r in hist])
 
 
-@pytest.mark.parametrize("kind", ["isotropic", "directional"])
+@pytest.mark.parametrize("basis_name, kind", [
+    ("sl_basis", "isotropic"), ("sl_basis", "directional"),
+    ("vdp_basis", "isotropic"), ("vdp_basis", "directional")],
+    ids=["isotropic", "directional", "vdp-isotropic", "vdp-directional"])
 @pytest.mark.parametrize("steps", ["none", "below", "equal", "partial"])
-def test_chunked_draws_match_full_draw(sl_basis, kind, steps):
+def test_chunked_draws_match_full_draw(request, basis_name, kind, steps):
     # the chunked increments continue each path's stream, so the ensemble
-    # is bit-identical to one drawn whole
+    # is bit-identical to one drawn whole and stepped on the spline itself
+    basis = request.getfixturevalue(basis_name)
     chunk = stochastic._CHUNK
     n_steps = {"none": 0, "below": chunk // 2 + 1, "equal": chunk,
                "partial": 2 * chunk + 37}[steps]
@@ -102,12 +108,89 @@ def test_chunked_draws_match_full_draw(sl_basis, kind, steps):
              else NoiseModel.directional(0.05, [1.0, 0.5]))
     dt = 0.01
     t_end = (n_steps or 0.4) * dt  # 0.4 of a step rounds to no step
-    ens = pp.simulate_sde_ensemble(sl_basis, noise, 33, t_end, dt, seed=9,
+    ens = pp.simulate_sde_ensemble(basis, noise, 33, t_end, dt, seed=9,
                                    n_store=50)
-    ts, hist = _reference_paths(sl_basis, noise, range(33), t_end, dt, 9,
+    ts, hist = _reference_paths(basis, noise, range(33), t_end, dt, 9,
                                 n_store=50)
     assert ts[-1] == n_steps * dt
     _assert_stats_equal(ens, ts, hist)
+
+
+def _adversarial_phases(T, knots):
+    """Knots and their neighbours, negative phases, phases next to k*T on
+    both sides (some of which np.mod rounds up to T) and phases up to
+    1e3*T."""
+    k = np.arange(-1000.0, 1001.0)
+    near = np.concatenate([knots, k * T, [1e-300, 5e-324, 1e-17]])
+    theta = np.concatenate([near, np.nextafter(near, np.inf),
+                            np.nextafter(near, -np.inf)])
+    theta = np.concatenate([theta, -theta,
+                            np.random.default_rng(4).uniform(-1e3, 1e3, 4096)
+                            * T])
+    assert np.any(np.mod(theta, T) == T)
+    return theta
+
+
+@pytest.mark.parametrize("kind", ["isotropic", "directional"])
+@pytest.mark.parametrize("basis_name", ["sl_basis", "vdp_basis"])
+def test_spline_dot_matches_cubic_spline(request, basis_name, kind):
+    # the ensemble's kernel gives CubicSpline.__call__'s values to the bit
+    # (signed zeros included) and the same v^T dW as the reference sum
+    basis = request.getfixturevalue(basis_name)
+    noise = (NoiseModel.isotropic(0.05) if kind == "isotropic"
+             else NoiseModel.directional(0.05, [1.0, 0.5]))
+    spline = basis.projection(noise.G)
+    v_dot = stochastic._SplineDot(spline)
+    assert v_dot.m == noise.m
+    theta = _adversarial_phases(basis.cycle.T, spline.x)
+    want = spline(theta)
+    got = np.stack(v_dot.values(theta), axis=1)
+    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+    dW = np.random.default_rng(5).standard_normal((noise.m, theta.size))
+    np.testing.assert_array_equal(v_dot(theta, dW),
+                                  np.sum(want * dW.T, axis=1))
+
+
+def test_spline_dot_knots():
+    # any uniform periodic spline from 0 is taken, down to the sign of a
+    # zero (scipy's power sum starts from +0.0); other knots raise
+    x = np.linspace(0.0, 2 * np.pi, 65)
+    y = np.stack([np.cos(x), np.zeros_like(x)], axis=1)
+    y[-1] = y[0]
+    spline = CubicSpline(x, y, axis=0, bc_type="periodic")
+    spline.c[:, :, 1] = -0.0
+    theta = _adversarial_phases(2 * np.pi, x)
+    got = np.stack(stochastic._SplineDot(spline).values(theta), axis=1)
+    np.testing.assert_array_equal(got.view(np.int64),
+                                  spline(theta).view(np.int64))
+    bent = x.copy()
+    bent[10] += 0.3 * (x[1] - x[0])
+    for knots in (bent, x + 1.0):
+        with pytest.raises(InternalInconsistencyError):
+            stochastic._SplineDot(
+                CubicSpline(knots, y, axis=0, bc_type="periodic"))
+
+
+def test_sde_spline_calls_independent_of_steps(monkeypatch, sl_basis):
+    # the step loop evaluates the projection through the ensemble's own
+    # kernel, so ten times the steps makes no more CubicSpline calls (a
+    # call per step would make ten times as many)
+    calls = []
+    original = CubicSpline.__call__
+
+    def counting(self, *args, **kwargs):
+        calls.append(1)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(CubicSpline, "__call__", counting)
+    noise = NoiseModel.isotropic(0.05)
+    counts = []
+    for n_steps in (1000, 10000):
+        calls.clear()
+        pp.simulate_sde_ensemble(sl_basis, noise, 8, n_steps * 0.01, 0.01,
+                                 seed=2)
+        counts.append(len(calls))
+    assert counts[1] <= counts[0] < 1000
 
 
 def test_sde_memory_independent_of_steps(sl_basis):
@@ -168,6 +251,11 @@ def test_sde_argument_validation(sl_basis):
     with pytest.raises(ArgumentError):
         # dt above T/100
         pp.simulate_sde_ensemble(sl_basis, noise, 4, 1.0, 1.0, seed=1)
+    with pytest.raises(ArgumentError):
+        # G gives two channels, m says one
+        pp.simulate_sde_ensemble(
+            sl_basis, NoiseModel(G=lambda x: np.eye(2), m=1, sigma=1.0),
+            4, 1.0, 0.01, seed=1)
     with pytest.raises(ArgumentError):
         NoiseModel.isotropic(-0.1)
     with pytest.raises(ArgumentError):

@@ -14,35 +14,23 @@ import numpy as np
 from . import ode
 from .errors import OracleFailureError
 
-__all__ = ["StateTransition", "state_transition", "numeric_ppv",
-           "verify_basis", "VerificationReport"]
+__all__ = ["state_transition", "numeric_ppv", "verify_basis",
+           "VerificationReport"]
 
 _RTOL = 1e-11
 _PERIODIC_TOL = 1e-9
 
 
-class StateTransition:
-    """Phi(t, 0) over one period: ``st(t)`` is ``cycle.phi(t)`` and
-    ``st.monodromy`` is ``cycle.monodromy``."""
-
-    def __init__(self, cycle):
-        self._phi = cycle.phi
-        self.monodromy = cycle.monodromy
-
-    def __call__(self, t):
-        return self._phi(t)
-
-
 def state_transition(cycle):
-    """The cycle's own Phi(t, 0); integrates nothing."""
-    return StateTransition(cycle)
+    """The cycle's own Phi(t, 0) as a callable of t; integrates nothing."""
+    return cycle.phi
 
 
-def numeric_ppv(cycle, monodromy, n):
+def numeric_ppv(cycle, n):
     """PPV samples over one period from one backward adjoint integration.
 
     The periodic solution of dy/dt = -A^T y starts at the left eigenvector
-    of the monodromy for the multiplier 1, scaled so y^T f = 1 at the
+    of ``cycle.monodromy`` for the multiplier 1, scaled so y^T f = 1 at the
     anchor.  One backward period from there (backward, so the
     non-periodic adjoint mode contracts) gives y on [0, T].  Returns
     ``(ts, ys, defects)`` with ``ts`` the n uniform sample times and
@@ -59,7 +47,7 @@ def numeric_ppv(cycle, monodromy, n):
         A = model.jacobian(cycle.point(-s))
         return A.T @ z
 
-    mults, vecs = np.linalg.eig(monodromy.T)
+    mults, vecs = np.linalg.eig(cycle.monodromy.T)
     y0 = vecs[:, np.argmin(np.abs(mults - 1.0))].real
     scale = y0 @ model.field(cycle.anchor)
     if scale == 0.0:
@@ -134,13 +122,13 @@ def verify_basis(basis, tol):
     adjoint_residual = (np.max(np.linalg.norm(dv + rhs, axis=0))
                         / np.max(np.linalg.norm(rhs, axis=0)))
 
-    st = state_transition(cycle)
-    eigs = np.sort(np.abs(np.linalg.eigvals(st.monodromy)))
+    phi = state_transition(cycle)
+    eigs = np.sort(np.abs(np.linalg.eigvals(cycle.monodromy)))
     lam2 = eigs[0] if abs(eigs[1] - 1.0) < abs(eigs[0] - 1.0) else eigs[1]
     mu2_num = np.log(lam2) / T
     mono_mismatch = abs(basis.mu2 - mu2_num) / abs(basis.mu2)
 
-    nt, ny, _ = numeric_ppv(cycle, st.monodromy, 256)
+    nt, ny, _ = numeric_ppv(cycle, 256)
     v1c = basis.v1(nt).T
     v1_mismatch = (np.max(np.linalg.norm(v1c - ny, axis=1))
                    / np.max(np.linalg.norm(ny, axis=1)))
@@ -148,7 +136,7 @@ def verify_basis(basis, tol):
     # Liouville: det Phi(t) = exp(int div f) on 16 times
     liouville = 0.0
     for t in np.linspace(T / 16, T, 16):
-        det = np.linalg.det(st(float(t)))
+        det = np.linalg.det(phi(float(t)))
         b = float(basis.b(float(t)))
         liouville = max(liouville, abs(det - b) / b)
 

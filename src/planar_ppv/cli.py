@@ -26,8 +26,8 @@ def run(config_path, outdir=None):
     """Execute the configured pipeline; returns the process exit status."""
     try:
         cfg = load_config(config_path)
-    except FileNotFoundError:
-        print(f"config not found: {config_path}", file=sys.stderr)
+    except (OSError, UnicodeDecodeError) as exc:
+        print(f"cannot read config {config_path}: {exc}", file=sys.stderr)
         return 2
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

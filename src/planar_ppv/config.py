@@ -25,14 +25,6 @@ _DEFAULT_GUESS = {
 }
 
 
-def _parse_float(s):
-    return float(s)
-
-
-def _parse_int(s):
-    return int(s)
-
-
 def _parse_bool(s):
     if s.lower() in ("true", "1", "yes"):
         return True
@@ -78,37 +70,37 @@ _NONNEGATIVE = (lambda v: 0 <= v < np.inf, "finite and >= 0")
 _SCHEMA = {
     "model": None,  # validated via the model registry
     "cycle": {"guess": _Key(_parse_vec2, _FINITE),
-              "settle_time": _Key(_parse_float, _NONNEGATIVE, 100.0),
-              "tol": _Key(_parse_float, _POSITIVE, 1e-10)},
-    "basis": {"grid": _Key(_parse_int, _at_least(16), 1024)},
+              "settle_time": _Key(float, _NONNEGATIVE, 100.0),
+              "tol": _Key(float, _POSITIVE, 1e-10)},
+    "basis": {"grid": _Key(int, _at_least(16), 1024)},
     "output": {"dir": _Key(str, None, "out"),
-               "seed": _Key(_parse_int, None, 0)},
-    "verify": {"tol": _Key(_parse_float, _POSITIVE, 1e-5)},
-    "ppv-fourier": {"harmonics": _Key(_parse_int, _at_least(1), 16)},
+               "seed": _Key(int, _at_least(0), 0)},
+    "verify": {"tol": _Key(float, _POSITIVE, 1e-5)},
+    "ppv-fourier": {"harmonics": _Key(int, _at_least(1), 16)},
     "lock-scan": {
         "amp": _Key(_parse_vec2, _FINITE, required=True),
         "eps": _Key(_parse_floats, _POSITIVE, required=True),
-        "detuning_min": _Key(_parse_float, _FINITE, required=True),
-        "detuning_max": _Key(_parse_float, _FINITE, required=True),
-        "detuning_n": _Key(_parse_int, _at_least(1), required=True),
+        "detuning_min": _Key(float, _FINITE, required=True),
+        "detuning_max": _Key(float, _FINITE, required=True),
+        "detuning_n": _Key(int, _at_least(1), required=True),
         # ignored: verdicts come from the one-period map
-        "t_end": _Key(_parse_float, _FINITE, -1.0)},
+        "t_end": _Key(float, _FINITE, -1.0)},
     "noise": {
         "kind": _Key(str, (lambda v: v in ("isotropic", "directional"),
                            "isotropic or directional"), "isotropic"),
-        "sigma": _Key(_parse_float, _NONNEGATIVE, required=True),
+        "sigma": _Key(float, _NONNEGATIVE, required=True),
         "direction": _Key(_parse_vec2, _FINITE, (1.0, 0.0)),
-        "n_paths": _Key(_parse_int, _at_least(1), required=True),
-        "t_end": _Key(_parse_float, _POSITIVE, required=True),
-        "dt": _Key(_parse_float, _POSITIVE, required=True),
+        "n_paths": _Key(int, _at_least(1), required=True),
+        "t_end": _Key(float, _POSITIVE, required=True),
+        "dt": _Key(float, _POSITIVE, required=True),
         "density": _Key(_parse_bool, None, True),
-        "density_cells": _Key(_parse_int, _at_least(8), 321),
+        "density_cells": _Key(int, _at_least(8), 321),
         # <= 0 sizes the grid from the predicted diffusion
-        "density_halfwidth": _Key(_parse_float, _FINITE, -1.0)},
+        "density_halfwidth": _Key(float, _FINITE, -1.0)},
     "isochron": {
-        "t_star": _Key(_parse_float, _FINITE, required=True),
+        "t_star": _Key(float, _FINITE, required=True),
         "offsets": _Key(_parse_floats, _FINITE, required=True),
-        "horizon": _Key(_parse_float, _POSITIVE, required=True)},
+        "horizon": _Key(float, _POSITIVE, required=True)},
 }
 
 
@@ -230,6 +222,14 @@ def _check_cross_keys(sections, grid, lines):
         raise ConfigError(f"harmonics = {K} over grid Nyquist {grid // 2 - 1}",
                           line=lines.get(("ppv-fourier", "harmonics"),
                                          lines.get(("basis", "grid"))))
+    if "noise" not in sections:
+        return
+    # the ensemble takes round(t_end / dt) steps of dt; the density solve
+    # ends on t_end itself, so the two must agree
+    t_end, dt = sections["noise"]["t_end"], sections["noise"]["dt"]
+    if not abs(np.rint(t_end / dt) * dt - t_end) <= 1e-9 * t_end:
+        raise ConfigError(f"t_end = {t_end:g} is not a whole number of "
+                          f"dt = {dt:g} steps", line=lines["noise", "t_end"])
     line = lines.get(("noise", "direction"))
     if line is None:
         return

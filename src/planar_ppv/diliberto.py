@@ -34,6 +34,7 @@ __all__ = [
 ]
 
 _DEGENERATE_TOL = 1e-12
+_RTOL = 1e-12  # of the (I_div, I_a) quadrature
 
 
 def _quad_rhs(cycle):
@@ -63,13 +64,13 @@ class DilibertoBasis:
     interpolates v1^T G(x0) on that grid for the phase and noise layers.
     """
 
-    def __init__(self, cycle, n=1024, rtol=1e-12):
+    def __init__(self, cycle, n=1024):
         if n < 16:
             raise ArgumentError(f"basis grid n = {n} too coarse; need >= 16")
         self.cycle = cycle
         self.n = n
         self._quad = ode.integrate(_quad_rhs(cycle), [0.0, 0.0], 0.0,
-                                   cycle.T, rtol=rtol, atol=1e-14,
+                                   cycle.T, rtol=_RTOL, atol=1e-14,
                                    method="DOP853")
         IT = self._quad.final
         self.b_T = float(np.exp(IT[0]))

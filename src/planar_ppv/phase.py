@@ -31,6 +31,7 @@ __all__ = ["Perturbation", "PhasePath", "PPVSpectrum", "phase_rhs",
            "LockMap", "spectrum_to_csv", "lockmap_to_csv"]
 
 _N_STORE = 2000  # psi samples per path
+_RTOL = 1e-8  # of simulate_phase's psi integration
 _MAP_PHASES = 64  # initial phases per detuning on the one-period map
 _MAP_RTOL = 1e-10
 _BIRKHOFF_ITERS = 4096  # map iterations per unlocked rotation number
@@ -52,8 +53,7 @@ class Perturbation:
 
     ``G`` maps a cycle point to a (2,) input direction and ``u`` is the
     scalar time profile.  ``omega_inj`` marks an injection
-    u = cos(omega_inj t + phase), whose lock verdict and frequency shift
-    do not depend on the phase offset.  Noise is not a perturbation: the stochastic
+    u = cos(omega_inj t).  Noise is not a perturbation: the stochastic
     module takes a :class:`~planar_ppv.stochastic.NoiseModel` directly.
     """
 
@@ -67,12 +67,12 @@ class Perturbation:
             raise ArgumentError("eps must be non-negative")
 
     @classmethod
-    def sinusoidal(cls, amp, omega_inj, eps, phase=0.0):
-        """Additive injection g(x, t) = amp * cos(omega_inj t + phase)."""
+    def sinusoidal(cls, amp, omega_inj, eps):
+        """Additive injection g(x, t) = amp * cos(omega_inj t)."""
         amp = np.asarray(amp, dtype=float)
-        omega_inj, phase = float(omega_inj), float(phase)
+        omega_inj = float(omega_inj)
         return cls(eps=float(eps), G=lambda x: amp,
-                   u=lambda t: np.cos(omega_inj * t + phase),
+                   u=lambda t: np.cos(omega_inj * t),
                    omega_inj=omega_inj)
 
     @classmethod
@@ -209,7 +209,7 @@ def _birkhoff_mean(c, h, T):
     return mean
 
 
-def simulate_phase(basis, pert, t_end, rtol=1e-8, n_store=_N_STORE):
+def simulate_phase(basis, pert, t_end):
     """Integrate the phase-deviation ODE from psi(0) = 0.
 
     Under injection (``pert.omega_inj`` set) the lock verdict and the
@@ -222,8 +222,8 @@ def simulate_phase(basis, pert, t_end, rtol=1e-8, n_store=_N_STORE):
     proj = basis.projection(pert.G)
     # RK45, not DOP853: the RHS is a C^2 spline (see ``ode``)
     traj = ode.integrate(_rhs(proj, pert.eps, pert.u), [0.0], 0.0, t_end,
-                         rtol=rtol, atol=1e-12, method="RK45")
-    ts = np.linspace(0.0, t_end, n_store)
+                         rtol=_RTOL, atol=1e-12, method="RK45")
+    ts = np.linspace(0.0, t_end, _N_STORE)
     psi = traj(ts)[0]
     omega = basis.omega
     if pert.omega_inj is None:

@@ -18,36 +18,36 @@ __all__ = ["NoiseModel", "PhaseEnsemble", "DensityField",
            "ensemble_to_csv", "density_to_csv"]
 
 
+def _intensity(sigma):
+    """sigma as a float; a negative noise intensity is rejected."""
+    s = float(sigma)
+    if s < 0:
+        raise ArgumentError("sigma must be non-negative")
+    return s
+
+
 @dataclass(frozen=True)
 class NoiseModel:
-    """State-dependent noise input g = G(x) Gamma(t) with intensity sigma."""
+    """State-dependent noise input g = G(x) Gamma(t)."""
 
-    G: object  # callable x -> (2, m)
-    m: int
-    sigma: float
-    label: str = "custom"
-
-    def __post_init__(self):
-        if self.sigma < 0:
-            raise ArgumentError("sigma must be non-negative")
+    G: object  # callable x -> (2, m), one column per noise channel
 
     @classmethod
     def isotropic(cls, sigma):
         """Additive isotropic noise, G = sigma * I, two channels."""
-        s = float(sigma)
-        return cls(G=lambda x: s * np.eye(2), m=2, sigma=s, label="isotropic")
+        s = _intensity(sigma)
+        return cls(G=lambda x: s * np.eye(2))
 
     @classmethod
     def directional(cls, sigma, direction):
-        """Single-channel noise along a fixed direction."""
+        """Single-channel noise of intensity sigma along a fixed direction."""
         d = np.asarray(direction, dtype=float)
         nd = np.linalg.norm(d)
         if nd == 0:
             raise ArgumentError("zero noise direction")
         d = d / nd
-        s = float(sigma)
-        return cls(G=lambda x: (s * d)[:, None], m=1, sigma=s,
-                   label="directional")
+        s = _intensity(sigma)
+        return cls(G=lambda x: (s * d)[:, None])
 
 
 # Steps of Wiener increments drawn per chunk.  Two chunk x n_paths x m
@@ -156,8 +156,6 @@ def simulate_sde_ensemble(basis, noise, n_paths, t_end, dt, seed,
     n_steps = int(round(t_end / dt))
     store_set = _stored_steps(n_steps, n_store)
     v_dot = _SplineDot(basis.projection(noise.G))
-    if v_dot.m != noise.m:
-        raise ArgumentError(f"G gives {v_dot.m} channels, noise.m = {noise.m}")
 
     # Each chunk continues every path's stream: path i fills its own
     # contiguous row of z, then one multiply lays the block out as
@@ -165,8 +163,8 @@ def simulate_sde_ensemble(basis, noise, n_paths, t_end, dt, seed,
     # of increments per channel.
     sq = np.sqrt(dt)
     rngs = [np.random.default_rng([int(seed), i]) for i in range(n_paths)]
-    z = np.empty((n_paths, min(_CHUNK, n_steps), noise.m))
-    dW = np.empty((min(_CHUNK, n_steps), noise.m, n_paths))
+    z = np.empty((n_paths, min(_CHUNK, n_steps), v_dot.m))
+    dW = np.empty((min(_CHUNK, n_steps), v_dot.m, n_paths))
 
     psi = np.zeros(n_paths)
     ts_out, mean_out, var_out = [], [], []

@@ -64,12 +64,12 @@ def test_criterion_2_vanderpol_vs_adjoint_oracle():
     basis = pp.DilibertoBasis(cyc)
 
     st = adjoint.state_transition(cyc)
-    nt, ny, _ = adjoint.numeric_ppv(cyc, st.monodromy, 256)
+    nt, ny, _ = adjoint.numeric_ppv(cyc, 256)
     v1c = basis.v1(nt).T
     v1_err = (np.max(np.linalg.norm(v1c - ny, axis=1))
               / np.max(np.linalg.norm(ny, axis=1)))
 
-    eigs = np.sort(np.abs(np.linalg.eigvals(st.monodromy)))
+    eigs = np.sort(np.abs(np.linalg.eigvals(cyc.monodromy)))
     mu2_num = np.log(eigs[0]) / cyc.T
     mu2_err = abs(basis.mu2 - mu2_num) / abs(basis.mu2)
 

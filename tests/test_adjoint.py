@@ -5,11 +5,6 @@ import planar_ppv as pp
 from planar_ppv import adjoint, ode
 
 
-def _numeric_ppv(cyc, n):
-    return adjoint.numeric_ppv(cyc, adjoint.state_transition(cyc).monodromy,
-                               n)
-
-
 def test_state_transition_identity_at_zero(sl_cycle, vdp_cycle):
     for cyc in (sl_cycle, vdp_cycle):
         np.testing.assert_array_equal(
@@ -25,25 +20,24 @@ def test_state_transition_propagates_field(sl_cycle, vdp_cycle):
             t = frac * cyc.T
             Ft = cyc.model.field(cyc.point(t))
             np.testing.assert_allclose(st(t) @ F0, Ft, atol=1e-7)
-        np.testing.assert_allclose(st.monodromy @ F0, F0, atol=1e-7)
+        np.testing.assert_allclose(cyc.monodromy @ F0, F0, atol=1e-7)
 
 
 def test_numeric_monodromy_stuart_landau(sl_cycle):
-    eigs = np.sort(np.abs(np.linalg.eigvals(
-        adjoint.state_transition(sl_cycle).monodromy)))
+    eigs = np.sort(np.abs(np.linalg.eigvals(sl_cycle.monodromy)))
     assert eigs[1] == pytest.approx(1.0, abs=1e-7)
     assert eigs[0] == pytest.approx(np.exp(-4 * np.pi), abs=1e-7)
 
 
 def test_numeric_ppv_matches_analytic_stuart_landau(sl_cycle):
-    ts, ys, _ = _numeric_ppv(sl_cycle, 64)
+    ts, ys, _ = adjoint.numeric_ppv(sl_cycle, 64)
     expected = np.column_stack([-np.sin(ts), np.cos(ts)])
     assert np.max(np.abs(ys - expected)) < 1e-7
 
 
 def test_numeric_ppv_normalization(sl_cycle, vdp_cycle):
     for cyc in (sl_cycle, vdp_cycle):
-        ts, ys, _ = _numeric_ppv(cyc, 128)
+        ts, ys, _ = adjoint.numeric_ppv(cyc, 128)
         F = cyc.model.field(cyc.point(ts)).T
         dots = np.sum(ys * F, axis=1)
         np.testing.assert_allclose(dots, 1.0, atol=1e-8)
@@ -55,7 +49,6 @@ def test_numeric_ppv_one_period(monkeypatch):
     cyc = pp.find_cycle(pp.get_model("vanderpol", mu=0.1), (2.0, 0.0),
                         settle_time=30.0)
     basis = pp.DilibertoBasis(cyc)
-    monodromy = adjoint.state_transition(cyc).monodromy
     calls = []
     original = ode.integrate
 
@@ -64,7 +57,7 @@ def test_numeric_ppv_one_period(monkeypatch):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(ode, "integrate", counting)
-    ts, ys, defects = adjoint.numeric_ppv(cyc, monodromy, 256)
+    ts, ys, defects = adjoint.numeric_ppv(cyc, 256)
     assert len(calls) == 1
     assert len(defects) == 1 and defects[0] < 1e-9
     v1 = basis.v1(ts).T

@@ -132,8 +132,11 @@ def test_unrunnable_config_exits_2_before_any_stage(tmp_path, capsys, extra,
     assert not (out / "cycle.csv").exists()
 
 
-def test_missing_config_exits_2(tmp_path):
+def test_missing_config_exits_2(tmp_path, capsys):
     assert cli.run(str(tmp_path / "nope.cfg"), outdir=str(tmp_path)) == 2
+    # an unreadable path, here a directory, is a configuration error too
+    assert cli.run(str(tmp_path), outdir=str(tmp_path)) == 2
+    assert len(capsys.readouterr().err.splitlines()) == 2
 
 
 def test_full_pipeline(tmp_path):

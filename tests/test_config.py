@@ -112,7 +112,7 @@ detuning_n = 5
     p = cfg.sections["lock-scan"]
     np.testing.assert_array_equal(p["amp"], [1.0, 0.0])
     assert p["eps"] == [0.005, 0.01]
-    assert p["t_end"] == -1.0  # default: auto horizon
+    assert p["t_end"] == -1.0  # default of the ignored key
 
 
 NOISE = "\n[noise]\nsigma = 0.05\nn_paths = 16\nt_end = 10.0\ndt = 0.02\n"
@@ -127,6 +127,10 @@ NOISE = "\n[noise]\nsigma = 0.05\nn_paths = 16\nt_end = 10.0\ndt = 0.02\n"
     (NOISE + "kind = directional\ndirection = 0 0\n", "direction = 0 0"),
     (NOISE + "direction = 0 1\n", "direction = 0 1"),
     (NOISE + "kind = isotropic\ndirection = 0 1\n", "direction = 0 1"),
+    # 3 steps of 0.05 would end the ensemble at 0.15, the density at 0.13
+    (NOISE.replace("t_end = 10.0", "t_end = 0.13").replace("dt = 0.02",
+                                                           "dt = 0.05"),
+     "t_end = 0.13"),
 ])
 def test_unrunnable_key_combinations_report_line(extra, bad_line):
     text = BASE + extra
@@ -159,6 +163,7 @@ VALID = {
     "model": {"name": "vanderpol"},
     "cycle": {"settle_time": "10", "tol": "1e-10"},
     "basis": {"grid": "64"},
+    "output": {"seed": "0"},
     "verify": {"tol": "1e-6"},
     "lock-scan": {"amp": "1.0 0.0", "eps": "0.01", "detuning_min": "-0.01",
                   "detuning_max": "0.01", "detuning_n": "5", "t_end": "0"},
@@ -177,8 +182,8 @@ def render(sections):
 
 
 def test_sign_conventions_still_accepted():
-    # t_end <= 0 (auto horizon), density_halfwidth <= 0 (auto grid) and
-    # zero or negative isochron offsets are valid
+    # lock-scan t_end <= 0 (ignored), density_halfwidth <= 0 (auto grid)
+    # and zero or negative isochron offsets are valid
     cfg = parse_config(render(VALID))
     assert cfg.sections["lock-scan"]["t_end"] == 0.0
     assert cfg.sections["noise"]["density_halfwidth"] == -1.0
@@ -190,6 +195,7 @@ def test_sign_conventions_still_accepted():
     ("cycle", "tol", "nan"),
     ("basis", "grid", "-5"),
     ("basis", "grid", "8"),
+    ("output", "seed", "-1"),
     ("verify", "tol", "nan"),
     ("noise", "sigma", "nan"),
     ("noise", "n_paths", "0"),

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import planar_ppv as pp
-from planar_ppv import adjoint, diliberto
+from planar_ppv import diliberto
 from planar_ppv.diliberto import basis_to_csv
 from planar_ppv.errors import (ArgumentError, DegenerateCycleError,
                                InternalInconsistencyError)
@@ -35,7 +35,7 @@ def test_b_vanderpol_liouville(vdp_cycle, vdp_basis):
     # Liouville: b(T) equals the determinant of the numeric monodromy
     bT = vdp_basis.b(vdp_cycle.T)
     assert bT == pytest.approx(vdp_basis.b_T, rel=1e-12)
-    det = np.linalg.det(adjoint.state_transition(vdp_cycle).monodromy)
+    det = np.linalg.det(vdp_cycle.monodromy)
     assert bT == pytest.approx(det, rel=1e-7)
 
 
@@ -49,7 +49,7 @@ def test_a_vanderpol_vs_numeric_frame(vdp_cycle, vdp_basis):
     # X(0) = [F0, Fperp0/|F0|^2]; its (1,2) entry at T must be a(T)
     F0 = vdp_cycle.model.field(vdp_cycle.anchor)
     X0 = np.column_stack([F0, perp(F0) / (F0 @ F0)])
-    Phi = adjoint.state_transition(vdp_cycle).monodromy
+    Phi = vdp_cycle.monodromy
     M = np.linalg.solve(X0, Phi @ X0)
     assert vdp_basis.a_T != 0.0
     assert M[0, 1] == pytest.approx(vdp_basis.a_T, rel=1e-6)
@@ -84,8 +84,7 @@ def test_floquet_multiplier_exponent_relation(sl_basis, vdp_basis):
 
 def test_floquet_vanderpol_vs_numeric(vdp_cycle, vdp_basis):
     assert vdp_basis.mu2 < 0
-    eigs = np.sort(np.abs(np.linalg.eigvals(
-        adjoint.state_transition(vdp_cycle).monodromy)))
+    eigs = np.sort(np.abs(np.linalg.eigvals(vdp_cycle.monodromy)))
     mu2_num = np.log(eigs[0]) / vdp_cycle.T
     assert abs(vdp_basis.mu2 - mu2_num) < 1e-6 * abs(vdp_basis.mu2)
 

@@ -65,12 +65,13 @@ def _reference_paths(basis, noise, streams, t_end, dt, seed, n_store=201):
     sequence up front as one (len(streams), n_steps, m) array."""
     n_steps = int(round(t_end / dt))
     spline = basis.projection(noise.G)
+    m = spline.c.shape[2]
     T = basis.cycle.T
     sq = np.sqrt(dt)
-    dW = np.empty((len(streams), n_steps, noise.m))
+    dW = np.empty((len(streams), n_steps, m))
     for k, i in enumerate(streams):
         rng = np.random.default_rng([int(seed), i])
-        dW[k] = sq * rng.standard_normal((n_steps, noise.m))
+        dW[k] = sq * rng.standard_normal((n_steps, m))
     stride = max(1, n_steps // (n_store - 1))
     stored = set(range(0, n_steps + 1, stride)) | {n_steps}
     psi = np.zeros(len(streams))
@@ -141,12 +142,11 @@ def test_spline_dot_matches_cubic_spline(request, basis_name, kind):
              else NoiseModel.directional(0.05, [1.0, 0.5]))
     spline = basis.projection(noise.G)
     v_dot = stochastic._SplineDot(spline)
-    assert v_dot.m == noise.m
     theta = _adversarial_phases(basis.cycle.T, spline.x)
     want = spline(theta)
     got = np.stack(v_dot.values(theta), axis=1)
     np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
-    dW = np.random.default_rng(5).standard_normal((noise.m, theta.size))
+    dW = np.random.default_rng(5).standard_normal((v_dot.m, theta.size))
     np.testing.assert_array_equal(v_dot(theta, dW),
                                   np.sum(want * dW.T, axis=1))
 
@@ -252,12 +252,9 @@ def test_sde_argument_validation(sl_basis):
         # dt above T/100
         pp.simulate_sde_ensemble(sl_basis, noise, 4, 1.0, 1.0, seed=1)
     with pytest.raises(ArgumentError):
-        # G gives two channels, m says one
-        pp.simulate_sde_ensemble(
-            sl_basis, NoiseModel(G=lambda x: np.eye(2), m=1, sigma=1.0),
-            4, 1.0, 0.01, seed=1)
-    with pytest.raises(ArgumentError):
         NoiseModel.isotropic(-0.1)
+    with pytest.raises(ArgumentError):
+        NoiseModel.directional(-0.1, [1.0, 0.0])
     with pytest.raises(ArgumentError):
         NoiseModel.directional(0.1, [0.0, 0.0])
 

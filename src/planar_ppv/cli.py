@@ -34,7 +34,11 @@ def run(config_path, outdir=None):
         return 2
 
     out = outdir or cfg.outdir
-    os.makedirs(out, exist_ok=True)
+    try:
+        os.makedirs(out, exist_ok=True)
+    except OSError as exc:
+        print(f"cannot create output directory {out}: {exc}", file=sys.stderr)
+        return 2
     stage = "setup"
     summary = []
     all_pass = True

@@ -68,10 +68,8 @@ def _first_return_time(model, p, n):
         # the start from counting as a crossing
         return n @ (x - p) if t > 0 else 1.0
 
-    section.terminal = True
-    section.direction = 1.0
     traj = ode.integrate(model.rhs, p, 0.0, _MAX_RETURN_TIME, rtol=_RTOL,
-                         atol=1e-13, events=section, method="DOP853")
+                         atol=1e-13, event=section, method="DOP853")
     if traj.status != 1:
         raise CycleNotFoundError("no return to the Poincare section found")
     return traj.t1

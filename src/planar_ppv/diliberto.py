@@ -19,12 +19,12 @@ solution normalized by v1^T f = 1.
 import warnings
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from . import ode
 from .errors import (ArgumentError, DegenerateCycleError,
                      InternalInconsistencyError)
 from .models import perp
+from .spline import PeriodicSpline
 
 __all__ = [
     "DilibertoBasis",
@@ -173,9 +173,8 @@ class DilibertoBasis:
         """
         vals = np.array([v[0] * g[0] + v[1] * g[1]
                          for v, g in zip(self.v1_grid, map(G, self.x0_grid))])
-        return CubicSpline(np.append(self.ts, self.cycle.T),
-                           np.concatenate([vals, vals[:1]]), axis=0,
-                           bc_type="periodic")
+        return PeriodicSpline.interpolate(np.append(self.ts, self.cycle.T),
+                                          np.concatenate([vals, vals[:1]]))
 
     @property
     def omega(self):

@@ -1,7 +1,7 @@
 """Adaptive explicit Runge-Kutta integration with dense output.
 
-Thin contract layer over scipy's two Dormand-Prince pairs, both with
-embedded error control and dense output:
+The two Dormand-Prince pairs (Hairer, Norsett & Wanner, *Solving ODEs I*,
+II.4-II.6), both with embedded error control and dense output:
 
 - ``"DOP853"``, the 8(5,3) pair with a 7th-order interpolant, for the
   smooth, analytic planar flows (settle, first return, augmented
@@ -13,16 +13,65 @@ embedded error control and dense output:
   scan's one-period map), whose right-hand side is a C^2 cubic spline:
   the 8th-order error estimate keeps tripping over the spline's knots,
   and there the lower-order pair needs fewer calls.
+
+The stepper, its step-size controller and first step, both dense outputs
+and the event root finder are transcribed from SciPy 1.17
+(``scipy/integrate/_ivp`` and the C ``brentq``), with every arithmetic
+operation, BLAS product, norm and min/max in SciPy's order, so steps,
+statistics, dense values and event times equal ``solve_ivp``'s to the
+bit (``tests/test_ode.py`` checks this against SciPy).  Only what the
+pipeline uses is kept: dense output is always on, at most one event is
+located and it is terminal on an upward crossing, and there is no
+``t_eval``, ``max_step``, ``first_step``, vectorized or complex support.
 """
 
+# The code below is derived from SciPy, under this notice:
+#
+# Copyright (c) 2001-2002 Enthought, Inc. 2003, SciPy Developers.
+# All rights reserved.
+#
+# Redistribution and use in source and binary forms, with or without
+# modification, are permitted provided that the following conditions
+# are met:
+#
+# 1. Redistributions of source code must retain the above copyright
+#    notice, this list of conditions and the following disclaimer.
+#
+# 2. Redistributions in binary form must reproduce the above
+#    copyright notice, this list of conditions and the following
+#    disclaimer in the documentation and/or other materials provided
+#    with the distribution.
+#
+# 3. Neither the name of the copyright holder nor the names of its
+#    contributors may be used to endorse or promote products derived
+#    from this software without specific prior written permission.
+#
+# THIS SOFTWARE IS PROVIDED BY THE COPYRIGHT HOLDERS AND CONTRIBUTORS
+# "AS IS" AND ANY EXPRESS OR IMPLIED WARRANTIES, INCLUDING, BUT NOT
+# LIMITED TO, THE IMPLIED WARRANTIES OF MERCHANTABILITY AND FITNESS FOR
+# A PARTICULAR PURPOSE ARE DISCLAIMED. IN NO EVENT SHALL THE COPYRIGHT
+# OWNER OR CONTRIBUTORS BE LIABLE FOR ANY DIRECT, INDIRECT, INCIDENTAL,
+# SPECIAL, EXEMPLARY, OR CONSEQUENTIAL DAMAGES (INCLUDING, BUT NOT
+# LIMITED TO, PROCUREMENT OF SUBSTITUTE GOODS OR SERVICES; LOSS OF USE,
+# DATA, OR PROFITS; OR BUSINESS INTERRUPTION) HOWEVER CAUSED AND ON ANY
+# THEORY OF LIABILITY, WHETHER IN CONTRACT, STRICT LIABILITY, OR TORT
+# (INCLUDING NEGLIGENCE OR OTHERWISE) ARISING IN ANY WAY OUT OF THE USE
+# OF THIS SOFTWARE, EVEN IF ADVISED OF THE POSSIBILITY OF SUCH DAMAGE.
+
+import math
+from itertools import groupby
+
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import ArgumentError, IntegrationFailureError
 
 __all__ = ["Trajectory", "integrate"]
 
-_METHODS = ("RK45", "DOP853")
+_EPS = np.finfo(float).eps
+_SAFETY = 0.9
+_MIN_FACTOR = 0.2  # smallest step decrease
+_MAX_FACTOR = 10  # largest step increase
+_TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
 
 
 class Trajectory:
@@ -30,7 +79,7 @@ class Trajectory:
 
     ``nfev``, ``njev`` and ``status`` are the integrator's statistics:
     right-hand-side calls, Jacobian evaluations (0 for explicit RK) and
-    its termination status (0: reached the end of the span).
+    its termination status (0: reached the end of the span, 1: event).
     """
 
     def __init__(self, ts, ys, sol, nfev, njev, status):
@@ -54,24 +103,478 @@ class Trajectory:
         return self.ys[-1]
 
 
-def integrate(rhs, x0, t0, t1, rtol=1e-10, atol=1e-12, events=None,
+def integrate(rhs, x0, t0, t1, rtol=1e-10, atol=1e-12, event=None,
               method="RK45"):
-    """Integrate ``dx/dt = rhs(t, x)`` over [t0, t1] with dense output;
-    a terminal ``solve_ivp`` event in ``events`` ends it there (status 1).
-    ``method`` names the Dormand-Prince pair: ``"RK45"`` or ``"DOP853"``."""
-    if method not in _METHODS:
-        raise ArgumentError(f"unknown method {method!r}; use {_METHODS}")
+    """Integrate ``dx/dt = rhs(t, x)`` over [t0, t1] with dense output.
+
+    An upward zero crossing of ``event(t, x)`` ends the integration at its
+    root (status 1).  ``method`` names the Dormand-Prince pair: ``"RK45"``
+    or ``"DOP853"``.
+    """
+    if method not in _PAIRS:
+        raise ArgumentError(f"unknown method {method!r}; use {tuple(_PAIRS)}")
     if not t1 > t0:
         raise ArgumentError(f"need t1 > t0, got [{t0}, {t1}]")
     if rtol <= 0 or atol <= 0:
         raise ArgumentError("tolerances must be positive")
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    res = solve_ivp(rhs, (t0, t1), x0, method=method,
-                    rtol=rtol, atol=atol, dense_output=True, events=events)
-    if not res.success:
-        raise IntegrationFailureError(
-            f"integration failed at t={res.t[-1]:.6g}: {res.message}",
-            last_t=res.t[-1])
-    return Trajectory(res.t, res.y.T, res.sol, res.nfev, res.njev,
-                      res.status)
+    if x0.ndim != 1 or x0.size == 0 or not np.isfinite(x0).all():
+        raise ArgumentError("the initial state must be a finite 1-D array")
+    t0, t1 = float(t0), float(t1)
+    solver = _PAIRS[method](rhs, t0, x0, t1, rtol, atol)
+    ts, ys, interpolants = [t0], [x0], []
+    g = event(t0, x0) if event is not None else None
+    status = None
+    while status is None:
+        if not solver.step():
+            raise IntegrationFailureError(
+                f"integration failed at t={ts[-1]:.6g}: {_TOO_SMALL_STEP}",
+                last_t=ts[-1])
+        if solver.direction * (solver.t - solver.t_bound) >= 0:
+            status = 0
+        t, y = solver.t, solver.y
+        sol = solver.dense_output()
+        interpolants.append(sol)
+        if event is not None:
+            g_new = event(t, y)
+            if g <= 0 and g_new >= 0:
+                t = _brentq(lambda s: event(s, sol(s)), solver.t_old, t)
+                y = sol(t)
+                status = 1
+            g = g_new
+        if len(ts) > 1 and ts[-1] == t:
+            interpolants.pop()
+        else:
+            ts.append(t)
+            ys.append(y)
+    ts = np.array(ts)
+    return Trajectory(ts, np.vstack(ys), _DenseSolution(ts, interpolants),
+                      solver.nfev, 0, status)
 
+
+def _norm(x):
+    """RMS norm of an error vector."""
+    return np.linalg.norm(x) / x.size ** 0.5
+
+
+def _rk_step(fun, t, y, f, h, A, B, C, K):
+    """One step of an explicit RK pair; its stages land in the rows of K."""
+    K[0] = f
+    for s, (a, c) in enumerate(zip(A[1:], C[1:]), start=1):
+        dy = np.dot(K[:s].T, a[:s]) * h
+        K[s] = fun(t + c * h, y + dy)
+    y_new = y + h * np.dot(K[:-1].T, B)
+    f_new = fun(t + h, y_new)
+    K[-1] = f_new
+    return y_new, f_new
+
+
+def _initial_step(fun, t0, y0, t_bound, f0, direction, order, rtol, atol):
+    """First step from the scaled sizes of y0, f0 and a trial derivative
+    (Hairer, Norsett & Wanner, II.4)."""
+    interval_length = abs(t_bound - t0)
+    scale = atol + np.abs(y0) * rtol
+    d0 = _norm(y0 / scale)
+    d1 = _norm(f0 / scale)
+    if d0 < 1e-5 or d1 < 1e-5:
+        h0 = 1e-6
+    else:
+        h0 = 0.01 * d0 / d1
+    h0 = min(h0, interval_length)
+    y1 = y0 + h0 * direction * f0
+    f1 = fun(t0 + h0 * direction, y1)
+    d2 = _norm((f1 - f0) / scale) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** (1 / (order + 1))
+    return min(100 * h0, h1, interval_length)
+
+
+class _Pair:
+    """Adaptive stepping of one embedded pair from t0 towards t_bound."""
+
+    def __init__(self, fun, t0, y0, t_bound, rtol, atol):
+        self.nfev = 0
+
+        def counted(t, y):
+            self.nfev += 1
+            return np.asarray(fun(t, y), dtype=float)
+
+        self.fun = counted
+        self.t, self.y, self.t_bound = t0, y0, t_bound
+        self.t_old = self.y_old = self.h_previous = None
+        self.direction = np.sign(t_bound - t0)
+        self.n = y0.size
+        self.rtol = max(rtol, 100 * _EPS)
+        self.atol = np.asarray(atol)
+        self.f = self.fun(self.t, self.y)
+        self.h_abs = _initial_step(self.fun, self.t, self.y, t_bound, self.f,
+                                   self.direction, self.error_estimator_order,
+                                   self.rtol, self.atol)
+        self.K = np.empty((self.n_stages + 1, self.n))
+        self.error_exponent = -1 / (self.error_estimator_order + 1)
+
+    def step(self):
+        """Take one accepted step; False once the step size underflows."""
+        t, y = self.t, self.y
+        min_step = 10 * np.abs(np.nextafter(t, self.direction * np.inf) - t)
+        h_abs = min_step if self.h_abs < min_step else self.h_abs
+        step_accepted = False
+        step_rejected = False
+        while not step_accepted:
+            if h_abs < min_step:
+                return False
+            h = h_abs * self.direction
+            t_new = t + h
+            if self.direction * (t_new - self.t_bound) > 0:
+                t_new = self.t_bound
+            h = t_new - t
+            h_abs = np.abs(h)
+            y_new, f_new = _rk_step(self.fun, t, y, self.f, h, self.A,
+                                    self.B, self.C, self.K)
+            scale = self.atol + np.maximum(np.abs(y), np.abs(y_new)) * self.rtol
+            error_norm = self._error_norm(h, scale)
+            if error_norm < 1:
+                if error_norm == 0:
+                    factor = _MAX_FACTOR
+                else:
+                    factor = min(_MAX_FACTOR,
+                                 _SAFETY * error_norm ** self.error_exponent)
+                if step_rejected:
+                    factor = min(1, factor)
+                h_abs *= factor
+                step_accepted = True
+            else:
+                h_abs *= max(_MIN_FACTOR,
+                             _SAFETY * error_norm ** self.error_exponent)
+                step_rejected = True
+        self.h_previous = h
+        self.t_old, self.y_old = t, y
+        self.t, self.y = t_new, y_new
+        self.h_abs = h_abs
+        self.f = f_new
+        return True
+
+
+class _RK45(_Pair):
+    """Dormand-Prince 5(4) with the quartic dense output of Shampine."""
+
+    order = 5
+    error_estimator_order = 4
+    n_stages = 6
+    C = np.array([0, 1/5, 3/10, 4/5, 8/9, 1])
+    A = np.array([
+        [0, 0, 0, 0, 0],
+        [1/5, 0, 0, 0, 0],
+        [3/40, 9/40, 0, 0, 0],
+        [44/45, -56/15, 32/9, 0, 0],
+        [19372/6561, -25360/2187, 64448/6561, -212/729, 0],
+        [9017/3168, -355/33, 46732/5247, 49/176, -5103/18656]
+    ])
+    B = np.array([35/384, 0, 500/1113, 125/192, -2187/6784, 11/84])
+    E = np.array([-71/57600, 0, 71/16695, -71/1920, 17253/339200, -22/525,
+                  1/40])
+    P = np.array([
+        [1, -8048581381/2820520608, 8663915743/2820520608,
+         -12715105075/11282082432],
+        [0, 0, 0, 0],
+        [0, 131558114200/32700410799, -68118460800/10900136933,
+         87487479700/32700410799],
+        [0, -1754552775/470086768, 14199869525/1410260304,
+         -10690763975/1880347072],
+        [0, 127303824393/49829197408, -318862633887/49829197408,
+         701980252875 / 199316789632],
+        [0, -282668133/205662961, 2019193451/616988883, -1453857185/822651844],
+        [0, 40617522/29380423, -110615467/29380423, 69997945/29380423]])
+
+    def _error_norm(self, h, scale):
+        return _norm(np.dot(self.K.T, self.E) * h / scale)
+
+    def dense_output(self):
+        return _QuarticDense(self.t_old, self.t, self.y_old,
+                             self.K.T.dot(self.P))
+
+
+def _lower_triangle(rows):
+    """Square matrix with the given rows below the diagonal, zero above."""
+    M = np.zeros((len(rows), len(rows)))
+    for i, row in enumerate(rows):
+        M[i, :len(row)] = row
+    return M
+
+
+# DOP853: 12 stages plus the 13th (FSAL) for the step, and three more for
+# the 7th-order interpolant, in Hairer's coefficients rounded to double.
+_DOP853_C = np.array([
+    0.0, 0.05260015195876773, 0.0789002279381516, 0.1183503419072274,
+    0.2816496580927726, 0.3333333333333333, 0.25, 0.3076923076923077,
+    0.6512820512820513, 0.6, 0.8571428571428571, 1.0, 1.0, 0.1, 0.2,
+    0.7777777777777778])
+_DOP853_A = _lower_triangle([
+    [],
+    [0.05260015195876773],
+    [0.0197250569845379, 0.0591751709536137],
+    [0.02958758547680685, 0, 0.08876275643042054],
+    [0.2413651341592667, 0, -0.8845494793282861, 0.924834003261792],
+    [0.037037037037037035, 0, 0, 0.17082860872947386, 0.12546768756682242],
+    [0.037109375, 0, 0, 0.17025221101954405, 0.06021653898045596,
+     -0.017578125],
+    [0.03709200011850479, 0, 0, 0.17038392571223998, 0.10726203044637328,
+     -0.015319437748624402, 0.008273789163814023],
+    [0.6241109587160757, 0, 0, -3.3608926294469414, -0.868219346841726,
+     27.59209969944671, 20.154067550477894, -43.48988418106996],
+    [0.47766253643826434, 0, 0, -2.4881146199716677, -0.590290826836843,
+     21.230051448181193, 15.279233632882423, -33.28821096898486,
+     -0.020331201708508627],
+    [-0.9371424300859873, 0, 0, 5.186372428844064, 1.0914373489967295,
+     -8.149787010746927, -18.52006565999696, 22.739487099350505,
+     2.4936055526796523, -3.0467644718982196],
+    [2.273310147516538, 0, 0, -10.53449546673725, -2.0008720582248625,
+     -17.9589318631188, 27.94888452941996, -2.8589982771350235,
+     -8.87285693353063, 12.360567175794303, 0.6433927460157636],
+    [0.054293734116568765, 0, 0, 0, 0, 4.450312892752409,
+     1.8915178993145003, -5.801203960010585, 0.3111643669578199,
+     -0.1521609496625161, 0.20136540080403034, 0.04471061572777259],
+    [0.056167502283047954, 0, 0, 0, 0, 0, 0.25350021021662483,
+     -0.2462390374708025, -0.12419142326381637, 0.15329179827876568,
+     0.00820105229563469, 0.007567897660545699, -0.008298],
+    [0.03183464816350214, 0, 0, 0, 0, 0.028300909672366776,
+     0.053541988307438566, -0.05492374857139099, 0, 0,
+     -0.00010834732869724932, 0.0003825710908356584,
+     -0.00034046500868740456, 0.1413124436746325],
+    [-0.42889630158379194, 0, 0, 0, 0, -4.697621415361164,
+     7.683421196062599, 4.06898981839711, 0.3567271874552811, 0, 0, 0,
+     -0.0013990241651590145, 2.9475147891527724, -9.15095847217987],
+])
+_DOP853_E3 = np.array([
+    -0.18980075407240762, 0, 0, 0, 0, 4.450312892752409,
+    1.8915178993145003, -5.801203960010585, -0.4226823213237919,
+    -0.1521609496625161, 0.20136540080403034, 0.02265179219836082, 0])
+_DOP853_E5 = np.array([
+    0.01312004499419488, 0, 0, 0, 0, -1.2251564463762044,
+    -0.4957589496572502, 1.6643771824549864, -0.35032884874997366,
+    0.3341791187130175, 0.08192320648511571, -0.022355307863886294, 0])
+_DOP853_D = np.array([
+    [-8.428938276109013, 0, 0, 0, 0, 0.5667149535193777,
+     -3.0689499459498917, 2.38466765651207, 2.117034582445028,
+     -0.871391583777973, 2.2404374302607883, 0.6315787787694688,
+     -0.08899033645133331, 18.148505520854727, -9.194632392478356,
+     -4.436036387594894],
+    [10.427508642579134, 0, 0, 0, 0, 242.28349177525817, 165.20045171727028,
+     -374.5467547226902, -22.113666853125306, 7.733432668472264,
+     -30.674084731089398, -9.332130526430229, 15.697238121770845,
+     -31.139403219565178, -9.35292435884448, 35.81684148639408],
+    [19.985053242002433, 0, 0, 0, 0, -387.0373087493518, -189.17813819516758,
+     527.8081592054236, -11.57390253995963, 6.8812326946963,
+     -1.0006050966910838, 0.7777137798053443, -2.778205752353508,
+     -60.19669523126412, 84.32040550667716, 11.99229113618279],
+    [-25.69393346270375, 0, 0, 0, 0, -154.18974869023643, -231.5293791760455,
+     357.6391179106141, 93.40532418362432, -37.45832313645163,
+     104.0996495089623, 29.8402934266605, -43.53345659001114,
+     96.32455395918828, -39.17726167561544, -149.72683625798564],
+])
+
+
+class _DOP853(_Pair):
+    """Dormand-Prince 8(5,3) with Hairer's 7th-order dense output."""
+
+    n_stages = 12
+    order = 8
+    error_estimator_order = 7
+    A = _DOP853_A[:n_stages, :n_stages]
+    B = _DOP853_A[n_stages, :n_stages]
+    C = _DOP853_C[:n_stages]
+    E3 = _DOP853_E3
+    E5 = _DOP853_E5
+    D = _DOP853_D
+    A_EXTRA = _DOP853_A[n_stages + 1:]
+    C_EXTRA = _DOP853_C[n_stages + 1:]
+
+    def __init__(self, fun, t0, y0, t_bound, rtol, atol):
+        super().__init__(fun, t0, y0, t_bound, rtol, atol)
+        self.K_extended = np.empty((len(_DOP853_C), self.n))
+        self.K = self.K_extended[:self.n_stages + 1]
+
+    def _error_norm(self, h, scale):
+        err5 = np.dot(self.K.T, self.E5) / scale
+        err3 = np.dot(self.K.T, self.E3) / scale
+        err5_norm_2 = np.linalg.norm(err5)**2
+        err3_norm_2 = np.linalg.norm(err3)**2
+        if err5_norm_2 == 0 and err3_norm_2 == 0:
+            return 0.0
+        denom = err5_norm_2 + 0.01 * err3_norm_2
+        return np.abs(h) * err5_norm_2 / np.sqrt(denom * len(scale))
+
+    def dense_output(self):
+        K = self.K_extended
+        h = self.h_previous
+        for s, (a, c) in enumerate(zip(self.A_EXTRA, self.C_EXTRA),
+                                   start=self.n_stages + 1):
+            dy = np.dot(K[:s].T, a[:s]) * h
+            K[s] = self.fun(self.t_old + c * h, self.y_old + dy)
+        F = np.empty((len(self.D) + 3, self.n))
+        f_old = K[0]
+        delta_y = self.y - self.y_old
+        F[0] = delta_y
+        F[1] = h * f_old - delta_y
+        F[2] = 2 * delta_y - h * (self.f + f_old)
+        F[3:] = h * np.dot(self.D, K)
+        return _Dop853Dense(self.t_old, self.t, self.y_old, F)
+
+
+_PAIRS = {"RK45": _RK45, "DOP853": _DOP853}
+
+
+class _QuarticDense:
+    """RK45's interpolant on one step: y_old + h Q (x, x^2, x^3, x^4)."""
+
+    def __init__(self, t_old, t, y_old, Q):
+        self.t_old = t_old
+        self.h = t - t_old
+        self.Q = Q
+        self.order = Q.shape[1] - 1
+        self.y_old = y_old
+
+    def __call__(self, t):
+        t = np.asarray(t)
+        x = (t - self.t_old) / self.h
+        if t.ndim == 0:
+            p = np.tile(x, self.order + 1)
+            p = np.cumprod(p)
+        else:
+            p = np.tile(x, (self.order + 1, 1))
+            p = np.cumprod(p, axis=0)
+        y = self.h * np.dot(self.Q, p)
+        if y.ndim == 2:
+            y += self.y_old[:, None]
+        else:
+            y += self.y_old
+        return y
+
+
+class _Dop853Dense:
+    """DOP853's interpolant on one step, in Horner form in x and 1 - x."""
+
+    def __init__(self, t_old, t, y_old, F):
+        self.t_old = t_old
+        self.h = t - t_old
+        self.F = F
+        self.y_old = y_old
+
+    def __call__(self, t):
+        t = np.asarray(t)
+        x = (t - self.t_old) / self.h
+        if t.ndim == 0:
+            y = np.zeros_like(self.y_old)
+        else:
+            x = x[:, None]
+            y = np.zeros((len(x), len(self.y_old)), dtype=self.y_old.dtype)
+        for i, f in enumerate(reversed(self.F)):
+            y += f
+            if i % 2 == 0:
+                y *= x
+            else:
+                y *= 1 - x
+        y += self.y_old
+        return y.T
+
+
+class _DenseSolution:
+    """The step interpolants over [ts[0], ts[-1]]; a time on a step
+    boundary belongs to the step that ends there."""
+
+    def __init__(self, ts, interpolants):
+        self.ts = ts
+        self.interpolants = interpolants
+        self.n_segments = len(interpolants)
+
+    def __call__(self, t):
+        t = np.asarray(t)
+        if t.ndim == 0:
+            ind = np.searchsorted(self.ts, t, side="left")
+            segment = min(max(ind - 1, 0), self.n_segments - 1)
+            return self.interpolants[segment](t)
+        order = np.argsort(t)
+        reverse = np.empty_like(order)
+        reverse[order] = np.arange(order.shape[0])
+        t_sorted = t[order]
+        segments = np.searchsorted(self.ts, t_sorted, side="left")
+        segments -= 1
+        segments[segments < 0] = 0
+        segments[segments > self.n_segments - 1] = self.n_segments - 1
+        ys = []
+        group_start = 0
+        for segment, group in groupby(segments):
+            group_end = group_start + len(list(group))
+            ys.append(self.interpolants[segment](t_sorted[group_start:group_end]))
+            group_start = group_end
+        return np.hstack(ys)[:, reverse]
+
+
+def _signbit(x):
+    return math.copysign(1.0, x) < 0.0
+
+
+def _brentq(f, xa, xb):
+    """Root of f in [xa, xb] by Brent's method (Brent 1973, ch. 4), as
+    SciPy's C ``brentq`` with xtol = rtol = 4 eps and 100 iterations, the
+    tolerances ``solve_ivp`` locates events with: inverse quadratic or
+    secant steps, bisection whenever a step would not shrink the bracket
+    fast enough."""
+    xtol = rtol = 4 * _EPS
+
+    def fx(x):
+        v = float(f(x))
+        if math.isnan(v):
+            raise IntegrationFailureError(
+                f"event function is NaN at t={x:.17g}", last_t=x)
+        return v
+
+    xpre, xcur = float(xa), float(xb)
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = fx(xpre), fx(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if _signbit(fpre) == _signbit(fcur):
+        raise IntegrationFailureError(
+            f"event bracket [{xpre:.17g}, {xcur:.17g}] has no sign change",
+            last_t=xpre)
+    for _ in range(100):
+        if fpre != 0 and fcur != 0 and _signbit(fpre) != _signbit(fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = (-fcur * (fblk * dblk - fpre * dpre)
+                        / (dblk * dpre * (fblk - fpre)))
+            bound = abs(spre)
+            if not bound < 3 * abs(sbis) - delta:
+                bound = 3 * abs(sbis) - delta
+            if 2 * abs(stry) < bound:  # good short step
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = fx(xcur)
+    raise IntegrationFailureError(
+        "event root not found in 100 iterations", last_t=xcur)

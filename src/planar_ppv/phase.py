@@ -21,10 +21,10 @@ of an eps row as one vectorized state over one forcing period.
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from . import ode
 from .errors import ArgumentError
+from .spline import PeriodicSpline
 
 __all__ = ["Perturbation", "PhasePath", "PPVSpectrum", "phase_rhs",
            "simulate_phase", "ppv_fourier", "injection_lock_scan",
@@ -177,8 +177,8 @@ def _lock_row(proj, T, omega, eps, detuning):
     M = _MAP_PHASES
     h = T / M
     D = _period_map(proj, T, eps, omega_inj)
-    spl = CubicSpline(np.arange(M + 1) * h, np.vstack([D.T, D.T[:1]]),
-                      axis=0, bc_type="periodic")
+    spl = PeriodicSpline.interpolate(np.arange(M + 1) * h,
+                                     np.vstack([D.T, D.T[:1]]))
     lo, hi = _piece_extrema(spl.c, h)
     locked = (lo <= 0.0) & (hi >= 0.0)
     shift = detuning.copy()

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ArgumentError, InstabilityError, InternalInconsistencyError
+from .errors import ArgumentError, InstabilityError
 
 __all__ = ["NoiseModel", "PhaseEnsemble", "DensityField",
            "simulate_sde_ensemble", "solve_fp", "diffusion_summary",
@@ -50,12 +50,17 @@ class NoiseModel:
         return cls(G=lambda x: (s * d)[:, None])
 
 
-# Steps of Wiener increments drawn per chunk.  Two chunk x n_paths x m
-# buffers bound the ensemble's memory independently of n_steps; each chunk
-# costs one draw call per path.  At 4096 paths x 3000 steps x 2 channels on
-# a 2-vCPU x86_64 host (medians of 8 alternating rounds) chunks of 64, 128
+# Steps of Wiener increments drawn per chunk.  A chunk x n_paths x m buffer
+# bounds the ensemble's memory independently of n_steps; each chunk costs
+# one draw call per path.  At 4096 paths x 3000 steps x 2 channels on a
+# 2-vCPU x86_64 host (medians of 8 alternating rounds) chunks of 64, 128
 # and 256 steps took 1.62, 1.45 and 1.40 s, with buffers of 8, 17 and 34 MB.
 _CHUNK = 128
+# Paths drawn and transposed together.  The transpose of a chunk into the
+# (step, channel, path) layout took 6.5 ms over all 4096 paths at once and
+# 3.0-3.3 ms in blocks of 128 to 512 paths, whose 0.25-1 MB source stays in
+# cache (same host, 128 steps x 2 channels, medians of 30).
+_PATH_BLOCK = 256
 
 
 def _stored_steps(n_steps, n_store):
@@ -66,62 +71,14 @@ def _stored_steps(n_steps, n_store):
     return set(range(0, n_steps + 1, stride)) | {n_steps}
 
 
-class _SplineDot:
-    """v(theta)^T dW for a periodic cubic spline on uniform knots from 0.
-
-    Evaluates ``basis.projection(G)`` without its per-call wrapper and
-    per-point binary search, and returns values bit-identical to
-    ``CubicSpline.__call__``: theta is reduced with the same ``np.mod``
-    (the first knot is 0), the interval comes from one multiply on the
-    uniform grid, corrected by one knot comparison each way and closed on
-    the right as scipy closes its last interval, and the cubic is summed
-    in scipy's order of ascending powers.
-    """
-
-    def __init__(self, spline):
-        x = spline.x
-        n = x.size - 1
-        h = np.diff(x)
-        if x[0] != 0.0 or not np.allclose(h, h[0], rtol=1e-9, atol=0):
-            raise InternalInconsistencyError(
-                "spline knots are not uniform from 0")
-        self.x, self.x_next, self.n, self.T = x, x[1:], n, float(x[-1])
-        self.scale = n / self.T
-        c = spline.c.reshape(4, n, -1)
-        # per channel, the coefficients of s^0 .. s^3; scipy's power sum
-        # starts from 0.0, which turns a -0.0 constant term into 0.0
-        self.coef = [np.stack([0.0 + c[3, :, k], c[2, :, k], c[1, :, k],
-                               c[0, :, k]])
-                     for k in range(c.shape[2])]
-        self.m = len(self.coef)
-
-    def values(self, theta):
-        """v(theta) as m arrays shaped like theta."""
-        th = np.mod(theta, self.T)
-        i = (th * self.scale).astype(np.intp)
-        np.minimum(i, self.n - 1, out=i)
-        i -= th < self.x.take(i)
-        i += th >= self.x_next.take(i)
-        np.minimum(i, self.n - 1, out=i)  # np.mod can round up to T
-        s = th - self.x.take(i)
-        powers = (s, s * s, s * s * s)
-        vals = []
-        for c in self.coef:
-            v = c[0].take(i)
-            for ck, p in zip(c[1:], powers):
-                term = ck.take(i)
-                term *= p
-                v += term
-            vals.append(v)
-        return vals
-
-    def __call__(self, theta, dW):
-        """sum_k v_k(theta) dW[k], accumulated channel by channel."""
-        vals = self.values(theta)
-        acc = vals[0] * dW[0]
-        for v, w in zip(vals[1:], dW[1:]):
-            acc += v * w
-        return acc
+def _v_dot(spline, theta, dW):
+    """v(theta)^T dW = sum_k v_k(theta) dW[k], accumulated channel by
+    channel."""
+    vals = spline.values(theta)
+    acc = vals[0] * dW[0]
+    for v, w in zip(vals[1:], dW[1:]):
+        acc += v * w
+    return acc
 
 
 @dataclass(frozen=True)
@@ -155,16 +112,17 @@ def simulate_sde_ensemble(basis, noise, n_paths, t_end, dt, seed,
             f"dt = {dt} too large; need dt <= T/100 = {basis.cycle.T / 100:g}")
     n_steps = int(round(t_end / dt))
     store_set = _stored_steps(n_steps, n_store)
-    v_dot = _SplineDot(basis.projection(noise.G))
+    spline = basis.projection(noise.G)
+    m = spline.c[0, 0].size
 
-    # Each chunk continues every path's stream: path i fills its own
-    # contiguous row of z, then one multiply lays the block out as
-    # (step, channel, path) in dW, so each step reads one contiguous row
-    # of increments per channel.
+    # Each chunk continues every path's stream: block by block, each path
+    # fills its own contiguous row of z, then one multiply lays the block
+    # out as (step, channel, path) in dW, so each step reads one
+    # contiguous row of increments per channel.
     sq = np.sqrt(dt)
     rngs = [np.random.default_rng([int(seed), i]) for i in range(n_paths)]
-    z = np.empty((n_paths, min(_CHUNK, n_steps), v_dot.m))
-    dW = np.empty((min(_CHUNK, n_steps), v_dot.m, n_paths))
+    z = np.empty((min(_PATH_BLOCK, n_paths), min(_CHUNK, n_steps), m))
+    dW = np.empty((min(_CHUNK, n_steps), m, n_paths))
 
     psi = np.zeros(n_paths)
     ts_out, mean_out, var_out = [], [], []
@@ -177,11 +135,14 @@ def simulate_sde_ensemble(basis, noise, n_paths, t_end, dt, seed,
     record(0)
     for j0 in range(0, n_steps, _CHUNK):
         k = min(_CHUNK, n_steps - j0)
-        for i, rng in enumerate(rngs):
-            rng.standard_normal(out=z[i, :k])
-        np.multiply(sq, z[:, :k].transpose(1, 2, 0), out=dW[:k])
+        for p0 in range(0, n_paths, _PATH_BLOCK):
+            block = rngs[p0:p0 + _PATH_BLOCK]
+            for zi, rng in zip(z, block):
+                rng.standard_normal(out=zi[:k])
+            np.multiply(sq, z[:len(block), :k].transpose(1, 2, 0),
+                        out=dW[:k, :, p0:p0 + len(block)])
         for j in range(j0, j0 + k):
-            psi = psi + v_dot(j * dt + psi, dW[j - j0])
+            psi = psi + _v_dot(spline, j * dt + psi, dW[j - j0])
             if (j + 1) in store_set:
                 record(j + 1)
     return PhaseEnsemble(ts=np.array(ts_out), mean=np.array(mean_out),
@@ -235,7 +196,6 @@ def solve_fp(basis, noise, psi_grid, t_end, dt, init_width=None,
     dpsi = float(d[0])
 
     spline = basis.projection(noise.G)
-    dspline = spline.derivative()
     vsq_max = float(np.max(np.sum(spline(basis.ts) ** 2, axis=1)))
     if vsq_max > 0:
         dt = min(dt, 0.4 * dpsi ** 2 / vsq_max)
@@ -253,8 +213,7 @@ def solve_fp(basis, noise, psi_grid, t_end, dt, init_width=None,
     for j in range(n_steps):
         t = j * dt
         theta = t + half
-        v = spline(theta)
-        dv = dspline(theta)
+        v, dv = spline(theta, derivative=True)
         drift = np.sum(v * dv, axis=1)          # v . dv^T/dpsi at half points
         diff = 0.5 * np.sum(v * v, axis=1)      # (1/2) v^T v at half points
         # flux J_{i+1/2} = -[ drift * p_half + diff * dp/dpsi ]

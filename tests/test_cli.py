@@ -139,6 +139,22 @@ def test_missing_config_exits_2(tmp_path, capsys):
     assert len(capsys.readouterr().err.splitlines()) == 2
 
 
+def test_output_dir_naming_a_file_exits_2(tmp_path, capsys):
+    # an output directory that names an existing file is a configuration
+    # error: one stderr line and exit 2, from the config and from -o
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(SL_MINIMAL + f"\n[output]\ndir = {afile}\n")
+    assert cli.run(str(cfg)) == 2
+    assert cli.main(["run", str(cfg), "-o", str(afile)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2
+    assert all(line.startswith("cannot create output directory")
+               for line in err)
+    assert afile.read_text() == ""
+
+
 def test_full_pipeline(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(VDP_FULL)

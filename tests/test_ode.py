@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
+from scipy.optimize import brentq
 
 from planar_ppv import ode
 from planar_ppv.errors import ArgumentError, IntegrationFailureError
@@ -16,6 +18,10 @@ def decay(t, x):
 def stuart_landau_rhs(t, x):
     r2 = x[0] ** 2 + x[1] ** 2
     return np.array([x[0] * (1 - r2) - x[1], x[1] * (1 - r2) + x[0]])
+
+
+def vanderpol_rhs(t, x):
+    return np.array([x[1], (1 - x[0] ** 2) * x[1] - x[0]])
 
 
 # both Dormand-Prince pairs meet the same bounds
@@ -121,3 +127,90 @@ def test_blowup_raises_with_last_time():
         ode.integrate(explode, [1.0], 0.0, 5.0)
     assert exc.value.last_t is not None
     assert 0.0 < exc.value.last_t <= 5.0
+
+
+def assert_bits(got, want):
+    """Equal to the last bit, signed zeros included."""
+    got, want = np.ascontiguousarray(got), np.ascontiguousarray(want)
+    assert got.shape == want.shape
+    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def assert_same_solution(traj, ref, rng):
+    """Same steps, states, statistics and dense output as ``solve_ivp``,
+    at random times (unsorted, one array and one by one) and at every
+    segment end."""
+    assert_bits(traj.ts, ref.t)
+    assert_bits(traj.ys, ref.y.T)
+    assert traj.nfev == ref.nfev
+    assert traj.status == ref.status
+    ts = rng.uniform(ref.t[0], ref.t[-1], 200)
+    assert_bits(traj(ts), ref.sol(ts))
+    assert_bits(traj(ref.t), ref.sol(ref.t))
+    for t in np.concatenate([ts[:20], ref.t]):
+        assert_bits(traj(t), ref.sol(t))
+
+
+# The integrator is transcribed from SciPy's solve_ivp, which stays the
+# reference here: steps, nfev, dense output and event times must match
+# it to the bit.
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("rtol", [1e-6, 1e-10, 1e-12])
+@pytest.mark.parametrize("rhs, x0, t1", [
+    (vanderpol_rhs, [2.0, 0.0], 20.0),
+    (stuart_landau_rhs, [0.3, 0.1], 10.0)], ids=["vdp", "sl"])
+def test_matches_solve_ivp_to_the_bit(method, rtol, rhs, x0, t1):
+    traj = ode.integrate(rhs, x0, 0.0, t1, rtol=rtol, atol=rtol * 1e-2,
+                         method=method)
+    ref = solve_ivp(rhs, (0.0, t1), x0, method=method, rtol=rtol,
+                    atol=rtol * 1e-2, dense_output=True)
+    assert_same_solution(traj, ref, np.random.default_rng(3))
+
+
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("rhs, p", [
+    (vanderpol_rhs, np.array([2.0, 0.0])),
+    (stuart_landau_rhs, np.array([0.6, -0.8]))], ids=["vdp", "sl"])
+def test_event_matches_solve_ivp_to_the_bit(method, rhs, p):
+    # the first upward return to the section through p normal to the
+    # flow, as cycle.find_cycle sets it up
+    n = rhs(0.0, p) / np.linalg.norm(rhs(0.0, p))
+
+    def section(t, x):
+        return n @ (x - p) if t > 0 else 1.0
+
+    traj = ode.integrate(rhs, p, 0.0, 50.0, rtol=1e-12, atol=1e-13,
+                         event=section, method=method)
+    section.terminal = True
+    section.direction = 1.0
+    ref = solve_ivp(rhs, (0.0, 50.0), p, method=method, rtol=1e-12,
+                    atol=1e-13, dense_output=True, events=section)
+    assert traj.status == 1
+    assert traj.t1 == ref.t_events[0][0]
+    assert_same_solution(traj, ref, np.random.default_rng(4))
+
+
+def test_brent_matches_brentq_on_random_brackets():
+    eps = np.finfo(float).eps
+    rng = np.random.default_rng(11)
+    shapes = [lambda x, c, k: (x - c) * (1.0 + k * (x - c) ** 2),
+              lambda x, c, k: np.expm1(k * (x - c)),
+              lambda x, c, k: np.tanh(k * (x - c)) + 0.1 * (x - c),
+              lambda x, c, k: np.sin(k * x) + 0.2 * (x - c)]
+    compared = 0
+    for i in range(2000):
+        a, b = np.sort(rng.uniform(-3.0, 3.0, 2))
+        c, k = rng.uniform(a, b), rng.uniform(0.1, 5.0)
+        shape = shapes[i % len(shapes)]
+
+        def f(x):
+            return shape(x, c, k)
+
+        if np.signbit(f(a)) == np.signbit(f(b)):
+            continue
+        assert ode._brentq(f, a, b) == brentq(f, a, b, xtol=4 * eps,
+                                              rtol=4 * eps)
+        compared += 1
+    assert compared > 1500
+    with pytest.raises(IntegrationFailureError):
+        ode._brentq(lambda x: x * x + 1.0, -1.0, 1.0)

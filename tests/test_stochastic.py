@@ -8,6 +8,7 @@ import planar_ppv as pp
 from planar_ppv import stochastic
 from planar_ppv.errors import (ArgumentError, InstabilityError,
                                InternalInconsistencyError)
+from planar_ppv.spline import PeriodicSpline
 from planar_ppv.stochastic import NoiseModel, density_to_csv, ensemble_to_csv
 
 
@@ -117,6 +118,21 @@ def test_chunked_draws_match_full_draw(request, basis_name, kind, steps):
     _assert_stats_equal(ens, ts, hist)
 
 
+@pytest.mark.parametrize("block", [1, 8, 32, 33, 64])
+def test_path_blocks_match_full_draw(monkeypatch, sl_basis, block):
+    # drawing and laying out the paths block by block, a last partial
+    # block included, leaves every path's stream and the ensemble as one
+    # whole draw gives them
+    monkeypatch.setattr(stochastic, "_PATH_BLOCK", block)
+    noise = NoiseModel.isotropic(0.05)
+    n_steps = stochastic._CHUNK + 37
+    ens = pp.simulate_sde_ensemble(sl_basis, noise, 33, n_steps * 0.01, 0.01,
+                                   seed=9, n_store=50)
+    ts, hist = _reference_paths(sl_basis, noise, range(33), n_steps * 0.01,
+                                0.01, 9, n_store=50)
+    _assert_stats_equal(ens, ts, hist)
+
+
 def _adversarial_phases(T, knots):
     """Knots and their neighbours, negative phases, phases next to k*T on
     both sides (some of which np.mod rounds up to T) and phases up to
@@ -135,19 +151,26 @@ def _adversarial_phases(T, knots):
 @pytest.mark.parametrize("kind", ["isotropic", "directional"])
 @pytest.mark.parametrize("basis_name", ["sl_basis", "vdp_basis"])
 def test_spline_dot_matches_cubic_spline(request, basis_name, kind):
-    # the ensemble's kernel gives CubicSpline.__call__'s values to the bit
-    # (signed zeros included) and the same v^T dW as the reference sum
+    # the projection's kernel gives CubicSpline.__call__'s values to the bit
+    # (signed zeros included) and the ensemble's v^T dW is the reference sum
     basis = request.getfixturevalue(basis_name)
     noise = (NoiseModel.isotropic(0.05) if kind == "isotropic"
              else NoiseModel.directional(0.05, [1.0, 0.5]))
     spline = basis.projection(noise.G)
-    v_dot = stochastic._SplineDot(spline)
+    nodes = spline.c[3]  # the node values v(x_i)
+    reference = CubicSpline(spline.x, np.concatenate([nodes, nodes[:1]]),
+                            axis=0, bc_type="periodic")
+    np.testing.assert_array_equal(spline.c.view(np.int64),
+                                  reference.c.view(np.int64))
     theta = _adversarial_phases(basis.cycle.T, spline.x)
-    want = spline(theta)
-    got = np.stack(v_dot.values(theta), axis=1)
+    want = reference(theta)
+    got = np.stack(spline.values(theta), axis=1)
     np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
-    dW = np.random.default_rng(5).standard_normal((v_dot.m, theta.size))
-    np.testing.assert_array_equal(v_dot(theta, dW),
+    np.testing.assert_array_equal(spline(theta).view(np.int64),
+                                  want.view(np.int64))
+    dW = np.random.default_rng(5).standard_normal((spline.c.shape[2],
+                                                   theta.size))
+    np.testing.assert_array_equal(stochastic._v_dot(spline, theta, dW),
                                   np.sum(want * dW.T, axis=1))
 
 
@@ -157,32 +180,32 @@ def test_spline_dot_knots():
     x = np.linspace(0.0, 2 * np.pi, 65)
     y = np.stack([np.cos(x), np.zeros_like(x)], axis=1)
     y[-1] = y[0]
-    spline = CubicSpline(x, y, axis=0, bc_type="periodic")
-    spline.c[:, :, 1] = -0.0
+    reference = CubicSpline(x, y, axis=0, bc_type="periodic")
+    reference.c[:, :, 1] = -0.0
+    spline = PeriodicSpline(x, reference.c)
     theta = _adversarial_phases(2 * np.pi, x)
-    got = np.stack(stochastic._SplineDot(spline).values(theta), axis=1)
+    got = np.stack(spline.values(theta), axis=1)
     np.testing.assert_array_equal(got.view(np.int64),
-                                  spline(theta).view(np.int64))
+                                  reference(theta).view(np.int64))
     bent = x.copy()
     bent[10] += 0.3 * (x[1] - x[0])
     for knots in (bent, x + 1.0):
         with pytest.raises(InternalInconsistencyError):
-            stochastic._SplineDot(
-                CubicSpline(knots, y, axis=0, bc_type="periodic"))
+            PeriodicSpline.interpolate(knots, y)
 
 
 def test_sde_spline_calls_independent_of_steps(monkeypatch, sl_basis):
-    # the step loop evaluates the projection through the ensemble's own
-    # kernel, so ten times the steps makes no more CubicSpline calls (a
+    # the step loop evaluates the projection through the kernel's channel
+    # values, so ten times the steps makes no more PeriodicSpline calls (a
     # call per step would make ten times as many)
     calls = []
-    original = CubicSpline.__call__
+    original = PeriodicSpline.__call__
 
     def counting(self, *args, **kwargs):
         calls.append(1)
         return original(self, *args, **kwargs)
 
-    monkeypatch.setattr(CubicSpline, "__call__", counting)
+    monkeypatch.setattr(PeriodicSpline, "__call__", counting)
     noise = NoiseModel.isotropic(0.05)
     counts = []
     for n_steps in (1000, 10000):

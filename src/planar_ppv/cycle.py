@@ -69,7 +69,8 @@ def _first_return_time(model, p, n):
         return n @ (x - p) if t > 0 else 1.0
 
     traj = ode.integrate(model.rhs, p, 0.0, _MAX_RETURN_TIME, rtol=_RTOL,
-                         atol=1e-13, event=section, method="DOP853")
+                         atol=1e-13, event=section, method="DOP853",
+                         dense=False)
     if traj.status != 1:
         raise CycleNotFoundError("no return to the Poincare section found")
     return traj.t1
@@ -86,7 +87,8 @@ def find_cycle(model, guess, settle_time=100.0, tol=1e-10):
     guess = np.asarray(guess, dtype=float)
     if settle_time > 0:
         relax = ode.integrate(model.rhs, guess, 0.0, settle_time,
-                              rtol=_RTOL, atol=1e-13, method="DOP853")
+                              rtol=_RTOL, atol=1e-13, method="DOP853",
+                              dense=False)
         p = relax.final
     else:
         p = guess.copy()

@@ -1,4 +1,4 @@
-"""Adaptive explicit Runge-Kutta integration with dense output.
+"""Adaptive explicit Runge-Kutta integration with optional dense output.
 
 The two Dormand-Prince pairs (Hairer, Norsett & Wanner, *Solving ODEs I*,
 II.4-II.6), both with embedded error control and dense output:
@@ -6,8 +6,8 @@ II.4-II.6), both with embedded error control and dense output:
 - ``"DOP853"``, the 8(5,3) pair with a 7th-order interpolant, for the
   smooth, analytic planar flows (settle, first return, augmented
   (x, Phi) flow that is also the dense cycle, (div f, a) quadrature,
-  adjoint oracle, isochron endpoints).  At their rtol of 1e-10 to 1e-12
-  it takes a fraction of the 5(4) pair's steps.
+  adjoint oracle, batched isochron endpoints).  At their rtol of 1e-10
+  to 1e-12 it takes a fraction of the 5(4) pair's steps.
 - ``"RK45"``, the 5(4) pair with a quartic interpolant (the default),
   for the phase ODE (the psi path of ``simulate_phase`` and the lock
   scan's one-period map), whose right-hand side is a C^2 cubic spline:
@@ -19,10 +19,13 @@ and the event root finder are transcribed from SciPy 1.17
 (``scipy/integrate/_ivp`` and the C ``brentq``), with every arithmetic
 operation, BLAS product, norm and min/max in SciPy's order, so steps,
 statistics, dense values and event times equal ``solve_ivp``'s to the
-bit (``tests/test_ode.py`` checks this against SciPy).  Only what the
-pipeline uses is kept: dense output is always on, at most one event is
-located and it is terminal on an upward crossing, and there is no
-``t_eval``, ``max_step``, ``first_step``, vectorized or complex support.
+bit (``tests/test_ode.py`` checks this against SciPy, with and without
+dense output).  Dense output is on by default; callers that read only
+the endpoint turn it off, as ``solve_ivp``'s ``dense_output=False`` does,
+and then an interpolant is built only to locate an event.  Only what the
+pipeline uses is kept: at most one event is located and it is terminal
+on an upward crossing, and there is no ``t_eval``, ``max_step``,
+``first_step``, vectorized or complex support.
 """
 
 # The code below is derived from SciPy, under this notice:
@@ -75,19 +78,18 @@ _TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
 
 
 class Trajectory:
-    """Immutable dense-output solution of an initial value problem.
+    """Immutable solution of an initial value problem, dense if asked.
 
-    ``nfev``, ``njev`` and ``status`` are the integrator's statistics:
-    right-hand-side calls, Jacobian evaluations (0 for explicit RK) and
-    its termination status (0: reached the end of the span, 1: event).
+    ``nfev`` and ``status`` are the integrator's statistics:
+    right-hand-side calls and its termination status (0: reached the end
+    of the span, 1: event).
     """
 
-    def __init__(self, ts, ys, sol, nfev, njev, status):
+    def __init__(self, ts, ys, sol, nfev, status):
         self.ts = ts
         self.ys = ys  # shape (n_samples, dim)
         self._sol = sol
         self.nfev = nfev
-        self.njev = njev
         self.status = status
 
     @property
@@ -96,6 +98,9 @@ class Trajectory:
 
     def __call__(self, t):
         """Dense-output evaluation; scalar or array time argument."""
+        if self._sol is None:
+            raise ArgumentError("integrated with dense=False: only the "
+                                "step nodes ts, ys are kept")
         return self._sol(t)
 
     @property
@@ -104,12 +109,15 @@ class Trajectory:
 
 
 def integrate(rhs, x0, t0, t1, rtol=1e-10, atol=1e-12, event=None,
-              method="RK45"):
-    """Integrate ``dx/dt = rhs(t, x)`` over [t0, t1] with dense output.
+              method="RK45", dense=True):
+    """Integrate ``dx/dt = rhs(t, x)`` over [t0, t1].
 
     An upward zero crossing of ``event(t, x)`` ends the integration at its
     root (status 1).  ``method`` names the Dormand-Prince pair: ``"RK45"``
-    or ``"DOP853"``.
+    or ``"DOP853"``.  ``dense`` is ``solve_ivp``'s ``dense_output``: with
+    False no step interpolant is built (for DOP853 that saves three RHS
+    calls per step), except on the step where the event fires, and the
+    trajectory cannot be called.  Steps and states do not depend on it.
     """
     if method not in _PAIRS:
         raise ArgumentError(f"unknown method {method!r}; use {tuple(_PAIRS)}")
@@ -133,23 +141,28 @@ def integrate(rhs, x0, t0, t1, rtol=1e-10, atol=1e-12, event=None,
         if solver.direction * (solver.t - solver.t_bound) >= 0:
             status = 0
         t, y = solver.t, solver.y
-        sol = solver.dense_output()
-        interpolants.append(sol)
+        sol = None
+        if dense:
+            sol = solver.dense_output()
+            interpolants.append(sol)
         if event is not None:
             g_new = event(t, y)
             if g <= 0 and g_new >= 0:
+                if sol is None:
+                    sol = solver.dense_output()
                 t = _brentq(lambda s: event(s, sol(s)), solver.t_old, t)
                 y = sol(t)
                 status = 1
             g = g_new
-        if len(ts) > 1 and ts[-1] == t:
+        if dense and len(ts) > 1 and ts[-1] == t:
             interpolants.pop()
         else:
             ts.append(t)
             ys.append(y)
     ts = np.array(ts)
-    return Trajectory(ts, np.vstack(ys), _DenseSolution(ts, interpolants),
-                      solver.nfev, 0, status)
+    return Trajectory(ts, np.vstack(ys),
+                      _DenseSolution(ts, interpolants) if dense else None,
+                      solver.nfev, status)
 
 
 def _norm(x):

@@ -145,7 +145,7 @@ def _period_map(proj, T, eps, omega_inj):
 
     # RK45, not DOP853: the RHS is a C^2 spline (see ``ode``)
     traj = ode.integrate(rhs, np.tile(theta, n), 0.0, 1.0, rtol=_MAP_RTOL,
-                         atol=1e-12, method="RK45")
+                         atol=1e-12, method="RK45", dense=False)
     return traj.final.reshape(n, M) - theta - (T - t_inj)
 
 

@@ -123,3 +123,83 @@ def test_stuart_landau_phase_is_polar_angle(sl_cycle):
             r = pp.asymptotic_phase(sl_cycle, seed, horizon=30.0)
             gap = abs(r.phase - angle)
             assert min(gap, sl_cycle.T - gap) <= 1e-8
+
+
+def seed_points(basis, t_star, offsets):
+    """The experiment's seeds: unit u2 set, then unit f_perp set."""
+    cyc = basis.cycle
+    p = cyc.point(t_star)
+    u2 = basis.u2(float(t_star))
+    ctrl = pp.perp(cyc.model.field(p))
+    return [p + off * d / np.linalg.norm(d)
+            for d in (u2, ctrl) for off in offsets]
+
+
+@pytest.mark.parametrize("t_star", [0.0, 1.3, 4.4])
+def test_batched_stuart_landau_phases_are_polar_angles(sl_basis, t_star):
+    # radial isochrons, cycle anchored at (1, 0): every batched reading
+    # is its seed's polar angle
+    offsets = [-0.3, -0.05, 0.0, 0.05, 0.3]
+    rep = pp.isochron_experiment(sl_basis, t_star, offsets, horizon=30.0)
+    seeds = seed_points(sl_basis, t_star, offsets)
+    assert len(rep.rows) == len(offsets)
+    for (_, _, phase, _), seed in zip(rep.rows, seeds):
+        angle = np.mod(np.arctan2(seed[1], seed[0]), 2 * np.pi)
+        gap = abs(phase - angle)
+        assert min(gap, sl_basis.cycle.T - gap) <= 1e-8
+
+
+@pytest.mark.parametrize("mu", [1.0, 3.0])
+def test_batched_phases_match_per_seed_phases(vdp_stiff, mu):
+    # one shared step sequence moves each phase only in the last digits
+    cyc = vdp_stiff[mu]
+    basis = pp.DilibertoBasis(cyc)
+    offsets = [-0.05, 0.0, 0.05]
+    t_star = 19 * cyc.T / 40
+    rep = pp.isochron_experiment(basis, t_star, offsets, 19.0)
+    assert len(rep.rows) == 2 * len(offsets)
+    for (_, _, phase, resid), seed in zip(
+            rep.rows, seed_points(basis, t_star, offsets)):
+        single = pp.asymptotic_phase(cyc, seed, 19.0)
+        gap = abs(phase - single.phase)
+        assert min(gap, cyc.T - gap) <= 1e-9
+        assert resid <= 1e-6
+
+
+def test_out_of_basin_seed_in_batch_raises(sl_basis):
+    # u2 is radial on Stuart-Landau: one of the unit offsets lands within
+    # rounding of the fixed point at the origin, and its endpoint is still
+    # far from the cycle at the horizon
+    with pytest.raises(NotConvergedError, match="isochron seed at offset"):
+        pp.isochron_experiment(sl_basis, 0.0, [-1.0, 0.5, 1.0], 30.0)
+
+
+def test_experiment_is_one_integration(monkeypatch, vdp_basis):
+    from planar_ppv import ode
+
+    calls = []
+    integrate = ode.integrate
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("dense"))
+        return integrate(*args, **kwargs)
+
+    monkeypatch.setattr(ode, "integrate", counted)
+    rep = pp.isochron_experiment(vdp_basis, 1.0, [-0.05, 0.0, 0.05], 20.0)
+    assert not rep.degenerate and len(rep.rows) == 6
+    assert calls == [False]
+
+
+def test_single_seed_is_a_lone_integration(vdp_cycle):
+    # asymptotic_phase is the batch of one, with the steps and the bits
+    # of integrating the bare (2,) point
+    from planar_ppv import ode
+    from planar_ppv.isochron import _nearest_cycle_time
+
+    seed = np.array([2.1, 0.2])
+    end = ode.integrate(vdp_cycle.model.rhs, seed, 0.0, 19.0, rtol=1e-10,
+                        atol=1e-12, method="DOP853").final
+    t_star, resid = _nearest_cycle_time(vdp_cycle, end)
+    r = pp.asymptotic_phase(vdp_cycle, seed, 19.0)
+    assert r.phase == float(np.mod(t_star - 19.0, vdp_cycle.T))
+    assert r.residual == resid

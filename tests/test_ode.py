@@ -63,7 +63,6 @@ def test_statistics_count_rhs_calls():
         traj = ode.integrate(counted, [1.0, 0.0], 0.0, 2 * np.pi,
                              method=method)
         assert traj.nfev == len(calls), method
-        assert traj.njev == 0, method
         assert traj.status == 0, method
 
 
@@ -136,14 +135,19 @@ def assert_bits(got, want):
     np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
 
 
-def assert_same_solution(traj, ref, rng):
-    """Same steps, states, statistics and dense output as ``solve_ivp``,
-    at random times (unsorted, one array and one by one) and at every
-    segment end."""
+def assert_same_nodes(traj, ref):
+    """Same steps, states and statistics as ``solve_ivp``."""
     assert_bits(traj.ts, ref.t)
     assert_bits(traj.ys, ref.y.T)
     assert traj.nfev == ref.nfev
     assert traj.status == ref.status
+
+
+def assert_same_solution(traj, ref, rng):
+    """Same steps, states, statistics and dense output as ``solve_ivp``,
+    at random times (unsorted, one array and one by one) and at every
+    segment end."""
+    assert_same_nodes(traj, ref)
     ts = rng.uniform(ref.t[0], ref.t[-1], 200)
     assert_bits(traj(ts), ref.sol(ts))
     assert_bits(traj(ref.t), ref.sol(ref.t))
@@ -188,6 +192,51 @@ def test_event_matches_solve_ivp_to_the_bit(method, rhs, p):
     assert traj.status == 1
     assert traj.t1 == ref.t_events[0][0]
     assert_same_solution(traj, ref, np.random.default_rng(4))
+
+
+# dense=False is solve_ivp's dense_output=False: no interpolant is built,
+# so DOP853 makes three RHS calls fewer per step, over the same steps
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("rhs, x0, t1", [
+    (vanderpol_rhs, [2.0, 0.0], 20.0),
+    (stuart_landau_rhs, [0.3, 0.1], 10.0)], ids=["vdp", "sl"])
+def test_final_only_matches_solve_ivp_to_the_bit(method, rhs, x0, t1):
+    traj = ode.integrate(rhs, x0, 0.0, t1, rtol=1e-12, atol=1e-13,
+                         method=method, dense=False)
+    ref = solve_ivp(rhs, (0.0, t1), x0, method=method, rtol=1e-12,
+                    atol=1e-13, dense_output=False)
+    assert_same_nodes(traj, ref)
+    dense = ode.integrate(rhs, x0, 0.0, t1, rtol=1e-12, atol=1e-13,
+                          method=method)
+    assert_bits(traj.ys, dense.ys)
+    if method == "DOP853":
+        assert dense.nfev - traj.nfev == 3 * (len(traj.ts) - 1)
+    with pytest.raises(ArgumentError):
+        traj(0.5 * t1)
+
+
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("rhs, p", [
+    (vanderpol_rhs, np.array([2.0, 0.0])),
+    (stuart_landau_rhs, np.array([0.6, -0.8]))], ids=["vdp", "sl"])
+def test_final_only_event_matches_solve_ivp_to_the_bit(method, rhs, p):
+    # the one interpolant, built on the crossing step, counts in nfev
+    n = rhs(0.0, p) / np.linalg.norm(rhs(0.0, p))
+
+    def section(t, x):
+        return n @ (x - p) if t > 0 else 1.0
+
+    traj = ode.integrate(rhs, p, 0.0, 50.0, rtol=1e-12, atol=1e-13,
+                         event=section, method=method, dense=False)
+    section.terminal = True
+    section.direction = 1.0
+    ref = solve_ivp(rhs, (0.0, 50.0), p, method=method, rtol=1e-12,
+                    atol=1e-13, dense_output=False, events=section)
+    assert traj.status == 1
+    assert traj.t1 == ref.t_events[0][0]
+    assert_same_nodes(traj, ref)
+    with pytest.raises(ArgumentError):
+        traj(traj.t1)
 
 
 def test_brent_matches_brentq_on_random_brackets():

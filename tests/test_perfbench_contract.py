@@ -89,3 +89,24 @@ def test_traced_run_reaches_the_traced_layers(tracer, tmp_path):
     # basis quadrature and the adjoint period
     assert (trace.totals["ode.integrate_calls"]
             == 4 + trace.totals["cycle.newton_iters"])
+
+
+def test_traced_isochron_stage_is_one_integration(tracer, tmp_path):
+    # a return to one integration per seed, or an isochron stage that
+    # bypassed the traced name, would fail here
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("[model]\nname = vanderpol\nmu = 1.0\n\n[cycle]\n"
+                   "guess = 2.0 0.0\nsettle_time = 10.0\n\n"
+                   "[verify]\ntol = 1e-5\n\n[isochron]\nt_star = 1.0\n"
+                   "offsets = -0.05 0.0 0.05\nhorizon = 12.0\n")
+    trace = tracer.Tracer("t")
+    undo = tracer.install(trace)
+    try:
+        assert cli.run(str(cfg), outdir=str(tmp_path / "out")) == 0
+    finally:
+        undo()
+    assert "isochron.experiment" in {span["name"] for span in trace.spans}
+    # settle, first return, one flow per Newton iteration, quadrature,
+    # adjoint period and the one batched isochron flow
+    assert (trace.totals["ode.integrate_calls"]
+            == 5 + trace.totals["cycle.newton_iters"])

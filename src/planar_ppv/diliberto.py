@@ -90,11 +90,11 @@ class DilibertoBasis:
         self.monodromy = np.array([[1.0, self.a_T], [0.0, self.b_T]])
 
         self.ts = np.arange(n) * (cycle.T / n)
-        # one scalar dense-output call per point: a vectorized call rounds
-        # some values 1 ulp differently and would change basis.csv
-        I = np.asarray([self._quad(float(t)) for t in self.ts])
-        self.a_grid = I[:, 1]
-        self.b_grid = np.exp(I[:, 0])
+        # one array dense-output call: DOP853's Horner interpolant gives
+        # every point the bits of a scalar call at that point
+        I = self._quad(self.ts)
+        self.a_grid = I[1]
+        self.b_grid = np.exp(I[0])
         x, F, u2, v1, v2, self.alpha_grid, self.beta_grid = \
             self._closed_forms(self.ts, self.a_grid, self.b_grid)
         self.x0_grid, self.u1_grid = x.T, F.T
@@ -216,13 +216,11 @@ def lie_bracket(model, x):
 def basis_to_csv(basis, path):
     """Grid dump with 17 significant digits per value."""
     cols = ("t,a,b,alpha,beta,u1x,u1y,u2x,u2y,v1x,v1y,v2x,v2y")
+    rows = np.column_stack([basis.ts, basis.a_grid, basis.b_grid,
+                            basis.alpha_grid, basis.beta_grid,
+                            basis.u1_grid, basis.u2_grid, basis.v1_grid,
+                            basis.v2_grid])
     with open(path, "w", newline="") as fh:
         fh.write(cols + "\n")
-        for i, t in enumerate(basis.ts):
-            row = [t, basis.a_grid[i], basis.b_grid[i],
-                   basis.alpha_grid[i], basis.beta_grid[i],
-                   basis.u1_grid[i, 0], basis.u1_grid[i, 1],
-                   basis.u2_grid[i, 0], basis.u2_grid[i, 1],
-                   basis.v1_grid[i, 0], basis.v1_grid[i, 1],
-                   basis.v2_grid[i, 0], basis.v2_grid[i, 1]]
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+        fh.writelines(",".join(f"{v:.17g}" for v in row.tolist()) + "\n"
+                      for row in rows)

@@ -4,7 +4,13 @@ Built-in oscillators are addressed by name + parameter map:
 ``vanderpol`` (mu), ``stuart_landau`` (omega), ``brusselator`` (a, b).
 Every evaluation takes a point (2,) or a batch (2, N): ``field`` returns
 (2,) or (2, N), ``jacobian`` (2, 2) or (2, 2, N), ``divergence`` a scalar
-or (N,).  For the built-ins a batch equals the stacked points bit for bit.
+or (N,).  For the built-ins a batch equals the stacked points except in
+the last bit of a few values: on a point the coordinates are NumPy
+scalars, whose ``x ** 2`` calls ``pow``, and ``pow`` rounds 1 ulp apart
+from a batch's square at some points (the field differs at 1 to 10 of
+20,000 standard-normal points, by model).  Results are assembled with
+``np.array``; ``np.stack`` over two scalars costs several times their
+arithmetic.
 """
 
 from dataclasses import dataclass, field
@@ -26,7 +32,7 @@ def _check_point(x):
     x = np.asarray(x, dtype=float)
     if x.shape[0] != 2:
         raise DomainError(f"expected planar point, got shape {x.shape}")
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise DomainError("non-finite coordinates in evaluation point")
     return x
 
@@ -58,12 +64,16 @@ class OscillatorModel:
 def _vanderpol(mu):
     def f(x):
         x1, x2 = x[0], x[1]
-        return np.stack([x2, mu * (1.0 - x1 ** 2) * x2 - x1])
+        return np.array([x2, mu * (1.0 - x1 ** 2) * x2 - x1])
 
     def jac(x):
         x1, x2 = x
+        if x.ndim == 1:
+            zero, one = 0.0, 1.0
+        else:
+            zero, one = np.zeros_like(x1), np.ones_like(x1)
         return np.array([
-            [np.zeros_like(x1), np.ones_like(x1)],
+            [zero, one],
             [-2.0 * mu * x1 * x2 - 1.0, mu * (1.0 - x1 ** 2)],
         ])
 
@@ -77,7 +87,7 @@ def _stuart_landau(omega):
     def f(x):
         x1, x2 = x[0], x[1]
         r2 = x1 ** 2 + x2 ** 2
-        return np.stack([x1 * (1.0 - r2) - omega * x2,
+        return np.array([x1 * (1.0 - r2) - omega * x2,
                          x2 * (1.0 - r2) + omega * x1])
 
     def jac(x):
@@ -96,7 +106,7 @@ def _stuart_landau(omega):
 def _brusselator(a, b):
     def f(x):
         x1, x2 = x[0], x[1]
-        return np.stack([a + x1 ** 2 * x2 - (b + 1.0) * x1,
+        return np.array([a + x1 ** 2 * x2 - (b + 1.0) * x1,
                          b * x1 - x1 ** 2 * x2])
 
     def jac(x):
@@ -151,4 +161,4 @@ def perp(v):
     The result is exactly orthogonal to the input and has the same norm.
     """
     v = np.asarray(v, dtype=float)
-    return np.stack([v[1], -v[0]])
+    return np.array([v[1], -v[0]])

@@ -62,6 +62,7 @@ on an upward crossing, and there is no ``t_eval``, ``max_step``,
 # OF THIS SOFTWARE, EVEN IF ADVISED OF THE POSSIBILITY OF SUCH DAMAGE.
 
 import math
+from bisect import bisect_left
 from itertools import groupby
 
 import numpy as np
@@ -467,22 +468,25 @@ class _QuarticDense:
 
 
 class _Dop853Dense:
-    """DOP853's interpolant on one step, in Horner form in x and 1 - x."""
+    """DOP853's interpolant on one step, in Horner form in x and 1 - x.
+
+    A scalar ``t`` takes the scalar path: the array path's additions and
+    multiplications in the same order, on Python floats, which round
+    each one as NumPy's elementwise ufuncs do, without their per-call
+    overhead.
+    """
 
     def __init__(self, t_old, t, y_old, F):
-        self.t_old = t_old
-        self.h = t - t_old
+        self.t_old = float(t_old)
+        self.h = float(t - t_old)
         self.F = F
         self.y_old = y_old
 
     def __call__(self, t):
-        t = np.asarray(t)
-        x = (t - self.t_old) / self.h
-        if t.ndim == 0:
-            y = np.zeros_like(self.y_old)
-        else:
-            x = x[:, None]
-            y = np.zeros((len(x), len(self.y_old)), dtype=self.y_old.dtype)
+        if isinstance(t, float) or np.ndim(t) == 0:
+            return self._at(float(t))
+        x = ((np.asarray(t) - self.t_old) / self.h)[:, None]
+        y = np.zeros((len(x), len(self.y_old)), dtype=self.y_old.dtype)
         for i, f in enumerate(reversed(self.F)):
             y += f
             if i % 2 == 0:
@@ -492,22 +496,38 @@ class _Dop853Dense:
         y += self.y_old
         return y.T
 
+    def _at(self, t):
+        # the loop above, unrolled over F's seven rows (three plus the
+        # four of D) and run per component on Python floats
+        x = (t - self.t_old) / self.h
+        o = 1 - x
+        return np.array([
+            ((((((((0.0 + f6) * x + f5) * o + f4) * x + f3) * o + f2) * x
+                + f1) * o + f0) * x + y0)
+            for (f0, f1, f2, f3, f4, f5, f6), y0
+            in zip(self.F.T.tolist(), self.y_old.tolist())])
+
 
 class _DenseSolution:
     """The step interpolants over [ts[0], ts[-1]]; a time on a step
-    boundary belongs to the step that ends there."""
+    boundary belongs to the step that ends there.  A scalar time finds
+    its step by ``bisect_left``, which picks the same one as
+    ``np.searchsorted(..., side="left")``, and is passed on as a Python
+    float."""
 
     def __init__(self, ts, interpolants):
         self.ts = ts
+        self._ts_list = ts.tolist()
         self.interpolants = interpolants
         self.n_segments = len(interpolants)
 
     def __call__(self, t):
-        t = np.asarray(t)
-        if t.ndim == 0:
-            ind = np.searchsorted(self.ts, t, side="left")
+        if np.ndim(t) == 0:
+            t = float(t)
+            ind = bisect_left(self._ts_list, t)
             segment = min(max(ind - 1, 0), self.n_segments - 1)
             return self.interpolants[segment](t)
+        t = np.asarray(t)
         order = np.argsort(t)
         reverse = np.empty_like(order)
         reverse[order] = np.arange(order.shape[0])

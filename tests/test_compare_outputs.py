@@ -1,0 +1,38 @@
+"""``tools/compare_outputs.py`` vouches that two trees write the same bytes;
+its file comparison and its README example must not pass silently."""
+
+import importlib.util
+from pathlib import Path
+
+from planar_ppv.config import parse_config
+
+TOOL = Path(__file__).resolve().parents[1] / "tools" / "compare_outputs.py"
+
+
+def load_tool():
+    spec = importlib.util.spec_from_file_location("compare_outputs", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_readme_example_is_a_valid_config():
+    text = load_tool().readme_example()
+    cfg = parse_config(text)
+    assert cfg.make_model().name == "vanderpol"
+    assert {"lock-scan", "noise", "isochron"} <= set(cfg.sections)
+
+
+def test_differing_files_sees_bytes_and_missing_files(tmp_path):
+    tool = load_tool()
+    a, b = tmp_path / "a", tmp_path / "b"
+    a.mkdir()
+    b.mkdir()
+    for d in (a, b):
+        (d / "same.csv").write_bytes(b"t,x\n0,1\n")
+    (a / "last_bit.csv").write_bytes(b"1.0000000000000002\n")
+    (b / "last_bit.csv").write_bytes(b"1.0000000000000004\n")
+    (a / "only_a.csv").write_bytes(b"")
+    assert tool.differing_files(str(a), str(b)) == ["last_bit.csv",
+                                                     "only_a.csv"]
+    assert tool.differing_files(str(a), str(a)) == []

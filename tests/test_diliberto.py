@@ -157,8 +157,8 @@ def test_methods_reproduce_grid_rows(sl_basis, vdp_basis):
     # one formula site: at a grid time _ab(t) reproduces the grid's
     # quadrature values exactly, so u2/v1/v2(t) equal the grid rows bit for
     # bit wherever the scalar x0(t) and f(x0) round like the vectorized
-    # grid calls (dense output and the model's array arithmetic differ in
-    # the last bit at a few points)
+    # grid calls (the model's ``**`` on a point calls pow, which rounds the
+    # last bit apart from the batch's square at a few points)
     for basis in (sl_basis, vdp_basis):
         same_frame = 0
         for i, t in enumerate(basis.ts):
@@ -174,6 +174,22 @@ def test_methods_reproduce_grid_rows(sl_basis, vdp_basis):
             assert np.array_equal(basis.v1(t), basis.v1_grid[i])
             assert np.array_equal(basis.v2(t), basis.v2_grid[i])
         assert same_frame >= basis.n - 8
+
+
+@pytest.mark.parametrize("name, params, guess", [
+    ("vanderpol", {"mu": 1.0}, (2.0, 0.0)),
+    ("vanderpol", {"mu": 3.0}, (2.0, 0.0)),
+    ("stuart_landau", {}, (0.5, 0.0)),
+    ("brusselator", {}, (1.5, 3.0))])
+def test_grid_equals_scalar_quadrature_calls(name, params, guess):
+    # the grid's one array call on the quadrature gives each row the bits
+    # of a scalar call at that time
+    cycle = pp.find_cycle(pp.get_model(name, **params), guess,
+                          settle_time=30.0)
+    basis = pp.DilibertoBasis(cycle)
+    I = np.array([basis._quad(float(t)) for t in basis.ts])
+    np.testing.assert_array_equal(basis.a_grid, I[:, 1])
+    np.testing.assert_array_equal(basis.b_grid, np.exp(I[:, 0]))
 
 
 def test_normalization_defect_at_rounding_level(sl_basis, vdp_basis):

@@ -123,6 +123,16 @@ def test_eval_wrappers(sl_model):
     np.testing.assert_array_equal(sl_model.rhs(0.0, x), sl_model.field(x))
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="``x1 ** 2`` on a point's NumPy "
+                   "scalar calls pow, which rounds 1 ulp apart from the "
+                   "batch's square here; writing x1 * x1 would move every CSV")
+def test_point_equals_batch_column_where_pow_rounds_apart():
+    model = pp.get_model("vanderpol")
+    x = np.array([1.2291748224027053, 0.7678623612862311])
+    np.testing.assert_array_equal(model.field(x), model.field(x[:, None])[:, 0])
+
+
 @pytest.mark.parametrize("name", pp.models.model_names())
 def test_batch_equals_stacked_points(name, rng):
     # a (2, N) batch gives bit for bit the stacked pointwise results

@@ -239,6 +239,41 @@ def test_final_only_event_matches_solve_ivp_to_the_bit(method, rhs, p):
         traj(traj.t1)
 
 
+def assert_scalar_path_matches_array(traj, rng):
+    """A scalar time takes the Python-float Horner path; it must give the
+    array path's bits at random interior times, at every step boundary,
+    and at times before ts[0] and after ts[-1], which the clamps send to
+    the first and last step, both through the solution and through each
+    step's own interpolant."""
+    ts = traj.ts
+    span = ts[-1] - ts[0]
+    times = np.concatenate([rng.uniform(ts[0], ts[-1], 200), ts,
+                            [ts[0] - 0.01 * span, ts[0] - span,
+                             ts[-1] + 0.01 * span, ts[-1] + span]])
+    ys = traj(times)
+    for t, y in zip(times, ys.T):
+        assert_bits(traj(float(t)), y)
+        assert_bits(traj(np.float64(t)), y)
+        assert_bits(traj(np.asarray(t)), y)
+    sol = traj._sol
+    for k, t in enumerate(rng.uniform(ts[:-1], ts[1:])):
+        interpolant = sol.interpolants[k]
+        assert_bits(interpolant(float(t)), interpolant(np.array([t]))[:, 0])
+
+
+def test_scalar_dense_output_matches_array_on_cycle_flow(vdp_cycle):
+    # the cycle's 6-dim (x, Phi) flow: cycle.point and cycle.phi
+    assert vdp_cycle._traj.ys.shape[1] == 6
+    assert_scalar_path_matches_array(vdp_cycle._traj,
+                                     np.random.default_rng(5))
+
+
+def test_scalar_dense_output_matches_array_on_quadrature(vdp_basis):
+    # the (div f, a) quadrature behind a(t), b(t) and the basis grid
+    assert_scalar_path_matches_array(vdp_basis._quad,
+                                     np.random.default_rng(6))
+
+
 def test_brent_matches_brentq_on_random_brackets():
     eps = np.finfo(float).eps
     rng = np.random.default_rng(11)

@@ -6,9 +6,9 @@ Every evaluation takes a point (2,) or a batch (2, N): ``field`` returns
 (2,) or (2, N), ``jacobian`` (2, 2) or (2, 2, N), ``divergence`` a scalar
 or (N,).  For the built-ins a batch equals the stacked points except in
 the last bit of a few values: on a point the coordinates are NumPy
-scalars, whose ``x ** 2`` calls ``pow``, and ``pow`` rounds 1 ulp apart
-from a batch's square at some points (the field differs at 1 to 10 of
-20,000 standard-normal points, by model).  Results are assembled with
+scalars, whose ``x ** 2`` calls ``pow``, and ``pow`` can round 1 ulp apart
+from a batch's square, as at the vanderpol point pinned in
+``tests/test_models.py``.  Results are assembled with
 ``np.array``; ``np.stack`` over two scalars costs several times their
 arithmetic.
 """

@@ -483,7 +483,7 @@ class _Dop853Dense:
         self.y_old = y_old
 
     def __call__(self, t):
-        if isinstance(t, float) or np.ndim(t) == 0:
+        if np.ndim(t) == 0:
             return self._at(float(t))
         x = ((np.asarray(t) - self.t_old) / self.h)[:, None]
         y = np.zeros((len(x), len(self.y_old)), dtype=self.y_old.dtype)

@@ -16,7 +16,6 @@ is 0 when every exit code and every output file agree, 1 otherwise.
 import argparse
 import os
 import re
-import shutil
 import subprocess
 import sys
 import tempfile
@@ -91,29 +90,14 @@ def main(argv=None):
     parser.add_argument("parent_tree")
     parser.add_argument("change_tree")
     parser.add_argument("--seeds", type=int, nargs="+", default=[1])
-    parser.add_argument("--workloads", nargs="+", default=sorted(WORKLOADS),
-                        choices=sorted(WORKLOADS))
-    parser.add_argument("--no-readme", action="store_true",
-                        help="skip the README example config")
-    parser.add_argument("--keep", metavar="DIR",
-                        help="write the runs under DIR and keep them")
     args = parser.parse_args(argv)
 
     cases = [(f"{workload} seed {seed} {cfg['name']}", cfg["text"])
-             for workload in args.workloads for seed in args.seeds
+             for workload in sorted(WORKLOADS) for seed in args.seeds
              for cfg in make_configs(workload, seed)]
-    if not args.no_readme:
-        cases.append(("README example", readme_example()))
-    if args.keep:
-        os.makedirs(args.keep)
-        workdir = args.keep
-    else:
-        workdir = tempfile.mkdtemp(prefix="compare-outputs-")
-    try:
+    cases.append(("README example", readme_example()))
+    with tempfile.TemporaryDirectory(prefix="compare-outputs-") as workdir:
         same = compare(args.parent_tree, args.change_tree, cases, workdir)
-    finally:
-        if not args.keep:
-            shutil.rmtree(workdir)
     print("all outputs and exit codes identical" if same else
           "outputs or exit codes differ")
     return 0 if same else 1

@@ -35,7 +35,12 @@ class LimitCycle:
     _traj: ode.Trajectory = field(repr=False)
 
     def point(self, t):
-        """x0(t mod T) from dense output; scalar or array argument."""
+        """x0(t mod T) from dense output; scalar or 1-D array argument.
+
+        A scalar is reduced as a Python float: ``%`` is ``np.mod``'s
+        fmod-and-adjust, without its per-call overhead."""
+        if ode.is_scalar(t):
+            return self._traj(float(t) % self.T)[:2]
         return self._traj(np.mod(t, self.T))[:2]
 
     def phi(self, t):

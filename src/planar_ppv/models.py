@@ -13,6 +13,7 @@ from a batch's square, as at the vanderpol point pinned in
 arithmetic.
 """
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -32,7 +33,9 @@ def _check_point(x):
     x = np.asarray(x, dtype=float)
     if x.shape[0] != 2:
         raise DomainError(f"expected planar point, got shape {x.shape}")
-    if not np.isfinite(x).all():
+    finite = (all(map(math.isfinite, x.tolist())) if x.ndim == 1
+              else np.isfinite(x).all())
+    if not finite:
         raise DomainError("non-finite coordinates in evaluation point")
     return x
 

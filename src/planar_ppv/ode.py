@@ -20,9 +20,16 @@ and the event root finder are transcribed from SciPy 1.17
 operation, BLAS product, norm and min/max in SciPy's order, so steps,
 statistics, dense values and event times equal ``solve_ivp``'s to the
 bit (``tests/test_ode.py`` checks this against SciPy, with and without
-dense output).  Dense output is on by default; callers that read only
-the endpoint turn it off, as ``solve_ivp``'s ``dense_output=False`` does,
-and then an interpolant is built only to locate an event.  Only what the
+dense output).  Step control runs on Python floats, which round as
+SciPy's NumPy scalars do.  DOP853's dense output reads an array of times
+in one Horner evaluation gathered over every time's own step, and a
+scalar time on Python floats, with each value's operations in the same
+order either way; RK45's ``np.dot`` interpolant reads an array per group
+of sorted times on one step, as SciPy's ``OdeSolution`` does, since BLAS
+sets its summation order.  Dense output is on by default; callers that
+read only the endpoint turn it off, as ``solve_ivp``'s
+``dense_output=False`` does, and then an interpolant is built only to
+locate an event.  Only what the
 pipeline uses is kept: at most one event is located and it is terminal
 on an upward crossing, and there is no ``t_eval``, ``max_step``,
 ``first_step``, vectorized or complex support.
@@ -98,7 +105,8 @@ class Trajectory:
         return self.ts[-1]
 
     def __call__(self, t):
-        """Dense-output evaluation; scalar or array time argument."""
+        """Dense-output evaluation at a scalar time, shape (dim,), or at a
+        1-D array of times, shape (dim, n)."""
         if self._sol is None:
             raise ArgumentError("integrated with dense=False: only the "
                                 "step nodes ts, ys are kept")
@@ -130,7 +138,8 @@ def integrate(rhs, x0, t0, t1, rtol=1e-10, atol=1e-12, event=None,
     if x0.ndim != 1 or x0.size == 0 or not np.isfinite(x0).all():
         raise ArgumentError("the initial state must be a finite 1-D array")
     t0, t1 = float(t0), float(t1)
-    solver = _PAIRS[method](rhs, t0, x0, t1, rtol, atol)
+    pair, solution = _PAIRS[method]
+    solver = pair(rhs, t0, x0, t1, rtol, atol)
     ts, ys, interpolants = [t0], [x0], []
     g = event(t0, x0) if event is not None else None
     status = None
@@ -162,25 +171,28 @@ def integrate(rhs, x0, t0, t1, rtol=1e-10, atol=1e-12, event=None,
             ys.append(y)
     ts = np.array(ts)
     return Trajectory(ts, np.vstack(ys),
-                      _DenseSolution(ts, interpolants) if dense else None,
+                      solution(ts, interpolants) if dense else None,
                       solver.nfev, status)
 
 
+def is_scalar(t):
+    """``np.ndim(t) == 0``; a Python float, the stepper's time type, is
+    told apart without the exception ``np.ndim`` raises and catches on
+    it."""
+    return isinstance(t, float) or np.ndim(t) == 0
+
+
 def _norm(x):
-    """RMS norm of an error vector."""
-    return np.linalg.norm(x) / x.size ** 0.5
+    """RMS norm of an error vector; ``np.linalg.norm`` of a 1-D float array
+    is this square root of ``x.dot(x)``."""
+    return math.sqrt(x.dot(x)) / x.size ** 0.5
 
 
-def _rk_step(fun, t, y, f, h, A, B, C, K):
-    """One step of an explicit RK pair; its stages land in the rows of K."""
-    K[0] = f
-    for s, (a, c) in enumerate(zip(A[1:], C[1:]), start=1):
-        dy = np.dot(K[:s].T, a[:s]) * h
-        K[s] = fun(t + c * h, y + dy)
-    y_new = y + h * np.dot(K[:-1].T, B)
-    f_new = fun(t + h, y_new)
-    K[-1] = f_new
-    return y_new, f_new
+def _stages(K, A, C, first):
+    """Each stage's ``np.dot`` operands and node, from stage ``first`` on:
+    (K[:s].T, a[:s], c), with the views into K made once per solver."""
+    return [(K[:s].T, a[:s], c)
+            for s, a, c in zip(range(first, first + len(A)), A, C.tolist())]
 
 
 def _initial_step(fun, t0, y0, t_bound, f0, direction, order, rtol, atol):
@@ -206,7 +218,14 @@ def _initial_step(fun, t0, y0, t_bound, f0, direction, order, rtol, atol):
 
 
 class _Pair:
-    """Adaptive stepping of one embedded pair from t0 towards t_bound."""
+    """Adaptive stepping of one embedded pair from t0 towards t_bound.
+
+    Times, step sizes and error norms are Python floats, which round each
+    operation as the NumPy scalars of SciPy's stepper do; the stages stay
+    on NumPy, with their ``np.dot`` operands as views made once.
+    """
+
+    n_extra_stages = 0  # dense-output stages after the step's own
 
     def __init__(self, fun, t0, y0, t_bound, rtol, atol):
         self.nfev = 0
@@ -218,21 +237,38 @@ class _Pair:
         self.fun = counted
         self.t, self.y, self.t_bound = t0, y0, t_bound
         self.t_old = self.y_old = self.h_previous = None
-        self.direction = np.sign(t_bound - t0)
+        self.direction = float(np.sign(t_bound - t0))
         self.n = y0.size
         self.rtol = max(rtol, 100 * _EPS)
-        self.atol = np.asarray(atol)
+        self.atol = float(atol)
         self.f = self.fun(self.t, self.y)
         self.h_abs = _initial_step(self.fun, self.t, self.y, t_bound, self.f,
                                    self.direction, self.error_estimator_order,
                                    self.rtol, self.atol)
-        self.K = np.empty((self.n_stages + 1, self.n))
+        n = self.n_stages + 1
+        self.K_extended = np.empty((n + self.n_extra_stages, self.n))
+        self.K = self.K_extended[:n]
+        self.KT = self.K.T
+        self.stages = _stages(self.K, self.A[1:], self.C[1:], 1)
+        self.KT_B = self.K[:-1].T
         self.error_exponent = -1 / (self.error_estimator_order + 1)
+
+    def _rk_step(self, t, y, h):
+        """One step of the pair; its stages land in the rows of K."""
+        K = self.K
+        K[0] = self.f
+        for s, (KT_s, a, c) in enumerate(self.stages, start=1):
+            dy = np.dot(KT_s, a) * h
+            K[s] = self.fun(t + c * h, y + dy)
+        y_new = y + h * np.dot(self.KT_B, self.B)
+        f_new = self.fun(t + h, y_new)
+        K[-1] = f_new
+        return y_new, f_new
 
     def step(self):
         """Take one accepted step; False once the step size underflows."""
         t, y = self.t, self.y
-        min_step = 10 * np.abs(np.nextafter(t, self.direction * np.inf) - t)
+        min_step = 10 * abs(math.nextafter(t, self.direction * math.inf) - t)
         h_abs = min_step if self.h_abs < min_step else self.h_abs
         step_accepted = False
         step_rejected = False
@@ -244,9 +280,8 @@ class _Pair:
             if self.direction * (t_new - self.t_bound) > 0:
                 t_new = self.t_bound
             h = t_new - t
-            h_abs = np.abs(h)
-            y_new, f_new = _rk_step(self.fun, t, y, self.f, h, self.A,
-                                    self.B, self.C, self.K)
+            h_abs = abs(h)
+            y_new, f_new = self._rk_step(t, y, h)
             scale = self.atol + np.maximum(np.abs(y), np.abs(y_new)) * self.rtol
             error_norm = self._error_norm(h, scale)
             if error_norm < 1:
@@ -303,11 +338,11 @@ class _RK45(_Pair):
         [0, 40617522/29380423, -110615467/29380423, 69997945/29380423]])
 
     def _error_norm(self, h, scale):
-        return _norm(np.dot(self.K.T, self.E) * h / scale)
+        return _norm(np.dot(self.KT, self.E) * h / scale)
 
     def dense_output(self):
         return _QuarticDense(self.t_old, self.t, self.y_old,
-                             self.K.T.dot(self.P))
+                             self.KT.dot(self.P))
 
 
 def _lower_triangle(rows):
@@ -394,6 +429,7 @@ class _DOP853(_Pair):
     """Dormand-Prince 8(5,3) with Hairer's 7th-order dense output."""
 
     n_stages = 12
+    n_extra_stages = 3
     order = 8
     error_estimator_order = 7
     A = _DOP853_A[:n_stages, :n_stages]
@@ -407,25 +443,25 @@ class _DOP853(_Pair):
 
     def __init__(self, fun, t0, y0, t_bound, rtol, atol):
         super().__init__(fun, t0, y0, t_bound, rtol, atol)
-        self.K_extended = np.empty((len(_DOP853_C), self.n))
-        self.K = self.K_extended[:self.n_stages + 1]
+        self.extra_stages = _stages(self.K_extended, self.A_EXTRA,
+                                    self.C_EXTRA, self.n_stages + 1)
 
     def _error_norm(self, h, scale):
-        err5 = np.dot(self.K.T, self.E5) / scale
-        err3 = np.dot(self.K.T, self.E3) / scale
-        err5_norm_2 = np.linalg.norm(err5)**2
-        err3_norm_2 = np.linalg.norm(err3)**2
+        err5 = np.dot(self.KT, self.E5) / scale
+        err3 = np.dot(self.KT, self.E3) / scale
+        err5_norm_2 = math.sqrt(err5.dot(err5))**2
+        err3_norm_2 = math.sqrt(err3.dot(err3))**2
         if err5_norm_2 == 0 and err3_norm_2 == 0:
             return 0.0
         denom = err5_norm_2 + 0.01 * err3_norm_2
-        return np.abs(h) * err5_norm_2 / np.sqrt(denom * len(scale))
+        return abs(h) * err5_norm_2 / math.sqrt(denom * len(scale))
 
     def dense_output(self):
         K = self.K_extended
         h = self.h_previous
-        for s, (a, c) in enumerate(zip(self.A_EXTRA, self.C_EXTRA),
-                                   start=self.n_stages + 1):
-            dy = np.dot(K[:s].T, a[:s]) * h
+        for s, (KT_s, a, c) in enumerate(self.extra_stages,
+                                         start=self.n_stages + 1):
+            dy = np.dot(KT_s, a) * h
             K[s] = self.fun(self.t_old + c * h, self.y_old + dy)
         F = np.empty((len(self.D) + 3, self.n))
         f_old = K[0]
@@ -435,9 +471,6 @@ class _DOP853(_Pair):
         F[2] = 2 * delta_y - h * (self.f + f_old)
         F[3:] = h * np.dot(self.D, K)
         return _Dop853Dense(self.t_old, self.t, self.y_old, F)
-
-
-_PAIRS = {"RK45": _RK45, "DOP853": _DOP853}
 
 
 class _QuarticDense:
@@ -467,10 +500,23 @@ class _QuarticDense:
         return y
 
 
+def _horner(x, F, y_old):
+    """DOP853's interpolant: starting at 0.0, add F's rows from the last,
+    multiplying by x and 1 - x in turn, then add y_old.  The rows and
+    y_old broadcast against x along the last axis."""
+    o = 1 - x
+    y = np.zeros(np.broadcast_shapes(F.shape[1:], x.shape))
+    for i, f in enumerate(F[::-1]):
+        y += f
+        y *= o if i % 2 else x
+    y += y_old
+    return y
+
+
 class _Dop853Dense:
     """DOP853's interpolant on one step, in Horner form in x and 1 - x.
 
-    A scalar ``t`` takes the scalar path: the array path's additions and
+    A scalar ``t`` takes the scalar path: :func:`_horner`'s additions and
     multiplications in the same order, on Python floats, which round
     each one as NumPy's elementwise ufuncs do, without their per-call
     overhead.
@@ -483,22 +529,14 @@ class _Dop853Dense:
         self.y_old = y_old
 
     def __call__(self, t):
-        if np.ndim(t) == 0:
+        if is_scalar(t):
             return self._at(float(t))
-        x = ((np.asarray(t) - self.t_old) / self.h)[:, None]
-        y = np.zeros((len(x), len(self.y_old)), dtype=self.y_old.dtype)
-        for i, f in enumerate(reversed(self.F)):
-            y += f
-            if i % 2 == 0:
-                y *= x
-            else:
-                y *= 1 - x
-        y += self.y_old
-        return y.T
+        x = (np.asarray(t, dtype=float) - self.t_old) / self.h
+        return _horner(x, self.F[:, :, None], self.y_old[:, None])
 
     def _at(self, t):
-        # the loop above, unrolled over F's seven rows (three plus the
-        # four of D) and run per component on Python floats
+        # _horner unrolled over F's seven rows (three plus the four of D)
+        # and run per component on Python floats
         x = (t - self.t_old) / self.h
         o = 1 - x
         return np.array([
@@ -510,10 +548,15 @@ class _Dop853Dense:
 
 class _DenseSolution:
     """The step interpolants over [ts[0], ts[-1]]; a time on a step
-    boundary belongs to the step that ends there.  A scalar time finds
-    its step by ``bisect_left``, which picks the same one as
-    ``np.searchsorted(..., side="left")``, and is passed on as a Python
-    float."""
+    boundary belongs to the step that ends there, and a time outside
+    goes to the first or last step.
+
+    A scalar time finds its step by ``bisect_left``, which picks the same
+    one as ``np.searchsorted(..., side="left")``, and is passed on as a
+    Python float.  A 1-D array of times is evaluated per group of times
+    on one step, sorted, as SciPy's ``OdeSolution`` does: RK45's
+    ``np.dot`` interpolant must see SciPy's groups to give its bits.
+    """
 
     def __init__(self, ts, interpolants):
         self.ts = ts
@@ -522,20 +565,27 @@ class _DenseSolution:
         self.n_segments = len(interpolants)
 
     def __call__(self, t):
-        if np.ndim(t) == 0:
+        if is_scalar(t):
             t = float(t)
             ind = bisect_left(self._ts_list, t)
             segment = min(max(ind - 1, 0), self.n_segments - 1)
             return self.interpolants[segment](t)
-        t = np.asarray(t)
+        t = np.asarray(t, dtype=float)
+        if t.ndim != 1:
+            raise ArgumentError("dense output takes a scalar or a 1-D array "
+                                f"of times, got shape {t.shape}")
+        segments = np.searchsorted(self.ts, t, side="left")
+        segments -= 1
+        np.clip(segments, 0, self.n_segments - 1, out=segments)
+        return self._at(t, segments)
+
+    def _at(self, t, segments):
+        if t.size == 0:
+            return np.empty((self.interpolants[0].y_old.size, 0))
         order = np.argsort(t)
         reverse = np.empty_like(order)
         reverse[order] = np.arange(order.shape[0])
-        t_sorted = t[order]
-        segments = np.searchsorted(self.ts, t_sorted, side="left")
-        segments -= 1
-        segments[segments < 0] = 0
-        segments[segments > self.n_segments - 1] = self.n_segments - 1
+        t_sorted, segments = t[order], segments[order]
         ys = []
         group_start = 0
         for segment, group in groupby(segments):
@@ -543,6 +593,38 @@ class _DenseSolution:
             ys.append(self.interpolants[segment](t_sorted[group_start:group_end]))
             group_start = group_end
         return np.hstack(ys)[:, reverse]
+
+
+class _Dop853Solution(_DenseSolution):
+    """DOP853's steps, with an array of times evaluated in one
+    :func:`_horner` over every time's own step, gathered: each element
+    gets the operations of its step's interpolant, in the same order.
+
+    The first array call stacks every step's t_old, h, F and y_old, and
+    the steps then keep views of the stack, so it is the only copy.
+    """
+
+    _F = None
+
+    def _stack(self):
+        steps = self.interpolants
+        self._t_old = np.array([s.t_old for s in steps])
+        self._h = np.array([s.h for s in steps])
+        self._F = np.stack([s.F for s in steps], axis=-1)  # (7, dim, steps)
+        self._y_old = np.stack([s.y_old for s in steps], axis=-1)
+        for k, s in enumerate(steps):
+            s.F, s.y_old = self._F[..., k], self._y_old[:, k]
+
+    def _at(self, t, segments):
+        if self._F is None:
+            self._stack()
+        x = (t - self._t_old[segments]) / self._h[segments]
+        return _horner(x, self._F[..., segments], self._y_old[:, segments])
+
+
+# method -> (stepper, dense solution)
+_PAIRS = {"RK45": (_RK45, _DenseSolution),
+          "DOP853": (_DOP853, _Dop853Solution)}
 
 
 def _signbit(x):

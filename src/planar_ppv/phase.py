@@ -44,7 +44,7 @@ def _bump_weights(n):
     return w / w.sum()
 
 
-_BIRKHOFF_WEIGHTS = _bump_weights(_BIRKHOFF_ITERS)
+_BIRKHOFF_WEIGHTS = _bump_weights(_BIRKHOFF_ITERS).tolist()
 
 
 @dataclass(frozen=True)
@@ -167,7 +167,7 @@ def _lock_row(proj, T, omega, eps, detuning):
     A point locks 1:1 iff D changes sign on its periodic spline: then the
     shift is its detuning exactly.  Otherwise the shift is the rotation
     number of theta <- theta + T + D(theta), a smooth-weighted Birkhoff
-    average over _BIRKHOFF_ITERS iterations, vectorized over the row.
+    average over _BIRKHOFF_ITERS iterations, per unlocked point.
     """
     omega_inj = omega + detuning
     for dw, w in zip(detuning, omega_inj):
@@ -193,20 +193,25 @@ def _lock_row(proj, T, omega, eps, detuning):
 def _birkhoff_mean(c, h, T):
     """Weighted Birkhoff average of D along theta <- theta + D(theta) mod T.
 
-    ``c`` holds the periodic spline's cubic pieces, (4, M, k) for k maps
-    iterated together from theta = 0.
+    ``c`` holds the periodic spline's cubic pieces, (4, M, k) for k maps,
+    each iterated from theta = 0 on Python floats: ``//``, ``%`` and the
+    Horner steps round as NumPy's elementwise ufuncs do, without their
+    per-call overhead on k-wide arrays.
     """
-    cols = np.arange(c.shape[2])
-    theta = np.zeros(c.shape[2])
-    mean = np.zeros(c.shape[2])
-    for w in _BIRKHOFF_WEIGHTS:
-        i = np.minimum((theta // h).astype(int), c.shape[1] - 1)
-        x = theta - i * h
-        ci = c[:, i, cols]
-        d = ((ci[0] * x + ci[1]) * x + ci[2]) * x + ci[3]
-        mean += w * d
-        theta = np.mod(theta + d, T)
-    return mean
+    last = c.shape[1] - 1
+    h, T = float(h), float(T)
+    means = []
+    for pieces in c.transpose(2, 1, 0).tolist():  # (M, 4) per map
+        theta = mean = 0.0
+        for w in _BIRKHOFF_WEIGHTS:
+            i = min(int(theta // h), last)
+            x = theta - i * h
+            c0, c1, c2, c3 = pieces[i]
+            d = ((c0 * x + c1) * x + c2) * x + c3
+            mean += w * d
+            theta = (theta + d) % T
+        means.append(mean)
+    return np.array(means)
 
 
 def simulate_phase(basis, pert, t_end):

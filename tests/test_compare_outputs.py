@@ -36,3 +36,13 @@ def test_differing_files_sees_bytes_and_missing_files(tmp_path):
     assert tool.differing_files(str(a), str(b)) == ["last_bit.csv",
                                                      "only_a.csv"]
     assert tool.differing_files(str(a), str(a)) == []
+
+
+def test_differing_counters_names_each_counter():
+    tool = load_tool()
+    a = {"models.rhs_calls": 10, "ode.steps": 4}
+    assert tool.differing_counters(a, dict(a)) == []
+    assert tool.differing_counters(a, {"models.rhs_calls": 11}) == [
+        "models.rhs_calls 10/11", "ode.steps 4/0"]
+    assert tool.differing_counters(None, None) == []
+    assert tool.differing_counters(a, None) == ["counters missing"]

@@ -113,6 +113,18 @@ def test_nonfinite_point_rejected(sl_model):
         sl_model.divergence([0.0, -np.inf])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("method", ["field", "jacobian", "divergence"])
+def test_nonfinite_batch_column_rejected(all_models, method, bad):
+    # a point is checked on Python floats, a batch on the array: one
+    # non-finite coordinate anywhere in a (2, N) batch still raises
+    x = np.full((2, 5), 0.5)
+    x[1, 3] = bad
+    for model in all_models:
+        with pytest.raises(DomainError):
+            getattr(model, method)(x)
+
+
 def test_eval_wrappers(sl_model):
     # the checked evaluation methods return what the raw callables return
     x = np.array([0.3, 0.4])

@@ -3,7 +3,7 @@ import pytest
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
-from planar_ppv import ode
+from planar_ppv import adjoint, ode
 from planar_ppv.errors import ArgumentError, IntegrationFailureError
 
 
@@ -240,25 +240,36 @@ def test_final_only_event_matches_solve_ivp_to_the_bit(method, rhs, p):
 
 
 def assert_scalar_path_matches_array(traj, rng):
-    """A scalar time takes the Python-float Horner path; it must give the
-    array path's bits at random interior times, at every step boundary,
-    and at times before ts[0] and after ts[-1], which the clamps send to
-    the first and last step, both through the solution and through each
-    step's own interpolant."""
+    """Scalar times take the Python-float Horner path, arrays one gathered
+    Horner over every time's own step; both must give the bits of each
+    step's own interpolant.  The times are random and unsorted, with
+    duplicates, every step boundary, and times before ts[0] and after
+    ts[-1], which the clamps send to the first and last step."""
     ts = traj.ts
     span = ts[-1] - ts[0]
-    times = np.concatenate([rng.uniform(ts[0], ts[-1], 200), ts,
+    inner = rng.uniform(ts[0], ts[-1], 200)
+    times = np.concatenate([inner, ts, inner[:10], ts[::7],
                             [ts[0] - 0.01 * span, ts[0] - span,
                              ts[-1] + 0.01 * span, ts[-1] + span]])
+    rng.shuffle(times)
+    scalar = [traj(float(t)) for t in times]
     ys = traj(times)
-    for t, y in zip(times, ys.T):
+    assert ys.shape == (traj.ys.shape[1], len(times))
+    assert ys.flags.c_contiguous
+    sol = traj._sol
+    steps = np.clip(np.searchsorted(ts, times, side="left") - 1, 0,
+                    len(ts) - 2)
+    for t, k, y, y_scalar in zip(times, steps, ys.T, scalar):
+        assert_bits(y, y_scalar)
         assert_bits(traj(float(t)), y)
         assert_bits(traj(np.float64(t)), y)
         assert_bits(traj(np.asarray(t)), y)
-    sol = traj._sol
+        assert_bits(sol.interpolants[k](np.array([t]))[:, 0], y)
     for k, t in enumerate(rng.uniform(ts[:-1], ts[1:])):
         interpolant = sol.interpolants[k]
         assert_bits(interpolant(float(t)), interpolant(np.array([t]))[:, 0])
+    # the steps keep views of the stack the array call made
+    assert all(np.shares_memory(s.F, sol._F) for s in sol.interpolants)
 
 
 def test_scalar_dense_output_matches_array_on_cycle_flow(vdp_cycle):
@@ -272,6 +283,33 @@ def test_scalar_dense_output_matches_array_on_quadrature(vdp_basis):
     # the (div f, a) quadrature behind a(t), b(t) and the basis grid
     assert_scalar_path_matches_array(vdp_basis._quad,
                                      np.random.default_rng(6))
+
+
+def test_scalar_dense_output_matches_array_on_adjoint_flow(vdp_cycle,
+                                                          monkeypatch):
+    # numeric_ppv's backward adjoint period, read at T - ts
+    trajs = []
+    integrate = ode.integrate
+
+    def capture(*args, **kwargs):
+        trajs.append(integrate(*args, **kwargs))
+        return trajs[-1]
+
+    monkeypatch.setattr(ode, "integrate", capture)
+    adjoint.numeric_ppv(vdp_cycle, 64)
+    (traj,) = trajs
+    assert traj._sol._F is not None  # the read-out was one array call
+    assert_scalar_path_matches_array(traj, np.random.default_rng(7))
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_dense_output_takes_empty_and_rejects_2d_times(method):
+    traj = ode.integrate(vanderpol_rhs, [2.0, 0.0], 0.0, 5.0, method=method)
+    empty = traj(np.array([]))
+    assert empty.shape == (2, 0)
+    assert traj([]).shape == (2, 0)
+    with pytest.raises(ArgumentError, match=r"shape \(2, 3\)"):
+        traj(np.ones((2, 3)))
 
 
 def test_brent_matches_brentq_on_random_brackets():

@@ -3,9 +3,10 @@ import pytest
 from scipy.integrate import quad
 
 import planar_ppv as pp
-from planar_ppv import ode
+from planar_ppv import ode, phase
 from planar_ppv.errors import ArgumentError
 from planar_ppv.phase import Perturbation, phase_rhs, spectrum_to_csv
+from planar_ppv.spline import PeriodicSpline
 
 
 def test_phase_rhs_along_flow(sl_basis, sl_model):
@@ -231,6 +232,43 @@ def test_lock_map_adler_second_order(vdp_basis):
         shift_err.append(np.max(np.abs([r[3] for r in lm.rows] - adler)))
     assert edge_err[1] * 3.0 <= edge_err[0]
     assert shift_err[1] * 3.0 <= shift_err[0]
+
+
+def _birkhoff_mean_numpy(c, h, T):
+    """The weighted Birkhoff loop vectorized over the maps, on NumPy
+    arrays: the reference for the per-map Python-float loop."""
+    cols = np.arange(c.shape[2])
+    theta = np.zeros(c.shape[2])
+    mean = np.zeros(c.shape[2])
+    for w in np.asarray(phase._BIRKHOFF_WEIGHTS):
+        i = np.minimum((theta // h).astype(int), c.shape[1] - 1)
+        x = theta - i * h
+        ci = c[:, i, cols]
+        d = ((ci[0] * x + ci[1]) * x + ci[2]) * x + ci[3]
+        mean += w * d
+        theta = np.mod(theta + d, T)
+    return mean
+
+
+def test_birkhoff_mean_matches_numpy_loop():
+    # random unlocked one-period maps D (no zero crossing), built into
+    # the periodic spline as _lock_row builds them, 1 to 4 maps at once
+    rng = np.random.default_rng(17)
+    M = phase._MAP_PHASES
+    for _ in range(30):
+        T, k = rng.uniform(1.0, 10.0), int(rng.integers(1, 5))
+        h = T / M
+        theta = np.arange(M + 1) * h
+        offset = rng.choice([-1.0, 1.0], k) * rng.uniform(0.05, 0.5, k) * T
+        amp = rng.uniform(0.0, 0.9, k) * np.abs(offset)
+        D = offset + amp * np.sin(2.0 * np.pi * theta[:, None] / T
+                                  + rng.uniform(0.0, 2.0 * np.pi, k))
+        D[-1] = D[0]
+        c = PeriodicSpline.interpolate(theta, D).c
+        want = _birkhoff_mean_numpy(c, h, T)
+        got = phase._birkhoff_mean(c, h, T)
+        np.testing.assert_array_equal(got.view(np.int64),
+                                      want.view(np.int64))
 
 
 def test_full_system_agrees_with_lock_map(vdp_model, vdp_basis, vdp_cycle):

@@ -1,19 +1,23 @@
 """Run the benchmark configs and the README example through two source trees
-and compare what they write, byte for byte.
+and compare what they write, byte for byte, and what they count.
 
     python3 tools/compare_outputs.py PARENT_TREE CHANGE_TREE --seeds 1 9 11
 
 Each tree is a checkout with ``src/planar_ppv``.  Every config that
 ``perfbench/workloads.py`` generates for each workload and seed, plus the
-``[model]`` example config in ``README.md``, runs once per tree as
-``python -m planar_ppv.cli run CONFIG -o OUTDIR`` with ``PYTHONPATH`` set to
-that tree's ``src``.  The configs come from this checkout's ``perfbench/``
-and ``README.md``, so both trees run the same inputs.  One line is printed
-per config with its exit codes and the files that differ; the exit status
-is 0 when every exit code and every output file agree, 1 otherwise.
+``[model]`` example config in ``README.md``, runs once per tree through
+``perfbench/trace_child.py CONFIG OUTDIR SPANS_JSON`` with ``PYTHONPATH``
+set to that tree's ``src``: ``cli.run`` traced, so the run also records
+the benchmark's counters (RHS and Jacobian calls, integrations, steps).
+The configs and the tracer come from this checkout's ``perfbench/`` and
+``README.md``, so both trees run the same inputs under the same
+counters.  One line is printed per config with its exit codes, the files
+that differ and the counters whose totals differ; the exit status is 0
+when every exit code, output file and counter total agrees, 1 otherwise.
 """
 
 import argparse
+import json
 import os
 import re
 import subprocess
@@ -21,7 +25,8 @@ import sys
 import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+PERFBENCH = os.path.join(ROOT, "perfbench")
+sys.path.insert(0, PERFBENCH)
 
 from workloads import WORKLOADS, make_configs  # noqa: E402
 
@@ -36,15 +41,32 @@ def readme_example():
 
 
 def run_tree(tree, config_path, outdir):
-    """Exit code of one CLI run of ``tree`` on ``config_path``."""
+    """Exit code and counter totals of one traced run of ``tree`` on
+    ``config_path``; the totals are None if the run wrote none."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.path.join(os.path.abspath(tree), "src")
+    spans_path = outdir + ".json"
     proc = subprocess.run(
-        [sys.executable, "-m", "planar_ppv.cli", "run", config_path,
-         "-o", outdir], cwd=os.path.dirname(outdir), env=env,
-        stdin=subprocess.DEVNULL, stdout=subprocess.DEVNULL,
+        [sys.executable, os.path.join(PERFBENCH, "trace_child.py"),
+         config_path, outdir, spans_path], cwd=os.path.dirname(outdir),
+        env=env, stdin=subprocess.DEVNULL, stdout=subprocess.DEVNULL,
         stderr=subprocess.DEVNULL)
-    return proc.returncode
+    try:
+        with open(spans_path) as fh:
+            totals = json.load(fh)["totals"]
+    except FileNotFoundError:
+        totals = None
+    return proc.returncode, totals
+
+
+def differing_counters(totals_a, totals_b):
+    """``name a/b`` for each counter whose totals differ, or whose run
+    wrote no totals."""
+    if totals_a is None or totals_b is None:
+        return [] if totals_a == totals_b else ["counters missing"]
+    return [f"{name} {totals_a.get(name, 0)}/{totals_b.get(name, 0)}"
+            for name in sorted(set(totals_a) | set(totals_b))
+            if totals_a.get(name, 0) != totals_b.get(name, 0)]
 
 
 def differing_files(dir_a, dir_b):
@@ -68,13 +90,15 @@ def compare(parent, change, cases, workdir):
         config_path = os.path.join(case_dir, "run.cfg")
         with open(config_path, "w") as fh:
             fh.write(text)
-        codes, outs = [], []
+        codes, outs, totals = [], [], []
         for side, tree in (("parent", parent), ("change", change)):
             out = os.path.join(case_dir, side)
             os.makedirs(out)
-            codes.append(run_tree(tree, config_path, out))
+            code, counts = run_tree(tree, config_path, out)
+            codes.append(code)
             outs.append(out)
-        differ = differing_files(*outs)
+            totals.append(counts)
+        differ = differing_files(*outs) + differing_counters(*totals)
         same = codes[0] == codes[1] and not differ
         all_same = all_same and same
         n_files = len(os.listdir(outs[0]))
@@ -98,8 +122,8 @@ def main(argv=None):
     cases.append(("README example", readme_example()))
     with tempfile.TemporaryDirectory(prefix="compare-outputs-") as workdir:
         same = compare(args.parent_tree, args.change_tree, cases, workdir)
-    print("all outputs and exit codes identical" if same else
-          "outputs or exit codes differ")
+    print("all outputs, exit codes and counters identical" if same else
+          "outputs, exit codes or counters differ")
     return 0 if same else 1
 
 

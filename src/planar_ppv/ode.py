@@ -500,26 +500,13 @@ class _QuarticDense:
         return y
 
 
-def _horner(x, F, y_old):
-    """DOP853's interpolant: starting at 0.0, add F's rows from the last,
-    multiplying by x and 1 - x in turn, then add y_old.  The rows and
-    y_old broadcast against x along the last axis."""
-    o = 1 - x
-    y = np.zeros(np.broadcast_shapes(F.shape[1:], x.shape))
-    for i, f in enumerate(F[::-1]):
-        y += f
-        y *= o if i % 2 else x
-    y += y_old
-    return y
-
-
 class _Dop853Dense:
-    """DOP853's interpolant on one step, in Horner form in x and 1 - x.
-
-    A scalar ``t`` takes the scalar path: :func:`_horner`'s additions and
-    multiplications in the same order, on Python floats, which round
-    each one as NumPy's elementwise ufuncs do, without their per-call
-    overhead.
+    """DOP853's interpolant on one step, in Horner form in x and 1 - x,
+    at a Python float time: starting at 0.0, add F's rows from the last,
+    multiplying by x and 1 - x in turn, then add y_old.  It runs per
+    component on Python floats, which round each operation as NumPy's
+    elementwise ufuncs do, without their per-call overhead.  Arrays of
+    times go through :class:`_Dop853Solution`.
     """
 
     def __init__(self, t_old, t, y_old, F):
@@ -529,14 +516,7 @@ class _Dop853Dense:
         self.y_old = y_old
 
     def __call__(self, t):
-        if is_scalar(t):
-            return self._at(float(t))
-        x = (np.asarray(t, dtype=float) - self.t_old) / self.h
-        return _horner(x, self.F[:, :, None], self.y_old[:, None])
-
-    def _at(self, t):
-        # _horner unrolled over F's seven rows (three plus the four of D)
-        # and run per component on Python floats
+        # unrolled over F's seven rows (three plus the four of D)
         x = (t - self.t_old) / self.h
         o = 1 - x
         return np.array([
@@ -596,9 +576,9 @@ class _DenseSolution:
 
 
 class _Dop853Solution(_DenseSolution):
-    """DOP853's steps, with an array of times evaluated in one
-    :func:`_horner` over every time's own step, gathered: each element
-    gets the operations of its step's interpolant, in the same order.
+    """DOP853's steps, with an array of times evaluated in one Horner
+    pass gathered over every time's own step: each element gets the
+    operations of its step's scalar interpolant, in the same order.
 
     The first array call stacks every step's t_old, h, F and y_old, and
     the steps then keep views of the stack, so it is the only copy.
@@ -619,7 +599,13 @@ class _Dop853Solution(_DenseSolution):
         if self._F is None:
             self._stack()
         x = (t - self._t_old[segments]) / self._h[segments]
-        return _horner(x, self._F[..., segments], self._y_old[:, segments])
+        o = 1 - x
+        y = np.zeros((self._y_old.shape[0], x.size))
+        for i, f in enumerate(self._F[::-1, :, segments]):
+            y += f
+            y *= o if i % 2 else x
+        y += self._y_old[:, segments]
+        return y
 
 
 # method -> (stepper, dense solution)

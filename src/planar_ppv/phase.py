@@ -35,6 +35,10 @@ _RTOL = 1e-8  # of simulate_phase's psi integration
 _MAP_PHASES = 64  # initial phases per detuning on the one-period map
 _MAP_RTOL = 1e-10
 _BIRKHOFF_ITERS = 4096  # map iterations per unlocked rotation number
+# rows with more unlocked maps iterate them together on NumPy arrays:
+# the per-map loop's cost grows with the row, and from about 25 maps
+# it exceeds the array loop's, which hardly does
+_BIRKHOFF_PER_MAP_MAX = 20
 
 
 def _bump_weights(n):
@@ -194,10 +198,14 @@ def _birkhoff_mean(c, h, T):
     """Weighted Birkhoff average of D along theta <- theta + D(theta) mod T.
 
     ``c`` holds the periodic spline's cubic pieces, (4, M, k) for k maps,
-    each iterated from theta = 0 on Python floats: ``//``, ``%`` and the
-    Horner steps round as NumPy's elementwise ufuncs do, without their
-    per-call overhead on k-wide arrays.
+    each iterated from theta = 0.  Up to _BIRKHOFF_PER_MAP_MAX maps run
+    one by one on Python floats: ``//``, ``%`` and the Horner steps round
+    as NumPy's elementwise ufuncs do, without their per-call overhead.
+    That overhead is about the same per iteration for any k, so wider
+    rows run all their maps together on arrays.  Both give the same bits.
     """
+    if c.shape[2] > _BIRKHOFF_PER_MAP_MAX:
+        return _birkhoff_mean_arrays(c, h, T)
     last = c.shape[1] - 1
     h, T = float(h), float(T)
     means = []
@@ -212,6 +220,21 @@ def _birkhoff_mean(c, h, T):
             theta = (theta + d) % T
         means.append(mean)
     return np.array(means)
+
+
+def _birkhoff_mean_arrays(c, h, T):
+    """:func:`_birkhoff_mean` with the k maps iterated together."""
+    cols = np.arange(c.shape[2])
+    theta = np.zeros(c.shape[2])
+    mean = np.zeros(c.shape[2])
+    for w in _BIRKHOFF_WEIGHTS:
+        i = np.minimum((theta // h).astype(int), c.shape[1] - 1)
+        x = theta - i * h
+        ci = c[:, i, cols]
+        d = ((ci[0] * x + ci[1]) * x + ci[2]) * x + ci[3]
+        mean += w * d
+        theta = np.mod(theta + d, T)
+    return mean
 
 
 def simulate_phase(basis, pert, t_end):

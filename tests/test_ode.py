@@ -240,11 +240,12 @@ def test_final_only_event_matches_solve_ivp_to_the_bit(method, rhs, p):
 
 
 def assert_scalar_path_matches_array(traj, rng):
-    """Scalar times take the Python-float Horner path, arrays one gathered
-    Horner over every time's own step; both must give the bits of each
-    step's own interpolant.  The times are random and unsorted, with
-    duplicates, every step boundary, and times before ts[0] and after
-    ts[-1], which the clamps send to the first and last step."""
+    """Scalar times take each step's Python-float Horner, arrays one
+    gathered Horner over every time's own step; the array must give the
+    bits of each step's own scalar interpolant.  The times are random and
+    unsorted, with duplicates, every step boundary, and times before
+    ts[0] and after ts[-1], which the clamps send to the first and last
+    step."""
     ts = traj.ts
     span = ts[-1] - ts[0]
     inner = rng.uniform(ts[0], ts[-1], 200)
@@ -264,10 +265,10 @@ def assert_scalar_path_matches_array(traj, rng):
         assert_bits(traj(float(t)), y)
         assert_bits(traj(np.float64(t)), y)
         assert_bits(traj(np.asarray(t)), y)
-        assert_bits(sol.interpolants[k](np.array([t]))[:, 0], y)
-    for k, t in enumerate(rng.uniform(ts[:-1], ts[1:])):
-        interpolant = sol.interpolants[k]
-        assert_bits(interpolant(float(t)), interpolant(np.array([t]))[:, 0])
+        assert_bits(sol.interpolants[k](float(t)), y)
+    inside = rng.uniform(ts[:-1], ts[1:])  # one time inside each step
+    for interpolant, t, y in zip(sol.interpolants, inside, traj(inside).T):
+        assert_bits(interpolant(float(t)), y)
     # the steps keep views of the stack the array call made
     assert all(np.shares_memory(s.F, sol._F) for s in sol.interpolants)
 

@@ -236,7 +236,8 @@ def test_lock_map_adler_second_order(vdp_basis):
 
 def _birkhoff_mean_numpy(c, h, T):
     """The weighted Birkhoff loop vectorized over the maps, on NumPy
-    arrays: the reference for the per-map Python-float loop."""
+    arrays: the reference for both of phase's loops, per map on Python
+    floats and over all maps on arrays."""
     cols = np.arange(c.shape[2])
     theta = np.zeros(c.shape[2])
     mean = np.zeros(c.shape[2])
@@ -252,11 +253,13 @@ def _birkhoff_mean_numpy(c, h, T):
 
 def test_birkhoff_mean_matches_numpy_loop():
     # random unlocked one-period maps D (no zero crossing), built into
-    # the periodic spline as _lock_row builds them, 1 to 4 maps at once
+    # the periodic spline as _lock_row builds them, 1 to 4 maps at once,
+    # then rows on both sides of the per-map width limit
     rng = np.random.default_rng(17)
     M = phase._MAP_PHASES
-    for _ in range(30):
-        T, k = rng.uniform(1.0, 10.0), int(rng.integers(1, 5))
+    wide = phase._BIRKHOFF_PER_MAP_MAX
+    for k in rng.integers(1, 5, 30).tolist() + [wide, wide + 1]:
+        T = rng.uniform(1.0, 10.0)
         h = T / M
         theta = np.arange(M + 1) * h
         offset = rng.choice([-1.0, 1.0], k) * rng.uniform(0.05, 0.5, k) * T

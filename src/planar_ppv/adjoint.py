@@ -53,8 +53,7 @@ def numeric_ppv(cycle, n):
     if scale == 0.0:
         raise OracleFailureError("degenerate adjoint normalization")
     y0 = y0 / scale
-    traj = ode.integrate(rhs, y0, 0.0, T, rtol=_RTOL, atol=1e-13,
-                         method="DOP853")
+    traj = ode.integrate(rhs, y0, 0.0, T, rtol=_RTOL, atol=1e-13)
     defect = np.linalg.norm(traj.final - y0) / np.linalg.norm(traj.final)
     if not defect <= _PERIODIC_TOL:  # NaN fails too
         raise OracleFailureError(

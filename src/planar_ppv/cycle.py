@@ -74,8 +74,7 @@ def _first_return_time(model, p, n):
         return n @ (x - p) if t > 0 else 1.0
 
     traj = ode.integrate(model.rhs, p, 0.0, _MAX_RETURN_TIME, rtol=_RTOL,
-                         atol=1e-13, event=section, method="DOP853",
-                         dense=False)
+                         atol=1e-13, event=section, dense=False)
     if traj.status != 1:
         raise CycleNotFoundError("no return to the Poincare section found")
     return traj.t1
@@ -92,8 +91,7 @@ def find_cycle(model, guess, settle_time=100.0, tol=1e-10):
     guess = np.asarray(guess, dtype=float)
     if settle_time > 0:
         relax = ode.integrate(model.rhs, guess, 0.0, settle_time,
-                              rtol=_RTOL, atol=1e-13, method="DOP853",
-                              dense=False)
+                              rtol=_RTOL, atol=1e-13, dense=False)
         p = relax.final
     else:
         p = guess.copy()
@@ -114,7 +112,7 @@ def find_cycle(model, guess, settle_time=100.0, tol=1e-10):
     residuals = []
     for _ in range(_MAX_NEWTON):
         traj = ode.integrate(augmented, np.concatenate([x, np.eye(2).ravel()]),
-                             0.0, T, rtol=_RTOL, atol=1e-13, method="DOP853")
+                             0.0, T, rtol=_RTOL, atol=1e-13)
         end, Phi = traj.final[:2], traj.final[2:].reshape(2, 2)
         r = end - x
         residuals.append(np.linalg.norm(r))

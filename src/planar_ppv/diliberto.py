@@ -70,8 +70,7 @@ class DilibertoBasis:
         self.cycle = cycle
         self.n = n
         self._quad = ode.integrate(_quad_rhs(cycle), [0.0, 0.0], 0.0,
-                                   cycle.T, rtol=_RTOL, atol=1e-14,
-                                   method="DOP853")
+                                   cycle.T, rtol=_RTOL, atol=1e-14)
         IT = self._quad.final
         self.b_T = float(np.exp(IT[0]))
         self.a_T = float(IT[1])

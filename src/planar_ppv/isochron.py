@@ -81,7 +81,7 @@ def _asymptotic_phases(cycle, seeds, horizon):
         return rhs(t, z.reshape(shape)).ravel()
 
     traj = ode.integrate(batch, pts.ravel(), 0.0, horizon, rtol=_RTOL,
-                         atol=1e-12, method="DOP853", dense=False)
+                         atol=1e-12, dense=False)
     readings = []
     for (label, _), end in zip(seeds, traj.final.reshape(2, -1).T):
         t_star, resid = _nearest_cycle_time(cycle, end)
@@ -132,11 +132,14 @@ def isochron_experiment(basis, t_star, offsets, horizon):
     """Seed along unit u2 (isochron tangent) and unit f_perp (control).
 
     When the two directions coincide (orthogonally decomposable
-    oscillators) the control set is degenerate and skipped.
+    oscillators) the control set is degenerate and skipped.  The seeds sit
+    at t_star mod T: u2 is T-periodic, but its closed form evaluated past
+    T grows with b_T^k and overflows at a large t_star.
     """
     cycle = basis.cycle
-    p = cycle.point(t_star)
-    u2 = basis.u2(float(t_star))
+    t = float(t_star) % cycle.T
+    p = cycle.point(t)
+    u2 = basis.u2(t)
     u2 = u2 / np.linalg.norm(u2)
     ctrl = perp(cycle.model.field(p))
     ctrl = ctrl / np.linalg.norm(ctrl)

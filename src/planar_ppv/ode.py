@@ -1,35 +1,26 @@
 """Adaptive explicit Runge-Kutta integration with optional dense output.
 
-The two Dormand-Prince pairs (Hairer, Norsett & Wanner, *Solving ODEs I*,
-II.4-II.6), both with embedded error control and dense output:
+One pair serves every flow: Dormand-Prince 8(5,3) (Hairer, Norsett &
+Wanner, *Solving ODEs I*, II.4-II.6), with embedded error control and a
+7th-order dense output.  Its callers are the smooth planar flows (settle,
+first return, augmented (x, Phi) flow that is also the dense cycle,
+(div f, a) quadrature, adjoint oracle, batched isochron endpoints) at
+rtol 1e-10 to 1e-12, and the phase ODE (the psi path of
+``simulate_phase`` and the lock scan's one-period map).
 
-- ``"DOP853"``, the 8(5,3) pair with a 7th-order interpolant, for the
-  smooth, analytic planar flows (settle, first return, augmented
-  (x, Phi) flow that is also the dense cycle, (div f, a) quadrature,
-  adjoint oracle, batched isochron endpoints).  At their rtol of 1e-10
-  to 1e-12 it takes a fraction of the 5(4) pair's steps.
-- ``"RK45"``, the 5(4) pair with a quartic interpolant (the default),
-  for the phase ODE (the psi path of ``simulate_phase`` and the lock
-  scan's one-period map), whose right-hand side is a C^2 cubic spline:
-  the 8th-order error estimate keeps tripping over the spline's knots,
-  and there the lower-order pair needs fewer calls.
-
-The stepper, its step-size controller and first step, both dense outputs
+The stepper, its step-size controller and first step, the dense output
 and the event root finder are transcribed from SciPy 1.17
 (``scipy/integrate/_ivp`` and the C ``brentq``), with every arithmetic
 operation, BLAS product, norm and min/max in SciPy's order, so steps,
 statistics, dense values and event times equal ``solve_ivp``'s to the
 bit (``tests/test_ode.py`` checks this against SciPy, with and without
 dense output).  Step control runs on Python floats, which round as
-SciPy's NumPy scalars do.  DOP853's dense output reads an array of times
-in one Horner evaluation gathered over every time's own step, and a
-scalar time on Python floats, with each value's operations in the same
-order either way; RK45's ``np.dot`` interpolant reads an array per group
-of sorted times on one step, as SciPy's ``OdeSolution`` does, since BLAS
-sets its summation order.  Dense output is on by default; callers that
-read only the endpoint turn it off, as ``solve_ivp``'s
-``dense_output=False`` does, and then an interpolant is built only to
-locate an event.  Only what the
+SciPy's NumPy scalars do.  The dense output reads an array of times in
+one Horner evaluation gathered over every time's own step, and a scalar
+time on Python floats, with each value's operations in the same order
+either way.  Dense output is on by default; callers that read only the
+endpoint turn it off, as ``solve_ivp``'s ``dense_output=False`` does,
+and then an interpolant is built only to locate an event.  Only what the
 pipeline uses is kept: at most one event is located and it is terminal
 on an upward crossing, and there is no ``t_eval``, ``max_step``,
 ``first_step``, vectorized or complex support.
@@ -70,7 +61,6 @@ on an upward crossing, and there is no ``t_eval``, ``max_step``,
 
 import math
 from bisect import bisect_left
-from itertools import groupby
 
 import numpy as np
 
@@ -118,18 +108,15 @@ class Trajectory:
 
 
 def integrate(rhs, x0, t0, t1, rtol=1e-10, atol=1e-12, event=None,
-              method="RK45", dense=True):
+              dense=True):
     """Integrate ``dx/dt = rhs(t, x)`` over [t0, t1].
 
     An upward zero crossing of ``event(t, x)`` ends the integration at its
-    root (status 1).  ``method`` names the Dormand-Prince pair: ``"RK45"``
-    or ``"DOP853"``.  ``dense`` is ``solve_ivp``'s ``dense_output``: with
-    False no step interpolant is built (for DOP853 that saves three RHS
-    calls per step), except on the step where the event fires, and the
-    trajectory cannot be called.  Steps and states do not depend on it.
+    root (status 1).  ``dense`` is ``solve_ivp``'s ``dense_output``: with
+    False no step interpolant is built (that saves three RHS calls per
+    step), except on the step where the event fires, and the trajectory
+    cannot be called.  Steps and states do not depend on it.
     """
-    if method not in _PAIRS:
-        raise ArgumentError(f"unknown method {method!r}; use {tuple(_PAIRS)}")
     if not t1 > t0:
         raise ArgumentError(f"need t1 > t0, got [{t0}, {t1}]")
     if rtol <= 0 or atol <= 0:
@@ -138,8 +125,7 @@ def integrate(rhs, x0, t0, t1, rtol=1e-10, atol=1e-12, event=None,
     if x0.ndim != 1 or x0.size == 0 or not np.isfinite(x0).all():
         raise ArgumentError("the initial state must be a finite 1-D array")
     t0, t1 = float(t0), float(t1)
-    pair, solution = _PAIRS[method]
-    solver = pair(rhs, t0, x0, t1, rtol, atol)
+    solver = _DOP853(rhs, t0, x0, t1, rtol, atol)
     ts, ys, interpolants = [t0], [x0], []
     g = event(t0, x0) if event is not None else None
     status = None
@@ -171,7 +157,7 @@ def integrate(rhs, x0, t0, t1, rtol=1e-10, atol=1e-12, event=None,
             ys.append(y)
     ts = np.array(ts)
     return Trajectory(ts, np.vstack(ys),
-                      solution(ts, interpolants) if dense else None,
+                      _DenseSolution(ts, interpolants) if dense else None,
                       solver.nfev, status)
 
 
@@ -215,134 +201,6 @@ def _initial_step(fun, t0, y0, t_bound, f0, direction, order, rtol, atol):
     else:
         h1 = (0.01 / max(d1, d2)) ** (1 / (order + 1))
     return min(100 * h0, h1, interval_length)
-
-
-class _Pair:
-    """Adaptive stepping of one embedded pair from t0 towards t_bound.
-
-    Times, step sizes and error norms are Python floats, which round each
-    operation as the NumPy scalars of SciPy's stepper do; the stages stay
-    on NumPy, with their ``np.dot`` operands as views made once.
-    """
-
-    n_extra_stages = 0  # dense-output stages after the step's own
-
-    def __init__(self, fun, t0, y0, t_bound, rtol, atol):
-        self.nfev = 0
-
-        def counted(t, y):
-            self.nfev += 1
-            return np.asarray(fun(t, y), dtype=float)
-
-        self.fun = counted
-        self.t, self.y, self.t_bound = t0, y0, t_bound
-        self.t_old = self.y_old = self.h_previous = None
-        self.direction = float(np.sign(t_bound - t0))
-        self.n = y0.size
-        self.rtol = max(rtol, 100 * _EPS)
-        self.atol = float(atol)
-        self.f = self.fun(self.t, self.y)
-        self.h_abs = _initial_step(self.fun, self.t, self.y, t_bound, self.f,
-                                   self.direction, self.error_estimator_order,
-                                   self.rtol, self.atol)
-        n = self.n_stages + 1
-        self.K_extended = np.empty((n + self.n_extra_stages, self.n))
-        self.K = self.K_extended[:n]
-        self.KT = self.K.T
-        self.stages = _stages(self.K, self.A[1:], self.C[1:], 1)
-        self.KT_B = self.K[:-1].T
-        self.error_exponent = -1 / (self.error_estimator_order + 1)
-
-    def _rk_step(self, t, y, h):
-        """One step of the pair; its stages land in the rows of K."""
-        K = self.K
-        K[0] = self.f
-        for s, (KT_s, a, c) in enumerate(self.stages, start=1):
-            dy = np.dot(KT_s, a) * h
-            K[s] = self.fun(t + c * h, y + dy)
-        y_new = y + h * np.dot(self.KT_B, self.B)
-        f_new = self.fun(t + h, y_new)
-        K[-1] = f_new
-        return y_new, f_new
-
-    def step(self):
-        """Take one accepted step; False once the step size underflows."""
-        t, y = self.t, self.y
-        min_step = 10 * abs(math.nextafter(t, self.direction * math.inf) - t)
-        h_abs = min_step if self.h_abs < min_step else self.h_abs
-        step_accepted = False
-        step_rejected = False
-        while not step_accepted:
-            if h_abs < min_step:
-                return False
-            h = h_abs * self.direction
-            t_new = t + h
-            if self.direction * (t_new - self.t_bound) > 0:
-                t_new = self.t_bound
-            h = t_new - t
-            h_abs = abs(h)
-            y_new, f_new = self._rk_step(t, y, h)
-            scale = self.atol + np.maximum(np.abs(y), np.abs(y_new)) * self.rtol
-            error_norm = self._error_norm(h, scale)
-            if error_norm < 1:
-                if error_norm == 0:
-                    factor = _MAX_FACTOR
-                else:
-                    factor = min(_MAX_FACTOR,
-                                 _SAFETY * error_norm ** self.error_exponent)
-                if step_rejected:
-                    factor = min(1, factor)
-                h_abs *= factor
-                step_accepted = True
-            else:
-                h_abs *= max(_MIN_FACTOR,
-                             _SAFETY * error_norm ** self.error_exponent)
-                step_rejected = True
-        self.h_previous = h
-        self.t_old, self.y_old = t, y
-        self.t, self.y = t_new, y_new
-        self.h_abs = h_abs
-        self.f = f_new
-        return True
-
-
-class _RK45(_Pair):
-    """Dormand-Prince 5(4) with the quartic dense output of Shampine."""
-
-    order = 5
-    error_estimator_order = 4
-    n_stages = 6
-    C = np.array([0, 1/5, 3/10, 4/5, 8/9, 1])
-    A = np.array([
-        [0, 0, 0, 0, 0],
-        [1/5, 0, 0, 0, 0],
-        [3/40, 9/40, 0, 0, 0],
-        [44/45, -56/15, 32/9, 0, 0],
-        [19372/6561, -25360/2187, 64448/6561, -212/729, 0],
-        [9017/3168, -355/33, 46732/5247, 49/176, -5103/18656]
-    ])
-    B = np.array([35/384, 0, 500/1113, 125/192, -2187/6784, 11/84])
-    E = np.array([-71/57600, 0, 71/16695, -71/1920, 17253/339200, -22/525,
-                  1/40])
-    P = np.array([
-        [1, -8048581381/2820520608, 8663915743/2820520608,
-         -12715105075/11282082432],
-        [0, 0, 0, 0],
-        [0, 131558114200/32700410799, -68118460800/10900136933,
-         87487479700/32700410799],
-        [0, -1754552775/470086768, 14199869525/1410260304,
-         -10690763975/1880347072],
-        [0, 127303824393/49829197408, -318862633887/49829197408,
-         701980252875 / 199316789632],
-        [0, -282668133/205662961, 2019193451/616988883, -1453857185/822651844],
-        [0, 40617522/29380423, -110615467/29380423, 69997945/29380423]])
-
-    def _error_norm(self, h, scale):
-        return _norm(np.dot(self.KT, self.E) * h / scale)
-
-    def dense_output(self):
-        return _QuarticDense(self.t_old, self.t, self.y_old,
-                             self.KT.dot(self.P))
 
 
 def _lower_triangle(rows):
@@ -425,13 +283,18 @@ _DOP853_D = np.array([
 ])
 
 
-class _DOP853(_Pair):
-    """Dormand-Prince 8(5,3) with Hairer's 7th-order dense output."""
+class _DOP853:
+    """Adaptive stepping of Dormand-Prince 8(5,3) from t0 towards t_bound,
+    with Hairer's 7th-order dense output.
+
+    Times, step sizes and error norms are Python floats, which round each
+    operation as the NumPy scalars of SciPy's stepper do; the stages stay
+    on NumPy, with their ``np.dot`` operands as views made once.
+    """
 
     n_stages = 12
-    n_extra_stages = 3
-    order = 8
     error_estimator_order = 7
+    error_exponent = -1 / (error_estimator_order + 1)
     A = _DOP853_A[:n_stages, :n_stages]
     B = _DOP853_A[n_stages, :n_stages]
     C = _DOP853_C[:n_stages]
@@ -442,9 +305,43 @@ class _DOP853(_Pair):
     C_EXTRA = _DOP853_C[n_stages + 1:]
 
     def __init__(self, fun, t0, y0, t_bound, rtol, atol):
-        super().__init__(fun, t0, y0, t_bound, rtol, atol)
+        self.nfev = 0
+
+        def counted(t, y):
+            self.nfev += 1
+            return np.asarray(fun(t, y), dtype=float)
+
+        self.fun = counted
+        self.t, self.y, self.t_bound = t0, y0, t_bound
+        self.t_old = self.y_old = self.h_previous = None
+        self.direction = float(np.sign(t_bound - t0))
+        self.n = y0.size
+        self.rtol = max(rtol, 100 * _EPS)
+        self.atol = float(atol)
+        self.f = self.fun(self.t, self.y)
+        self.h_abs = _initial_step(self.fun, self.t, self.y, t_bound, self.f,
+                                   self.direction, self.error_estimator_order,
+                                   self.rtol, self.atol)
+        n = self.n_stages + 1
+        self.K_extended = np.empty((n + len(self.A_EXTRA), self.n))
+        self.K = self.K_extended[:n]
+        self.KT = self.K.T
+        self.stages = _stages(self.K, self.A[1:], self.C[1:], 1)
         self.extra_stages = _stages(self.K_extended, self.A_EXTRA,
-                                    self.C_EXTRA, self.n_stages + 1)
+                                    self.C_EXTRA, n)
+        self.KT_B = self.K[:-1].T
+
+    def _rk_step(self, t, y, h):
+        """One step of the pair; its stages land in the rows of K."""
+        K = self.K
+        K[0] = self.f
+        for s, (KT_s, a, c) in enumerate(self.stages, start=1):
+            dy = np.dot(KT_s, a) * h
+            K[s] = self.fun(t + c * h, y + dy)
+        y_new = y + h * np.dot(self.KT_B, self.B)
+        f_new = self.fun(t + h, y_new)
+        K[-1] = f_new
+        return y_new, f_new
 
     def _error_norm(self, h, scale):
         err5 = np.dot(self.KT, self.E5) / scale
@@ -456,7 +353,49 @@ class _DOP853(_Pair):
         denom = err5_norm_2 + 0.01 * err3_norm_2
         return abs(h) * err5_norm_2 / math.sqrt(denom * len(scale))
 
+    def step(self):
+        """Take one accepted step; False once the step size underflows."""
+        t, y = self.t, self.y
+        min_step = 10 * abs(math.nextafter(t, self.direction * math.inf) - t)
+        h_abs = min_step if self.h_abs < min_step else self.h_abs
+        step_accepted = False
+        step_rejected = False
+        while not step_accepted:
+            if h_abs < min_step:
+                return False
+            h = h_abs * self.direction
+            t_new = t + h
+            if self.direction * (t_new - self.t_bound) > 0:
+                t_new = self.t_bound
+            h = t_new - t
+            h_abs = abs(h)
+            y_new, f_new = self._rk_step(t, y, h)
+            scale = self.atol + np.maximum(np.abs(y), np.abs(y_new)) * self.rtol
+            error_norm = self._error_norm(h, scale)
+            if error_norm < 1:
+                if error_norm == 0:
+                    factor = _MAX_FACTOR
+                else:
+                    factor = min(_MAX_FACTOR,
+                                 _SAFETY * error_norm ** self.error_exponent)
+                if step_rejected:
+                    factor = min(1, factor)
+                h_abs *= factor
+                step_accepted = True
+            else:
+                h_abs *= max(_MIN_FACTOR,
+                             _SAFETY * error_norm ** self.error_exponent)
+                step_rejected = True
+        self.h_previous = h
+        self.t_old, self.y_old = t, y
+        self.t, self.y = t_new, y_new
+        self.h_abs = h_abs
+        self.f = f_new
+        return True
+
     def dense_output(self):
+        """The last step's interpolant; its three extra stages count in
+        ``nfev``."""
         K = self.K_extended
         h = self.h_previous
         for s, (KT_s, a, c) in enumerate(self.extra_stages,
@@ -473,40 +412,13 @@ class _DOP853(_Pair):
         return _Dop853Dense(self.t_old, self.t, self.y_old, F)
 
 
-class _QuarticDense:
-    """RK45's interpolant on one step: y_old + h Q (x, x^2, x^3, x^4)."""
-
-    def __init__(self, t_old, t, y_old, Q):
-        self.t_old = t_old
-        self.h = t - t_old
-        self.Q = Q
-        self.order = Q.shape[1] - 1
-        self.y_old = y_old
-
-    def __call__(self, t):
-        t = np.asarray(t)
-        x = (t - self.t_old) / self.h
-        if t.ndim == 0:
-            p = np.tile(x, self.order + 1)
-            p = np.cumprod(p)
-        else:
-            p = np.tile(x, (self.order + 1, 1))
-            p = np.cumprod(p, axis=0)
-        y = self.h * np.dot(self.Q, p)
-        if y.ndim == 2:
-            y += self.y_old[:, None]
-        else:
-            y += self.y_old
-        return y
-
-
 class _Dop853Dense:
     """DOP853's interpolant on one step, in Horner form in x and 1 - x,
     at a Python float time: starting at 0.0, add F's rows from the last,
     multiplying by x and 1 - x in turn, then add y_old.  It runs per
     component on Python floats, which round each operation as NumPy's
     elementwise ufuncs do, without their per-call overhead.  Arrays of
-    times go through :class:`_Dop853Solution`.
+    times go through :class:`_DenseSolution`.
     """
 
     def __init__(self, t_old, t, y_old, F):
@@ -533,10 +445,15 @@ class _DenseSolution:
 
     A scalar time finds its step by ``bisect_left``, which picks the same
     one as ``np.searchsorted(..., side="left")``, and is passed on as a
-    Python float.  A 1-D array of times is evaluated per group of times
-    on one step, sorted, as SciPy's ``OdeSolution`` does: RK45's
-    ``np.dot`` interpolant must see SciPy's groups to give its bits.
+    Python float.  A 1-D array of times is evaluated in one Horner pass
+    gathered over every time's own step: each element gets the operations
+    of its step's scalar interpolant, in the same order.
+
+    The first array call stacks every step's t_old, h, F and y_old, and
+    the steps then keep views of the stack, so it is the only copy.
     """
+
+    _F = None
 
     def __init__(self, ts, interpolants):
         self.ts = ts
@@ -557,45 +474,6 @@ class _DenseSolution:
         segments = np.searchsorted(self.ts, t, side="left")
         segments -= 1
         np.clip(segments, 0, self.n_segments - 1, out=segments)
-        return self._at(t, segments)
-
-    def _at(self, t, segments):
-        if t.size == 0:
-            return np.empty((self.interpolants[0].y_old.size, 0))
-        order = np.argsort(t)
-        reverse = np.empty_like(order)
-        reverse[order] = np.arange(order.shape[0])
-        t_sorted, segments = t[order], segments[order]
-        ys = []
-        group_start = 0
-        for segment, group in groupby(segments):
-            group_end = group_start + len(list(group))
-            ys.append(self.interpolants[segment](t_sorted[group_start:group_end]))
-            group_start = group_end
-        return np.hstack(ys)[:, reverse]
-
-
-class _Dop853Solution(_DenseSolution):
-    """DOP853's steps, with an array of times evaluated in one Horner
-    pass gathered over every time's own step: each element gets the
-    operations of its step's scalar interpolant, in the same order.
-
-    The first array call stacks every step's t_old, h, F and y_old, and
-    the steps then keep views of the stack, so it is the only copy.
-    """
-
-    _F = None
-
-    def _stack(self):
-        steps = self.interpolants
-        self._t_old = np.array([s.t_old for s in steps])
-        self._h = np.array([s.h for s in steps])
-        self._F = np.stack([s.F for s in steps], axis=-1)  # (7, dim, steps)
-        self._y_old = np.stack([s.y_old for s in steps], axis=-1)
-        for k, s in enumerate(steps):
-            s.F, s.y_old = self._F[..., k], self._y_old[:, k]
-
-    def _at(self, t, segments):
         if self._F is None:
             self._stack()
         x = (t - self._t_old[segments]) / self._h[segments]
@@ -607,10 +485,14 @@ class _Dop853Solution(_DenseSolution):
         y += self._y_old[:, segments]
         return y
 
-
-# method -> (stepper, dense solution)
-_PAIRS = {"RK45": (_RK45, _DenseSolution),
-          "DOP853": (_DOP853, _Dop853Solution)}
+    def _stack(self):
+        steps = self.interpolants
+        self._t_old = np.array([s.t_old for s in steps])
+        self._h = np.array([s.h for s in steps])
+        self._F = np.stack([s.F for s in steps], axis=-1)  # (7, dim, steps)
+        self._y_old = np.stack([s.y_old for s in steps], axis=-1)
+        for k, s in enumerate(steps):
+            s.F, s.y_old = self._F[..., k], self._y_old[:, k]
 
 
 def _signbit(x):

@@ -147,9 +147,8 @@ def _period_map(proj, T, eps, omega_inj):
         return (scale * np.cos(2.0 * np.pi * s)
                 * proj(s * t_inj + psi)).ravel()
 
-    # RK45, not DOP853: the RHS is a C^2 spline (see ``ode``)
     traj = ode.integrate(rhs, np.tile(theta, n), 0.0, 1.0, rtol=_MAP_RTOL,
-                         atol=1e-12, method="RK45", dense=False)
+                         atol=1e-12, dense=False)
     return traj.final.reshape(n, M) - theta - (T - t_inj)
 
 
@@ -248,9 +247,8 @@ def simulate_phase(basis, pert, t_end):
     if t_end <= 0:
         raise ArgumentError("t_end must be positive")
     proj = basis.projection(pert.G)
-    # RK45, not DOP853: the RHS is a C^2 spline (see ``ode``)
     traj = ode.integrate(_rhs(proj, pert.eps, pert.u), [0.0], 0.0, t_end,
-                         rtol=_RTOL, atol=1e-12, method="RK45")
+                         rtol=_RTOL, atol=1e-12)
     ts = np.linspace(0.0, t_end, _N_STORE)
     psi = traj(ts)[0]
     omega = basis.omega

@@ -46,3 +46,19 @@ def test_differing_counters_names_each_counter():
         "models.rhs_calls 10/11", "ode.steps 4/0"]
     assert tool.differing_counters(None, None) == []
     assert tool.differing_counters(a, None) == ["counters missing"]
+
+
+def test_csv_column_differences_per_column(tmp_path):
+    tool = load_tool()
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    a.write_text("eps,locked,shift,t\n0.01,True,1e-3,0\n0.02,False,2e-3,1\n")
+    b.write_text("eps,locked,shift,t\n0.01,False,1.5e-3,0\n0.02,False,1e-3,1\n")
+    assert tool.csv_column_differences(str(a), str(b)) == [
+        "locked differs", "shift max|d| 0.001"]
+    assert tool.csv_column_differences(str(a), str(a)) == []
+    b.write_text("eps,locked,shift,t\n0.01,True,1e-3,0\n")
+    assert tool.csv_column_differences(str(a), str(b)) is None
+    b.write_text("eps,locked,shift\n0.01,True,1e-3\n0.02,False,2e-3\n")
+    assert tool.csv_column_differences(str(a), str(b)) is None
+    b.write_text("")
+    assert tool.csv_column_differences(str(a), str(b)) is None

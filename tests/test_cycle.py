@@ -125,6 +125,25 @@ def test_analytic_flow_rhs_budget(monkeypatch, vdp_model):
     assert sum(nfev) <= 2_000
 
 
+def test_lock_scan_rhs_budget(monkeypatch, vdp_basis):
+    # the README grid: 25 detunings on each of two eps rows, one
+    # one-period map per row (904 calls; 1,018 on the 5(4) pair, which
+    # took 79,012 against DOP853's 112,291 on the old horizon scan)
+    nfev = []
+    original = ode.integrate
+
+    def counting(*args, **kwargs):
+        traj = original(*args, **kwargs)
+        nfev.append(traj.nfev)
+        return traj
+
+    monkeypatch.setattr(ode, "integrate", counting)
+    pp.injection_lock_scan(vdp_basis, [1.0, 0.0], [0.005, 0.01],
+                           np.linspace(-0.012, 0.012, 25))
+    assert len(nfev) == 2
+    assert sum(nfev) <= 1_500
+
+
 def test_period_is_python_float(vdp_model, vdp_cycle):
     # vdp_cycle converges at the first check, a short settle after updates
     updated = pp.find_cycle(vdp_model, (3.0, 0.5), settle_time=2.0)

@@ -1,3 +1,6 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 
@@ -31,6 +34,17 @@ def test_zero_offsets_give_zero_spread(vdp_basis):
     rep = pp.isochron_experiment(vdp_basis, 1.0, [0.0], horizon)
     assert rep.isochron_spread == 0.0
     assert rep.control_spread == 0.0
+
+
+def test_large_t_star_reads_as_t_star_mod_period(vdp_basis):
+    # u2's closed form past T grows with b_T^k and used to overflow here
+    T = vdp_basis.cycle.T
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        far = pp.isochron_experiment(vdp_basis, 1e6, [-0.05, 0.05], 19.0)
+    near = pp.isochron_experiment(vdp_basis, math.fmod(1e6, T),
+                                  [-0.05, 0.05], 19.0)
+    assert far.rows == near.rows
 
 
 def test_stuart_landau_is_degenerate(sl_basis):
@@ -198,7 +212,7 @@ def test_single_seed_is_a_lone_integration(vdp_cycle):
 
     seed = np.array([2.1, 0.2])
     end = ode.integrate(vdp_cycle.model.rhs, seed, 0.0, 19.0, rtol=1e-10,
-                        atol=1e-12, method="DOP853").final
+                        atol=1e-12).final
     t_star, resid = _nearest_cycle_time(vdp_cycle, end)
     r = pp.asymptotic_phase(vdp_cycle, seed, 19.0)
     assert r.phase == float(np.mod(t_star - 19.0, vdp_cycle.T))

@@ -294,8 +294,7 @@ def test_full_system_agrees_with_lock_map(vdp_model, vdp_basis, vdp_cycle):
     x0 = np.repeat(np.asarray(vdp_cycle.anchor, dtype=float)[:, None], 2,
                    axis=1)
     horizon = 1000.0
-    traj = ode.integrate(rhs, x0.ravel(), 0.0, horizon, rtol=1e-8,
-                         method="DOP853")
+    traj = ode.integrate(rhs, x0.ravel(), 0.0, horizon, rtol=1e-8)
     spreads = []
     for j, w in enumerate(omega_inj):
         t_inj = 2.0 * np.pi / w

@@ -12,11 +12,15 @@ the benchmark's counters (RHS and Jacobian calls, integrations, steps).
 The configs and the tracer come from this checkout's ``perfbench/`` and
 ``README.md``, so both trees run the same inputs under the same
 counters.  One line is printed per config with its exit codes, the files
-that differ and the counters whose totals differ; the exit status is 0
-when every exit code, output file and counter total agrees, 1 otherwise.
+that differ and the counters whose totals differ, then one line per
+differing CSV whose header and row count agree: the largest absolute
+difference of each numeric column that differs, and the name of each
+other column that does.  The exit status is 0 when every exit code,
+output file and counter total agrees, 1 otherwise.
 """
 
 import argparse
+import csv
 import json
 import os
 import re
@@ -81,6 +85,34 @@ def differing_files(dir_a, dir_b):
     return sorted(differ)
 
 
+def csv_column_differences(path_a, path_b):
+    """``name max|d| X`` for each numeric column of two CSVs that differs,
+    and ``name differs`` for each other column that does; None unless the
+    files have the same header, row count and row widths."""
+    tables = []
+    for path in (path_a, path_b):
+        with open(path, newline="") as fh:
+            tables.append(list(csv.reader(fh)))
+    if not all(tables):
+        return None
+    (header, *rows_a), (header_b, *rows_b) = tables
+    if (header != header_b or len(rows_a) != len(rows_b)
+            or any(len(r) != len(header) for r in rows_a + rows_b)):
+        return None
+    out = []
+    for j, name in enumerate(header):
+        pairs = [(a[j], b[j]) for a, b in zip(rows_a, rows_b) if a[j] != b[j]]
+        if not pairs:
+            continue
+        try:
+            d = max(abs(float(a) - float(b)) for a, b in pairs)
+        except ValueError:
+            out.append(f"{name} differs")
+        else:
+            out.append(f"{name} max|d| {d:.3g}")
+    return out
+
+
 def compare(parent, change, cases, workdir):
     """Run every ``(label, text)`` case on both trees; True if all agree."""
     all_same = True
@@ -106,6 +138,12 @@ def compare(parent, change, cases, workdir):
                    "DIFFERS: " + (", ".join(differ) or "exit code"))
         print(f"{label:<28} exit {codes[0]}/{codes[1]}  "
               f"{n_files} files  {verdict}", flush=True)
+        for name in differ:
+            paths = [os.path.join(out, name) for out in outs]
+            if name.endswith(".csv") and all(map(os.path.exists, paths)):
+                columns = csv_column_differences(*paths)
+                if columns:
+                    print(f"    {name}: {', '.join(columns)}", flush=True)
     return all_same
 
 

@@ -147,17 +147,24 @@ class DilibertoBasis:
         v2 = (np.exp(self.mu2 * t) / b) * Fp
         return x, F, u2, v1, v2, alpha, beta
 
+    def _periodic_forms(self, t):
+        """The closed forms at t mod T.  The vectors are T-periodic, but
+        evaluated past [0, T) on the b(T)^k extension of a and b they lose
+        periodicity, and overflow at a large t."""
+        t = np.mod(t, self.cycle.T)
+        return self._closed_forms(t, *self._ab(t))
+
     def u1(self, t):
-        return self._closed_forms(t, *self._ab(t))[1]
+        return self._periodic_forms(t)[1]
 
     def u2(self, t):
-        return self._closed_forms(t, *self._ab(t))[2]
+        return self._periodic_forms(t)[2]
 
     def v1(self, t):
-        return self._closed_forms(t, *self._ab(t))[3]
+        return self._periodic_forms(t)[3]
 
     def v2(self, t):
-        return self._closed_forms(t, *self._ab(t))[4]
+        return self._periodic_forms(t)[4]
 
     # -- periodic projection --------------------------------------------------
 

@@ -132,14 +132,11 @@ def isochron_experiment(basis, t_star, offsets, horizon):
     """Seed along unit u2 (isochron tangent) and unit f_perp (control).
 
     When the two directions coincide (orthogonally decomposable
-    oscillators) the control set is degenerate and skipped.  The seeds sit
-    at t_star mod T: u2 is T-periodic, but its closed form evaluated past
-    T grows with b_T^k and overflows at a large t_star.
+    oscillators) the control set is degenerate and skipped.
     """
     cycle = basis.cycle
-    t = float(t_star) % cycle.T
-    p = cycle.point(t)
-    u2 = basis.u2(t)
+    p = cycle.point(t_star)
+    u2 = basis.u2(t_star)
     u2 = u2 / np.linalg.norm(u2)
     ctrl = perp(cycle.model.field(p))
     ctrl = ctrl / np.linalg.norm(ctrl)

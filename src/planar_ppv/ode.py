@@ -15,15 +15,16 @@ operation, BLAS product, norm and min/max in SciPy's order, so steps,
 statistics, dense values and event times equal ``solve_ivp``'s to the
 bit (``tests/test_ode.py`` checks this against SciPy, with and without
 dense output).  Step control runs on Python floats, which round as
-SciPy's NumPy scalars do.  The dense output reads an array of times in
-one Horner evaluation gathered over every time's own step, and a scalar
-time on Python floats, with each value's operations in the same order
-either way.  Dense output is on by default; callers that read only the
-endpoint turn it off, as ``solve_ivp``'s ``dense_output=False`` does,
-and then an interpolant is built only to locate an event.  Only what the
-pipeline uses is kept: at most one event is located and it is terminal
-on an upward crossing, and there is no ``t_eval``, ``max_step``,
-``first_step``, vectorized or complex support.
+SciPy's NumPy scalars do.  Only what the pipeline uses is kept: the
+stepper goes forward only (t1 > t0), at most one event is located and
+it is terminal on an upward crossing, and there is no ``t_eval``,
+``max_step``, ``first_step``, vectorized or complex support.
+
+Dense output is on by default; callers that read only the endpoint turn
+it off, as ``solve_ivp``'s ``dense_output=False`` does, and then an
+interpolant is built only to locate an event.  Each step's interpolant
+is the tuple (t_old, h, F, y_old); one :class:`Trajectory` holds them
+all and reads a scalar or an array of times with the same operations.
 """
 
 # The code below is derived from SciPy, under this notice:
@@ -72,6 +73,7 @@ _EPS = np.finfo(float).eps
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2  # smallest step decrease
 _MAX_FACTOR = 10  # largest step increase
+_ERROR_EXPONENT = -1 / 8  # -1 / (error estimator order 7 + 1)
 _TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
 
 
@@ -80,15 +82,30 @@ class Trajectory:
 
     ``nfev`` and ``status`` are the integrator's statistics:
     right-hand-side calls and its termination status (0: reached the end
-    of the span, 1: event).
+    of the span, 1: event).  ``steps`` holds each step's interpolant
+    (t_old, h, F, y_old), or None after ``dense=False``.
+
+    A time on a step boundary belongs to the step that ends there, and a
+    time outside [ts[0], ts[-1]] to the first or last step.  A scalar time
+    finds its step by ``bisect_left`` (as ``np.searchsorted(...,
+    side="left")`` does) and is read by :func:`_interpolate`; an array of
+    times is read in one Horner pass over the steps stacked here, each
+    element with its own step's scalar operations in the same order.
     """
 
-    def __init__(self, ts, ys, sol, nfev, status):
+    def __init__(self, ts, ys, steps, nfev, status):
         self.ts = ts
         self.ys = ys  # shape (n_samples, dim)
-        self._sol = sol
+        self.steps = steps
         self.nfev = nfev
         self.status = status
+        if steps is not None:
+            self._ts_list = ts.tolist()
+            t_old, h, F, y_old = zip(*steps)
+            self._t_old = np.array(t_old)
+            self._h = np.array(h)
+            self._F = np.stack(F, axis=-1)  # (7, dim, steps)
+            self._y_old = np.stack(y_old, axis=-1)
 
     @property
     def t1(self):
@@ -97,10 +114,29 @@ class Trajectory:
     def __call__(self, t):
         """Dense-output evaluation at a scalar time, shape (dim,), or at a
         1-D array of times, shape (dim, n)."""
-        if self._sol is None:
+        if self.steps is None:
             raise ArgumentError("integrated with dense=False: only the "
                                 "step nodes ts, ys are kept")
-        return self._sol(t)
+        last = len(self.steps) - 1
+        if is_scalar(t):
+            t = float(t)
+            k = bisect_left(self._ts_list, t)
+            return _interpolate(self.steps[min(max(k - 1, 0), last)], t)
+        t = np.asarray(t, dtype=float)
+        if t.ndim != 1:
+            raise ArgumentError("dense output takes a scalar or a 1-D array "
+                                f"of times, got shape {t.shape}")
+        segments = np.searchsorted(self.ts, t, side="left")
+        segments -= 1
+        np.clip(segments, 0, last, out=segments)
+        x = (t - self._t_old[segments]) / self._h[segments]
+        o = 1 - x
+        y = np.zeros((self._y_old.shape[0], x.size))
+        for i, f in enumerate(self._F[::-1, :, segments]):
+            y += f
+            y *= o if i % 2 else x
+        y += self._y_old[:, segments]
+        return y
 
     @property
     def final(self):
@@ -117,16 +153,16 @@ def integrate(rhs, x0, t0, t1, rtol=1e-10, atol=1e-12, event=None,
     step), except on the step where the event fires, and the trajectory
     cannot be called.  Steps and states do not depend on it.
     """
-    if not t1 > t0:
-        raise ArgumentError(f"need t1 > t0, got [{t0}, {t1}]")
-    if rtol <= 0 or atol <= 0:
+    t0, t1 = float(t0), float(t1)
+    if not (math.isfinite(t0) and math.isfinite(t1) and t1 > t0):
+        raise ArgumentError(f"need finite t1 > t0, got [{t0}, {t1}]")
+    if not (rtol > 0 and atol > 0):
         raise ArgumentError("tolerances must be positive")
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     if x0.ndim != 1 or x0.size == 0 or not np.isfinite(x0).all():
         raise ArgumentError("the initial state must be a finite 1-D array")
-    t0, t1 = float(t0), float(t1)
     solver = _DOP853(rhs, t0, x0, t1, rtol, atol)
-    ts, ys, interpolants = [t0], [x0], []
+    ts, ys, steps = [t0], [x0], []
     g = event(t0, x0) if event is not None else None
     status = None
     while status is None:
@@ -134,30 +170,26 @@ def integrate(rhs, x0, t0, t1, rtol=1e-10, atol=1e-12, event=None,
             raise IntegrationFailureError(
                 f"integration failed at t={ts[-1]:.6g}: {_TOO_SMALL_STEP}",
                 last_t=ts[-1])
-        if solver.direction * (solver.t - solver.t_bound) >= 0:
+        if solver.t >= t1:
             status = 0
         t, y = solver.t, solver.y
-        sol = None
-        if dense:
-            sol = solver.dense_output()
-            interpolants.append(sol)
+        step = solver.dense_output() if dense else None
         if event is not None:
             g_new = event(t, y)
             if g <= 0 and g_new >= 0:
-                if sol is None:
-                    sol = solver.dense_output()
-                t = _brentq(lambda s: event(s, sol(s)), solver.t_old, t)
-                y = sol(t)
+                if step is None:
+                    step = solver.dense_output()
+                t = _brentq(lambda s: event(s, _interpolate(step, s)),
+                            solver.t_old, t)
+                y = _interpolate(step, t)
                 status = 1
             g = g_new
-        if dense and len(ts) > 1 and ts[-1] == t:
-            interpolants.pop()
-        else:
+        if not (dense and len(ts) > 1 and ts[-1] == t):  # a new node
             ts.append(t)
             ys.append(y)
+            steps.append(step)
     ts = np.array(ts)
-    return Trajectory(ts, np.vstack(ys),
-                      _DenseSolution(ts, interpolants) if dense else None,
+    return Trajectory(ts, np.vstack(ys), steps if dense else None,
                       solver.nfev, status)
 
 
@@ -166,6 +198,24 @@ def is_scalar(t):
     told apart without the exception ``np.ndim`` raises and catches on
     it."""
     return isinstance(t, float) or np.ndim(t) == 0
+
+
+def _interpolate(step, t):
+    """DOP853's interpolant on one step (t_old, h, F, y_old) at a Python
+    float time, in Horner form in x and 1 - x: starting at 0.0, add F's
+    rows from the last, multiplying by x and 1 - x in turn, then add
+    y_old.  It runs per component on Python floats, which round each
+    operation as NumPy's elementwise ufuncs do, without their per-call
+    overhead."""
+    t_old, h, F, y_old = step
+    # unrolled over F's seven rows (three plus the four of D)
+    x = (t - t_old) / h
+    o = 1 - x
+    return np.array([
+        ((((((((0.0 + f6) * x + f5) * o + f4) * x + f3) * o + f2) * x
+            + f1) * o + f0) * x + y0)
+        for (f0, f1, f2, f3, f4, f5, f6), y0
+        in zip(F.T.tolist(), y_old.tolist())])
 
 
 def _norm(x):
@@ -181,10 +231,10 @@ def _stages(K, A, C, first):
             for s, a, c in zip(range(first, first + len(A)), A, C.tolist())]
 
 
-def _initial_step(fun, t0, y0, t_bound, f0, direction, order, rtol, atol):
+def _initial_step(fun, t0, y0, t_bound, f0, rtol, atol):
     """First step from the scaled sizes of y0, f0 and a trial derivative
     (Hairer, Norsett & Wanner, II.4)."""
-    interval_length = abs(t_bound - t0)
+    interval_length = t_bound - t0
     scale = atol + np.abs(y0) * rtol
     d0 = _norm(y0 / scale)
     d1 = _norm(f0 / scale)
@@ -193,13 +243,13 @@ def _initial_step(fun, t0, y0, t_bound, f0, direction, order, rtol, atol):
     else:
         h0 = 0.01 * d0 / d1
     h0 = min(h0, interval_length)
-    y1 = y0 + h0 * direction * f0
-    f1 = fun(t0 + h0 * direction, y1)
+    y1 = y0 + h0 * f0
+    f1 = fun(t0 + h0, y1)
     d2 = _norm((f1 - f0) / scale) / h0
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
-        h1 = (0.01 / max(d1, d2)) ** (1 / (order + 1))
+        h1 = (0.01 / max(d1, d2)) ** (1 / 8)
     return min(100 * h0, h1, interval_length)
 
 
@@ -283,26 +333,18 @@ _DOP853_D = np.array([
 ])
 
 
+_N_STAGES = 12
+_DOP853_B = _DOP853_A[_N_STAGES, :_N_STAGES]
+
+
 class _DOP853:
-    """Adaptive stepping of Dormand-Prince 8(5,3) from t0 towards t_bound,
-    with Hairer's 7th-order dense output.
+    """Adaptive stepping of Dormand-Prince 8(5,3) from t0 forward to
+    t_bound, with Hairer's 7th-order dense output.
 
     Times, step sizes and error norms are Python floats, which round each
     operation as the NumPy scalars of SciPy's stepper do; the stages stay
     on NumPy, with their ``np.dot`` operands as views made once.
     """
-
-    n_stages = 12
-    error_estimator_order = 7
-    error_exponent = -1 / (error_estimator_order + 1)
-    A = _DOP853_A[:n_stages, :n_stages]
-    B = _DOP853_A[n_stages, :n_stages]
-    C = _DOP853_C[:n_stages]
-    E3 = _DOP853_E3
-    E5 = _DOP853_E5
-    D = _DOP853_D
-    A_EXTRA = _DOP853_A[n_stages + 1:]
-    C_EXTRA = _DOP853_C[n_stages + 1:]
 
     def __init__(self, fun, t0, y0, t_bound, rtol, atol):
         self.nfev = 0
@@ -313,22 +355,22 @@ class _DOP853:
 
         self.fun = counted
         self.t, self.y, self.t_bound = t0, y0, t_bound
-        self.t_old = self.y_old = self.h_previous = None
-        self.direction = float(np.sign(t_bound - t0))
-        self.n = y0.size
+        self.t_old = self.y_old = None
         self.rtol = max(rtol, 100 * _EPS)
         self.atol = float(atol)
-        self.f = self.fun(self.t, self.y)
-        self.h_abs = _initial_step(self.fun, self.t, self.y, t_bound, self.f,
-                                   self.direction, self.error_estimator_order,
-                                   self.rtol, self.atol)
-        n = self.n_stages + 1
-        self.K_extended = np.empty((n + len(self.A_EXTRA), self.n))
-        self.K = self.K_extended[:n]
+        self.f = self.fun(t0, y0)
+        if not np.isfinite(self.f).all():
+            raise IntegrationFailureError(
+                f"right-hand side is not finite at t={t0:.6g}", last_t=t0)
+        self.h = _initial_step(self.fun, t0, y0, t_bound, self.f,
+                               self.rtol, self.atol)
+        self.K_extended = np.empty((len(_DOP853_C), y0.size))
+        self.K = self.K_extended[:_N_STAGES + 1]
         self.KT = self.K.T
-        self.stages = _stages(self.K, self.A[1:], self.C[1:], 1)
-        self.extra_stages = _stages(self.K_extended, self.A_EXTRA,
-                                    self.C_EXTRA, n)
+        self.stages = _stages(self.K, _DOP853_A[1:_N_STAGES, :_N_STAGES],
+                              _DOP853_C[1:_N_STAGES], 1)
+        self.extra_stages = _stages(self.K_extended, _DOP853_A[_N_STAGES + 1:],
+                                    _DOP853_C[_N_STAGES + 1:], _N_STAGES + 1)
         self.KT_B = self.K[:-1].T
 
     def _rk_step(self, t, y, h):
@@ -338,161 +380,69 @@ class _DOP853:
         for s, (KT_s, a, c) in enumerate(self.stages, start=1):
             dy = np.dot(KT_s, a) * h
             K[s] = self.fun(t + c * h, y + dy)
-        y_new = y + h * np.dot(self.KT_B, self.B)
+        y_new = y + h * np.dot(self.KT_B, _DOP853_B)
         f_new = self.fun(t + h, y_new)
         K[-1] = f_new
         return y_new, f_new
 
     def _error_norm(self, h, scale):
-        err5 = np.dot(self.KT, self.E5) / scale
-        err3 = np.dot(self.KT, self.E3) / scale
+        err5 = np.dot(self.KT, _DOP853_E5) / scale
+        err3 = np.dot(self.KT, _DOP853_E3) / scale
         err5_norm_2 = math.sqrt(err5.dot(err5))**2
         err3_norm_2 = math.sqrt(err3.dot(err3))**2
         if err5_norm_2 == 0 and err3_norm_2 == 0:
             return 0.0
         denom = err5_norm_2 + 0.01 * err3_norm_2
-        return abs(h) * err5_norm_2 / math.sqrt(denom * len(scale))
+        return h * err5_norm_2 / math.sqrt(denom * len(scale))
 
     def step(self):
-        """Take one accepted step; False once the step size underflows."""
+        """Take one accepted step; False once the step size underflows or
+        is NaN."""
         t, y = self.t, self.y
-        min_step = 10 * abs(math.nextafter(t, self.direction * math.inf) - t)
-        h_abs = min_step if self.h_abs < min_step else self.h_abs
-        step_accepted = False
+        min_step = 10 * (math.nextafter(t, math.inf) - t)
+        h = max(self.h, min_step)
         step_rejected = False
-        while not step_accepted:
-            if h_abs < min_step:
+        while True:
+            if not h >= min_step:
                 return False
-            h = h_abs * self.direction
-            t_new = t + h
-            if self.direction * (t_new - self.t_bound) > 0:
-                t_new = self.t_bound
+            t_new = min(t + h, self.t_bound)
             h = t_new - t
-            h_abs = abs(h)
             y_new, f_new = self._rk_step(t, y, h)
             scale = self.atol + np.maximum(np.abs(y), np.abs(y_new)) * self.rtol
             error_norm = self._error_norm(h, scale)
             if error_norm < 1:
-                if error_norm == 0:
-                    factor = _MAX_FACTOR
-                else:
-                    factor = min(_MAX_FACTOR,
-                                 _SAFETY * error_norm ** self.error_exponent)
-                if step_rejected:
-                    factor = min(1, factor)
-                h_abs *= factor
-                step_accepted = True
-            else:
-                h_abs *= max(_MIN_FACTOR,
-                             _SAFETY * error_norm ** self.error_exponent)
-                step_rejected = True
-        self.h_previous = h
+                break
+            h *= max(_MIN_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT)
+            step_rejected = True
+        if error_norm == 0:
+            factor = _MAX_FACTOR
+        else:
+            factor = min(_MAX_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT)
+        if step_rejected:
+            factor = min(1, factor)
         self.t_old, self.y_old = t, y
-        self.t, self.y = t_new, y_new
-        self.h_abs = h_abs
-        self.f = f_new
+        self.t, self.y, self.f = t_new, y_new, f_new
+        self.h = h * factor
         return True
 
     def dense_output(self):
-        """The last step's interpolant; its three extra stages count in
-        ``nfev``."""
+        """The last step's interpolant (t_old, h, F, y_old); its three extra
+        stages count in ``nfev``."""
         K = self.K_extended
-        h = self.h_previous
+        t_old, y_old = self.t_old, self.y_old
+        h = self.t - t_old
         for s, (KT_s, a, c) in enumerate(self.extra_stages,
-                                         start=self.n_stages + 1):
+                                         start=_N_STAGES + 1):
             dy = np.dot(KT_s, a) * h
-            K[s] = self.fun(self.t_old + c * h, self.y_old + dy)
-        F = np.empty((len(self.D) + 3, self.n))
+            K[s] = self.fun(t_old + c * h, y_old + dy)
+        F = np.empty((len(_DOP853_D) + 3, y_old.size))
         f_old = K[0]
-        delta_y = self.y - self.y_old
+        delta_y = self.y - y_old
         F[0] = delta_y
         F[1] = h * f_old - delta_y
         F[2] = 2 * delta_y - h * (self.f + f_old)
-        F[3:] = h * np.dot(self.D, K)
-        return _Dop853Dense(self.t_old, self.t, self.y_old, F)
-
-
-class _Dop853Dense:
-    """DOP853's interpolant on one step, in Horner form in x and 1 - x,
-    at a Python float time: starting at 0.0, add F's rows from the last,
-    multiplying by x and 1 - x in turn, then add y_old.  It runs per
-    component on Python floats, which round each operation as NumPy's
-    elementwise ufuncs do, without their per-call overhead.  Arrays of
-    times go through :class:`_DenseSolution`.
-    """
-
-    def __init__(self, t_old, t, y_old, F):
-        self.t_old = float(t_old)
-        self.h = float(t - t_old)
-        self.F = F
-        self.y_old = y_old
-
-    def __call__(self, t):
-        # unrolled over F's seven rows (three plus the four of D)
-        x = (t - self.t_old) / self.h
-        o = 1 - x
-        return np.array([
-            ((((((((0.0 + f6) * x + f5) * o + f4) * x + f3) * o + f2) * x
-                + f1) * o + f0) * x + y0)
-            for (f0, f1, f2, f3, f4, f5, f6), y0
-            in zip(self.F.T.tolist(), self.y_old.tolist())])
-
-
-class _DenseSolution:
-    """The step interpolants over [ts[0], ts[-1]]; a time on a step
-    boundary belongs to the step that ends there, and a time outside
-    goes to the first or last step.
-
-    A scalar time finds its step by ``bisect_left``, which picks the same
-    one as ``np.searchsorted(..., side="left")``, and is passed on as a
-    Python float.  A 1-D array of times is evaluated in one Horner pass
-    gathered over every time's own step: each element gets the operations
-    of its step's scalar interpolant, in the same order.
-
-    The first array call stacks every step's t_old, h, F and y_old, and
-    the steps then keep views of the stack, so it is the only copy.
-    """
-
-    _F = None
-
-    def __init__(self, ts, interpolants):
-        self.ts = ts
-        self._ts_list = ts.tolist()
-        self.interpolants = interpolants
-        self.n_segments = len(interpolants)
-
-    def __call__(self, t):
-        if is_scalar(t):
-            t = float(t)
-            ind = bisect_left(self._ts_list, t)
-            segment = min(max(ind - 1, 0), self.n_segments - 1)
-            return self.interpolants[segment](t)
-        t = np.asarray(t, dtype=float)
-        if t.ndim != 1:
-            raise ArgumentError("dense output takes a scalar or a 1-D array "
-                                f"of times, got shape {t.shape}")
-        segments = np.searchsorted(self.ts, t, side="left")
-        segments -= 1
-        np.clip(segments, 0, self.n_segments - 1, out=segments)
-        if self._F is None:
-            self._stack()
-        x = (t - self._t_old[segments]) / self._h[segments]
-        o = 1 - x
-        y = np.zeros((self._y_old.shape[0], x.size))
-        for i, f in enumerate(self._F[::-1, :, segments]):
-            y += f
-            y *= o if i % 2 else x
-        y += self._y_old[:, segments]
-        return y
-
-    def _stack(self):
-        steps = self.interpolants
-        self._t_old = np.array([s.t_old for s in steps])
-        self._h = np.array([s.h for s in steps])
-        self._F = np.stack([s.F for s in steps], axis=-1)  # (7, dim, steps)
-        self._y_old = np.stack([s.y_old for s in steps], axis=-1)
-        for k, s in enumerate(steps):
-            s.F, s.y_old = self._F[..., k], self._y_old[:, k]
+        F[3:] = h * np.dot(_DOP853_D, K)
+        return t_old, h, F, y_old
 
 
 def _signbit(x):

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -153,6 +158,24 @@ def test_output_dir_naming_a_file_exits_2(tmp_path, capsys):
     assert all(line.startswith("cannot create output directory")
                for line in err)
     assert afile.read_text() == ""
+
+
+def test_non_finite_guess_fails_the_cycle_stage(tmp_path):
+    # vdp's field at (1e200, 0) is (0, NaN); the run used to hang, so it
+    # runs in a child with a time limit
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(VDP_FULL.replace("guess = 2.0 0.0", "guess = 1e200 0.0"))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(__file__).resolve().parents[1] / "src"),
+                    env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "planar_ppv.cli", "run", str(cfg), "-o",
+         str(tmp_path / "out")], env=env, capture_output=True, text=True,
+        timeout=60)
+    assert proc.returncode == 1
+    assert "stage 'limit-cycle' failed" in proc.stderr
+    assert "not finite" in proc.stderr
 
 
 def test_full_pipeline(tmp_path):

@@ -62,3 +62,23 @@ def test_csv_column_differences_per_column(tmp_path):
     assert tool.csv_column_differences(str(a), str(b)) is None
     b.write_text("")
     assert tool.csv_column_differences(str(a), str(b)) is None
+
+
+def test_a_run_that_hangs_is_a_timeout_and_differs(tmp_path, monkeypatch,
+                                                   capsys):
+    tool = load_tool()
+    monkeypatch.setattr(tool, "RUN_TIMEOUT_S", 2)
+    package = tmp_path / "hangs" / "src" / "planar_ppv"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text("import time\ntime.sleep(600)\n")
+    out = tmp_path / "out"
+    out.mkdir()
+    config = tmp_path / "run.cfg"
+    config.write_text(tool.readme_example())
+    tree = str(tmp_path / "hangs")
+    assert tool.run_tree(tree, str(config), str(out)) == ("timeout", None)
+    work = tmp_path / "work"
+    work.mkdir()
+    assert not tool.compare(tree, tree, [("hangs", config.read_text())],
+                            str(work))
+    assert "DIFFERS: timeout" in capsys.readouterr().out

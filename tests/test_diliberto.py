@@ -139,6 +139,20 @@ def test_v1_periodicity(sl_basis, vdp_basis):
                                        atol=1e-8 * np.linalg.norm(v))
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_vectors_are_periodic_far_from_the_first_period(vdp_basis):
+    # past [0, T) the b(T)^k extension of a and b breaks periodicity and
+    # overflows, so the vectors are read at t mod T
+    T = vdp_basis.cycle.T
+    for method in (vdp_basis.u2, vdp_basis.v1, vdp_basis.v2):
+        for t in (0.0, 1.0, T / 3, 0.9 * T):
+            want = method(t)
+            for k in (-1, 1, 50):
+                np.testing.assert_allclose(method(t + k * T), want,
+                                           rtol=0, atol=1e-9)
+    assert np.isfinite(vdp_basis.v1(1e6)).all()
+
+
 def test_v2_closed_form(sl_basis):
     np.testing.assert_allclose(sl_basis.v2(0.0), [1.0, 0.0], atol=1e-9)
 

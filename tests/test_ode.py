@@ -76,11 +76,48 @@ def test_dense_output_between_steps():
         assert np.linalg.norm(traj(tm) - ref) < tol
 
 
+def call_limited(field, limit=10_000):
+    """``field`` that raises after ``limit`` calls, so that an integration
+    that does not stop fails instead of hanging."""
+    calls = []
+
+    def rhs(t, x):
+        calls.append(t)
+        if len(calls) > limit:
+            raise RuntimeError("the integrator kept calling the RHS")
+        return field(t, x)
+
+    return rhs
+
+
 def test_bad_span_rejected():
     with pytest.raises(ArgumentError):
         ode.integrate(decay, [1.0], 1.0, 0.0)
     with pytest.raises(ArgumentError):
         ode.integrate(decay, [1.0], 0.0, 1.0, rtol=-1e-6)
+    # an infinite span or a NaN tolerance would step forever; the call
+    # limit turns that into a failure
+    for t0, t1 in [(np.nan, 1.0), (0.0, np.nan), (0.0, np.inf),
+                   (-np.inf, 1.0)]:
+        with pytest.raises(ArgumentError):
+            ode.integrate(call_limited(decay), [1.0], t0, t1, dense=False)
+    for tols in [{"rtol": np.nan}, {"atol": np.nan}]:
+        with pytest.raises(ArgumentError):
+            ode.integrate(call_limited(decay), [1.0], 0.0, 1.0, dense=False,
+                          **tols)
+
+
+@pytest.mark.parametrize("field", [
+    lambda t, x: np.array([np.nan, 0.0]),
+    vanderpol_rhs], ids=["nan", "vdp-inf-times-zero"])
+def test_non_finite_start_fails_instead_of_looping(field):
+    # a NaN first field gives a NaN first step, which never compares
+    # below the smallest step
+    rhs = call_limited(field)
+    with pytest.raises(IntegrationFailureError, match="not finite") as exc, \
+            np.errstate(over="ignore", invalid="ignore"):
+        ode.integrate(rhs, [1e200, 0.0], 0.0, 1.0)
+    assert exc.value.last_t == 0.0
 
 
 def test_blowup_raises_with_last_time():
@@ -259,7 +296,6 @@ def assert_scalar_path_matches_array(traj, rng):
     ys = traj(times)
     assert ys.shape == (traj.ys.shape[1], len(times))
     assert ys.flags.c_contiguous
-    sol = traj._sol
     steps = np.clip(np.searchsorted(ts, times, side="left") - 1, 0,
                     len(ts) - 2)
     for t, k, y, y_scalar in zip(times, steps, ys.T, scalar):
@@ -267,12 +303,10 @@ def assert_scalar_path_matches_array(traj, rng):
         assert_bits(traj(float(t)), y)
         assert_bits(traj(np.float64(t)), y)
         assert_bits(traj(np.asarray(t)), y)
-        assert_bits(sol.interpolants[k](float(t)), y)
+        assert_bits(ode._interpolate(traj.steps[k], float(t)), y)
     inside = rng.uniform(ts[:-1], ts[1:])  # one time inside each step
-    for interpolant, t, y in zip(sol.interpolants, inside, traj(inside).T):
-        assert_bits(interpolant(float(t)), y)
-    # the steps keep views of the stack the array call made
-    assert all(np.shares_memory(s.F, sol._F) for s in sol.interpolants)
+    for step, t, y in zip(traj.steps, inside, traj(inside).T):
+        assert_bits(ode._interpolate(step, float(t)), y)
 
 
 def test_scalar_dense_output_matches_array_on_cycle_flow(vdp_cycle):
@@ -301,7 +335,6 @@ def test_scalar_dense_output_matches_array_on_adjoint_flow(vdp_cycle,
     monkeypatch.setattr(ode, "integrate", capture)
     adjoint.numeric_ppv(vdp_cycle, 64)
     (traj,) = trajs
-    assert traj._sol._F is not None  # the read-out was one array call
     assert_scalar_path_matches_array(traj, np.random.default_rng(7))
 
 

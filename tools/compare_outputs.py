@@ -11,12 +11,14 @@ set to that tree's ``src``: ``cli.run`` traced, so the run also records
 the benchmark's counters (RHS and Jacobian calls, integrations, steps).
 The configs and the tracer come from this checkout's ``perfbench/`` and
 ``README.md``, so both trees run the same inputs under the same
-counters.  One line is printed per config with its exit codes, the files
-that differ and the counters whose totals differ, then one line per
-differing CSV whose header and row count agree: the largest absolute
-difference of each numeric column that differs, and the name of each
-other column that does.  The exit status is 0 when every exit code,
-output file and counter total agrees, 1 otherwise.
+counters.  A run that takes longer than ``RUN_TIMEOUT_S`` is killed and
+reported as ``timeout``, which counts as a difference.  One line is
+printed per config with its exit codes, the files that differ and the
+counters whose totals differ, then one line per differing CSV whose
+header and row count agree: the largest absolute difference of each
+numeric column that differs, and the name of each other column that
+does.  The exit status is 0 when every exit code, output file and
+counter total agrees, 1 otherwise.
 """
 
 import argparse
@@ -34,6 +36,9 @@ sys.path.insert(0, PERFBENCH)
 
 from workloads import WORKLOADS, make_configs  # noqa: E402
 
+RUN_TIMEOUT_S = 600  # per traced run; the benchmark configs take seconds
+TIMEOUT = "timeout"
+
 
 def readme_example():
     """The INI example config of ``README.md``."""
@@ -46,15 +51,19 @@ def readme_example():
 
 def run_tree(tree, config_path, outdir):
     """Exit code and counter totals of one traced run of ``tree`` on
-    ``config_path``; the totals are None if the run wrote none."""
+    ``config_path``; the totals are None if the run wrote none.  A run
+    killed after ``RUN_TIMEOUT_S`` has the exit code ``TIMEOUT``."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.path.join(os.path.abspath(tree), "src")
     spans_path = outdir + ".json"
-    proc = subprocess.run(
-        [sys.executable, os.path.join(PERFBENCH, "trace_child.py"),
-         config_path, outdir, spans_path], cwd=os.path.dirname(outdir),
-        env=env, stdin=subprocess.DEVNULL, stdout=subprocess.DEVNULL,
-        stderr=subprocess.DEVNULL)
+    try:
+        proc = subprocess.run(
+            [sys.executable, os.path.join(PERFBENCH, "trace_child.py"),
+             config_path, outdir, spans_path], cwd=os.path.dirname(outdir),
+            env=env, stdin=subprocess.DEVNULL, stdout=subprocess.DEVNULL,
+            stderr=subprocess.DEVNULL, timeout=RUN_TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        return TIMEOUT, None
     try:
         with open(spans_path) as fh:
             totals = json.load(fh)["totals"]
@@ -130,7 +139,8 @@ def compare(parent, change, cases, workdir):
             codes.append(code)
             outs.append(out)
             totals.append(counts)
-        differ = differing_files(*outs) + differing_counters(*totals)
+        differ = (([TIMEOUT] if TIMEOUT in codes else [])
+                  + differing_files(*outs) + differing_counters(*totals))
         same = codes[0] == codes[1] and not differ
         all_same = all_same and same
         n_files = len(os.listdir(outs[0]))

@@ -358,7 +358,9 @@ class _DOP853:
         self.t_old = self.y_old = None
         self.rtol = max(rtol, 100 * _EPS)
         self.atol = float(atol)
-        self.f = self.fun(t0, y0)
+        # a diverging start is reported by the check below, not by NumPy
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.f = self.fun(t0, y0)
         if not np.isfinite(self.f).all():
             raise IntegrationFailureError(
                 f"right-hand side is not finite at t={t0:.6g}", last_t=t0)

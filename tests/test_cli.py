@@ -176,6 +176,9 @@ def test_non_finite_guess_fails_the_cycle_stage(tmp_path):
     assert proc.returncode == 1
     assert "stage 'limit-cycle' failed" in proc.stderr
     assert "not finite" in proc.stderr
+    # the overflow is reported once, by the stage error, not by NumPy
+    assert proc.stderr == ("stage 'limit-cycle' failed: right-hand side is "
+                           "not finite at t=0\n")
 
 
 def test_full_pipeline(tmp_path):

@@ -3,7 +3,7 @@ import pytest
 from scipy.interpolate import CubicSpline
 
 from planar_ppv.errors import InternalInconsistencyError
-from planar_ppv.spline import PeriodicSpline
+from planar_ppv.spline import PeriodicSpline, _gtsv
 
 
 def assert_bits(got, want):
@@ -89,3 +89,61 @@ def test_rejects_knots_the_kernel_cannot_take(knots):
     y = np.zeros(knots.size)
     with pytest.raises(InternalInconsistencyError):
         PeriodicSpline.interpolate(knots, y)
+
+
+def _nonnegative_phases(T, size):
+    """Phases in [0, 2^25 T): first +-0.0, 5e-324, k T and its two
+    neighbours for k up to 1,000 and near 2^25, then ``size`` uniform
+    phases up to 1e3 T; and the number of the former."""
+    k = np.concatenate([np.arange(1001.0), 2.0 ** 25 - np.arange(1.0, 50.0)])
+    near = k * T
+    near = np.concatenate([[0.0, -0.0, 5e-324], near,
+                           np.nextafter(near, np.inf),
+                           np.nextafter(near[1:], -np.inf)])
+    theta = np.concatenate([near, np.random.default_rng(6).uniform(
+        0.0, 1e3, size) * T])
+    assert theta.max() < 2.0 ** 25 * T
+    return theta, near.size
+
+
+@pytest.mark.parametrize("period", ["sl", "vdp", 0.1, 1e4,
+                                    np.nextafter(8.0, 0.0)])
+def test_wide_reduction_equals_np_mod(request, monkeypatch, period):
+    # wide arrays of phases >= 0 are reduced without np.mod, bit for bit as
+    # np.mod reduces them; np.mod sees only phases next to k T whose float
+    # quotient misjudges k
+    if isinstance(period, str):
+        period = request.getfixturevalue(period + "_basis").cycle.T
+    x = np.linspace(0.0, period, 65)
+    y = np.stack([np.cos(2 * np.pi * x / period),
+                  np.sin(4 * np.pi * x / period)], 1)
+    y[-1] = y[0]
+    spline = PeriodicSpline.interpolate(x, y)
+    theta, n_near = _nonnegative_phases(period, 4096)
+    want = np.mod(theta, period)
+    reference = CubicSpline(x, y, axis=0, bc_type="periodic")(theta)
+    passed = []
+    real_mod = np.mod
+    monkeypatch.setattr(np, "mod", lambda a, b: passed.append(np.ravel(a))
+                        or real_mod(a, b))
+    assert_bits(spline._mod_period(theta), want)
+    assert len(passed) == 1 and 0 < passed[0].size < n_near
+    assert np.isin(passed[0], theta[:n_near]).all()
+    assert_bits(spline(theta), reference)
+    passed.clear()
+    assert_bits(spline._mod_period(theta[n_near:]), want[n_near:])
+    assert passed == []
+    # a negative phase, a phase at 2^25 T and a narrow array take np.mod
+    for th in (np.append(theta, -1.0), np.append(theta, 2.0 ** 25 * period),
+               theta[:512]):
+        passed.clear()
+        assert_bits(spline._mod_period(th), real_mod(th, period))
+        assert [a.size for a in passed] == [th.size]
+
+
+def test_tridiagonal_solve_refuses_to_pivot():
+    # the periodic system is diagonally dominant, so dgtsv's row
+    # interchange is left out; a system that needs one is refused
+    with pytest.raises(InternalInconsistencyError, match="pivoting"):
+        _gtsv(np.array([2.0, 1.0]), np.array([1.0, 4.0, 4.0]),
+              np.array([1.0, 1.0]), np.ones((3, 1)))

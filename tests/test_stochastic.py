@@ -61,9 +61,21 @@ def test_same_seed_is_deterministic(sl_basis):
     assert not np.array_equal(a.var, c.var)
 
 
+def _noise(kind):
+    """Isotropic, directional, or nine state-dependent channels."""
+    if kind == "isotropic":
+        return NoiseModel.isotropic(0.05)
+    if kind == "directional":
+        return NoiseModel.directional(0.05, [1.0, 0.5])
+    w = np.arange(9.0)
+    return NoiseModel(G=lambda x: 0.02 * np.vstack([np.cos(w + x[0]),
+                                                    np.sin(w * x[1])]))
+
+
 def _reference_paths(basis, noise, streams, t_end, dt, seed, n_store=201):
     """Stored times and psi of each path, drawing every path's whole Wiener
-    sequence up front as one (len(streams), n_steps, m) array."""
+    sequence up front as one (len(streams), n_steps, m) array; v^T dW adds
+    the channels in turn."""
     n_steps = int(round(t_end / dt))
     spline = basis.projection(noise.G)
     m = spline.c.shape[2]
@@ -79,7 +91,10 @@ def _reference_paths(basis, noise, streams, t_end, dt, seed, n_store=201):
     ts, hist = [0.0], [psi]
     for j in range(n_steps):
         v = spline(np.mod(j * dt + psi, T))
-        psi = psi + np.sum(v * dW[:, j, :], axis=1)
+        step = v[:, 0] * dW[:, j, 0]
+        for k in range(1, m):
+            step = step + v[:, k] * dW[:, j, k]
+        psi = psi + step
         if (j + 1) in stored:
             ts.append((j + 1) * dt)
             hist.append(psi)
@@ -94,10 +109,15 @@ def _assert_stats_equal(ens, ts, hist):
         ens.var, [np.var(r, ddof=1) if n > 1 else 0.0 for r in hist])
 
 
-@pytest.mark.parametrize("basis_name, kind", [
+_BASES_AND_NOISES = pytest.mark.parametrize("basis_name, kind", [
     ("sl_basis", "isotropic"), ("sl_basis", "directional"),
-    ("vdp_basis", "isotropic"), ("vdp_basis", "directional")],
-    ids=["isotropic", "directional", "vdp-isotropic", "vdp-directional"])
+    ("vdp_basis", "isotropic"), ("vdp_basis", "directional"),
+    ("sl_basis", "nine")],
+    ids=["isotropic", "directional", "vdp-isotropic", "vdp-directional",
+         "nine-channels"])
+
+
+@_BASES_AND_NOISES
 @pytest.mark.parametrize("steps", ["none", "below", "equal", "partial"])
 def test_chunked_draws_match_full_draw(request, basis_name, kind, steps):
     # the chunked increments continue each path's stream, so the ensemble
@@ -106,8 +126,7 @@ def test_chunked_draws_match_full_draw(request, basis_name, kind, steps):
     chunk = stochastic._CHUNK
     n_steps = {"none": 0, "below": chunk // 2 + 1, "equal": chunk,
                "partial": 2 * chunk + 37}[steps]
-    noise = (NoiseModel.isotropic(0.05) if kind == "isotropic"
-             else NoiseModel.directional(0.05, [1.0, 0.5]))
+    noise = _noise(kind)
     dt = 0.01
     t_end = (n_steps or 0.4) * dt  # 0.4 of a step rounds to no step
     ens = pp.simulate_sde_ensemble(basis, noise, 33, t_end, dt, seed=9,
@@ -154,9 +173,7 @@ def test_spline_dot_matches_cubic_spline(request, basis_name, kind):
     # the projection's kernel gives CubicSpline.__call__'s values to the bit
     # (signed zeros included) and the ensemble's v^T dW is the reference sum
     basis = request.getfixturevalue(basis_name)
-    noise = (NoiseModel.isotropic(0.05) if kind == "isotropic"
-             else NoiseModel.directional(0.05, [1.0, 0.5]))
-    spline = basis.projection(noise.G)
+    spline = basis.projection(_noise(kind).G)
     nodes = spline.c[3]  # the node values v(x_i)
     reference = CubicSpline(spline.x, np.concatenate([nodes, nodes[:1]]),
                             axis=0, bc_type="periodic")
@@ -280,6 +297,95 @@ def test_sde_argument_validation(sl_basis):
         NoiseModel.directional(-0.1, [1.0, 0.0])
     with pytest.raises(ArgumentError):
         NoiseModel.directional(0.1, [0.0, 0.0])
+
+
+def _reference_fp(basis, noise, psi, t_end, dt, n_store):
+    """solve_fp's density snapshots, evaluating the spline step by step in
+    its trailing-channel layout and summing the channels with np.sum."""
+    dpsi = float(psi[1] - psi[0])
+    spline = basis.projection(noise.G)
+    vsq_max = float(np.max(np.sum(spline(basis.ts) ** 2, axis=1)))
+    dt = min(dt, 0.4 * dpsi ** 2 / vsq_max)
+    w = 4.0 * dpsi
+    p = np.exp(-0.5 * (psi / w) ** 2)
+    p /= np.sum(p) * dpsi
+    n_steps = int(np.ceil(t_end / dt))
+    dt = t_end / n_steps
+    stored = stochastic._stored_steps(n_steps, n_store)
+    half = psi[:-1] + 0.5 * dpsi
+    ts_out, p_out = [0.0], [p.copy()]
+    for j in range(n_steps):
+        v, dv = spline(j * dt + half, derivative=True)
+        drift = np.sum(v * dv, axis=1)
+        diff = 0.5 * np.sum(v * v, axis=1)
+        p_half = 0.5 * (p[:-1] + p[1:])
+        J = -(drift * p_half + diff * (p[1:] - p[:-1]) / dpsi)
+        p[1:-1] += dt * (J[:-1] - J[1:]) / dpsi
+        p[0] = 0.0
+        p[-1] = 0.0
+        if (j + 1) in stored:
+            ts_out.append((j + 1) * dt)
+            p_out.append(p.copy())
+    return n_steps, np.array(ts_out), np.array(p_out)
+
+
+@_BASES_AND_NOISES
+def test_fp_blocks_match_per_step_reference(request, basis_name, kind):
+    # the spline terms come a block of steps at a time, channel-major, and
+    # the density equals the per-step loop's to the bit; the last block is
+    # partial, and the later blocks' phases are all >= 0, which takes the
+    # kernel's wide reduction instead of np.mod
+    basis = request.getfixturevalue(basis_name)
+    noise = _noise(kind)
+    psi = np.linspace(-0.5, 0.5, 41)
+    t_end, dt = 3.0, 0.01
+    n_steps, ts, p = _reference_fp(basis, noise, psi, t_end, dt, 40)
+    assert n_steps > 2 * stochastic._CHUNK
+    assert n_steps % stochastic._CHUNK
+    dens = pp.solve_fp(basis, noise, psi, t_end, dt, n_store=40)
+    assert dens.n_steps == n_steps
+    np.testing.assert_array_equal(dens.ts, ts)
+    np.testing.assert_array_equal(dens.p.view(np.int64), p.view(np.int64))
+
+
+@pytest.mark.parametrize("m", range(1, 10))
+def test_fp_coefficients_sum_channels_as_np_sum(m):
+    # the channel sums equal np.sum(axis=-1) over the trailing-channel
+    # layout, down to a zero's sign: two channels whose products are -0.0
+    # (a constant negative value times its zero slope) sum to +0.0
+    x = np.linspace(0.0, 3.0, 33)
+    rng = np.random.default_rng(m)
+    y = rng.normal(size=(33, m))
+    y[:, :2] = [-1.0, -2.0][:min(m, 2)]
+    y[-1] = y[0]
+    spline = PeriodicSpline.interpolate(x, y)
+    theta = rng.uniform(-3.0, 6.0, (5, 300))
+    drift, diff = stochastic._fp_coefficients(spline, theta)
+    v, dv = spline(theta, derivative=True)
+    np.testing.assert_array_equal(drift.view(np.int64),
+                                  np.sum(v * dv, axis=-1).view(np.int64))
+    np.testing.assert_array_equal(diff.view(np.int64),
+                                  (0.5 * np.sum(v * v, axis=-1))
+                                  .view(np.int64))
+    if m > 1:
+        assert np.signbit(v[..., 0] * dv[..., 0]).all()
+        assert not np.signbit(drift[np.abs(drift) == 0]).any()
+
+
+def test_fp_memory_independent_of_steps(sl_basis):
+    # the spline terms are evaluated a fixed number of steps at a time,
+    # so ten times the steps must not raise the peak
+    noise = NoiseModel.isotropic(0.05)
+    psi = np.linspace(-1.0, 1.0, 201)
+    peaks = []
+    for t_end in (10.0, 100.0):
+        tracemalloc.start()
+        try:
+            pp.solve_fp(sl_basis, noise, psi, t_end, 0.01)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < peaks[0] + 100_000
 
 
 def test_fp_conserves_mass(sl_basis):

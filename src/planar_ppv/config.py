@@ -83,7 +83,8 @@ _SCHEMA = {
         "detuning_min": _Key(float, _FINITE, required=True),
         "detuning_max": _Key(float, _FINITE, required=True),
         "detuning_n": _Key(int, _at_least(1), required=True),
-        # ignored: verdicts come from the one-period map
+        # ignored, as verdicts come from the one-period map, but accepted
+        # so that configs written for the old horizon-based scan still run
         "t_end": _Key(float, _FINITE, -1.0)},
     "noise": {
         "kind": _Key(str, (lambda v: v in ("isotropic", "directional"),

@@ -171,11 +171,11 @@ class DilibertoBasis:
     def projection(self, G):
         """Periodic cubic interpolant of v1(t)^T G(x0(t)) on [0, T].
 
-        ``G`` maps a cycle point to a (2,) or (2, m) array; the interpolant
-        returns a scalar or an (m,) vector per time t, reduced mod T by the
-        periodic spline itself.  The two products are written out rather
-        than left to BLAS, whose FMA and gemv rounding would make the
-        values machine-dependent.
+        ``G`` maps a cycle point to a (2,) or (2, m) array; the spline's
+        ``values(t)`` is (m,) + t's shape, m = 1 for a (2,) input, with t
+        reduced mod T by the spline itself.  The two products are written
+        out rather than left to BLAS, whose FMA and gemv rounding would
+        make the values machine-dependent.
         """
         vals = np.array([v[0] * g[0] + v[1] * g[1]
                          for v, g in zip(self.v1_grid, map(G, self.x0_grid))])

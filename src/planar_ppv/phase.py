@@ -116,7 +116,7 @@ def _rhs(proj, eps, u):
     """rhs(t, psi) = eps u(t) proj(t + psi), elementwise in psi."""
 
     def rhs(t, psi):
-        return eps * u(t) * proj(np.add(t, psi))
+        return eps * u(t) * proj.values(np.add(t, psi))[0]
 
     return rhs
 
@@ -145,7 +145,7 @@ def _period_map(proj, T, eps, omega_inj):
     def rhs(s, psi):
         psi = psi.reshape(n, M)
         return (scale * np.cos(2.0 * np.pi * s)
-                * proj(s * t_inj + psi)).ravel()
+                * proj.values(s * t_inj + psi)[0]).ravel()
 
     traj = ode.integrate(rhs, np.tile(theta, n), 0.0, 1.0, rtol=_MAP_RTOL,
                          atol=1e-12, dense=False)

@@ -6,13 +6,14 @@ bc_type="periodic")``: the periodic branch of its constructor, with the
 tridiagonal solve of LAPACK ``dgtsv`` (Gaussian elimination with partial
 pivoting) written out in Python floats, and the Hermite piece
 coefficients, transcribed from SciPy 1.17 with every operation in the
-same order, so ``.c`` equals SciPy's to the bit.  Evaluation is one
-kernel for every caller: theta is reduced mod the period (the first
-knot is 0) to the bits of ``np.mod``, which wide arrays of phases in
-[0, 2^25 T) reach by an exact two-part reduction, and the interval
-comes from one multiply on the uniform grid,
-corrected by one knot comparison each way and closed on the right as
-SciPy closes its last interval, and each cubic is summed in ascending
+same order, so ``.c`` equals SciPy's to the bit.  The one read-out,
+``values``, is SciPy's ``__call__`` with the channel axis moved first,
+shaped (m,) + theta's shape (m = 1 for a scalar function): theta is
+reduced mod the period (the first knot is 0) to the bits of ``np.mod``,
+which wide arrays of phases in [0, 2^25 T) reach by an exact two-part
+reduction, and the interval comes from one multiply on the uniform
+grid, corrected by one knot comparison each way and closed on the right
+as SciPy closes its last interval, and each cubic is summed in ascending
 powers from +0.0, as ``PPoly.__call__`` sums it, so the values equal
 SciPy's to the bit as well, signed zeros included.
 """
@@ -67,8 +68,8 @@ __all__ = ["PeriodicSpline"]
 # two-part reduction of PeriodicSpline._mod_period, narrower ones by
 # np.mod: on a 2-vCPU x86_64 host np.mod and the reduction took 6 and
 # 15 us at 256 phases, 18-22 and 12-20 us at 1,024 and 75-81 and 27 us
-# at 4,096 (timeit, phases in [0, 1e3 T)).  The lock map's 4 x 64
-# phases stay on np.mod.
+# at 4,096 (timeit, phases in [0, 1e3 T)).  A lock map of 4 detunings
+# x 64 phases stays on np.mod; one of 25 x 64 takes the reduction.
 _WIDE_MOD_MIN = 1024
 
 
@@ -89,7 +90,7 @@ class PeriodicSpline:
     ``c`` holds the pieces in SciPy's ``PPoly`` layout: ``c[k, i]`` is
     the coefficient of (t - x[i])^(K-k) on [x[i], x[i+1]], shaped
     (K+1, n) for a scalar function or (K+1, n, m) for m channels.  The
-    period is x[-1]; a call reduces any t mod x[-1].
+    period is x[-1]; ``values`` reduces any t mod x[-1].
     """
 
     def __init__(self, x, c):
@@ -118,8 +119,9 @@ class PeriodicSpline:
 
     def values(self, theta, derivative=False):
         """The function at theta, one array shaped like theta per channel,
-        stacked as (channels,) + theta's shape.  With ``derivative``, the
-        pair (function, derivative) from one interval search."""
+        stacked as (m,) + theta's shape, m = 1 for a scalar function.  With
+        ``derivative``, the pair (function, derivative) from one interval
+        search."""
         th = self._mod_period(np.asarray(theta, dtype=float))
         scalar = np.ndim(th) == 0
         if scalar:
@@ -162,16 +164,6 @@ class PeriodicSpline:
             off = (r < 0.0) | (r >= self._T)
             r[off] = np.mod(theta[off], self._T)
         return r
-
-    def __call__(self, theta, derivative=False):
-        """Values at theta: theta's shape, plus a trailing channel axis
-        when the spline has one.  With ``derivative``, the pair (function,
-        derivative)."""
-        vals = self.values(theta, derivative)
-        out = [v[0] if self.c.ndim == 2
-               else v.transpose(tuple(range(1, v.ndim)) + (0,)).copy()
-               for v in (vals if derivative else [vals])]
-        return out if derivative else out[0]
 
 
 def _power_rows(c, n):

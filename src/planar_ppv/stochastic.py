@@ -72,39 +72,34 @@ def _stored_steps(n_steps, n_store):
     return set(range(0, n_steps + 1, stride)) | {n_steps}
 
 
-def _v_dot(spline, theta, dW):
-    """v(theta)^T dW = sum_k v_k(theta) dW[k], accumulated channel by
-    channel in place."""
-    vals = spline.values(theta)
-    acc = vals[0]
-    acc *= dW[0]
-    for v, w in zip(vals[1:], dW[1:]):
-        v *= w
-        acc += v
+def _channel_dot(a, b):
+    """sum_k a[k] b[k] over the leading channel axis, the products added
+    in index order and accumulated in place in a.
+
+    Every channel sum of the noise layer is this one: v^T dW in the SDE
+    step, the Fokker-Planck drift and diffusion, its stability bound and
+    the diffusion rate.  Below 8 channels index order is np.sum's order,
+    whose sums start from +0.0 instead of the first product.
+    """
+    acc = a[0]
+    acc *= b[0]
+    for ak, bk in zip(a[1:], b[1:]):
+        ak *= bk
+        acc += ak
     return acc
 
 
 def _fp_coefficients(spline, theta):
-    """The drift v dv^T/dpsi and diffusion (1/2) v^T v at theta, each
-    summed over the channels as np.sum(axis=-1) sums them.
-
-    np.sum adds fewer than 8 contiguous elements in turn from 0.0 (the
-    start turns two -0.0 products into 0.0), which the channel-major
-    rows repeat; wider channel axes it sums pairwise, so there the
-    trailing-channel values are summed with np.sum itself.
-    """
-    if spline.c[0, 0].size >= 8:
-        v, dv = spline(theta, derivative=True)
-        return np.sum(v * dv, axis=-1), 0.5 * np.sum(v * v, axis=-1)
+    """The drift v dv^T/dpsi and diffusion (1/2) v^T v at theta, summed
+    over the channels by :func:`_channel_dot`.  The drift then adds +0.0,
+    so that below 8 channels it is np.sum's to the bit: a drift of -0.0
+    products reads +0.0.  A sum of squares is never -0.0."""
     v, dv = spline.values(theta, derivative=True)
-    drift, vsq = 0.0 + v[0] * dv[0], 0.0 + v[0] * v[0]
-    for vk, dvk in zip(v[1:], dv[1:]):
-        dvk *= vk
-        drift += dvk
-        vk *= vk
-        vsq += vk
-    vsq *= 0.5
-    return drift, vsq
+    drift = _channel_dot(dv, v)
+    drift += 0.0
+    diff = _channel_dot(v, v)
+    diff *= 0.5
+    return drift, diff
 
 
 @dataclass(frozen=True)
@@ -168,7 +163,7 @@ def simulate_sde_ensemble(basis, noise, n_paths, t_end, dt, seed,
             np.multiply(sq, z[:len(block), :k].transpose(1, 2, 0),
                         out=dW[:k, :, p0:p0 + len(block)])
         for j in range(j0, j0 + k):
-            psi += _v_dot(spline, j * dt + psi, dW[j - j0])
+            psi += _channel_dot(spline.values(j * dt + psi), dW[j - j0])
             if (j + 1) in store_set:
                 record(j + 1)
     return PhaseEnsemble(ts=np.array(ts_out), mean=np.array(mean_out),
@@ -222,7 +217,8 @@ def solve_fp(basis, noise, psi_grid, t_end, dt, init_width=None,
     dpsi = float(d[0])
 
     spline = basis.projection(noise.G)
-    vsq_max = float(np.max(np.sum(spline(basis.ts) ** 2, axis=1)))
+    v = spline.values(basis.ts)
+    vsq_max = float(np.max(_channel_dot(v, v)))
     if vsq_max > 0:
         dt = min(dt, 0.4 * dpsi ** 2 / vsq_max)
 
@@ -261,9 +257,8 @@ def solve_fp(basis, noise, psi_grid, t_end, dt, init_width=None,
 
 def diffusion_summary(basis, noise):
     """Period-averaged v^T v: the effective phase-diffusion rate."""
-    spline = basis.projection(noise.G)
-    vals = spline(basis.ts)
-    return float(np.mean(np.sum(vals * vals, axis=1)))
+    v = basis.projection(noise.G).values(basis.ts)
+    return float(np.mean(_channel_dot(v, v)))
 
 
 def ensemble_to_csv(ens, path):

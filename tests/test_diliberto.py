@@ -232,11 +232,11 @@ def test_broken_normalization_rejected(monkeypatch, vdp_cycle):
 def test_projection_is_written_out_product(vdp_basis, G):
     # no BLAS dot (FMA, gemv rounding): the node values are exactly the
     # scalar products v1x*g0 + v1y*g1
-    proj = vdp_basis.projection(G)(vdp_basis.ts)
+    proj = vdp_basis.projection(G).values(vdp_basis.ts)
     for i, (v, x) in enumerate(zip(vdp_basis.v1_grid, vdp_basis.x0_grid)):
         g = G(x)
         expected = float(v[0]) * g[0] + float(v[1]) * g[1]
-        assert np.array_equal(proj[i], expected)
+        assert np.array_equal(proj[:, i], np.atleast_1d(expected))
 
 
 def test_adjoint_residual_of_closed_form(vdp_basis):

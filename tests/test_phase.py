@@ -144,7 +144,7 @@ def _strobe_psi_lock(basis, amp, eps, detunings, horizon):
     omega_inj = basis.omega + np.asarray(detunings, dtype=float)
 
     def rhs(t, psi):
-        return eps * np.cos(omega_inj * t) * proj(t + psi)
+        return eps * np.cos(omega_inj * t) * proj.values(t + psi)[0]
 
     traj = ode.integrate(rhs, np.zeros(len(omega_inj)), 0.0, horizon,
                          rtol=1e-8, atol=1e-12)

@@ -13,6 +13,15 @@ def assert_bits(got, want):
     np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
 
 
+def read(spline, theta, derivative=False):
+    """``spline.values`` in SciPy's layout: the channel axis moved last,
+    or dropped for a scalar function."""
+    vals = spline.values(theta, derivative)
+    out = [v[0] if spline.c.ndim == 2 else np.moveaxis(v, 0, -1)
+           for v in (vals if derivative else [vals])]
+    return out if derivative else out[0]
+
+
 def _phases(rng, x):
     """Random phases over three periods either way, the knots, their
     neighbours and their negatives."""
@@ -48,14 +57,14 @@ def test_matches_cubic_spline_to_the_bit(seed):
         assert_bits(spline.x, reference.x)
         assert_bits(spline.c, reference.c)
         theta = _phases(rng, x)
-        assert_bits(spline(theta), reference(theta))
-        assert_bits(spline(theta[:400].reshape(-1, 8)),
+        assert_bits(read(spline, theta), reference(theta))
+        assert_bits(read(spline, theta[:400].reshape(-1, 8)),
                     reference(theta[:400].reshape(-1, 8)))
-        assert_bits(spline(theta[7]), reference(theta[7]))
-        value, slope = spline(theta, derivative=True)
+        assert_bits(read(spline, theta[7]), reference(theta[7]))
+        value, slope = read(spline, theta, derivative=True)
         assert_bits(value, reference(theta))
         assert_bits(slope, reference.derivative()(theta))
-        value, slope = spline(theta[3], derivative=True)
+        value, slope = read(spline, theta[3], derivative=True)
         assert_bits(slope, reference.derivative()(theta[3]))
 
 
@@ -65,7 +74,7 @@ def test_nan_and_inf_give_nan():
     y[-1] = y[0]
     theta = np.array([np.nan, 1.0, np.inf, -np.inf])
     with np.errstate(invalid="ignore"):
-        got = PeriodicSpline.interpolate(x, y)(theta)
+        got = read(PeriodicSpline.interpolate(x, y), theta)
         want = CubicSpline(x, y, bc_type="periodic")(theta)
     np.testing.assert_array_equal(got, want)  # NaN payloads may differ
 
@@ -76,9 +85,16 @@ def test_values_split_channels():
     y[-1] = y[0]
     spline = PeriodicSpline.interpolate(x, y)
     theta = np.linspace(-4.0, 7.0, 101)
+    # one array shaped like theta per channel, channel axis first, and a
+    # scalar function as a spline of one channel
     vals = spline.values(theta)
-    assert len(vals) == 2
-    assert_bits(np.stack(vals, axis=-1), spline(theta))
+    assert vals.shape == (2, 101)
+    reference = CubicSpline(x, y, axis=0, bc_type="periodic")
+    assert_bits(vals, np.moveaxis(reference(theta), -1, 0))
+    assert spline.values(theta[5]).shape == (2,)
+    single = PeriodicSpline.interpolate(x, y[:, 1])
+    assert single.values(theta).shape == (1, 101)
+    assert_bits(single.values(theta)[0], vals[1])
 
 
 @pytest.mark.parametrize("knots", [
@@ -129,7 +145,7 @@ def test_wide_reduction_equals_np_mod(request, monkeypatch, period):
     assert_bits(spline._mod_period(theta), want)
     assert len(passed) == 1 and 0 < passed[0].size < n_near
     assert np.isin(passed[0], theta[:n_near]).all()
-    assert_bits(spline(theta), reference)
+    assert_bits(read(spline, theta), reference)
     passed.clear()
     assert_bits(spline._mod_period(theta[n_near:]), want[n_near:])
     assert passed == []

@@ -14,7 +14,7 @@ from planar_ppv.stochastic import NoiseModel, density_to_csv, ensemble_to_csv
 
 def test_effective_noise_isotropic_stuart_landau(sl_basis):
     # v1(0) = (0, 1), G = sigma I  =>  v(0) = (0, sigma)
-    v = sl_basis.projection(NoiseModel.isotropic(0.05).G)(0.0)
+    v = sl_basis.projection(NoiseModel.isotropic(0.05).G).values(0.0)
     assert v.shape == (2,)
     np.testing.assert_allclose(v, [0.0, 0.05], atol=1e-8)
 
@@ -23,16 +23,16 @@ def test_effective_noise_directional(sl_basis):
     # single channel along x: v(t) = sigma * v1_x(t) = -sigma sin(t)
     noise = NoiseModel.directional(0.1, [1.0, 0.0])
     ts = np.array([0.0, np.pi / 2, np.pi])
-    v = sl_basis.projection(noise.G)(ts)
-    assert v.shape == (3, 1)
-    np.testing.assert_allclose(v[:, 0], [0.0, -0.1, 0.0], atol=1e-8)
+    v = sl_basis.projection(noise.G).values(ts)
+    assert v.shape == (1, 3)
+    np.testing.assert_allclose(v[0], [0.0, -0.1, 0.0], atol=1e-8)
 
 
 def test_effective_noise_norm_constant_stuart_landau(sl_basis):
     # |v1| = 1 on the SL cycle, so |v|^2 = sigma^2 at every t
     noise = NoiseModel.isotropic(0.05)
-    v = sl_basis.projection(noise.G)(sl_basis.ts[::64])
-    np.testing.assert_allclose(np.sum(v ** 2, axis=1), 0.05 ** 2, atol=1e-10)
+    v = sl_basis.projection(noise.G).values(sl_basis.ts[::64])
+    np.testing.assert_allclose(np.sum(v ** 2, axis=0), 0.05 ** 2, atol=1e-10)
 
 
 def test_diffusion_summary_stuart_landau(sl_basis):
@@ -90,10 +90,10 @@ def _reference_paths(basis, noise, streams, t_end, dt, seed, n_store=201):
     psi = np.zeros(len(streams))
     ts, hist = [0.0], [psi]
     for j in range(n_steps):
-        v = spline(np.mod(j * dt + psi, T))
-        step = v[:, 0] * dW[:, j, 0]
+        v = spline.values(np.mod(j * dt + psi, T))
+        step = v[0] * dW[:, j, 0]
         for k in range(1, m):
-            step = step + v[:, k] * dW[:, j, k]
+            step = step + v[k] * dW[:, j, k]
         psi = psi + step
         if (j + 1) in stored:
             ts.append((j + 1) * dt)
@@ -181,14 +181,13 @@ def test_spline_dot_matches_cubic_spline(request, basis_name, kind):
                                   reference.c.view(np.int64))
     theta = _adversarial_phases(basis.cycle.T, spline.x)
     want = reference(theta)
-    got = np.stack(spline.values(theta), axis=1)
+    got = np.moveaxis(spline.values(theta), 0, -1)
     np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
-    np.testing.assert_array_equal(spline(theta).view(np.int64),
-                                  want.view(np.int64))
     dW = np.random.default_rng(5).standard_normal((spline.c.shape[2],
                                                    theta.size))
-    np.testing.assert_array_equal(stochastic._v_dot(spline, theta, dW),
-                                  np.sum(want * dW.T, axis=1))
+    np.testing.assert_array_equal(
+        stochastic._channel_dot(spline.values(theta), dW),
+        np.sum(want * dW.T, axis=1))
 
 
 def test_spline_dot_knots():
@@ -209,28 +208,6 @@ def test_spline_dot_knots():
     for knots in (bent, x + 1.0):
         with pytest.raises(InternalInconsistencyError):
             PeriodicSpline.interpolate(knots, y)
-
-
-def test_sde_spline_calls_independent_of_steps(monkeypatch, sl_basis):
-    # the step loop evaluates the projection through the kernel's channel
-    # values, so ten times the steps makes no more PeriodicSpline calls (a
-    # call per step would make ten times as many)
-    calls = []
-    original = PeriodicSpline.__call__
-
-    def counting(self, *args, **kwargs):
-        calls.append(1)
-        return original(self, *args, **kwargs)
-
-    monkeypatch.setattr(PeriodicSpline, "__call__", counting)
-    noise = NoiseModel.isotropic(0.05)
-    counts = []
-    for n_steps in (1000, 10000):
-        calls.clear()
-        pp.simulate_sde_ensemble(sl_basis, noise, 8, n_steps * 0.01, 0.01,
-                                 seed=2)
-        counts.append(len(calls))
-    assert counts[1] <= counts[0] < 1000
 
 
 def test_sde_memory_independent_of_steps(sl_basis):
@@ -300,11 +277,11 @@ def test_sde_argument_validation(sl_basis):
 
 
 def _reference_fp(basis, noise, psi, t_end, dt, n_store):
-    """solve_fp's density snapshots, evaluating the spline step by step in
-    its trailing-channel layout and summing the channels with np.sum."""
+    """solve_fp's density snapshots, evaluating the spline step by step
+    and adding the channels in index order from +0.0."""
     dpsi = float(psi[1] - psi[0])
     spline = basis.projection(noise.G)
-    vsq_max = float(np.max(np.sum(spline(basis.ts) ** 2, axis=1)))
+    vsq_max = float(np.max(sum(v * v for v in spline.values(basis.ts))))
     dt = min(dt, 0.4 * dpsi ** 2 / vsq_max)
     w = 4.0 * dpsi
     p = np.exp(-0.5 * (psi / w) ** 2)
@@ -315,9 +292,9 @@ def _reference_fp(basis, noise, psi, t_end, dt, n_store):
     half = psi[:-1] + 0.5 * dpsi
     ts_out, p_out = [0.0], [p.copy()]
     for j in range(n_steps):
-        v, dv = spline(j * dt + half, derivative=True)
-        drift = np.sum(v * dv, axis=1)
-        diff = 0.5 * np.sum(v * v, axis=1)
+        v, dv = spline.values(j * dt + half, derivative=True)
+        drift = sum(vk * dvk for vk, dvk in zip(v, dv))
+        diff = 0.5 * sum(vk * vk for vk in v)
         p_half = 0.5 * (p[:-1] + p[1:])
         J = -(drift * p_half + diff * (p[1:] - p[:-1]) / dpsi)
         p[1:-1] += dt * (J[:-1] - J[1:]) / dpsi
@@ -350,9 +327,10 @@ def test_fp_blocks_match_per_step_reference(request, basis_name, kind):
 
 @pytest.mark.parametrize("m", range(1, 10))
 def test_fp_coefficients_sum_channels_as_np_sum(m):
-    # the channel sums equal np.sum(axis=-1) over the trailing-channel
-    # layout, down to a zero's sign: two channels whose products are -0.0
-    # (a constant negative value times its zero slope) sum to +0.0
+    # the channel sums add the channels in index order from +0.0 for any
+    # m, which below 8 channels is np.sum's order (wider axes np.sum adds
+    # pairwise), down to a zero's sign: two channels whose products are
+    # -0.0 (a constant negative value times its zero slope) sum to +0.0
     x = np.linspace(0.0, 3.0, 33)
     rng = np.random.default_rng(m)
     y = rng.normal(size=(33, m))
@@ -361,15 +339,42 @@ def test_fp_coefficients_sum_channels_as_np_sum(m):
     spline = PeriodicSpline.interpolate(x, y)
     theta = rng.uniform(-3.0, 6.0, (5, 300))
     drift, diff = stochastic._fp_coefficients(spline, theta)
-    v, dv = spline(theta, derivative=True)
-    np.testing.assert_array_equal(drift.view(np.int64),
-                                  np.sum(v * dv, axis=-1).view(np.int64))
-    np.testing.assert_array_equal(diff.view(np.int64),
-                                  (0.5 * np.sum(v * v, axis=-1))
-                                  .view(np.int64))
+    v, dv = spline.values(theta, derivative=True)
+    # sum() starts from 0, which adds as +0.0
+    np.testing.assert_array_equal(
+        drift.view(np.int64),
+        sum(vk * dvk for vk, dvk in zip(v, dv)).view(np.int64))
+    np.testing.assert_array_equal(
+        diff.view(np.int64), (0.5 * sum(vk * vk for vk in v)).view(np.int64))
+    if m < 8:  # the trailing-channel layout, as SciPy's CubicSpline has it
+        vt, dvt = (np.ascontiguousarray(np.moveaxis(a, 0, -1))
+                   for a in (v, dv))
+        np.testing.assert_array_equal(drift.view(np.int64),
+                                      np.sum(vt * dvt, axis=-1)
+                                      .view(np.int64))
+        np.testing.assert_array_equal(diff.view(np.int64),
+                                      (0.5 * np.sum(vt * vt, axis=-1))
+                                      .view(np.int64))
     if m > 1:
-        assert np.signbit(v[..., 0] * dv[..., 0]).all()
+        assert np.signbit(v[0] * dv[0]).all()
         assert not np.signbit(drift[np.abs(drift) == 0]).any()
+
+
+def test_nine_channel_sums_agree(sl_basis):
+    # diffusion_summary, the Fokker-Planck diffusion and the SDE step's
+    # v^T dW with dW = v add the nine channels of v^T v in index order,
+    # where np.sum would add them pairwise
+    noise = _noise("nine")
+    spline = sl_basis.projection(noise.G)
+    v = spline.values(sl_basis.ts)
+    vsq = sum(vk * vk for vk in v)
+    trailing = np.ascontiguousarray(np.moveaxis(v * v, 0, -1))
+    assert not np.array_equal(vsq, np.sum(trailing, axis=-1))
+    assert pp.diffusion_summary(sl_basis, noise) == float(np.mean(vsq))
+    _, diff = stochastic._fp_coefficients(spline, sl_basis.ts)
+    np.testing.assert_array_equal(diff, 0.5 * vsq)
+    np.testing.assert_array_equal(
+        stochastic._channel_dot(spline.values(sl_basis.ts), v), vsq)
 
 
 def test_fp_memory_independent_of_steps(sl_basis):
@@ -443,7 +448,8 @@ def test_fp_caps_oversized_dt(sl_basis):
     psi = np.linspace(-1, 1, 401)
     dpsi = psi[1] - psi[0]
     proj = sl_basis.projection(noise.G)
-    limit = 0.4 * dpsi ** 2 / np.max(np.sum(proj(sl_basis.ts) ** 2, axis=1))
+    limit = 0.4 * dpsi ** 2 / np.max(np.sum(proj.values(sl_basis.ts) ** 2,
+                                            axis=0))
     dens = pp.solve_fp(sl_basis, noise, psi, t_end=1.0, dt=0.1, n_store=1000)
     n = dens.n_steps
     assert 1.0 / n <= limit < 1.0 / (n - 1)

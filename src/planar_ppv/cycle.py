@@ -1,11 +1,12 @@
 """Limit-cycle location by Poincare shooting on exact derivatives.
 
 ``find_cycle`` relaxes the trajectory onto the attractor and erects a
-section through the relaxed point p, normal to the flow.  A terminal
-event on n.(x - p) gives the first return time; Newton then polishes
+section through the relaxed point p, normal to the flow.  Newton polishes
 (point, period) on the augmented state (x, Phi), whose endpoint supplies
-the exact shooting Jacobian Phi(T) - I, until the closure residual is
-below tolerance.  That last (x, Phi) flow is the cycle's dense output.
+the exact shooting Jacobian Phi(T) - I; its first flow, from p, ends at
+the first return time T, a terminal event on n.(x - p), and later flows
+run over [0, T].  The last flow, with closure residual below tolerance,
+is the cycle's dense output.
 """
 
 from dataclasses import dataclass, field
@@ -49,7 +50,8 @@ class LimitCycle:
 
     @property
     def monodromy(self):
-        """Phi(T), from the integration endpoint, not the interpolant."""
+        """Phi(T), the integration's endpoint; when Newton closes on its
+        first flow, read at the event from the crossing step's interpolant."""
         return self._traj.final[2:].reshape(2, 2)
 
     @property
@@ -66,35 +68,20 @@ def sample_cycle(cycle, n):
     return ts, cycle.point(ts).T
 
 
-def _first_return_time(model, p, n):
-    """Time of the first upward return to the section n.(x - p) = 0."""
-    def section(t, x):
-        # p itself lies on the section: a positive value at t = 0 keeps
-        # the start from counting as a crossing
-        return n @ (x - p) if t > 0 else 1.0
-
-    traj = ode.integrate(model.rhs, p, 0.0, _MAX_RETURN_TIME, rtol=_RTOL,
-                         atol=1e-13, event=section, dense=False)
-    if traj.status != 1:
-        raise CycleNotFoundError("no return to the Poincare section found")
-    return traj.t1
-
-
 def find_cycle(model, guess, settle_time=100.0, tol=1e-10):
     """Locate the stable periodic orbit reachable from ``guess``.
 
     The phase origin t=0 is the relaxed point on the Poincare section;
     all downstream quantities are reported relative to this anchor.
     """
-    if settle_time < 0:
+    if not settle_time >= 0:  # NaN fails too
         raise ArgumentError("settle_time must be non-negative")
-    guess = np.asarray(guess, dtype=float)
+    if not tol > 0:
+        raise ArgumentError("tol must be positive")
+    p = np.array(guess, dtype=float)
     if settle_time > 0:
-        relax = ode.integrate(model.rhs, guess, 0.0, settle_time,
-                              rtol=_RTOL, atol=1e-13, dense=False)
-        p = relax.final
-    else:
-        p = guess.copy()
+        p = ode.integrate(model.rhs, p, 0.0, settle_time, rtol=_RTOL,
+                          atol=1e-13, dense=False).final
 
     fp = model.field(p)
     nf = np.linalg.norm(fp)
@@ -107,12 +94,17 @@ def find_cycle(model, guess, settle_time=100.0, tol=1e-10):
         Phi = model.jacobian(z[:2]) @ z[2:].reshape(2, 2)
         return np.concatenate([model.rhs(t, z[:2]), Phi.ravel()])
 
-    T = _first_return_time(model, p, n)
-    x = p.copy()
+    def section(t, z):  # p lies on it: the start is no crossing
+        return n @ (z[:2] - p) if t > 0 else 1.0
+
+    x, T, event = p.copy(), _MAX_RETURN_TIME, section
     residuals = []
     for _ in range(_MAX_NEWTON):
         traj = ode.integrate(augmented, np.concatenate([x, np.eye(2).ravel()]),
-                             0.0, T, rtol=_RTOL, atol=1e-13)
+                             0.0, T, rtol=_RTOL, atol=1e-13, event=event)
+        if event is not None and traj.status != 1:
+            raise CycleNotFoundError("no return to the Poincare section found")
+        T, event = traj.t1, None  # the first return; later flows end at T
         end, Phi = traj.final[:2], traj.final[2:].reshape(2, 2)
         r = end - x
         residuals.append(np.linalg.norm(r))

@@ -3,7 +3,7 @@
 One pair serves every flow: Dormand-Prince 8(5,3) (Hairer, Norsett &
 Wanner, *Solving ODEs I*, II.4-II.6), with embedded error control and a
 7th-order dense output.  Its callers are the smooth planar flows (settle,
-first return, augmented (x, Phi) flow that is also the dense cycle,
+Newton's augmented (x, Phi) flows, the last of which is the dense cycle,
 (div f, a) quadrature, adjoint oracle, batched isochron endpoints) at
 rtol 1e-10 to 1e-12, and the phase ODE (the psi path of
 ``simulate_phase`` and the lock scan's one-period map).
@@ -21,10 +21,10 @@ it is terminal on an upward crossing, and there is no ``t_eval``,
 ``max_step``, ``first_step``, vectorized or complex support.
 
 Dense output is on by default; callers that read only the endpoint turn
-it off, as ``solve_ivp``'s ``dense_output=False`` does, and then an
-interpolant is built only to locate an event.  Each step's interpolant
-is the tuple (t_old, h, F, y_old); one :class:`Trajectory` holds them
-all and reads a scalar or an array of times with the same operations.
+it off, as ``solve_ivp``'s ``dense_output=False`` does.  Each step's
+interpolant is the tuple (t_old, h, F, y_old); one :class:`Trajectory`
+holds them all and reads a scalar or an array of times with the same
+operations.
 """
 
 # The code below is derived from SciPy, under this notice:
@@ -148,16 +148,19 @@ def integrate(rhs, x0, t0, t1, rtol=1e-10, atol=1e-12, event=None,
     """Integrate ``dx/dt = rhs(t, x)`` over [t0, t1].
 
     An upward zero crossing of ``event(t, x)`` ends the integration at its
-    root (status 1).  ``dense`` is ``solve_ivp``'s ``dense_output``: with
-    False no step interpolant is built (that saves three RHS calls per
-    step), except on the step where the event fires, and the trajectory
-    cannot be called.  Steps and states do not depend on it.
+    root (status 1), located on the crossing step's interpolant, so an
+    event needs ``dense``.  ``dense`` is ``solve_ivp``'s ``dense_output``:
+    with False no step interpolant is built (that saves three RHS calls
+    per step) and the trajectory cannot be called.  Steps and states do
+    not depend on it.
     """
     t0, t1 = float(t0), float(t1)
     if not (math.isfinite(t0) and math.isfinite(t1) and t1 > t0):
         raise ArgumentError(f"need finite t1 > t0, got [{t0}, {t1}]")
     if not (rtol > 0 and atol > 0):
         raise ArgumentError("tolerances must be positive")
+    if event is not None and not dense:
+        raise ArgumentError("an event is located on dense output")
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     if x0.ndim != 1 or x0.size == 0 or not np.isfinite(x0).all():
         raise ArgumentError("the initial state must be a finite 1-D array")
@@ -177,8 +180,6 @@ def integrate(rhs, x0, t0, t1, rtol=1e-10, atol=1e-12, event=None,
         if event is not None:
             g_new = event(t, y)
             if g <= 0 and g_new >= 0:
-                if step is None:
-                    step = solver.dense_output()
                 t = _brentq(lambda s: event(s, _interpolate(step, s)),
                             solver.t_old, t)
                 y = _interpolate(step, t)
@@ -188,9 +189,8 @@ def integrate(rhs, x0, t0, t1, rtol=1e-10, atol=1e-12, event=None,
             ts.append(t)
             ys.append(y)
             steps.append(step)
-    ts = np.array(ts)
-    return Trajectory(ts, np.vstack(ys), steps if dense else None,
-                      solver.nfev, status)
+    return Trajectory(np.array(ts), np.vstack(ys),
+                      steps if dense else None, solver.nfev, status)
 
 
 def is_scalar(t):

@@ -18,6 +18,7 @@ The lock scan evaluates the map at _MAP_PHASES phases for every detuning
 of an eps row as one vectorized state over one forcing period.
 """
 
+import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -273,8 +274,10 @@ class PPVSpectrum:
     omega: float
 
     def coefficient(self, k):
-        i = int(np.nonzero(self.ks == k)[0][0])
-        return np.array([self.Vx[i], self.Vy[i]])
+        i = np.flatnonzero(self.ks == k)
+        if i.size == 0:
+            raise ArgumentError(f"no V_k at k = {k}; |k| <= {self.ks[-1]}")
+        return np.array([self.Vx[i[0]], self.Vy[i[0]]])
 
     def reconstruct(self, t):
         t = np.asarray(t, dtype=float)
@@ -289,8 +292,8 @@ class PPVSpectrum:
 def ppv_fourier(basis, K):
     """Spectral coefficients of v1 by FFT over the uniform basis grid."""
     n = basis.n
-    if K < 1:
-        raise ArgumentError("need K >= 1")
+    if not isinstance(K, (int, np.integer)) or K < 1:
+        raise ArgumentError("need an integer K >= 1")
     if K > n // 2 - 1:
         raise ArgumentError(f"K = {K} beyond grid Nyquist ({n // 2 - 1})")
     cx = np.fft.fft(basis.v1_grid[:, 0]) / n
@@ -320,6 +323,8 @@ def injection_lock_scan(basis, amp, eps_list, detuning_grid):
     detuning_grid = list(detuning_grid)
     if not eps_list or not detuning_grid:
         raise ArgumentError("empty scan grid")
+    if not all(eps >= 0 and math.isfinite(eps) for eps in eps_list):
+        raise ArgumentError("every eps must be finite and non-negative")
     amp = np.asarray(amp, dtype=float)
     proj = basis.projection(lambda x: amp)
     detuning = np.array(detuning_grid, dtype=float)

@@ -7,6 +7,7 @@ density equation dp/dt = d/dpsi[ (v dv^T/dpsi) p + (1/2) v^T v dp/dpsi ],
 so ensemble statistics and densities agree by construction.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,10 +20,10 @@ __all__ = ["NoiseModel", "PhaseEnsemble", "DensityField",
 
 
 def _intensity(sigma):
-    """sigma as a float; a negative noise intensity is rejected."""
+    """sigma as a float; a negative or non-finite intensity is rejected."""
     s = float(sigma)
-    if s < 0:
-        raise ArgumentError("sigma must be non-negative")
+    if not (s >= 0 and math.isfinite(s)):  # NaN fails too
+        raise ArgumentError("sigma must be finite and non-negative")
     return s
 
 
@@ -43,8 +44,8 @@ class NoiseModel:
         """Single-channel noise of intensity sigma along a fixed direction."""
         d = np.asarray(direction, dtype=float)
         nd = np.linalg.norm(d)
-        if nd == 0:
-            raise ArgumentError("zero noise direction")
+        if not (nd > 0 and math.isfinite(nd)):
+            raise ArgumentError("noise direction must be finite and nonzero")
         d = d / nd
         s = _intensity(sigma)
         return cls(G=lambda x: (s * d)[:, None])
@@ -122,12 +123,12 @@ def simulate_sde_ensemble(basis, noise, n_paths, t_end, dt, seed,
     seeds give bit-identical statistics.  The increments are drawn a fixed
     number of steps at a time, so memory does not grow with n_steps.
     """
-    if n_paths < 1:
-        raise ArgumentError("need n_paths >= 1")
-    if dt <= 0:
+    if not isinstance(n_paths, (int, np.integer)) or n_paths < 1:
+        raise ArgumentError("need an integer n_paths >= 1")
+    if not dt > 0:  # NaN fails too; an infinite dt fails the bound below
         raise ArgumentError("dt must be positive")
-    if t_end <= 0:
-        raise ArgumentError("t_end must be positive")
+    if not (t_end > 0 and math.isfinite(t_end)):
+        raise ArgumentError("t_end must be finite and positive")
     if dt > basis.cycle.T / 100.0:
         raise ArgumentError(
             f"dt = {dt} too large; need dt <= T/100 = {basis.cycle.T / 100:g}")
@@ -206,9 +207,9 @@ def solve_fp(basis, noise, psi_grid, t_end, dt, init_width=None,
     stability limit of the scheme, so the last snapshot falls on t_end.
     A density below -1e-12 after any step raises ``InstabilityError``.
     """
-    if t_end <= 0:
-        raise ArgumentError("t_end must be positive")
-    if dt <= 0:
+    if not (t_end > 0 and math.isfinite(t_end)):  # NaN fails too
+        raise ArgumentError("t_end must be finite and positive")
+    if not dt > 0:  # an infinite dt leaves the stability cap in charge
         raise ArgumentError("dt must be positive")
     psi = np.asarray(psi_grid, dtype=float)
     d = np.diff(psi)

@@ -86,8 +86,8 @@ def test_residuals_decrease(vdp_model):
 
 
 def test_newton_integrates_once_per_iteration(monkeypatch, vdp_model):
-    # settle + first return + one augmented (x, Phi) flow per Newton
-    # iteration; the last of these flows is the cycle
+    # settle + one augmented (x, Phi) flow per Newton iteration; the first
+    # of these flows ends at the first return, the last is the cycle
     calls = []
     original = ode.integrate
 
@@ -98,16 +98,60 @@ def test_newton_integrates_once_per_iteration(monkeypatch, vdp_model):
     monkeypatch.setattr(ode, "integrate", counting)
     cyc = pp.find_cycle(vdp_model, (3.0, 0.5), settle_time=2.0)
     assert len(cyc.residuals) > 3
-    assert len(calls) == 2 + len(cyc.residuals)
+    assert len(calls) == 1 + len(cyc.residuals)
     assert type(cyc.T) is float
+
+
+@pytest.mark.parametrize("name, params, guess", [
+    ("vanderpol", {"mu": 1.0}, (2.0, 0.0)),
+    ("vanderpol", {"mu": 3.0}, (2.0, 0.0)),
+    ("stuart_landau", {}, (0.5, 0.0)),
+    ("brusselator", {}, (1.5, 3.0))])
+def test_first_flow_finds_the_period_and_is_the_cycle(name, params, guess):
+    # Newton's first (x, Phi) flow ends at the first return to the section
+    # through the relaxed point; a separate flow of x alone to the same
+    # section is the reference for its period
+    model = pp.get_model(name, **params)
+    cyc = pp.find_cycle(model, guess, settle_time=30.0)
+    assert len(cyc.residuals) == 1  # that first flow closed: it is the cycle
+    p = cyc.anchor  # the relaxed point, where the first flow starts
+    n = model.field(p) / np.linalg.norm(model.field(p))
+
+    def section(t, x):
+        return n @ (x - p) if t > 0 else 1.0
+
+    ref = ode.integrate(model.rhs, p, 0.0, 800.0, rtol=1e-12, atol=1e-13,
+                        event=section)
+    assert ref.status == 1
+    assert abs(cyc.T - ref.t1) <= 1e-12 * ref.t1
+    # Phi(T) is the event state, read from the crossing step's interpolant
+    np.testing.assert_array_equal(cyc.monodromy, cyc.phi(cyc.T))
+
+
+@pytest.mark.parametrize("bad", [
+    {"settle_time": np.nan}, {"settle_time": -1.0},
+    {"tol": np.nan}, {"tol": 0.0}, {"tol": -1.0}],
+    ids=["settle-nan", "settle-negative", "tol-nan", "tol-zero",
+         "tol-negative"])
+def test_bad_settle_time_or_tol_rejected_before_integrating(
+        monkeypatch, sl_model, bad):
+    # NaN compares false both ways, so a NaN settle_time would skip the
+    # settle; a tol no residual can reach would run every Newton flow
+    def no_integration(*args, **kwargs):
+        raise AssertionError("integrated before checking the arguments")
+
+    monkeypatch.setattr(ode, "integrate", no_integration)
+    with pytest.raises(ArgumentError):
+        pp.find_cycle(sl_model, (0.5, 0.0), **bad)
 
 
 def test_analytic_flow_rhs_budget(monkeypatch, vdp_model):
     # summed nfev of every ode.integrate call; the counts repeat exactly
-    # (DOP853: 13,359 and 1,397; 15,380 and 3,523 while the cycle and Phi
-    # were integrated again after Newton; 14,678 and 7,732 before the first
-    # return ran at the cycle's rtol and the adjoint oracle took one
-    # period; on the 5(4) pair 36,182 and 17,644)
+    # (DOP853: 9,823 and 1,397; 11,472 while a separate 2-D flow found the
+    # first return, and 13,359 before that; 15,380 and 3,523 while the
+    # cycle and Phi were integrated again after Newton; 14,678 and 7,732
+    # before the first return ran at the cycle's rtol and the adjoint
+    # oracle took one period; on the 5(4) pair 36,182 and 17,644)
     nfev = []
     original = ode.integrate
 
@@ -118,7 +162,7 @@ def test_analytic_flow_rhs_budget(monkeypatch, vdp_model):
 
     monkeypatch.setattr(ode, "integrate", counting)
     cyc = pp.find_cycle(vdp_model, (2.0, 0.0), settle_time=30.0)
-    assert sum(nfev) <= 14_000
+    assert sum(nfev) <= 10_000
     basis = pp.DilibertoBasis(cyc)
     nfev.clear()
     pp.verify_basis(basis, 1e-5)

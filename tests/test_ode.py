@@ -254,28 +254,20 @@ def test_final_only_matches_solve_ivp_to_the_bit(method, problem):
         traj(0.5 * t1)
 
 
-@pytest.mark.parametrize("method", ORACLE)
 @pytest.mark.parametrize("rhs, p", [
     (vanderpol_rhs, np.array([2.0, 0.0])),
     (stuart_landau_rhs, np.array([0.6, -0.8]))], ids=["vdp", "sl"])
-def test_final_only_event_matches_solve_ivp_to_the_bit(method, rhs, p):
-    # the one interpolant, built on the crossing step, counts in nfev
+def test_event_needs_dense_output(rhs, p):
+    # the event root is located on the crossing step's interpolant, which
+    # dense=False does not build; the call fails before any RHS call
     n = rhs(0.0, p) / np.linalg.norm(rhs(0.0, p))
 
     def section(t, x):
         return n @ (x - p) if t > 0 else 1.0
 
-    traj = ode.integrate(rhs, p, 0.0, 50.0, rtol=1e-12, atol=1e-13,
-                         event=section, dense=False)
-    section.terminal = True
-    section.direction = 1.0
-    ref = solve_ivp(rhs, (0.0, 50.0), p, method=method, rtol=1e-12,
-                    atol=1e-13, dense_output=False, events=section)
-    assert traj.status == 1
-    assert traj.t1 == ref.t_events[0][0]
-    assert_same_nodes(traj, ref)
-    with pytest.raises(ArgumentError):
-        traj(traj.t1)
+    with pytest.raises(ArgumentError, match="dense"):
+        ode.integrate(call_limited(rhs, limit=0), p, 0.0, 50.0, rtol=1e-12,
+                      atol=1e-13, event=section, dense=False)
 
 
 def assert_scalar_path_matches_array(traj, rng):

@@ -85,10 +85,10 @@ def test_traced_run_reaches_the_traced_layers(tracer, tmp_path):
     assert {"cycle.find_cycle", "adjoint.verify"} <= {
         span["name"] for span in trace.spans}
     assert trace.totals["adjoint.state_transition_calls"] == 1
-    # settle, first return, one (x, Phi) flow per Newton iteration, the
-    # basis quadrature and the adjoint period
+    # settle, one (x, Phi) flow per Newton iteration (the first ends at
+    # the first return), the basis quadrature and the adjoint period
     assert (trace.totals["ode.integrate_calls"]
-            == 4 + trace.totals["cycle.newton_iters"])
+            == 3 + trace.totals["cycle.newton_iters"])
 
 
 def test_traced_isochron_stage_is_one_integration(tracer, tmp_path):
@@ -106,7 +106,7 @@ def test_traced_isochron_stage_is_one_integration(tracer, tmp_path):
     finally:
         undo()
     assert "isochron.experiment" in {span["name"] for span in trace.spans}
-    # settle, first return, one flow per Newton iteration, quadrature,
-    # adjoint period and the one batched isochron flow
+    # settle, one flow per Newton iteration (the first ends at the first
+    # return), quadrature, adjoint period and the one batched isochron flow
     assert (trace.totals["ode.integrate_calls"]
-            == 5 + trace.totals["cycle.newton_iters"])
+            == 4 + trace.totals["cycle.newton_iters"])

@@ -310,6 +310,26 @@ def test_lock_scan_empty_grid_rejected(sl_basis):
         pp.injection_lock_scan(sl_basis, [1.0, 0.0], [], [0.0])
 
 
+@pytest.mark.parametrize("eps", [-0.01, np.inf, np.nan])
+def test_lock_scan_rejects_bad_eps(sl_basis, eps):
+    # unchecked, a negative eps gives a "locked" row and an infinite one
+    # fails inside the integrator
+    with pytest.raises(ArgumentError):
+        pp.injection_lock_scan(sl_basis, [1.0, 0.0], [0.01, eps], [0.0])
+
+
+def test_fourier_rejects_fractional_K_and_absent_k(sl_basis):
+    # unchecked, both would fail on indexing with IndexError
+    with pytest.raises(ArgumentError):
+        pp.ppv_fourier(sl_basis, 2.5)
+    spec = pp.ppv_fourier(sl_basis, 2)
+    for k in (3, -3, 1.5):
+        with pytest.raises(ArgumentError):
+            spec.coefficient(k)
+    np.testing.assert_array_equal(spec.coefficient(-2),
+                                  [spec.Vx[0], spec.Vy[0]])
+
+
 def test_fourier_bad_K(sl_basis):
     with pytest.raises(ArgumentError):
         pp.ppv_fourier(sl_basis, 0)

@@ -276,6 +276,43 @@ def test_sde_argument_validation(sl_basis):
         NoiseModel.directional(0.1, [0.0, 0.0])
 
 
+@pytest.mark.parametrize("sigma", [np.nan, np.inf])
+def test_non_finite_noise_rejected(sigma):
+    # a NaN or infinite sigma would make diffusion_summary NaN
+    with pytest.raises(ArgumentError):
+        NoiseModel.isotropic(sigma)
+    with pytest.raises(ArgumentError):
+        NoiseModel.directional(sigma, [1.0, 0.0])
+    with pytest.raises(ArgumentError):
+        NoiseModel.directional(0.1, [sigma, 1.0])
+
+
+@pytest.mark.parametrize("n_paths, t_end, dt", [
+    (4, np.inf, 0.01), (4, np.nan, 0.01), (4, 1.0, np.nan), (2.5, 1.0, 0.01)],
+    ids=["t_end-inf", "t_end-nan", "dt-nan", "n_paths-fraction"])
+def test_sde_rejects_non_finite_or_fractional_arguments(sl_basis, n_paths,
+                                                        t_end, dt):
+    # unchecked, NumPy or range() would raise OverflowError, ValueError or
+    # TypeError further in
+    with pytest.raises(ArgumentError):
+        pp.simulate_sde_ensemble(sl_basis, NoiseModel.isotropic(0.05),
+                                 n_paths, t_end, dt, seed=1)
+
+
+def test_fp_rejects_non_finite_times(sl_basis):
+    noise = NoiseModel.isotropic(0.05)
+    grid = np.linspace(-1, 1, 101)
+    for t_end, dt in [(np.inf, 1e-3), (np.nan, 1e-3), (1.0, np.nan)]:
+        with pytest.raises(ArgumentError):
+            pp.solve_fp(sl_basis, noise, grid, t_end, dt)
+    # an infinite dt stays valid: dt only bounds the step from above, and
+    # the stability cap (here 0.064) sets it, as for any dt above the cap
+    dens = pp.solve_fp(sl_basis, noise, grid, 0.2, np.inf, n_store=2)
+    capped = pp.solve_fp(sl_basis, noise, grid, 0.2, 1.0, n_store=2)
+    assert dens.n_steps == capped.n_steps == 4
+    np.testing.assert_array_equal(dens.p, capped.p)
+
+
 def _reference_fp(basis, noise, psi, t_end, dt, n_store):
     """solve_fp's density snapshots, evaluating the spline step by step
     and adding the channels in index order from +0.0."""

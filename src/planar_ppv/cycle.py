@@ -62,8 +62,8 @@ class LimitCycle:
 
 def sample_cycle(cycle, n):
     """n uniformly spaced (t, x0(t)) samples over [0, T)."""
-    if n < 2:
-        raise ArgumentError("need at least 2 samples")
+    if not isinstance(n, (int, np.integer)) or n < 2:
+        raise ArgumentError("need an integer n >= 2 of samples")
     ts = np.arange(n) * (cycle.T / n)
     return ts, cycle.point(ts).T
 

@@ -68,8 +68,8 @@ class Perturbation:
     omega_inj: float = None
 
     def __post_init__(self):
-        if self.eps < 0:
-            raise ArgumentError("eps must be non-negative")
+        if not self.eps >= 0 or not math.isfinite(self.eps):  # NaN fails
+            raise ArgumentError("eps must be finite and non-negative")
 
     @classmethod
     def sinusoidal(cls, amp, omega_inj, eps):

@@ -5,14 +5,24 @@ v(t)^T = v1(t)^T G(x0(t)), the periodic interpolant
 ``basis.projection(noise.G)``; the Fokker-Planck solver uses the matching
 density equation dp/dt = d/dpsi[ (v dv^T/dpsi) p + (1/2) v^T v dp/dpsi ],
 so ensemble statistics and densities agree by construction.
+
+The ensemble draws and steps at the same time where it can: a child made
+by ``os.fork`` draws each chunk of Wiener increments into one of two
+shared slots while the parent steps every path through the other, so
+drawing and stepping overlap in time.  Where ``fork`` is missing or only
+one CPU is usable, the same draw runs in-process before each chunk.  The
+statistics do not depend on which process drew.
 """
 
+import contextlib
 import math
+import mmap
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ArgumentError, InstabilityError
+from .errors import ArgumentError, InstabilityError, InternalInconsistencyError
 
 __all__ = ["NoiseModel", "PhaseEnsemble", "DensityField",
            "simulate_sde_ensemble", "solve_fp", "diffusion_summary",
@@ -51,24 +61,27 @@ class NoiseModel:
         return cls(G=lambda x: (s * d)[:, None])
 
 
-# Steps of Wiener increments drawn per chunk.  A chunk x n_paths x m buffer
-# bounds the ensemble's memory independently of n_steps; each chunk costs
-# one draw call per path.  At 4096 paths x 3000 steps x 2 channels on a
-# 2-vCPU x86_64 host (medians of 8 alternating rounds) chunks of 64, 128
-# and 256 steps took 1.62, 1.45 and 1.40 s, with buffers of 8, 17 and 34 MB.
-# solve_fp evaluates its spline terms for a block of as many steps at once.
+# Steps of Wiener increments drawn per chunk.  The increments live in two
+# (chunk, m, n_paths) slots shared with the drawing child (17 MB at 4096
+# paths and 2 channels), one drawn while the other is stepped, so the
+# ensemble's memory does not grow with n_steps; each chunk costs one draw
+# call per path.  At 4096 paths x 3000 steps x 2 channels on a 2-vCPU
+# x86_64 host (medians of 8 alternating rounds, drawn in-process) chunks
+# of 64, 128 and 256 steps took 1.62, 1.45 and 1.40 s, with buffers of 8,
+# 17 and 34 MB.  solve_fp evaluates its spline terms for a block of as
+# many steps at once.
 _CHUNK = 128
-# Paths drawn and transposed together.  The transpose of a chunk into the
-# (step, channel, path) layout took 6.5 ms over all 4096 paths at once and
-# 3.0-3.3 ms in blocks of 128 to 512 paths, whose 0.25-1 MB source stays in
-# cache (same host, 128 steps x 2 channels, medians of 30).
+# Paths drawn and transposed together.  The transpose of a chunk into a
+# slot's (step, channel, path) layout took 6.5 ms over all 4096 paths at
+# once and 3.0-3.3 ms in blocks of 128 to 512 paths, whose 0.25-1 MB source
+# stays in cache (same host, 128 steps x 2 channels, medians of 30).
 _PATH_BLOCK = 256
 
 
 def _stored_steps(n_steps, n_store):
     """Steps to store: 0, every (n_steps // (n_store - 1))-th, the last."""
-    if n_store < 2:
-        raise ArgumentError("need n_store >= 2")
+    if not isinstance(n_store, (int, np.integer)) or n_store < 2:
+        raise ArgumentError("need an integer n_store >= 2")
     stride = max(1, n_steps // (n_store - 1))
     return set(range(0, n_steps + 1, stride)) | {n_steps}
 
@@ -101,6 +114,91 @@ def _fp_coefficients(spline, theta):
     diff = _channel_dot(v, v)
     diff *= 0.5
     return drift, diff
+
+
+def _usable_cpus():
+    """CPUs this process may run on; 1 where the platform cannot tell."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return 1
+
+
+def _draw_chunk(rngs, z, out, sq):
+    """Each path's next len(out) steps of increments, sq * N(0, 1), laid out
+    (step, channel, path) in out.  Path block by path block, each path
+    fills its own contiguous row of z, then one multiply lays the block
+    out, so each step reads one contiguous row of increments per channel."""
+    k = len(out)
+    for p0 in range(0, len(rngs), len(z)):
+        block = rngs[p0:p0 + len(z)]
+        for zi, rng in zip(z, block):
+            rng.standard_normal(out=zi[:k])
+        np.multiply(sq, z[:len(block), :k].transpose(1, 2, 0),
+                    out=out[:, :, p0:p0 + len(block)])
+
+
+def _increments(seed, n_paths, n_steps, m, dt):
+    """The Wiener increments, one (k, m, n_paths) chunk of k <= _CHUNK steps
+    at a time.  Path i continues generator ``default_rng([seed, i])`` from
+    chunk to chunk.  A yielded chunk is valid until the next one is asked
+    for; close the generator to end a forked drawer early."""
+    sq = np.sqrt(dt)
+    sizes = [min(_CHUNK, n_steps - j0) for j0 in range(0, n_steps, _CHUNK)]
+    shape = (min(_CHUNK, n_steps), m, n_paths)
+    z_shape = (min(_PATH_BLOCK, n_paths), min(_CHUNK, n_steps), m)
+
+    def generators():
+        return [np.random.default_rng([int(seed), i]) for i in range(n_paths)]
+
+    if not sizes or not hasattr(os, "fork") or _usable_cpus() < 2:
+        rngs, z, dW = generators(), np.empty(z_shape), np.empty(shape)
+        for k in sizes:
+            _draw_chunk(rngs, z, dW[:k], sq)
+            yield dW[:k]
+        return
+
+    # Two slots in memory shared with the child.  One byte per chunk on
+    # `ready` says the child filled a slot, one on `free` that the parent
+    # is done with one.  The child only builds its generators and draws,
+    # so it takes no lock another thread could hold at the fork; it ends
+    # on EOF or EPIPE once the parent is gone, and never returns into the
+    # caller's code.
+    slots = np.frombuffer(mmap.mmap(-1, 2 * math.prod(shape) * 8),
+                          dtype=float).reshape((2,) + shape)
+    ready_r, ready_w = os.pipe()
+    free_r, free_w = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        status = 1
+        try:
+            os.close(ready_r)
+            os.close(free_w)
+            rngs, z = generators(), np.empty(z_shape)
+            for c, k in enumerate(sizes):
+                if c >= 2 and not os.read(free_r, 1):
+                    break
+                _draw_chunk(rngs, z, slots[c % 2, :k], sq)
+                os.write(ready_w, b"r")
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(ready_w)
+    os.close(free_r)
+    try:
+        for c, k in enumerate(sizes):
+            if not os.read(ready_r, 1):
+                raise InternalInconsistencyError(
+                    f"the Wiener increment process ended before chunk {c}")
+            yield slots[c % 2, :k]
+            if c + 2 < len(sizes):
+                # EPIPE: the child is gone, and the next read finds EOF
+                with contextlib.suppress(BrokenPipeError):
+                    os.write(free_w, b"f")
+    finally:
+        os.close(ready_r)
+        os.close(free_w)
+        os.waitpid(pid, 0)
 
 
 @dataclass(frozen=True)
@@ -137,15 +235,6 @@ def simulate_sde_ensemble(basis, noise, n_paths, t_end, dt, seed,
     spline = basis.projection(noise.G)
     m = spline.c[0, 0].size
 
-    # Each chunk continues every path's stream: block by block, each path
-    # fills its own contiguous row of z, then one multiply lays the block
-    # out as (step, channel, path) in dW, so each step reads one
-    # contiguous row of increments per channel.
-    sq = np.sqrt(dt)
-    rngs = [np.random.default_rng([int(seed), i]) for i in range(n_paths)]
-    z = np.empty((min(_PATH_BLOCK, n_paths), min(_CHUNK, n_steps), m))
-    dW = np.empty((min(_CHUNK, n_steps), m, n_paths))
-
     psi = np.zeros(n_paths)
     ts_out, mean_out, var_out = [], [], []
 
@@ -155,18 +244,13 @@ def simulate_sde_ensemble(basis, noise, n_paths, t_end, dt, seed,
         var_out.append(np.var(psi, ddof=1) if n_paths > 1 else 0.0)
 
     record(0)
-    for j0 in range(0, n_steps, _CHUNK):
-        k = min(_CHUNK, n_steps - j0)
-        for p0 in range(0, n_paths, _PATH_BLOCK):
-            block = rngs[p0:p0 + _PATH_BLOCK]
-            for zi, rng in zip(z, block):
-                rng.standard_normal(out=zi[:k])
-            np.multiply(sq, z[:len(block), :k].transpose(1, 2, 0),
-                        out=dW[:k, :, p0:p0 + len(block)])
-        for j in range(j0, j0 + k):
-            psi += _channel_dot(spline.values(j * dt + psi), dW[j - j0])
-            if (j + 1) in store_set:
-                record(j + 1)
+    chunks = _increments(seed, n_paths, n_steps, m, dt)
+    with contextlib.closing(chunks):
+        for j0, dW in zip(range(0, n_steps, _CHUNK), chunks):
+            for j, dWj in enumerate(dW, j0):
+                psi += _channel_dot(spline.values(j * dt + psi), dWj)
+                if (j + 1) in store_set:
+                    record(j + 1)
     return PhaseEnsemble(ts=np.array(ts_out), mean=np.array(mean_out),
                          var=np.array(var_out), n_paths=n_paths,
                          seed=int(seed))

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -54,3 +56,19 @@ def all_models():
 @pytest.fixture()
 def rng():
     return np.random.default_rng(1234)
+
+
+@pytest.fixture()
+def forked_pids(monkeypatch):
+    """The pids of the children os.fork makes while the test runs."""
+    pids = []
+    fork = os.fork
+
+    def recording_fork():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording_fork)
+    return pids

@@ -222,6 +222,30 @@ def test_fp_step_capped_below_config_dt(tmp_path, monkeypatch):
     assert float(last.split(",")[0]) == dens.ts[-1]
 
 
+@pytest.mark.skipif(not hasattr(os, "fork"),
+                    reason="the draws run in-process only")
+def test_noise_run_leaves_no_child_process(tmp_path, monkeypatch,
+                                           forked_pids):
+    # the noise stage draws its Wiener increments in a forked child, and
+    # the run has reaped it by the time it returns
+    monkeypatch.setattr(stochastic, "_usable_cpus", lambda: 2)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(SL_MINIMAL + """
+[noise]
+kind = isotropic
+sigma = 0.05
+n_paths = 300
+t_end = 10.0
+dt = 0.02
+""")
+    out = tmp_path / "out"
+    assert cli.main(["run", str(cfg), "-o", str(out)]) == 0
+    assert len(forked_pids) == 1
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert (out / "noise_ensemble.csv").exists()
+
+
 def test_implicit_dependencies_still_recorded(tmp_path):
     # only an isochron section: cycle/basis/verify must still run
     text = """

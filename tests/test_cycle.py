@@ -76,6 +76,16 @@ def test_sample_cycle_rejects_small_n(sl_cycle):
         pp.sample_cycle(sl_cycle, 1)
 
 
+@pytest.mark.parametrize("n", [2.5, 4.0, np.nan])
+def test_sample_cycle_rejects_non_integer_n(sl_cycle, n):
+    # unchecked, n = 2.5 gave 3 samples at spacing T/2.5, and a NaN n
+    # failed inside np.arange
+    with pytest.raises(ArgumentError):
+        pp.sample_cycle(sl_cycle, n)
+    ts, _ = pp.sample_cycle(sl_cycle, np.int64(3))
+    np.testing.assert_allclose(ts, [0.0, sl_cycle.T / 3, 2 * sl_cycle.T / 3])
+
+
 def test_residuals_decrease(vdp_model):
     # start off-cycle so Newton actually has to work
     cyc = pp.find_cycle(vdp_model, (3.0, 0.5), settle_time=2.0)

@@ -342,6 +342,16 @@ def test_bad_perturbation_arguments():
         Perturbation.sinusoidal([1.0, 0.0], 1.0, eps=-0.1)
 
 
+@pytest.mark.parametrize("eps", [np.nan, np.inf])
+def test_perturbation_rejects_non_finite_eps(sl_model, eps):
+    # unchecked, a NaN eps (which eps < 0 lets through) only fails later,
+    # in the integrator, as a non-finite right-hand side
+    with pytest.raises(ArgumentError):
+        Perturbation.sinusoidal([1.0, 0.0], 1.0, eps)
+    with pytest.raises(ArgumentError):
+        Perturbation.along_flow(sl_model, eps)
+
+
 def test_spectrum_csv(tmp_path, sl_basis):
     spec = pp.ppv_fourier(sl_basis, 2)
     path = tmp_path / "spectrum.csv"

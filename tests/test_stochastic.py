@@ -1,4 +1,9 @@
+import os
+import subprocess
+import sys
+import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -152,6 +157,111 @@ def test_path_blocks_match_full_draw(monkeypatch, sl_basis, block):
     _assert_stats_equal(ens, ts, hist)
 
 
+_NEEDS_FORK = pytest.mark.skipif(not hasattr(os, "fork"),
+                                 reason="the draws run in-process only")
+
+
+@_NEEDS_FORK
+@pytest.mark.parametrize("kind", ["isotropic", "nine"])
+@pytest.mark.parametrize("cpus", [1, 2], ids=["in-process", "forked"])
+def test_forked_and_in_process_draws_match(monkeypatch, forked_pids,
+                                           sl_basis, kind, cpus):
+    # with two usable CPUs a forked child draws the increments into the
+    # shared slots, with one they are drawn in-process before each chunk;
+    # both give the reference statistics to the bit, over two path blocks
+    # (the second partial) and two chunks plus a partial one
+    monkeypatch.setattr(stochastic, "_usable_cpus", lambda: cpus)
+    noise = _noise(kind)
+    n_paths = stochastic._PATH_BLOCK + 44
+    t_end = (2 * stochastic._CHUNK + 37) * 0.01
+    ens = pp.simulate_sde_ensemble(sl_basis, noise, n_paths, t_end, 0.01,
+                                   seed=9, n_store=50)
+    assert len(forked_pids) == cpus - 1
+    ts, hist = _reference_paths(sl_basis, noise, range(n_paths), t_end, 0.01,
+                                9, n_store=50)
+    _assert_stats_equal(ens, ts, hist)
+
+
+@_NEEDS_FORK
+@pytest.mark.parametrize("dies_at", [0, 2, 4])
+def test_draw_process_death_raises(monkeypatch, sl_basis, dies_at):
+    # a child that ends before its first, a middle or the last of five
+    # chunks is an error, not a short ensemble, and the parent reaps it
+    # before raising
+    parent = os.getpid()
+    draw = stochastic._draw_chunk
+    draws = []
+
+    def dying_draw(*args):
+        assert os.getpid() != parent
+        if len(draws) == dies_at:
+            os._exit(3)
+        draws.append(None)
+        draw(*args)
+
+    monkeypatch.setattr(stochastic, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(stochastic, "_draw_chunk", dying_draw)
+    with pytest.raises(InternalInconsistencyError):
+        pp.simulate_sde_ensemble(sl_basis, NoiseModel.isotropic(0.05), 64,
+                                 5 * stochastic._CHUNK * 0.01, 0.01, seed=1)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+_KILLED_ENSEMBLE = """
+import os
+import planar_ppv as pp
+from planar_ppv import stochastic
+fork = os.fork
+def announcing_fork():
+    pid = fork()
+    if pid:
+        print(pid, flush=True)
+    return pid
+os.fork = announcing_fork
+stochastic._usable_cpus = lambda: 2
+cycle = pp.find_cycle(pp.get_model("stuart_landau"), (1.0, 0.0), 0.0)
+pp.simulate_sde_ensemble(pp.DilibertoBasis(cycle),
+                         stochastic.NoiseModel.isotropic(0.05), 64, 1e4, 0.01,
+                         seed=1)
+"""
+
+
+def _running(pid):
+    """Whether pid is a live process (not gone, not a zombie)."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            state = fh.read().rpartition(")")[2].split()[0]
+    except FileNotFoundError:
+        return False
+    return state not in ("Z", "X")
+
+
+@_NEEDS_FORK
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="needs /proc")
+def test_draw_process_ends_when_parent_is_killed():
+    # a killed run leaves no drawing process behind: the child sees EOF or
+    # EPIPE on its pipes within a chunk and exits
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(src), env.get("PYTHONPATH")) if p)
+    proc = subprocess.Popen([sys.executable, "-c", _KILLED_ENSEMBLE],
+                            env=env, stdout=subprocess.PIPE, text=True)
+    try:
+        child = int(proc.stdout.readline())
+        assert _running(child)
+        time.sleep(0.5)
+    finally:
+        proc.kill()
+        proc.wait(timeout=30)
+        proc.stdout.close()
+    deadline = time.monotonic() + 20
+    while _running(child) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert not _running(child)
+
+
 def _adversarial_phases(T, knots):
     """Knots and their neighbours, negative phases, phases next to k*T on
     both sides (some of which np.mod rounds up to T) and phases up to
@@ -261,7 +371,9 @@ def test_sde_argument_validation(sl_basis):
     for t_end in (0.0, -1.0):
         with pytest.raises(ArgumentError):
             pp.simulate_sde_ensemble(sl_basis, noise, 4, t_end, 0.01, seed=1)
-    for n_store in (0, 1):
+    for n_store in (0, 1, 2.5, np.nan):
+        # unchecked, 2.5 raised TypeError in range() and NaN stored every
+        # step (max(1, n // nan) is 1)
         with pytest.raises(ArgumentError):
             pp.simulate_sde_ensemble(sl_basis, noise, 4, 1.0, 0.01, seed=1,
                                      n_store=n_store)
@@ -457,7 +569,7 @@ def test_fp_rejects_bad_grids(sl_basis):
     for dt in (0.0, -0.01):
         with pytest.raises(ArgumentError):
             pp.solve_fp(sl_basis, noise, grid, 1.0, dt)
-    for n_store in (0, 1):
+    for n_store in (0, 1, 2.5, np.nan):
         with pytest.raises(ArgumentError):
             pp.solve_fp(sl_basis, noise, grid, 1.0, 1e-3, n_store=n_store)
 

@@ -13,8 +13,7 @@ from .diliberto import DilibertoBasis, lie_bracket, orthogonality_defect
 from .isochron import asymptotic_phase, isochron_experiment
 from .models import OscillatorModel, get_model, perp
 from .phase import (Perturbation, PhasePath, PPVSpectrum,
-                    injection_lock_scan, phase_rhs, ppv_fourier,
-                    simulate_phase)
+                    injection_lock_scan, ppv_fourier, simulate_phase)
 from .stochastic import (DensityField, NoiseModel, PhaseEnsemble,
                          diffusion_summary, simulate_sde_ensemble,
                          solve_fp)
@@ -27,7 +26,7 @@ __all__ = [
     "PPVSpectrum", "asymptotic_phase", "diffusion_summary",
     "find_cycle", "get_model", "injection_lock_scan",
     "isochron_experiment", "lie_bracket", "numeric_ppv",
-    "orthogonality_defect", "perp", "phase_rhs", "ppv_fourier",
+    "orthogonality_defect", "perp", "ppv_fourier",
     "sample_cycle", "simulate_phase", "simulate_sde_ensemble", "solve_fp",
     "state_transition", "verify_basis",
 ]

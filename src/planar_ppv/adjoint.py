@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ode
-from .errors import OracleFailureError
+from .errors import ArgumentError, OracleFailureError
 
 __all__ = ["state_transition", "numeric_ppv", "verify_basis",
            "VerificationReport"]
@@ -37,8 +37,8 @@ def numeric_ppv(cycle, n):
     ``defects`` the one-element tuple of that period's periodicity defect,
     the relative change of y over the period, which must not exceed 1e-9.
     """
-    if n < 16:
-        raise OracleFailureError("need at least 16 samples")
+    if not isinstance(n, (int, np.integer)) or n < 16:
+        raise ArgumentError("need an integer n >= 16 of samples")
     model = cycle.model
     T = cycle.T
 

@@ -52,7 +52,7 @@ def run(config_path, outdir=None):
         cyc = find_cycle(model, cfg.cycle["guess"],
                          settle_time=cfg.cycle["settle_time"],
                          tol=cfg.cycle["tol"])
-        cycle_to_csv(cyc, 512, os.path.join(out, "cycle.csv"))
+        cycle_to_csv(cyc, os.path.join(out, "cycle.csv"))
         summary.append(f"T={_fmt(cyc.T)}")
         summary.append(f"anchor_x={_fmt(cyc.anchor[0])}")
         summary.append(f"anchor_y={_fmt(cyc.anchor[1])}")
@@ -157,7 +157,7 @@ def main(argv=None):
     if args.command == "plot":
         try:
             svgplot.plot_svg(args.csv, args.kind, args.output)
-        except PlanarPPVError as exc:
+        except (OSError, UnicodeDecodeError, PlanarPPVError) as exc:
             print(f"plot failed: {exc}", file=sys.stderr)
             return 1
         return 0

@@ -129,9 +129,9 @@ def find_cycle(model, guess, settle_time=100.0, tol=1e-10):
                       residuals=tuple(residuals), _traj=traj)
 
 
-def cycle_to_csv(cycle, n, path):
-    """Write ``t,x,y`` samples with 17 significant digits."""
-    ts, xs = sample_cycle(cycle, n)
+def cycle_to_csv(cycle, path):
+    """Write ``t,x,y`` at 512 uniform times with 17 significant digits."""
+    ts, xs = sample_cycle(cycle, 512)
     with open(path, "w", newline="") as fh:
         fh.write("t,x,y\n")
         fh.writelines(f"{t:.17g},{x:.17g},{y:.17g}\n"

@@ -65,8 +65,8 @@ class DilibertoBasis:
     """
 
     def __init__(self, cycle, n=1024):
-        if n < 16:
-            raise ArgumentError(f"basis grid n = {n} too coarse; need >= 16")
+        if not isinstance(n, (int, np.integer)) or n < 16:
+            raise ArgumentError(f"basis grid n = {n!r}; need an integer >= 16")
         self.cycle = cycle
         self.n = n
         self._quad = ode.integrate(_quad_rhs(cycle), [0.0, 0.0], 0.0,

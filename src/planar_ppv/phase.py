@@ -27,9 +27,9 @@ from . import ode
 from .errors import ArgumentError
 from .spline import PeriodicSpline
 
-__all__ = ["Perturbation", "PhasePath", "PPVSpectrum", "phase_rhs",
-           "simulate_phase", "ppv_fourier", "injection_lock_scan",
-           "LockMap", "spectrum_to_csv", "lockmap_to_csv"]
+__all__ = ["Perturbation", "PhasePath", "PPVSpectrum", "simulate_phase",
+           "ppv_fourier", "injection_lock_scan", "LockMap", "spectrum_to_csv",
+           "lockmap_to_csv"]
 
 _N_STORE = 2000  # psi samples per path
 _RTOL = 1e-8  # of simulate_phase's psi integration
@@ -120,15 +120,6 @@ def _rhs(proj, eps, u):
         return eps * u(t) * proj.values(np.add(t, psi))[0]
 
     return rhs
-
-
-def phase_rhs(basis, pert):
-    """Right-hand side rhs(t, [psi]) = eps u(t) v1(t+psi)^T G(x0(t+psi)).
-
-    The state dependence enters only through the periodic projection
-    ``basis.projection(pert.G)``, built once here.
-    """
-    return _rhs(basis.projection(pert.G), pert.eps, pert.u)
 
 
 def _period_map(proj, T, eps, omega_inj):

@@ -76,6 +76,7 @@ _CHUNK = 128
 # once and 3.0-3.3 ms in blocks of 128 to 512 paths, whose 0.25-1 MB source
 # stays in cache (same host, 128 steps x 2 channels, medians of 30).
 _PATH_BLOCK = 256
+_N_STORE = 201  # times at which the ensemble records its mean and variance
 
 
 def _stored_steps(n_steps, n_store):
@@ -212,14 +213,14 @@ class PhaseEnsemble:
     seed: int
 
 
-def simulate_sde_ensemble(basis, noise, n_paths, t_end, dt, seed,
-                          n_store=201):
+def simulate_sde_ensemble(basis, noise, n_paths, t_end, dt, seed):
     """Euler-Maruyama ensemble of dpsi = v(t+psi)^T dW, psi(0) = 0.
 
-    Per-path Wiener substreams are keyed by (seed, path index), so
-    growing the ensemble never reshuffles existing paths, and identical
-    seeds give bit-identical statistics.  The increments are drawn a fixed
-    number of steps at a time, so memory does not grow with n_steps.
+    The mean and variance are stored at _N_STORE times.  Per-path Wiener
+    substreams are keyed by (seed, path index), so growing the ensemble
+    never reshuffles existing paths, and identical seeds give bit-identical
+    statistics.  The increments are drawn a fixed number of steps at a
+    time, so memory does not grow with n_steps.
     """
     if not isinstance(n_paths, (int, np.integer)) or n_paths < 1:
         raise ArgumentError("need an integer n_paths >= 1")
@@ -231,7 +232,7 @@ def simulate_sde_ensemble(basis, noise, n_paths, t_end, dt, seed,
         raise ArgumentError(
             f"dt = {dt} too large; need dt <= T/100 = {basis.cycle.T / 100:g}")
     n_steps = int(round(t_end / dt))
-    store_set = _stored_steps(n_steps, n_store)
+    store_set = _stored_steps(n_steps, _N_STORE)
     spline = basis.projection(noise.G)
     m = spline.c[0, 0].size
 
@@ -286,7 +287,7 @@ def solve_fp(basis, noise, psi_grid, t_end, dt, init_width=None,
     initial condition is a narrow Gaussian at psi = 0; far boundaries
     are absorbing (place them >= 8 predicted standard deviations out).
 
-    ``dt`` is an upper bound: the step is t_end / n for the smallest n
+    ``dt`` is an upper bound: the step is t_end / n for the smallest n >= 1
     whose step does not exceed min(dt, 0.4 dpsi^2 / max v^T v), the
     stability limit of the scheme, so the last snapshot falls on t_end.
     A density below -1e-12 after any step raises ``InstabilityError``.
@@ -311,7 +312,7 @@ def solve_fp(basis, noise, psi_grid, t_end, dt, init_width=None,
     p = np.exp(-0.5 * (psi / w) ** 2)
     p /= np.sum(p) * dpsi
 
-    n_steps = int(np.ceil(t_end / dt))
+    n_steps = max(1, int(np.ceil(t_end / dt)))  # dt stays inf on zero noise
     dt = t_end / n_steps
     store_idx = _stored_steps(n_steps, n_store)
 

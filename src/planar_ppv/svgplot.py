@@ -130,10 +130,16 @@ _RENDERERS = {
 
 
 def plot_svg(csv_path, kind, out_path):
-    """Render a section CSV to a self-contained SVG file."""
+    """Render a section CSV to a self-contained SVG file; a CSV without
+    a column the kind needs raises ``ArgumentError``."""
     if kind not in _RENDERERS:
         raise ArgumentError(
             f"unknown plot kind {kind!r}; choose from {', '.join(PLOT_KINDS)}")
-    svg = _RENDERERS[kind](_read_csv(csv_path))
+    rows = _read_csv(csv_path)
+    try:
+        svg = _RENDERERS[kind](rows)
+    except KeyError as exc:
+        raise ArgumentError(f"{csv_path} has no column {exc.args[0]!r} "
+                            f"for a {kind} plot") from None
     with open(out_path, "w", newline="") as fh:
         fh.write(svg)

@@ -3,6 +3,7 @@ import pytest
 
 import planar_ppv as pp
 from planar_ppv import adjoint, ode
+from planar_ppv.errors import ArgumentError
 
 
 def test_state_transition_identity_at_zero(sl_cycle, vdp_cycle):
@@ -33,6 +34,14 @@ def test_numeric_ppv_matches_analytic_stuart_landau(sl_cycle):
     ts, ys, _ = adjoint.numeric_ppv(sl_cycle, 64)
     expected = np.column_stack([-np.sin(ts), np.cos(ts)])
     assert np.max(np.abs(ys - expected)) < 1e-7
+
+
+@pytest.mark.parametrize("n", [15, 16.5, 32.0, np.nan])
+def test_numeric_ppv_sample_count_is_an_argument_error(sl_cycle, n):
+    # a bad sample count is the caller's error, not an oracle failure;
+    # unchecked, 16.5 returned 17 samples spaced T/16.5
+    with pytest.raises(ArgumentError, match="integer"):
+        adjoint.numeric_ppv(sl_cycle, n)
 
 
 def test_numeric_ppv_normalization(sl_cycle, vdp_cycle):

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -181,6 +182,27 @@ def test_non_finite_guess_fails_the_cycle_stage(tmp_path):
                            "not finite at t=0\n")
 
 
+def test_readme_example_runs(tmp_path):
+    # the README's INI example end to end: every stage, every output, and
+    # the row counts of the fixed sample counts (cycle 512, ensemble 201
+    # times, density 101 times x 321 cells)
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    match = re.search(r"```ini\n(.*?)```", readme.read_text(), re.S)
+    assert match is not None
+    cfg = tmp_path / "example.cfg"
+    cfg.write_text(match.group(1))
+    out = tmp_path / "out"
+    assert cli.main(["run", str(cfg), "-o", str(out)]) == 0
+    assert sorted(os.listdir(out)) == [
+        "basis.csv", "cycle.csv", "density.csv", "isochron.csv",
+        "lock_scan.csv", "noise_ensemble.csv", "ppv_fourier.csv",
+        "summary.txt", "verify.csv"]
+    lines = {name: len((out / name).read_text().splitlines())
+             for name in ("cycle.csv", "noise_ensemble.csv", "density.csv")}
+    assert lines == {"cycle.csv": 513, "noise_ensemble.csv": 202,
+                     "density.csv": 1 + 101 * 321}
+
+
 def test_full_pipeline(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(VDP_FULL)
@@ -311,6 +333,43 @@ def test_plot_isochron_svg(tmp_path):
     text = svg.read_text()
     assert 'class="isochron"' in text
     assert 'class="control"' in text
+
+
+def _plot_failure(capsys, csv_path, kind, svg):
+    """Exit status and stderr lines of a plot that must fail."""
+    status = cli.main(["plot", str(csv_path), "--kind", kind,
+                       "-o", str(svg)])
+    return status, capsys.readouterr().err.splitlines()
+
+
+def test_plot_missing_csv_fails_in_one_line(tmp_path, capsys):
+    status, err = _plot_failure(capsys, tmp_path / "none.csv", "cycle",
+                                tmp_path / "x.svg")
+    assert status == 1
+    assert len(err) == 1 and err[0].startswith("plot failed: ")
+    assert "none.csv" in err[0]
+    assert not (tmp_path / "x.svg").exists()
+
+
+def test_plot_csv_of_another_kind_names_the_column(tmp_path, capsys):
+    csv_path = tmp_path / "cycle.csv"
+    csv_path.write_text("t,x,y\n0,1,0\n1,0,1\n")
+    status, err = _plot_failure(capsys, csv_path, "basis",
+                                tmp_path / "x.svg")
+    assert status == 1
+    assert err == [f"plot failed: {csv_path} has no column 'v1x' "
+                   "for a basis plot"]
+    assert not (tmp_path / "x.svg").exists()
+
+
+def test_plot_unwritable_output_fails_in_one_line(tmp_path, capsys):
+    csv_path = tmp_path / "cycle.csv"
+    csv_path.write_text("t,x,y\n0,1,0\n1,0,1\n")
+    # a directory cannot be opened for writing, even by root
+    status, err = _plot_failure(capsys, csv_path, "cycle", tmp_path)
+    assert status == 1
+    assert len(err) == 1 and err[0].startswith("plot failed: ")
+    assert str(tmp_path) in err[0]
 
 
 def test_plot_unknown_kind_rejected(tmp_path, capsys):

@@ -223,9 +223,9 @@ def test_cycle_csv(tmp_path, sl_cycle):
     from planar_ppv.cycle import cycle_to_csv
 
     path = tmp_path / "cycle.csv"
-    cycle_to_csv(sl_cycle, 16, path)
+    cycle_to_csv(sl_cycle, path)
     lines = path.read_text().splitlines()
     assert lines[0] == "t,x,y"
-    assert len(lines) == 17
+    assert len(lines) == 513
     t, x, y = (float(v) for v in lines[1].split(","))
     assert (t, x) == (0.0, pytest.approx(1.0, abs=1e-10))

@@ -403,8 +403,10 @@ def test_unstable_cycle_warns():
     assert basis.mu2 == pytest.approx(0.1, rel=1e-10)
 
 
-@pytest.mark.parametrize("n", [-5, 8, 15])
+@pytest.mark.parametrize("n", [-5, 8, 15, 16.5, 32.0, np.nan])
 def test_coarse_grid_rejected(sl_cycle, n):
+    # a grid size must be an integer too: unchecked, 16.5 built 17 points
+    # spaced T/16.5, and NaN failed inside NumPy
     with pytest.raises(ArgumentError):
         pp.DilibertoBasis(sl_cycle, n=n)
 

@@ -77,7 +77,7 @@ def _noise(kind):
                                                     np.sin(w * x[1])]))
 
 
-def _reference_paths(basis, noise, streams, t_end, dt, seed, n_store=201):
+def _reference_paths(basis, noise, streams, t_end, dt, seed):
     """Stored times and psi of each path, drawing every path's whole Wiener
     sequence up front as one (len(streams), n_steps, m) array; v^T dW adds
     the channels in turn."""
@@ -90,7 +90,7 @@ def _reference_paths(basis, noise, streams, t_end, dt, seed, n_store=201):
     for k, i in enumerate(streams):
         rng = np.random.default_rng([int(seed), i])
         dW[k] = sq * rng.standard_normal((n_steps, m))
-    stride = max(1, n_steps // (n_store - 1))
+    stride = max(1, n_steps // (stochastic._N_STORE - 1))
     stored = set(range(0, n_steps + 1, stride)) | {n_steps}
     psi = np.zeros(len(streams))
     ts, hist = [0.0], [psi]
@@ -134,10 +134,8 @@ def test_chunked_draws_match_full_draw(request, basis_name, kind, steps):
     noise = _noise(kind)
     dt = 0.01
     t_end = (n_steps or 0.4) * dt  # 0.4 of a step rounds to no step
-    ens = pp.simulate_sde_ensemble(basis, noise, 33, t_end, dt, seed=9,
-                                   n_store=50)
-    ts, hist = _reference_paths(basis, noise, range(33), t_end, dt, 9,
-                                n_store=50)
+    ens = pp.simulate_sde_ensemble(basis, noise, 33, t_end, dt, seed=9)
+    ts, hist = _reference_paths(basis, noise, range(33), t_end, dt, 9)
     assert ts[-1] == n_steps * dt
     _assert_stats_equal(ens, ts, hist)
 
@@ -151,9 +149,9 @@ def test_path_blocks_match_full_draw(monkeypatch, sl_basis, block):
     noise = NoiseModel.isotropic(0.05)
     n_steps = stochastic._CHUNK + 37
     ens = pp.simulate_sde_ensemble(sl_basis, noise, 33, n_steps * 0.01, 0.01,
-                                   seed=9, n_store=50)
+                                   seed=9)
     ts, hist = _reference_paths(sl_basis, noise, range(33), n_steps * 0.01,
-                                0.01, 9, n_store=50)
+                                0.01, 9)
     _assert_stats_equal(ens, ts, hist)
 
 
@@ -175,10 +173,10 @@ def test_forked_and_in_process_draws_match(monkeypatch, forked_pids,
     n_paths = stochastic._PATH_BLOCK + 44
     t_end = (2 * stochastic._CHUNK + 37) * 0.01
     ens = pp.simulate_sde_ensemble(sl_basis, noise, n_paths, t_end, 0.01,
-                                   seed=9, n_store=50)
+                                   seed=9)
     assert len(forked_pids) == cpus - 1
     ts, hist = _reference_paths(sl_basis, noise, range(n_paths), t_end, 0.01,
-                                9, n_store=50)
+                                9)
     _assert_stats_equal(ens, ts, hist)
 
 
@@ -371,12 +369,6 @@ def test_sde_argument_validation(sl_basis):
     for t_end in (0.0, -1.0):
         with pytest.raises(ArgumentError):
             pp.simulate_sde_ensemble(sl_basis, noise, 4, t_end, 0.01, seed=1)
-    for n_store in (0, 1, 2.5, np.nan):
-        # unchecked, 2.5 raised TypeError in range() and NaN stored every
-        # step (max(1, n // nan) is 1)
-        with pytest.raises(ArgumentError):
-            pp.simulate_sde_ensemble(sl_basis, noise, 4, 1.0, 0.01, seed=1,
-                                     n_store=n_store)
     with pytest.raises(ArgumentError):
         # dt above T/100
         pp.simulate_sde_ensemble(sl_basis, noise, 4, 1.0, 1.0, seed=1)
@@ -423,6 +415,14 @@ def test_fp_rejects_non_finite_times(sl_basis):
     capped = pp.solve_fp(sl_basis, noise, grid, 0.2, 1.0, n_store=2)
     assert dens.n_steps == capped.n_steps == 4
     np.testing.assert_array_equal(dens.p, capped.p)
+    # zero noise sets no cap, so t_end / dt is 0 steps (dividing t_end by
+    # it raised ZeroDivisionError); one step leaves the density as it
+    # started, its tails underflowing to 0 on this grid
+    fine = np.linspace(-1, 1, 401)
+    still = pp.solve_fp(sl_basis, NoiseModel.isotropic(0.0), fine, 0.2, np.inf)
+    assert still.n_steps == 1
+    assert still.p[0, 0] == still.p[0, -1] == 0.0
+    np.testing.assert_array_equal(still.p[-1], still.p[0])
 
 
 def _reference_fp(basis, noise, psi, t_end, dt, n_store):
@@ -652,7 +652,7 @@ def test_vdp_monte_carlo_vs_summary(vdp_basis):
 
 def test_ensemble_csv(tmp_path, sl_basis):
     ens = pp.simulate_sde_ensemble(sl_basis, NoiseModel.isotropic(0.05),
-                                   8, 5.0, 0.01, seed=1, n_store=11)
+                                   8, 5.0, 0.01, seed=1)
     path = tmp_path / "ensemble.csv"
     ensemble_to_csv(ens, path)
     lines = path.read_text().splitlines()

@@ -99,22 +99,28 @@ def run(config_path, outdir=None):
             else:
                 nm = stochastic.NoiseModel.directional(p["sigma"],
                                                        p["direction"])
-            ens = stochastic.simulate_sde_ensemble(
-                basis, nm, p["n_paths"], p["t_end"], p["dt"], cfg.seed)
-            stochastic.ensemble_to_csv(
-                ens, os.path.join(out, "noise_ensemble.csv"))
             Dsum = stochastic.diffusion_summary(basis, nm)
-            summary.append(f"diffusion_rate={_fmt(Dsum)}")
+            fp = None
             if p["density"]:
                 hw = p["density_halfwidth"]
                 if hw <= 0:
                     hw = max(8.0 * np.sqrt(max(Dsum, 1e-30) * p["t_end"]),
                              1e-3)
                 grid = np.linspace(-hw, hw, p["density_cells"])
-                dens = stochastic.solve_fp(basis, nm, grid, p["t_end"],
-                                           p["dt"])
+                # the density needs no ensemble: its blocks fill the
+                # ensemble's waits for increments, the rest runs after,
+                # and a failure among them is raised after the ensemble
+                fp = stochastic._Background(stochastic._fp_blocks(
+                    basis, nm, grid, p["t_end"], p["dt"]))
+            ens = stochastic.simulate_sde_ensemble(
+                basis, nm, p["n_paths"], p["t_end"], p["dt"], cfg.seed,
+                idle=None if fp is None else fp.step)
+            stochastic.ensemble_to_csv(
+                ens, os.path.join(out, "noise_ensemble.csv"))
+            summary.append(f"diffusion_rate={_fmt(Dsum)}")
+            if fp is not None:
                 stochastic.density_to_csv(
-                    dens, os.path.join(out, "density.csv"))
+                    fp.result(), os.path.join(out, "density.csv"))
 
         if "isochron" in cfg.sections:
             stage = "isochron"

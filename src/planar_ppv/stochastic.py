@@ -12,12 +12,22 @@ shared slots while the parent steps every path through the other, so
 drawing and stepping overlap in time.  Where ``fork`` is missing or only
 one CPU is usable, the same draw runs in-process before each chunk.  The
 statistics do not depend on which process drew.
+
+While the forked child has not yet filled the next chunk, the parent
+calls ``simulate_sde_ensemble``'s ``idle`` instead of waiting, and
+``planar-ppv run`` passes one that advances the Fokker-Planck solve by a
+block of steps.  The blocks are small enough for their temporaries to stay
+off the allocator's mmap path, and short enough for the parent to turn
+back to the ensemble soon after a chunk is ready; the blocks not reached
+when the ensemble ends run after it.  Drawn in-process, the ensemble never
+waits, and the Fokker-Planck solve runs after it.
 """
 
 import contextlib
 import math
 import mmap
 import os
+import select
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,8 +78,7 @@ class NoiseModel:
 # call per path.  At 4096 paths x 3000 steps x 2 channels on a 2-vCPU
 # x86_64 host (medians of 8 alternating rounds, drawn in-process) chunks
 # of 64, 128 and 256 steps took 1.62, 1.45 and 1.40 s, with buffers of 8,
-# 17 and 34 MB.  solve_fp evaluates its spline terms for a block of as
-# many steps at once.
+# 17 and 34 MB.
 _CHUNK = 128
 # Paths drawn and transposed together.  The transpose of a chunk into a
 # slot's (step, channel, path) layout took 6.5 ms over all 4096 paths at
@@ -77,6 +86,14 @@ _CHUNK = 128
 # stays in cache (same host, 128 steps x 2 channels, medians of 30).
 _PATH_BLOCK = 256
 _N_STORE = 201  # times at which the ensemble records its mean and variance
+# Half-point evaluations, steps x (cells - 1), per block of Fokker-Planck
+# steps: 16 steps at 481 cells.  A block's spline terms are (channels,
+# steps, cells - 1) arrays, 120 KiB each at 2 channels, under glibc's
+# initial 128 KiB mmap threshold, so the allocator reuses heap memory for
+# them instead of mapping, faulting and unmapping each one every block.
+# Blocks of 128 steps (0.5 MB terms) run between the ensemble's chunks
+# raised the noise workload's peak RSS from 50.9 to 57.5 MB (x86_64 Linux).
+_FP_BLOCK_POINTS = 16 * 480
 
 
 def _stored_steps(n_steps, n_store):
@@ -139,11 +156,13 @@ def _draw_chunk(rngs, z, out, sq):
                     out=out[:, :, p0:p0 + len(block)])
 
 
-def _increments(seed, n_paths, n_steps, m, dt):
+def _increments(seed, n_paths, n_steps, m, dt, idle):
     """The Wiener increments, one (k, m, n_paths) chunk of k <= _CHUNK steps
     at a time.  Path i continues generator ``default_rng([seed, i])`` from
     chunk to chunk.  A yielded chunk is valid until the next one is asked
-    for; close the generator to end a forked drawer early."""
+    for; close the generator to end a forked drawer early.  While the
+    forked drawer has not filled the next chunk, ``idle()``, unless None,
+    is called until it returns False."""
     sq = np.sqrt(dt)
     sizes = [min(_CHUNK, n_steps - j0) for j0 in range(0, n_steps, _CHUNK)]
     shape = (min(_CHUNK, n_steps), m, n_paths)
@@ -188,6 +207,9 @@ def _increments(seed, n_paths, n_steps, m, dt):
     os.close(free_r)
     try:
         for c, k in enumerate(sizes):
+            while idle and not select.select([ready_r], [], [], 0)[0]:
+                if not idle():
+                    idle = None
             if not os.read(ready_r, 1):
                 raise InternalInconsistencyError(
                     f"the Wiener increment process ended before chunk {c}")
@@ -213,7 +235,8 @@ class PhaseEnsemble:
     seed: int
 
 
-def simulate_sde_ensemble(basis, noise, n_paths, t_end, dt, seed):
+def simulate_sde_ensemble(basis, noise, n_paths, t_end, dt, seed, *,
+                          idle=None):
     """Euler-Maruyama ensemble of dpsi = v(t+psi)^T dW, psi(0) = 0.
 
     The mean and variance are stored at _N_STORE times.  Per-path Wiener
@@ -221,6 +244,11 @@ def simulate_sde_ensemble(basis, noise, n_paths, t_end, dt, seed):
     never reshuffles existing paths, and identical seeds give bit-identical
     statistics.  The increments are drawn a fixed number of steps at a
     time, so memory does not grow with n_steps.
+
+    ``idle``, if given, is called with no arguments whenever a forked
+    drawer has not yet filled the chunk the ensemble needs next, until it
+    returns False; a short call keeps the ensemble from waiting long on a
+    ready chunk.  Drawn in-process, the ensemble never calls it.
     """
     if not isinstance(n_paths, (int, np.integer)) or n_paths < 1:
         raise ArgumentError("need an integer n_paths >= 1")
@@ -245,7 +273,7 @@ def simulate_sde_ensemble(basis, noise, n_paths, t_end, dt, seed):
         var_out.append(np.var(psi, ddof=1) if n_paths > 1 else 0.0)
 
     record(0)
-    chunks = _increments(seed, n_paths, n_steps, m, dt)
+    chunks = _increments(seed, n_paths, n_steps, m, dt, idle)
     with contextlib.closing(chunks):
         for j0, dW in zip(range(0, n_steps, _CHUNK), chunks):
             for j, dWj in enumerate(dW, j0):
@@ -292,6 +320,15 @@ def solve_fp(basis, noise, psi_grid, t_end, dt, init_width=None,
     stability limit of the scheme, so the last snapshot falls on t_end.
     A density below -1e-12 after any step raises ``InstabilityError``.
     """
+    return _Background(_fp_blocks(basis, noise, psi_grid, t_end, dt,
+                                  init_width, n_store)).result()
+
+
+def _fp_blocks(basis, noise, psi_grid, t_end, dt, init_width=None,
+               n_store=101):
+    """:func:`solve_fp`, yielding after each block of steps; returns the
+    DensityField.  A block has _FP_BLOCK_POINTS // (cells - 1) steps, at
+    least one, and the last block may be shorter."""
     if not (t_end > 0 and math.isfinite(t_end)):  # NaN fails too
         raise ArgumentError("t_end must be finite and positive")
     if not dt > 0:  # an infinite dt leaves the stability cap in charge
@@ -317,10 +354,11 @@ def solve_fp(basis, noise, psi_grid, t_end, dt, init_width=None,
     store_idx = _stored_steps(n_steps, n_store)
 
     half = psi[:-1] + 0.5 * dpsi
+    block = max(1, _FP_BLOCK_POINTS // half.size)
     ts_out, p_out = [0.0], [p.copy()]
-    for j0 in range(0, n_steps, _CHUNK):
+    for j0 in range(0, n_steps, block):
         # v dv^T/dpsi and (1/2) v^T v at the half points of a block of steps
-        steps = np.arange(j0, min(j0 + _CHUNK, n_steps))
+        steps = np.arange(j0, min(j0 + block, n_steps))
         drifts, diffs = _fp_coefficients(spline, (steps * dt)[:, None] + half)
         for j, drift, diff in zip(steps.tolist(), drifts, diffs):
             t = j * dt
@@ -337,8 +375,44 @@ def solve_fp(basis, noise, psi_grid, t_end, dt, init_width=None,
             if (j + 1) in store_idx:
                 ts_out.append((j + 1) * dt)
                 p_out.append(p.copy())
+        yield
     return DensityField(psi=psi, ts=np.array(ts_out),
                         p=np.array(p_out), dpsi=dpsi, n_steps=n_steps)
+
+
+class _Background:
+    """A generator run an item at a time in another loop's idle moments.
+
+    ``step`` advances it by one item and says whether it may go on;
+    ``result`` runs what is left and returns the generator's value.  An
+    exception the generator raises is held until ``result``, so the loop
+    it rode on finishes first.
+    """
+
+    def __init__(self, gen):
+        self._gen = gen
+        self._done = False
+        self._value = self._error = None
+
+    def step(self):
+        if self._done:
+            return False
+        try:
+            next(self._gen)
+            return True
+        except StopIteration as stop:
+            self._value = stop.value
+        except Exception as exc:  # raised again by result()
+            self._error = exc
+        self._done = True
+        return False
+
+    def result(self):
+        while self.step():
+            pass
+        if self._error is not None:
+            raise self._error
+        return self._value
 
 
 def diffusion_summary(basis, noise):

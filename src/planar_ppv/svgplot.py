@@ -15,13 +15,40 @@ PLOT_KINDS = ("cycle", "basis", "lock", "density", "isochron")
 _W, _H, _M = 640, 480, 50
 
 
+class _Row(dict):
+    """One CSV record, keyed by column, with the ``line`` it ends on."""
+
+
+class _BadCell(Exception):
+    """A short row or a cell that does not parse; plot_svg adds the file."""
+
+    def __init__(self, row, message):
+        super().__init__(f"line {row.line}: {message}")
+
+
 def _read_csv(path):
+    rows = []
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
-        rows = list(reader)
+        for record in reader:
+            row = _Row(record)
+            row.line = reader.line_num
+            if None in row.values():  # DictReader pads a short row with None
+                n = sum(v is not None for v in row.values())
+                raise _BadCell(row, f"{n} fields, the header has {len(row)}")
+            rows.append(row)
     if not rows:
         raise ArgumentError(f"empty CSV: {path}")
     return rows
+
+
+def _num(row, name):
+    """row[name] as a float; a missing column raises KeyError."""
+    cell = row[name]
+    try:
+        return float(cell)
+    except ValueError:
+        raise _BadCell(row, f"{name} = {cell!r} is not a number") from None
 
 
 class _Frame:
@@ -60,31 +87,31 @@ def _polyline(frame, xs, ys, color, closed=False):
 
 
 def _plot_cycle(rows):
-    xs = [float(r["x"]) for r in rows]
-    ys = [float(r["y"]) for r in rows]
+    xs = [_num(r, "x") for r in rows]
+    ys = [_num(r, "y") for r in rows]
     frame = _Frame(xs, ys)
     return _document(_polyline(frame, xs, ys, "#1f4e9c", closed=True))
 
 
 def _plot_basis(rows):
-    ts = [float(r["t"]) for r in rows]
+    ts = [_num(r, "t") for r in rows]
     series = [("v1x", "#1f4e9c"), ("v1y", "#b03030"),
               ("v2x", "#2e8b57"), ("v2y", "#8860b0")]
-    vals = [float(r[name]) for name, _ in series for r in rows]
+    vals = [_num(r, name) for name, _ in series for r in rows]
     frame = _Frame(ts, vals)
-    body = "".join(_polyline(frame, ts, [float(r[name]) for r in rows], color)
+    body = "".join(_polyline(frame, ts, [_num(r, name) for r in rows], color)
                    for name, color in series)
     return _document(body)
 
 
 def _plot_lock(rows):
-    xs = [float(r["delta_omega"]) for r in rows]
-    ys = [float(r["eps"]) for r in rows]
+    xs = [_num(r, "delta_omega") for r in rows]
+    ys = [_num(r, "eps") for r in rows]
     frame = _Frame(xs, ys)
     body = ""
     for r in rows:
-        cx = frame.px(float(r["delta_omega"]))
-        cy = frame.py(float(r["eps"]))
+        cx = frame.px(_num(r, "delta_omega"))
+        cy = frame.py(_num(r, "eps"))
         locked = r["locked"] not in ("0", "False", "false")
         color = "#b03030" if locked else "#bbbbbb"
         cls = "locked" if locked else "unlocked"
@@ -96,20 +123,20 @@ def _plot_lock(rows):
 def _plot_density(rows):
     t_last = rows[-1]["t"]
     final = [r for r in rows if r["t"] == t_last]
-    xs = [float(r["psi"]) for r in final]
-    ys = [float(r["p"]) for r in final]
+    xs = [_num(r, "psi") for r in final]
+    ys = [_num(r, "p") for r in final]
     frame = _Frame(xs, ys)
     return _document(_polyline(frame, xs, ys, "#1f4e9c"))
 
 
 def _plot_isochron(rows):
-    xs = [float(r["offset"]) for r in rows]
-    ys = [float(r["phase"]) for r in rows]
+    xs = [_num(r, "offset") for r in rows]
+    ys = [_num(r, "phase") for r in rows]
     frame = _Frame(xs, ys)
     body = ""
     for r in rows:
-        x = frame.px(float(r["offset"]))
-        y = frame.py(float(r["phase"]))
+        x = frame.px(_num(r, "offset"))
+        y = frame.py(_num(r, "phase"))
         if r["set"] == "isochron":
             body += (f'<circle class="isochron" cx="{x:.3f}" cy="{y:.3f}" '
                      f'r="4" fill="#1f4e9c"/>\n')
@@ -131,15 +158,17 @@ _RENDERERS = {
 
 def plot_svg(csv_path, kind, out_path):
     """Render a section CSV to a self-contained SVG file; a CSV without
-    a column the kind needs raises ``ArgumentError``."""
+    a column the kind needs, a short row or a number that does not parse
+    raises ``ArgumentError``."""
     if kind not in _RENDERERS:
         raise ArgumentError(
             f"unknown plot kind {kind!r}; choose from {', '.join(PLOT_KINDS)}")
-    rows = _read_csv(csv_path)
     try:
-        svg = _RENDERERS[kind](rows)
+        svg = _RENDERERS[kind](_read_csv(csv_path))
     except KeyError as exc:
         raise ArgumentError(f"{csv_path} has no column {exc.args[0]!r} "
                             f"for a {kind} plot") from None
+    except _BadCell as exc:
+        raise ArgumentError(f"{csv_path} {exc}") from None
     with open(out_path, "w", newline="") as fh:
         fh.write(svg)

@@ -2,12 +2,15 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from planar_ppv import cli, stochastic
+from planar_ppv import DilibertoBasis, cli, find_cycle, stochastic
+from planar_ppv.config import load_config
+from planar_ppv.errors import InstabilityError
 
 SL_MINIMAL = """
 [model]
@@ -225,13 +228,13 @@ def test_fp_step_capped_below_config_dt(tmp_path, monkeypatch):
     # than the config dt; the solver cuts its step to 20 / 4793 instead of
     # failing, and the last snapshot lands on t_end
     fields = []
-    solve_fp = stochastic.solve_fp
+    fp_blocks = stochastic._fp_blocks  # the CLI runs the FP block by block
 
     def recording(*args, **kwargs):
-        fields.append(solve_fp(*args, **kwargs))
+        fields.append((yield from fp_blocks(*args, **kwargs)))
         return fields[-1]
 
-    monkeypatch.setattr(stochastic, "solve_fp", recording)
+    monkeypatch.setattr(stochastic, "_fp_blocks", recording)
     cfg = tmp_path / "run.cfg"
     cfg.write_text(BRUSSELATOR_DIRECTIONAL)
     out = tmp_path / "out"
@@ -266,6 +269,150 @@ dt = 0.02
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
     assert (out / "noise_ensemble.csv").exists()
+
+
+_SL_NOISE = SL_MINIMAL + """
+[noise]
+kind = isotropic
+sigma = 0.05
+n_paths = 64
+t_end = 6.0
+dt = 0.02
+density_cells = 41
+density_halfwidth = 0.5
+"""
+
+_VDP_COARSE_DENSITY = """
+[model]
+name = vanderpol
+mu = 1.0
+
+[cycle]
+guess = 2.0 0.0
+
+[verify]
+tol = 1e-5
+
+[noise]
+kind = directional
+direction = 1.0 0.0
+sigma = 0.05
+n_paths = 32
+t_end = 6.0
+dt = 0.01
+density_cells = 8
+density_halfwidth = 3.0
+"""
+
+
+def _noise_run(tmp_path, monkeypatch, text, cpus, patch=None):
+    """Exit status and output directory of a run with ``cpus`` usable CPUs
+    and ``patch(mp)`` applied for its length; with two, the forked drawer
+    sleeps before every chunk, so the run's Fokker-Planck blocks go into
+    the ensemble's waits."""
+    name = f"cpus{cpus}"
+    cfg = tmp_path / f"{name}.cfg"
+    cfg.write_text(text)
+    out = tmp_path / name
+    draw = stochastic._draw_chunk
+
+    def slow_draw(*args):
+        time.sleep(0.1)
+        draw(*args)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(stochastic, "_usable_cpus", lambda: cpus)
+        if cpus > 1:
+            mp.setattr(stochastic, "_draw_chunk", slow_draw)
+        if patch:
+            patch(mp)
+        return cli.main(["run", str(cfg), "-o", str(out)]), out
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"),
+                    reason="the draws run in-process only")
+def test_noise_files_do_not_depend_on_the_overlap(tmp_path, monkeypatch,
+                                                  forked_pids):
+    # in-process the density is solved after the ensemble, forked in the
+    # ensemble's waits for increments; both write the files that separate
+    # simulate_sde_ensemble and solve_fp calls give
+    runs = [_noise_run(tmp_path, monkeypatch, _SL_NOISE, cpus)
+            for cpus in (1, 2)]
+    assert [status for status, _ in runs] == [0, 0]
+    assert len(forked_pids) == 1
+    cfg = load_config(str(tmp_path / "cpus1.cfg"))
+    cyc = find_cycle(cfg.make_model(), cfg.cycle["guess"],
+                     settle_time=cfg.cycle["settle_time"],
+                     tol=cfg.cycle["tol"])
+    basis = DilibertoBasis(cyc, n=cfg.grid)
+    p = cfg.sections["noise"]
+    nm = stochastic.NoiseModel.isotropic(p["sigma"])
+    separate = tmp_path / "separate"
+    separate.mkdir()
+    stochastic.ensemble_to_csv(
+        stochastic.simulate_sde_ensemble(basis, nm, p["n_paths"], p["t_end"],
+                                         p["dt"], cfg.seed),
+        separate / "noise_ensemble.csv")
+    stochastic.density_to_csv(
+        stochastic.solve_fp(basis, nm, np.linspace(-0.5, 0.5, 41),
+                            p["t_end"], p["dt"]),
+        separate / "density.csv")
+    for name in ("noise_ensemble.csv", "density.csv"):
+        expected = (separate / name).read_bytes()
+        assert all((out / name).read_bytes() == expected for _, out in runs)
+    assert ((runs[0][1] / "summary.txt").read_bytes()
+            == (runs[1][1] / "summary.txt").read_bytes())
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"),
+                    reason="the draws run in-process only")
+def test_fp_failure_in_the_overlap_reported_after_the_ensemble(
+        tmp_path, monkeypatch, capsys, forked_pids):
+    # a density that goes negative (the narrow start of
+    # test_fp_negative_density_caught_between_snapshots) fails while the
+    # forked drawer is still busy; the run reports it only once the
+    # ensemble is written, with the in-process run's stderr line, exit
+    # status and files, and leaves no child behind
+    events = []
+
+    def patch(mp):
+        fp_blocks = stochastic._fp_blocks
+        to_csv = stochastic.ensemble_to_csv
+
+        def narrow_start(basis, noise, psi, t_end, dt):
+            width = 0.3 * (psi[1] - psi[0])
+            try:
+                return (yield from fp_blocks(basis, noise, psi, t_end, dt,
+                                             init_width=width))
+            except InstabilityError:
+                events.append("fp failed")
+                raise
+
+        def recording_csv(ens, path):
+            events.append("ensemble written")
+            to_csv(ens, path)
+
+        mp.setattr(stochastic, "_fp_blocks", narrow_start)
+        mp.setattr(stochastic, "ensemble_to_csv", recording_csv)
+
+    runs = []
+    for cpus in (1, 2):
+        status, out = _noise_run(tmp_path, monkeypatch, _VDP_COARSE_DENSITY,
+                                 cpus, patch)
+        runs.append((status, capsys.readouterr().err.splitlines(),
+                     sorted(f.name for f in out.iterdir()),
+                     (out / "noise_ensemble.csv").read_bytes()))
+    assert events == ["ensemble written", "fp failed",
+                      "fp failed", "ensemble written"]
+    assert runs[0] == runs[1]
+    status, err, files, _ = runs[0]
+    assert status == 1
+    assert len(err) == 1
+    assert err[0].startswith("stage 'noise' failed: negative density ")
+    assert "density.csv" not in files and "summary.txt" not in files
+    assert len(forked_pids) == 1
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_implicit_dependencies_still_recorded(tmp_path):
@@ -359,6 +506,28 @@ def test_plot_csv_of_another_kind_names_the_column(tmp_path, capsys):
     assert status == 1
     assert err == [f"plot failed: {csv_path} has no column 'v1x' "
                    "for a basis plot"]
+    assert not (tmp_path / "x.svg").exists()
+
+
+def test_plot_non_numeric_cell_names_its_line(tmp_path, capsys):
+    csv_path = tmp_path / "cycle.csv"
+    csv_path.write_text("t,x,y\n0,1,0\n0,a,0\n")
+    status, err = _plot_failure(capsys, csv_path, "cycle",
+                                tmp_path / "x.svg")
+    assert status == 1
+    assert err == [f"plot failed: {csv_path} line 3: x = 'a' is not a "
+                   "number"]
+    assert not (tmp_path / "x.svg").exists()
+
+
+def test_plot_short_row_names_its_line(tmp_path, capsys):
+    csv_path = tmp_path / "cycle.csv"
+    csv_path.write_text("t,x,y\n0,1\n1,0,1\n")
+    status, err = _plot_failure(capsys, csv_path, "cycle",
+                                tmp_path / "x.svg")
+    assert status == 1
+    assert err == [f"plot failed: {csv_path} line 2: 2 fields, the header "
+                   "has 3"]
     assert not (tmp_path / "x.svg").exists()
 
 

@@ -206,6 +206,94 @@ def test_draw_process_death_raises(monkeypatch, sl_basis, dies_at):
         os.waitpid(-1, os.WNOHANG)
 
 
+def _slow_draws(monkeypatch, seconds):
+    """Every chunk's draw, in a forked child too, sleeps first, so the
+    parent finds the next chunk not yet ready."""
+    draw = stochastic._draw_chunk
+
+    def slow_draw(*args):
+        time.sleep(seconds)
+        draw(*args)
+
+    monkeypatch.setattr(stochastic, "_draw_chunk", slow_draw)
+
+
+def _assert_ensembles_equal(a, b):
+    np.testing.assert_array_equal(a.ts, b.ts)
+    np.testing.assert_array_equal(a.mean.view(np.int64),
+                                  b.mean.view(np.int64))
+    np.testing.assert_array_equal(a.var.view(np.int64), b.var.view(np.int64))
+
+
+@_NEEDS_FORK
+@pytest.mark.parametrize("cpus", [1, 2], ids=["in-process", "forked"])
+def test_fp_in_the_ensembles_waits_matches_separate_calls(
+        monkeypatch, forked_pids, sl_basis, cpus):
+    # the ensemble runs its idle work only while a forked drawer has not
+    # filled the next chunk, never in-process; the ensemble and the
+    # density it carried are those of separate calls to the bit
+    monkeypatch.setattr(stochastic, "_usable_cpus", lambda: cpus)
+    noise = NoiseModel.isotropic(0.05)
+    psi = np.linspace(-0.5, 0.5, 41)
+    sde_args = (sl_basis, noise, 64, (2 * stochastic._CHUNK + 37) * 0.01,
+                0.01)
+    alone = pp.simulate_sde_ensemble(*sde_args, seed=9)
+    dens_alone = pp.solve_fp(sl_basis, noise, psi, 3.0, 0.01, n_store=40)
+    _slow_draws(monkeypatch, 0.1)
+    fp = stochastic._Background(stochastic._fp_blocks(
+        sl_basis, noise, psi, 3.0, 0.01, n_store=40))
+    calls = []
+
+    def idle():
+        calls.append(None)
+        return fp.step()
+
+    ens = pp.simulate_sde_ensemble(*sde_args, seed=9, idle=idle)
+    assert bool(calls) == (cpus == 2)
+    assert len(forked_pids) == 2 * (cpus - 1)
+    _assert_ensembles_equal(ens, alone)
+    dens = fp.result()
+    assert dens.n_steps == dens_alone.n_steps
+    np.testing.assert_array_equal(dens.ts, dens_alone.ts)
+    np.testing.assert_array_equal(dens.p.view(np.int64),
+                                  dens_alone.p.view(np.int64))
+
+
+@_NEEDS_FORK
+def test_fp_failure_in_the_ensembles_waits_is_held(monkeypatch, forked_pids,
+                                                   vdp_basis):
+    # the coarse grid of test_fp_negative_density_caught_between_snapshots
+    # fails in the ensemble's first wait; the ensemble still ends as it
+    # would alone and reaps its drawer, and the error, with solve_fp's
+    # message, comes only from result()
+    noise = NoiseModel.directional(0.05, [1.0, 0.0])
+    psi = np.linspace(-3.0, 3.0, 8)
+    width = 0.3 * (psi[1] - psi[0])
+    with pytest.raises(InstabilityError) as direct:
+        pp.solve_fp(vdp_basis, noise, psi, 6.0, 0.01, init_width=width)
+    monkeypatch.setattr(stochastic, "_usable_cpus", lambda: 2)
+    sde_args = (vdp_basis, noise, 32, 2 * stochastic._CHUNK * 0.01, 0.01)
+    alone = pp.simulate_sde_ensemble(*sde_args, seed=3)
+    _slow_draws(monkeypatch, 0.1)
+    fp = stochastic._Background(stochastic._fp_blocks(
+        vdp_basis, noise, psi, 6.0, 0.01, init_width=width))
+    steps = []
+
+    def idle():
+        steps.append(fp.step())
+        return steps[-1]
+
+    ens = pp.simulate_sde_ensemble(*sde_args, seed=3, idle=idle)
+    assert steps == [False]  # its one block ran, and failed, in a wait
+    _assert_ensembles_equal(ens, alone)
+    assert len(forked_pids) == 2
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    with pytest.raises(InstabilityError) as held:
+        fp.result()
+    assert str(held.value) == str(direct.value)
+
+
 _KILLED_ENSEMBLE = """
 import os
 import planar_ppv as pp
@@ -472,6 +560,37 @@ def test_fp_blocks_match_per_step_reference(request, basis_name, kind):
     assert dens.n_steps == n_steps
     np.testing.assert_array_equal(dens.ts, ts)
     np.testing.assert_array_equal(dens.p.view(np.int64), p.view(np.int64))
+
+
+@pytest.mark.parametrize("steps", [1, 7, 16, 128])
+def test_fp_block_length_leaves_density_unchanged(monkeypatch, sl_basis,
+                                                  steps):
+    # the block length only sets how many steps share one evaluation of
+    # the spline terms: blocks of any length, the last one partial, give
+    # the per-step reference to the bit, and the solve yields once a block
+    noise = NoiseModel.isotropic(0.05)
+    psi = np.linspace(-0.5, 0.5, 41)
+    n_steps, ts, p = _reference_fp(sl_basis, noise, psi, 3.0, 0.01, 40)
+    assert steps == 1 or n_steps % steps
+    monkeypatch.setattr(stochastic, "_FP_BLOCK_POINTS",
+                        steps * (psi.size - 1))
+    fp = stochastic._Background(stochastic._fp_blocks(
+        sl_basis, noise, psi, 3.0, 0.01, n_store=40))
+    n_blocks = 0
+    while fp.step():
+        n_blocks += 1
+    assert n_blocks == -(-n_steps // steps)
+    dens = fp.result()
+    assert dens.n_steps == n_steps
+    np.testing.assert_array_equal(dens.ts, ts)
+    np.testing.assert_array_equal(dens.p.view(np.int64), p.view(np.int64))
+
+
+def test_fp_block_keeps_its_terms_under_the_mmap_threshold():
+    # 16 steps at the noise workload's 481 cells; two channels of one
+    # block's spline terms stay below glibc's initial 128 KiB threshold
+    assert stochastic._FP_BLOCK_POINTS // 480 == 16
+    assert 2 * stochastic._FP_BLOCK_POINTS * 8 < 128 * 1024
 
 
 @pytest.mark.parametrize("m", range(1, 10))

@@ -1,7 +1,8 @@
 """Batch front-end: config -> cycle -> basis -> experiments -> CSV/SVG.
 
 Exit codes: 0 all verifications passed, 1 numerical failure (stage is
-named on stderr), 2 configuration error.
+named on stderr), 2 configuration error or an output that cannot be
+written.
 """
 
 import argparse
@@ -22,6 +23,22 @@ def _fmt(x):
     return f"{x:.17g}"
 
 
+class _OutputError(Exception):
+    """An output file could not be written; ``run`` reports it, exit 2."""
+
+
+def _verify_to_csv(report, path):
+    with open(path, "w", newline="") as fh:
+        fh.write("metric,value,status\n")
+        for name, value, ok in report.items():
+            fh.write(f"{name},{_fmt(value)},{'pass' if ok else 'fail'}\n")
+
+
+def _summary_to_txt(lines, path):
+    with open(path, "w", newline="") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
 def run(config_path, outdir=None):
     """Execute the configured pipeline; returns the process exit status."""
     try:
@@ -39,6 +56,14 @@ def run(config_path, outdir=None):
     except OSError as exc:
         print(f"cannot create output directory {out}: {exc}", file=sys.stderr)
         return 2
+
+    def save(write, obj, name):
+        path = os.path.join(out, name)
+        try:
+            write(obj, path)
+        except OSError as exc:
+            raise _OutputError(f"cannot write output {path}: {exc}") from None
+
     stage = "setup"
     summary = []
     all_pass = True
@@ -52,14 +77,14 @@ def run(config_path, outdir=None):
         cyc = find_cycle(model, cfg.cycle["guess"],
                          settle_time=cfg.cycle["settle_time"],
                          tol=cfg.cycle["tol"])
-        cycle_to_csv(cyc, os.path.join(out, "cycle.csv"))
+        save(cycle_to_csv, cyc, "cycle.csv")
         summary.append(f"T={_fmt(cyc.T)}")
         summary.append(f"anchor_x={_fmt(cyc.anchor[0])}")
         summary.append(f"anchor_y={_fmt(cyc.anchor[1])}")
 
         stage = "diliberto-basis"
         basis = diliberto.DilibertoBasis(cyc, n=cfg.grid)
-        diliberto.basis_to_csv(basis, os.path.join(out, "basis.csv"))
+        save(diliberto.basis_to_csv, basis, "basis.csv")
         summary.append(f"mu2={_fmt(basis.mu2)}")
         defect = diliberto.orthogonality_defect(basis)
         summary.append(f"orthogonality_defect={_fmt(defect)}")
@@ -67,10 +92,7 @@ def run(config_path, outdir=None):
         stage = "verify"
         tol = cfg.sections["verify"]["tol"]
         report = adjoint.verify_basis(basis, tol)
-        with open(os.path.join(out, "verify.csv"), "w", newline="") as fh:
-            fh.write("metric,value,status\n")
-            for name, value, ok in report.items():
-                fh.write(f"{name},{_fmt(value)},{'pass' if ok else 'fail'}\n")
+        save(_verify_to_csv, report, "verify.csv")
         summary.extend(report.to_kv_lines())
         all_pass = report.passed
 
@@ -78,7 +100,7 @@ def run(config_path, outdir=None):
             stage = "ppv-fourier"
             K = cfg.sections["ppv-fourier"]["harmonics"]
             spec = phase.ppv_fourier(basis, K)
-            phase.spectrum_to_csv(spec, os.path.join(out, "ppv_fourier.csv"))
+            save(phase.spectrum_to_csv, spec, "ppv_fourier.csv")
 
         if "lock-scan" in cfg.sections:
             stage = "lock-scan"
@@ -86,7 +108,7 @@ def run(config_path, outdir=None):
             grid = np.linspace(p["detuning_min"], p["detuning_max"],
                                p["detuning_n"])
             lm = phase.injection_lock_scan(basis, p["amp"], p["eps"], grid)
-            phase.lockmap_to_csv(lm, os.path.join(out, "lock_scan.csv"))
+            save(phase.lockmap_to_csv, lm, "lock_scan.csv")
             for eps in p["eps"]:
                 summary.append(f"lock_boundary_eps_{_fmt(eps)}="
                                f"{_fmt(lm.boundaries[eps])}")
@@ -115,29 +137,28 @@ def run(config_path, outdir=None):
             ens = stochastic.simulate_sde_ensemble(
                 basis, nm, p["n_paths"], p["t_end"], p["dt"], cfg.seed,
                 idle=None if fp is None else fp.step)
-            stochastic.ensemble_to_csv(
-                ens, os.path.join(out, "noise_ensemble.csv"))
+            save(stochastic.ensemble_to_csv, ens, "noise_ensemble.csv")
             summary.append(f"diffusion_rate={_fmt(Dsum)}")
             if fp is not None:
-                stochastic.density_to_csv(
-                    fp.result(), os.path.join(out, "density.csv"))
+                save(stochastic.density_to_csv, fp.result(), "density.csv")
 
         if "isochron" in cfg.sections:
             stage = "isochron"
             p = cfg.sections["isochron"]
             rep = isochron.isochron_experiment(
                 basis, p["t_star"], p["offsets"], p["horizon"])
-            isochron.isochron_to_csv(rep, os.path.join(out, "isochron.csv"))
+            save(isochron.isochron_to_csv, rep, "isochron.csv")
             summary.append(f"isochron_spread={_fmt(rep.isochron_spread)}")
             summary.append(f"control_spread={_fmt(rep.control_spread)}")
             summary.append(f"isochron_degenerate={int(rep.degenerate)}")
 
+        save(_summary_to_txt, summary, "summary.txt")
     except PlanarPPVError as exc:
         print(f"stage {stage!r} failed: {exc}", file=sys.stderr)
         return 1
-
-    with open(os.path.join(out, "summary.txt"), "w", newline="") as fh:
-        fh.write("\n".join(summary) + "\n")
+    except _OutputError as exc:
+        print(exc, file=sys.stderr)
+        return 2
     return 0 if all_pass else 1
 
 

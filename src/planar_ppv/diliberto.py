@@ -47,7 +47,7 @@ def _quad_rhs(cycle):
         A = model.jacobian(x)
         Fp = perp(F)
         n2 = F @ F
-        c = (F @ ((A + A.T) @ Fp)) / n2 ** 2
+        c = (F @ ((A + A.T) @ Fp)) / (n2 * n2)
         return np.array([model.divergence(x), c * np.exp(q[0])])
 
     return rhs

@@ -65,20 +65,16 @@ def _asymptotic_phases(cycle, seeds, horizon):
 
     The N points form one (2, N) state, flattened, integrated once over
     [0, horizon]: the model evaluates the whole batch in each RHS call,
-    and the seeds share one step sequence.  A single seed stays a (2,)
-    point, so it takes the steps of a lone integration: the models' ``**``
-    on a NumPy scalar calls ``pow``, which can round the last bit apart
-    from the product an array gets.  Each endpoint is projected to its
-    nearest cycle time t*, and the phase is (t* - horizon) mod T.  An
-    endpoint farther than 1e-6 from the cycle raises
+    and the seeds share one step sequence.  Each endpoint is projected
+    to its nearest cycle time t*, and the phase is (t* - horizon) mod T.
+    An endpoint farther than 1e-6 from the cycle raises
     :class:`NotConvergedError` naming the seed's label.
     """
     pts = np.array([pt for _, pt in seeds], dtype=float).T  # (2, N)
-    shape = pts.shape if len(seeds) > 1 else (2,)
     rhs = cycle.model.rhs
 
     def batch(t, z):
-        return rhs(t, z.reshape(shape)).ravel()
+        return rhs(t, z.reshape(pts.shape)).ravel()
 
     traj = ode.integrate(batch, pts.ravel(), 0.0, horizon, rtol=_RTOL,
                          atol=1e-12, dense=False)

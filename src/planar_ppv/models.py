@@ -4,13 +4,11 @@ Built-in oscillators are addressed by name + parameter map:
 ``vanderpol`` (mu), ``stuart_landau`` (omega), ``brusselator`` (a, b).
 Every evaluation takes a point (2,) or a batch (2, N): ``field`` returns
 (2,) or (2, N), ``jacobian`` (2, 2) or (2, 2, N), ``divergence`` a scalar
-or (N,).  For the built-ins a batch equals the stacked points except in
-the last bit of a few values: on a point the coordinates are NumPy
-scalars, whose ``x ** 2`` calls ``pow``, and ``pow`` can round 1 ulp apart
-from a batch's square, as at the vanderpol point pinned in
-``tests/test_models.py``.  Results are assembled with
-``np.array``; ``np.stack`` over two scalars costs several times their
-arithmetic.
+or (N,).  For the built-ins a point gives the bits of its column in a
+batch: every square is a product, since ``**`` on a point's NumPy scalar
+calls ``pow``, which may round apart from the product an array takes.
+Results are assembled with ``np.array``; ``np.stack`` over two scalars
+costs several times their arithmetic.
 """
 
 import math
@@ -67,7 +65,7 @@ class OscillatorModel:
 def _vanderpol(mu):
     def f(x):
         x1, x2 = x[0], x[1]
-        return np.array([x2, mu * (1.0 - x1 ** 2) * x2 - x1])
+        return np.array([x2, mu * (1.0 - x1 * x1) * x2 - x1])
 
     def jac(x):
         x1, x2 = x
@@ -77,11 +75,11 @@ def _vanderpol(mu):
             zero, one = np.zeros_like(x1), np.ones_like(x1)
         return np.array([
             [zero, one],
-            [-2.0 * mu * x1 * x2 - 1.0, mu * (1.0 - x1 ** 2)],
+            [-2.0 * mu * x1 * x2 - 1.0, mu * (1.0 - x1 * x1)],
         ])
 
     def div(x):
-        return mu * (1.0 - x[0] ** 2) + 0.0 * x[1]
+        return mu * (1.0 - x[0] * x[0]) + 0.0 * x[1]
 
     return f, jac, div
 
@@ -89,19 +87,19 @@ def _vanderpol(mu):
 def _stuart_landau(omega):
     def f(x):
         x1, x2 = x[0], x[1]
-        r2 = x1 ** 2 + x2 ** 2
+        r2 = x1 * x1 + x2 * x2
         return np.array([x1 * (1.0 - r2) - omega * x2,
                          x2 * (1.0 - r2) + omega * x1])
 
     def jac(x):
         x1, x2 = x
         return np.array([
-            [1.0 - 3.0 * x1 ** 2 - x2 ** 2, -2.0 * x1 * x2 - omega],
-            [-2.0 * x1 * x2 + omega, 1.0 - x1 ** 2 - 3.0 * x2 ** 2],
+            [1.0 - 3.0 * (x1 * x1) - x2 * x2, -2.0 * x1 * x2 - omega],
+            [-2.0 * x1 * x2 + omega, 1.0 - x1 * x1 - 3.0 * (x2 * x2)],
         ])
 
     def div(x):
-        return 2.0 - 4.0 * (x[0] ** 2 + x[1] ** 2)
+        return 2.0 - 4.0 * (x[0] * x[0] + x[1] * x[1])
 
     return f, jac, div
 
@@ -109,18 +107,18 @@ def _stuart_landau(omega):
 def _brusselator(a, b):
     def f(x):
         x1, x2 = x[0], x[1]
-        return np.array([a + x1 ** 2 * x2 - (b + 1.0) * x1,
-                         b * x1 - x1 ** 2 * x2])
+        return np.array([a + (x1 * x1) * x2 - (b + 1.0) * x1,
+                         b * x1 - (x1 * x1) * x2])
 
     def jac(x):
         x1, x2 = x
         return np.array([
-            [2.0 * x1 * x2 - (b + 1.0), x1 ** 2],
-            [b - 2.0 * x1 * x2, -(x1 ** 2)],
+            [2.0 * x1 * x2 - (b + 1.0), x1 * x1],
+            [b - 2.0 * x1 * x2, -(x1 * x1)],
         ])
 
     def div(x):
-        return 2.0 * x[0] * x[1] - (b + 1.0) - x[0] ** 2
+        return 2.0 * x[0] * x[1] - (b + 1.0) - x[0] * x[0]
 
     return f, jac, div
 

@@ -5,6 +5,7 @@ input bytes always produce identical output bytes.
 """
 
 import csv
+import math
 
 from .errors import ArgumentError
 
@@ -43,12 +44,15 @@ def _read_csv(path):
 
 
 def _num(row, name):
-    """row[name] as a float; a missing column raises KeyError."""
+    """row[name] as a finite float; a missing column raises KeyError."""
     cell = row[name]
     try:
-        return float(cell)
+        value = float(cell)
     except ValueError:
         raise _BadCell(row, f"{name} = {cell!r} is not a number") from None
+    if not math.isfinite(value):
+        raise _BadCell(row, f"{name} = {cell!r} is not a finite number")
+    return value
 
 
 class _Frame:
@@ -158,8 +162,8 @@ _RENDERERS = {
 
 def plot_svg(csv_path, kind, out_path):
     """Render a section CSV to a self-contained SVG file; a CSV without
-    a column the kind needs, a short row or a number that does not parse
-    raises ``ArgumentError``."""
+    a column the kind needs, a short row, or a number that does not parse
+    or is not finite raises ``ArgumentError``."""
     if kind not in _RENDERERS:
         raise ArgumentError(
             f"unknown plot kind {kind!r}; choose from {', '.join(PLOT_KINDS)}")

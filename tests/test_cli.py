@@ -164,6 +164,24 @@ def test_output_dir_naming_a_file_exits_2(tmp_path, capsys):
     assert afile.read_text() == ""
 
 
+@pytest.mark.parametrize("name, before", [("basis.csv", "cycle.csv"),
+                                           ("summary.txt", "verify.csv")])
+def test_output_file_that_cannot_be_written_exits_2(tmp_path, capsys, name,
+                                                   before):
+    # a directory where an output goes cannot be opened for writing, even
+    # by root: one stderr line naming the file and exit 2, with the files
+    # written before it left in place
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(SL_MINIMAL)
+    out = tmp_path / "out"
+    (out / name).mkdir(parents=True)
+    assert cli.run(str(cfg), outdir=str(out)) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(f"cannot write output {out / name}: ")
+    assert (out / before).exists()
+
+
 def test_non_finite_guess_fails_the_cycle_stage(tmp_path):
     # vdp's field at (1e200, 0) is (0, NaN); the run used to hang, so it
     # runs in a child with a time limit
@@ -517,6 +535,19 @@ def test_plot_non_numeric_cell_names_its_line(tmp_path, capsys):
     assert status == 1
     assert err == [f"plot failed: {csv_path} line 3: x = 'a' is not a "
                    "number"]
+    assert not (tmp_path / "x.svg").exists()
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf"])
+def test_plot_non_finite_cell_names_its_line(tmp_path, capsys, cell):
+    # a non-finite cell parses as a float but has no place on the canvas
+    csv_path = tmp_path / "cycle.csv"
+    csv_path.write_text(f"t,x,y\n0,1,0\n0,{cell},0\n1,0,1\n")
+    status, err = _plot_failure(capsys, csv_path, "cycle",
+                                tmp_path / "x.svg")
+    assert status == 1
+    assert err == [f"plot failed: {csv_path} line 3: x = '{cell}' is not a "
+                   "finite number"]
     assert not (tmp_path / "x.svg").exists()
 
 

@@ -67,7 +67,7 @@ def test_csv_column_differences_per_column(tmp_path):
 def test_a_run_that_hangs_is_a_timeout_and_differs(tmp_path, monkeypatch,
                                                    capsys):
     tool = load_tool()
-    monkeypatch.setattr(tool, "RUN_TIMEOUT_S", 2)
+    monkeypatch.setattr(tool, "RUN_TIMEOUT_S", 0.5)
     package = tmp_path / "hangs" / "src" / "planar_ppv"
     package.mkdir(parents=True)
     (package / "__init__.py").write_text("import time\ntime.sleep(600)\n")

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import planar_ppv as pp
 from planar_ppv.errors import ConfigError, DomainError
@@ -135,14 +137,35 @@ def test_eval_wrappers(sl_model):
     np.testing.assert_array_equal(sl_model.rhs(0.0, x), sl_model.field(x))
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="``x1 ** 2`` on a point's NumPy "
-                   "scalar calls pow, which rounds 1 ulp apart from the "
-                   "batch's square here; writing x1 * x1 would move every CSV")
+# ``x1 ** 2`` on this point's NumPy scalar called pow, which rounded 1 ulp
+# apart from the batch's square
+_POW_POINT = (1.2291748224027053, 0.7678623612862311)
+
+
 def test_point_equals_batch_column_where_pow_rounds_apart():
     model = pp.get_model("vanderpol")
-    x = np.array([1.2291748224027053, 0.7678623612862311])
+    x = np.array(_POW_POINT)
     np.testing.assert_array_equal(model.field(x), model.field(x[:, None])[:, 0])
+
+
+_coord = st.floats(-3.0, 3.0)
+
+
+@pytest.mark.parametrize("name", pp.models.model_names())
+@settings(max_examples=200, deadline=None)
+@example(points=[_POW_POINT])
+@given(points=st.lists(st.tuples(_coord, _coord), min_size=1, max_size=5))
+def test_point_equals_batch_column_bit_for_bit(name, points):
+    # every square is a product, so a point and its column in a batch
+    # round alike, down to the sign of zero
+    model = pp.get_model(name)
+    x = np.array(points).T
+    for method in ("field", "jacobian", "divergence"):
+        batch = np.asarray(getattr(model, method)(x))
+        for i in range(x.shape[1]):
+            point = np.asarray(getattr(model, method)(x[:, i]))
+            assert np.array_equal(point.view(np.int64),
+                                  batch[..., i].view(np.int64)), (method, i)
 
 
 @pytest.mark.parametrize("name", pp.models.model_names())

@@ -546,16 +546,18 @@ def _reference_fp(basis, noise, psi, t_end, dt, n_store):
 @_BASES_AND_NOISES
 def test_fp_blocks_match_per_step_reference(request, basis_name, kind):
     # the spline terms come a block of steps at a time, channel-major, and
-    # the density equals the per-step loop's to the bit; the last block is
-    # partial, and the later blocks' phases are all >= 0, which takes the
-    # kernel's wide reduction instead of np.mod
+    # the density equals the per-step loop's to the bit; the solve crosses
+    # two block boundaries and ends on a partial block, and the later
+    # blocks' phases are all >= 0, which takes the kernel's wide reduction
+    # instead of np.mod
     basis = request.getfixturevalue(basis_name)
     noise = _noise(kind)
     psi = np.linspace(-0.5, 0.5, 41)
-    t_end, dt = 3.0, 0.01
+    t_end, dt = 4.5, 0.01
     n_steps, ts, p = _reference_fp(basis, noise, psi, t_end, dt, 40)
-    assert n_steps > 2 * stochastic._CHUNK
-    assert n_steps % stochastic._CHUNK
+    block = stochastic._FP_BLOCK_POINTS // (psi.size - 1)
+    assert n_steps > 2 * block
+    assert n_steps % block
     dens = pp.solve_fp(basis, noise, psi, t_end, dt, n_store=40)
     assert dens.n_steps == n_steps
     np.testing.assert_array_equal(dens.ts, ts)

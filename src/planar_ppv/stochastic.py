@@ -6,6 +6,12 @@ v(t)^T = v1(t)^T G(x0(t)), the periodic interpolant
 density equation dp/dt = d/dpsi[ (v dv^T/dpsi) p + (1/2) v^T v dp/dpsi ],
 so ensemble statistics and densities agree by construction.
 
+The ensemble's paths come in blocks of _PATH_BLOCK, each block one Wiener
+stream ``default_rng([seed, block index])``.  A chunk's increments for
+block b are one contiguous (step, channel, path in block) array, filled by
+one draw call, so a slot is laid out (block, step, channel, path in
+block).
+
 The ensemble draws and steps at the same time where it can: a child made
 by ``os.fork`` draws each chunk of Wiener increments into one of two
 shared slots while the parent steps every path through the other, so
@@ -72,18 +78,21 @@ class NoiseModel:
 
 
 # Steps of Wiener increments drawn per chunk.  The increments live in two
-# (chunk, m, n_paths) slots shared with the drawing child (17 MB at 4096
-# paths and 2 channels), one drawn while the other is stepped, so the
-# ensemble's memory does not grow with n_steps; each chunk costs one draw
-# call per path.  At 4096 paths x 3000 steps x 2 channels on a 2-vCPU
-# x86_64 host (medians of 8 alternating rounds, drawn in-process) chunks
-# of 64, 128 and 256 steps took 1.62, 1.45 and 1.40 s, with buffers of 8,
-# 17 and 34 MB.
+# (blocks, chunk, m, _PATH_BLOCK) slots shared with the drawing child
+# (17 MB at 4096 paths and 2 channels), one drawn while the other is
+# stepped, so the ensemble's memory does not grow with n_steps.  At 4096
+# paths x 3000 steps x 2 channels on a 2-vCPU x86_64 host (medians of 8
+# alternating rounds, drawn in-process from one generator per path)
+# chunks of 64, 128 and 256 steps took 1.62, 1.45 and 1.40 s, with
+# buffers of 8, 17 and 34 MB.
 _CHUNK = 128
-# Paths drawn and transposed together.  The transpose of a chunk into a
-# slot's (step, channel, path) layout took 6.5 ms over all 4096 paths at
-# once and 3.0-3.3 ms in blocks of 128 to 512 paths, whose 0.25-1 MB source
-# stays in cache (same host, 128 steps x 2 channels, medians of 30).
+# Paths per Wiener stream.  Block b of the ensemble draws from generator
+# default_rng([seed, b]), so the block size is part of the stream's
+# definition: changing it changes every path.  On the noise workload's
+# 4096 paths x 3000 steps x 2 channels (same host, drawn in-process,
+# medians of 5 in two rounds) the draws took 0.36-0.46 s in 16 blocks
+# against 0.56-0.67 s from one generator per path, which also made
+# 98,304 draw calls and a transpose per chunk.
 _PATH_BLOCK = 256
 _N_STORE = 201  # times at which the ensemble records its mean and variance
 # Half-point evaluations, steps x (cells - 1), per block of Fokker-Planck
@@ -142,40 +151,36 @@ def _usable_cpus():
         return 1
 
 
-def _draw_chunk(rngs, z, out, sq):
-    """Each path's next len(out) steps of increments, sq * N(0, 1), laid out
-    (step, channel, path) in out.  Path block by path block, each path
-    fills its own contiguous row of z, then one multiply lays the block
-    out, so each step reads one contiguous row of increments per channel."""
-    k = len(out)
-    for p0 in range(0, len(rngs), len(z)):
-        block = rngs[p0:p0 + len(z)]
-        for zi, rng in zip(z, block):
-            rng.standard_normal(out=zi[:k])
-        np.multiply(sq, z[:len(block), :k].transpose(1, 2, 0),
-                    out=out[:, :, p0:p0 + len(block)])
+def _draw_chunk(rngs, out, sq):
+    """The next out.shape[1] steps of increments, sq * N(0, 1), of every
+    path block: generator rngs[b] fills block b's contiguous (step,
+    channel, path in block) part out[b] in one call."""
+    for rng, block in zip(rngs, out):
+        rng.standard_normal(out=block)
+        block *= sq
 
 
 def _increments(seed, n_paths, n_steps, m, dt, idle):
-    """The Wiener increments, one (k, m, n_paths) chunk of k <= _CHUNK steps
-    at a time.  Path i continues generator ``default_rng([seed, i])`` from
-    chunk to chunk.  A yielded chunk is valid until the next one is asked
-    for; close the generator to end a forked drawer early.  While the
-    forked drawer has not filled the next chunk, ``idle()``, unless None,
-    is called until it returns False."""
+    """The Wiener increments, one (blocks, k, m, _PATH_BLOCK) chunk of
+    k <= _CHUNK steps at a time.  Block b continues generator
+    ``default_rng([seed, b])`` from chunk to chunk, so its increments are
+    those of one (n_steps, m, _PATH_BLOCK) draw.  A yielded chunk is valid
+    until the next one is asked for; close the generator to end a forked
+    drawer early.  While the forked drawer has not filled the next chunk,
+    ``idle()``, unless None, is called until it returns False."""
     sq = np.sqrt(dt)
     sizes = [min(_CHUNK, n_steps - j0) for j0 in range(0, n_steps, _CHUNK)]
-    shape = (min(_CHUNK, n_steps), m, n_paths)
-    z_shape = (min(_PATH_BLOCK, n_paths), min(_CHUNK, n_steps), m)
+    n_blocks = -(-n_paths // _PATH_BLOCK)
+    shape = (n_blocks, min(_CHUNK, n_steps), m, _PATH_BLOCK)
 
     def generators():
-        return [np.random.default_rng([int(seed), i]) for i in range(n_paths)]
+        return [np.random.default_rng([seed, b]) for b in range(n_blocks)]
 
     if not sizes or not hasattr(os, "fork") or _usable_cpus() < 2:
-        rngs, z, dW = generators(), np.empty(z_shape), np.empty(shape)
+        rngs, dW = generators(), np.empty(shape)
         for k in sizes:
-            _draw_chunk(rngs, z, dW[:k], sq)
-            yield dW[:k]
+            _draw_chunk(rngs, dW[:, :k], sq)
+            yield dW[:, :k]
         return
 
     # Two slots in memory shared with the child.  One byte per chunk on
@@ -194,11 +199,11 @@ def _increments(seed, n_paths, n_steps, m, dt, idle):
         try:
             os.close(ready_r)
             os.close(free_w)
-            rngs, z = generators(), np.empty(z_shape)
+            rngs = generators()
             for c, k in enumerate(sizes):
                 if c >= 2 and not os.read(free_r, 1):
                     break
-                _draw_chunk(rngs, z, slots[c % 2, :k], sq)
+                _draw_chunk(rngs, slots[c % 2, :, :k], sq)
                 os.write(ready_w, b"r")
             status = 0
         finally:
@@ -213,7 +218,7 @@ def _increments(seed, n_paths, n_steps, m, dt, idle):
             if not os.read(ready_r, 1):
                 raise InternalInconsistencyError(
                     f"the Wiener increment process ended before chunk {c}")
-            yield slots[c % 2, :k]
+            yield slots[c % 2, :, :k]
             if c + 2 < len(sizes):
                 # EPIPE: the child is gone, and the next read finds EOF
                 with contextlib.suppress(BrokenPipeError):
@@ -239,11 +244,14 @@ def simulate_sde_ensemble(basis, noise, n_paths, t_end, dt, seed, *,
                           idle=None):
     """Euler-Maruyama ensemble of dpsi = v(t+psi)^T dW, psi(0) = 0.
 
-    The mean and variance are stored at _N_STORE times.  Per-path Wiener
-    substreams are keyed by (seed, path index), so growing the ensemble
-    never reshuffles existing paths, and identical seeds give bit-identical
+    The mean and variance are stored at _N_STORE times.  The Wiener
+    increments come in streams of _PATH_BLOCK paths keyed by (seed, block
+    index): path p is column p % _PATH_BLOCK of block p // _PATH_BLOCK, and
+    the last block is drawn full width, so growing the ensemble never
+    reshuffles existing paths, and identical seeds give bit-identical
     statistics.  The increments are drawn a fixed number of steps at a
-    time, so memory does not grow with n_steps.
+    time, so memory does not grow with n_steps.  ``seed`` is an integer
+    >= 0.
 
     ``idle``, if given, is called with no arguments whenever a forked
     drawer has not yet filled the chunk the ensemble needs next, until it
@@ -252,6 +260,8 @@ def simulate_sde_ensemble(basis, noise, n_paths, t_end, dt, seed, *,
     """
     if not isinstance(n_paths, (int, np.integer)) or n_paths < 1:
         raise ArgumentError("need an integer n_paths >= 1")
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ArgumentError("need an integer seed >= 0")
     if not dt > 0:  # NaN fails too; an infinite dt fails the bound below
         raise ArgumentError("dt must be positive")
     if not (t_end > 0 and math.isfinite(t_end)):
@@ -259,30 +269,33 @@ def simulate_sde_ensemble(basis, noise, n_paths, t_end, dt, seed, *,
     if dt > basis.cycle.T / 100.0:
         raise ArgumentError(
             f"dt = {dt} too large; need dt <= T/100 = {basis.cycle.T / 100:g}")
+    seed = int(seed)
     n_steps = int(round(t_end / dt))
     store_set = _stored_steps(n_steps, _N_STORE)
     spline = basis.projection(noise.G)
     m = spline.c[0, 0].size
 
-    psi = np.zeros(n_paths)
+    # every drawn path is stepped, the last block's padding included
+    psi = np.zeros((-(-n_paths // _PATH_BLOCK), _PATH_BLOCK))
+    paths = psi.reshape(-1)[:n_paths]
     ts_out, mean_out, var_out = [], [], []
 
     def record(j):
         ts_out.append(j * dt)
-        mean_out.append(np.mean(psi))
-        var_out.append(np.var(psi, ddof=1) if n_paths > 1 else 0.0)
+        mean_out.append(np.mean(paths))
+        var_out.append(np.var(paths, ddof=1) if n_paths > 1 else 0.0)
 
     record(0)
     chunks = _increments(seed, n_paths, n_steps, m, dt, idle)
     with contextlib.closing(chunks):
         for j0, dW in zip(range(0, n_steps, _CHUNK), chunks):
-            for j, dWj in enumerate(dW, j0):
+            # step j reads dW[:, j] as (channel, block, path in block)
+            for j, dWj in enumerate(dW.transpose(1, 2, 0, 3), j0):
                 psi += _channel_dot(spline.values(j * dt + psi), dWj)
                 if (j + 1) in store_set:
                     record(j + 1)
     return PhaseEnsemble(ts=np.array(ts_out), mean=np.array(mean_out),
-                         var=np.array(var_out), n_paths=n_paths,
-                         seed=int(seed))
+                         var=np.array(var_out), n_paths=n_paths, seed=seed)
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,7 @@
 its file comparison and its README example must not pass silently."""
 
 import importlib.util
+import os
 from pathlib import Path
 
 from planar_ppv.config import parse_config
@@ -82,3 +83,36 @@ def test_a_run_that_hangs_is_a_timeout_and_differs(tmp_path, monkeypatch,
     assert not tool.compare(tree, tree, [("hangs", config.read_text())],
                             str(work))
     assert "DIFFERS: timeout" in capsys.readouterr().out
+
+
+def test_summary_differences_per_key(tmp_path):
+    tool = load_tool()
+    a, b = tmp_path / "a.txt", tmp_path / "b.txt"
+    a.write_text("model=vanderpol\nT=6.6\nmax_defect=1.0e-09 pass\n"
+                 "isochron_degenerate=0\nmu2=-1.06\n")
+    b.write_text("model=vanderpol\nT=6.5\nmax_defect=2.0e-03 fail\n"
+                 "isochron_degenerate=1\ndiffusion_rate=0.002\n")
+    assert tool.summary_differences(str(a), str(b)) == [
+        "T max|d| 0.1", "max_defect 1.0e-09 pass -> 2.0e-03 fail",
+        "isochron_degenerate max|d| 1", "mu2 -1.06 -> (none)",
+        "diffusion_rate (none) -> 0.002"]
+    assert tool.summary_differences(str(a), str(a)) == []
+
+
+def test_compare_prints_the_summary_keys_that_differ(tmp_path, monkeypatch,
+                                                     capsys):
+    # a changed summary.txt is reported key by key under its config's line
+    tool = load_tool()
+
+    def fake_run(tree, config_path, outdir):
+        with open(os.path.join(outdir, "summary.txt"), "w") as fh:
+            fh.write(f"T=6.6\nmax_defect=1e-09 {tree}\n")
+        return 0, {}
+
+    monkeypatch.setattr(tool, "run_tree", fake_run)
+    work = tmp_path / "work"
+    work.mkdir()
+    assert not tool.compare("pass", "fail", [("case", "")], str(work))
+    out = capsys.readouterr().out.splitlines()
+    assert out[0].endswith("DIFFERS: summary.txt")
+    assert out[1] == "    summary.txt: max_defect 1e-09 pass -> 1e-09 fail"

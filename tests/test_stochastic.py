@@ -78,18 +78,24 @@ def _noise(kind):
 
 
 def _reference_paths(basis, noise, streams, t_end, dt, seed):
-    """Stored times and psi of each path, drawing every path's whole Wiener
-    sequence up front as one (len(streams), n_steps, m) array; v^T dW adds
-    the channels in turn."""
+    """Stored times and psi of the paths ``streams``.  Path p is column
+    p % B of block p // B, B = stochastic._PATH_BLOCK, and each block
+    draws its whole (n_steps, m, B) Wiener array from
+    ``default_rng([seed, block])`` up front; v^T dW adds the channels in
+    turn."""
     n_steps = int(round(t_end / dt))
     spline = basis.projection(noise.G)
     m = spline.c.shape[2]
     T = basis.cycle.T
     sq = np.sqrt(dt)
+    B = stochastic._PATH_BLOCK
+    blocks = {}
     dW = np.empty((len(streams), n_steps, m))
-    for k, i in enumerate(streams):
-        rng = np.random.default_rng([int(seed), i])
-        dW[k] = sq * rng.standard_normal((n_steps, m))
+    for k, p in enumerate(streams):
+        if p // B not in blocks:
+            rng = np.random.default_rng([int(seed), p // B])
+            blocks[p // B] = sq * rng.standard_normal((n_steps, m, B))
+        dW[k] = blocks[p // B][:, :, p % B]
     stride = max(1, n_steps // (stochastic._N_STORE - 1))
     stored = set(range(0, n_steps + 1, stride)) | {n_steps}
     psi = np.zeros(len(streams))
@@ -125,7 +131,7 @@ _BASES_AND_NOISES = pytest.mark.parametrize("basis_name, kind", [
 @_BASES_AND_NOISES
 @pytest.mark.parametrize("steps", ["none", "below", "equal", "partial"])
 def test_chunked_draws_match_full_draw(request, basis_name, kind, steps):
-    # the chunked increments continue each path's stream, so the ensemble
+    # the chunked increments continue each block's stream, so the ensemble
     # is bit-identical to one drawn whole and stepped on the spline itself
     basis = request.getfixturevalue(basis_name)
     chunk = stochastic._CHUNK
@@ -142,9 +148,9 @@ def test_chunked_draws_match_full_draw(request, basis_name, kind, steps):
 
 @pytest.mark.parametrize("block", [1, 8, 32, 33, 64])
 def test_path_blocks_match_full_draw(monkeypatch, sl_basis, block):
-    # drawing and laying out the paths block by block, a last partial
-    # block included, leaves every path's stream and the ensemble as one
-    # whole draw gives them
+    # the block size is part of the stream's definition: at any size, a
+    # last part-filled block included, the ensemble is the one drawn whole
+    # block by block at that size
     monkeypatch.setattr(stochastic, "_PATH_BLOCK", block)
     noise = NoiseModel.isotropic(0.05)
     n_steps = stochastic._CHUNK + 37
@@ -422,27 +428,66 @@ def test_sde_memory_independent_of_steps(sl_basis):
     assert peaks[1] < peaks[0] + 100_000
 
 
-def test_substreams_stable_under_ensemble_growth(sl_basis):
-    # path i is drawn from substream (seed, i) alone, so the 4-path
-    # statistics equal those of substreams 0-3 each run as its own path,
-    # and adding paths never changes the paths already drawn
+@_NEEDS_FORK
+def test_substreams_stable_under_ensemble_growth(monkeypatch, forked_pids,
+                                                 sl_basis):
+    # path p is drawn from stream (seed, p // B) alone, at column p % B, and
+    # the last block is drawn full width, so the statistics of the first n
+    # paths equal those of the reference's first n paths at any n, on both
+    # sides of a block boundary, drawn in-process and forked: adding paths
+    # never changes the paths already drawn
     noise = NoiseModel.isotropic(0.05)
-    big = pp.simulate_sde_ensemble(sl_basis, noise, 4, 5.0, 0.01, seed=3)
-    runs = [_reference_paths(sl_basis, noise, [i], 5.0, 0.01, 3)
-            for i in range(4)]
-    ts = runs[0][0]
-    hist = np.hstack([h for _, h in runs])
-    assert len(set(hist[-1])) == 4
-    _assert_stats_equal(big, ts, hist)
-    small = pp.simulate_sde_ensemble(sl_basis, noise, 1, 5.0, 0.01, seed=3)
-    _assert_stats_equal(small, ts, hist[:, :1])
+    B = stochastic._PATH_BLOCK
+    ts, hist = _reference_paths(sl_basis, noise, range(B + 4), 5.0, 0.01, 3)
+    assert len(set(hist[-1])) == B + 4
+    for cpus in (1, 2):
+        monkeypatch.setattr(stochastic, "_usable_cpus", lambda: cpus)
+        for n in (1, 4, B, B + 1, B + 4):
+            ens = pp.simulate_sde_ensemble(sl_basis, noise, n, 5.0, 0.01,
+                                           seed=3)
+            _assert_stats_equal(ens, ts, hist[:, :n])
+    assert len(forked_pids) == 5
+
+
+def test_one_generator_and_one_draw_per_block_per_chunk(monkeypatch,
+                                                       sl_basis):
+    # the drawer builds one generator per started block of paths and fills
+    # each block's part of a chunk, all of its steps and channels, in one
+    # call
+    monkeypatch.setattr(stochastic, "_usable_cpus", lambda: 1)
+    default_rng = np.random.default_rng
+    keys, draws = [], []
+
+    class Counting:
+        """A generator that records its key and each draw's shape."""
+
+        def __init__(self, key):
+            self.index = len(keys)
+            keys.append(key)
+            self._rng = default_rng(key)
+
+        def standard_normal(self, *, out):
+            draws.append((self.index, out.shape))
+            self._rng.standard_normal(out=out)
+
+    monkeypatch.setattr(np.random, "default_rng", Counting)
+    B, chunk = stochastic._PATH_BLOCK, stochastic._CHUNK
+    n_paths, n_steps = 2 * B + 1, 2 * chunk + 5
+    pp.simulate_sde_ensemble(sl_basis, NoiseModel.isotropic(0.05), n_paths,
+                             n_steps * 0.01, 0.01, seed=4)
+    assert keys == [[4, 0], [4, 1], [4, 2]]
+    assert draws == [(b, (k, 2, B)) for k in (chunk, chunk, 5)
+                     for b in range(3)]
 
 
 def test_sde_variance_grows_linearly_stuart_landau(sl_basis):
-    # Var psi(t) ~ sigma^2 t for SL isotropic noise (|v|^2 is constant)
+    # Var psi(t) ~ sigma^2 t for SL isotropic noise (|v|^2 is constant).
+    # The fitted slope's relative error has a standard deviation of about
+    # 0.07 sqrt(512 / n_paths) (0.070 over seeds 100-299 at 512 paths), so
+    # 2048 paths put the bound at 4 of them
     sigma = 0.05
     ens = pp.simulate_sde_ensemble(sl_basis, NoiseModel.isotropic(sigma),
-                                   n_paths=512, t_end=40.0, dt=0.02, seed=11)
+                                   n_paths=2048, t_end=40.0, dt=0.02, seed=11)
     slope = np.polyfit(ens.ts, ens.var, 1)[0]
     assert slope == pytest.approx(sigma ** 2, rel=0.15)
 
@@ -477,6 +522,21 @@ def test_non_finite_noise_rejected(sigma):
         NoiseModel.directional(sigma, [1.0, 0.0])
     with pytest.raises(ArgumentError):
         NoiseModel.directional(0.1, [sigma, 1.0])
+
+
+@_NEEDS_FORK
+@pytest.mark.parametrize("seed", [-1, np.int64(-3), np.nan, 2.5, "1"])
+@pytest.mark.parametrize("cpus", [1, 2], ids=["in-process", "forked"])
+def test_sde_rejects_a_seed_that_keys_no_stream(monkeypatch, forked_pids,
+                                                sl_basis, cpus, seed):
+    # default_rng([seed, block]) takes integers >= 0 only; a bad seed is an
+    # ArgumentError before any child is forked, never a lost ValueError in
+    # the child, and a fraction is not run (and recorded) as its floor
+    monkeypatch.setattr(stochastic, "_usable_cpus", lambda: cpus)
+    with pytest.raises(ArgumentError, match="seed"):
+        pp.simulate_sde_ensemble(sl_basis, NoiseModel.isotropic(0.05), 4,
+                                 1.0, 0.01, seed=seed)
+    assert forked_pids == []
 
 
 @pytest.mark.parametrize("n_paths, t_end, dt", [
@@ -740,7 +800,12 @@ def test_fp_caps_oversized_dt(sl_basis):
 
 @pytest.mark.parametrize("which", ["sl-iso", "sl-dir", "vdp-iso", "vdp-dir"])
 def test_fp_matches_monte_carlo(which, sl_basis, vdp_basis):
-    # dual route: FP variance vs Monte-Carlo variance after ten periods
+    # dual route: the FP variance's growth vs the Monte-Carlo variance
+    # after ten periods.  The paths start at psi = 0 and the density from
+    # a Gaussian of width 4 dpsi, so the FP side subtracts its initial
+    # variance.  The sample variance's relative standard error is
+    # sqrt(2 / (n_paths - 1)), 0.0125 at 13,056 paths: the bound is 4 of
+    # them (at 2048 paths it was 1.6, and seeds 1000-1099 failed 25 of 100)
     basis = sl_basis if which.startswith("sl") else vdp_basis
     sigma = 0.05
     if which.endswith("iso"):
@@ -748,7 +813,7 @@ def test_fp_matches_monte_carlo(which, sl_basis, vdp_basis):
     else:
         noise = NoiseModel.directional(sigma, [1.0, 0.0])
     t_end = 10.0 * basis.cycle.T
-    ens = pp.simulate_sde_ensemble(basis, noise, 2048, t_end, 0.02, seed=5)
+    ens = pp.simulate_sde_ensemble(basis, noise, 13_056, t_end, 0.02, seed=5)
     D = pp.diffusion_summary(basis, noise)
     width = 8.0 * np.sqrt(D * t_end)
     psi = np.linspace(-width, width, 401)
@@ -756,7 +821,7 @@ def test_fp_matches_monte_carlo(which, sl_basis, vdp_basis):
     dt = 0.3 * 0.4 * dpsi ** 2 / max(D * 4, 1e-12)
     dens = pp.solve_fp(basis, noise, psi, t_end, dt)
     v_mc = ens.var[-1]
-    v_fp = dens.variance()[-1]
+    v_fp = dens.variance()[-1] - dens.variance()[0]
     assert v_fp == pytest.approx(v_mc, rel=0.05)
 
 

@@ -17,8 +17,11 @@ printed per config with its exit codes, the files that differ and the
 counters whose totals differ, then one line per differing CSV whose
 header and row count agree: the largest absolute difference of each
 numeric column that differs, and the name of each other column that
-does.  The exit status is 0 when every exit code, output file and
-counter total agrees, 1 otherwise.
+does.  A differing ``summary.txt`` gets one line listing each key whose
+value differs: ``max|d|`` for a number, ``old -> new`` for anything else
+(a verification verdict, a key in one file only), so verdicts and flags
+that held can be read off the output.  The exit status is 0 when every
+exit code, output file and counter total agrees, 1 otherwise.
 """
 
 import argparse
@@ -122,6 +125,29 @@ def csv_column_differences(path_a, path_b):
     return out
 
 
+def summary_differences(path_a, path_b):
+    """``key max|d| X`` for each key of two ``key=value`` summaries whose
+    numeric values differ, and ``key A -> B`` for each other key whose
+    value does; a key missing from one file reads ``(none)`` there."""
+    summaries = []
+    for path in (path_a, path_b):
+        with open(path) as fh:
+            summaries.append(dict(line.rstrip("\n").partition("=")[::2]
+                                  for line in fh if "=" in line))
+    a, b = summaries
+    out = []
+    for key in [*a, *(k for k in b if k not in a)]:
+        old, new = a.get(key), b.get(key)
+        if old == new:
+            continue
+        try:
+            out.append(f"{key} max|d| {abs(float(old) - float(new)):.3g}")
+        except (TypeError, ValueError):
+            old, new = ("(none)" if v is None else v for v in (old, new))
+            out.append(f"{key} {old} -> {new}")
+    return out
+
+
 def compare(parent, change, cases, workdir):
     """Run every ``(label, text)`` case on both trees; True if all agree."""
     all_same = True
@@ -150,10 +176,16 @@ def compare(parent, change, cases, workdir):
               f"{n_files} files  {verdict}", flush=True)
         for name in differ:
             paths = [os.path.join(out, name) for out in outs]
-            if name.endswith(".csv") and all(map(os.path.exists, paths)):
+            if not all(map(os.path.exists, paths)):
+                continue
+            if name.endswith(".csv"):
                 columns = csv_column_differences(*paths)
-                if columns:
-                    print(f"    {name}: {', '.join(columns)}", flush=True)
+            elif name == "summary.txt":
+                columns = summary_differences(*paths)
+            else:
+                continue
+            if columns:
+                print(f"    {name}: {', '.join(columns)}", flush=True)
     return all_same
 
 

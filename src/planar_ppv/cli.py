@@ -3,13 +3,28 @@
 Exit codes: 0 all verifications passed, 1 numerical failure (stage is
 named on stderr), 2 configuration error or an output that cannot be
 written.
+
+BLAS threads: every BLAS call of the pipeline is on 2- to 16-element
+operands, where a second thread never works but OpenBLAS's idle worker
+still busy-waits for about 0.1 s of CPU per process.  So when this module
+is what loads NumPy (``planar-ppv run``, ``python -m planar_ppv.cli``:
+``import planar_ppv`` itself loads no NumPy), it first defaults each
+variable of ``_BLAS_THREAD_VARS`` to ``1``.  A value the caller set is
+kept, and a process that loaded NumPy earlier keeps its environment.
 """
 
 import argparse
 import os
 import sys
 
-import numpy as np
+# OpenBLAS (NumPy's wheels), MKL, BLIS and Accelerate builds
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                     "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
+if "numpy" not in sys.modules:
+    for _var in _BLAS_THREAD_VARS:
+        os.environ.setdefault(_var, "1")
+
+import numpy as np  # only after the BLAS thread defaults
 
 from . import adjoint, diliberto, isochron, phase, stochastic, svgplot
 from .config import load_config

@@ -47,6 +47,16 @@ def _parse_floats(s):
     return [float(p) for p in parts]
 
 
+def _parse_distinct_floats(s):
+    """A float list without repeats: each value names its own output row."""
+    values, seen = _parse_floats(s), set()
+    for part, v in zip(s.replace(",", " ").split(), values):
+        if v in seen:
+            raise ValueError(f"{part} is repeated")
+        seen.add(v)
+    return values
+
+
 @dataclass(frozen=True)
 class _Key:
     """One config key: its parser, the bound every parsed component must
@@ -79,7 +89,7 @@ _SCHEMA = {
     "ppv-fourier": {"harmonics": _Key(int, _at_least(1), 16)},
     "lock-scan": {
         "amp": _Key(_parse_vec2, _FINITE, required=True),
-        "eps": _Key(_parse_floats, _POSITIVE, required=True),
+        "eps": _Key(_parse_distinct_floats, _POSITIVE, required=True),
         "detuning_min": _Key(float, _FINITE, required=True),
         "detuning_max": _Key(float, _FINITE, required=True),
         "detuning_n": _Key(int, _at_least(1), required=True),

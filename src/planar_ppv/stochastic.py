@@ -444,8 +444,8 @@ def ensemble_to_csv(ens, path):
 def density_to_csv(dens, path):
     with open(path, "w", newline="") as fh:
         fh.write("t,psi,p\n")
-        xs = [f"{x:.17g}" for x in dens.psi.tolist()]
+        # one "psi,%.17g\n" cell per grid point, joined on each snapshot's
+        # "t," prefix: a snapshot is one join and one % format
+        cells = [""] + [f"{x:.17g},%.17g\n" for x in dens.psi.tolist()]
         for t, row in zip(dens.ts.tolist(), dens.p.tolist()):
-            t_str = f"{t:.17g}"
-            fh.writelines(f"{t_str},{x},{pv:.17g}\n"
-                          for x, pv in zip(xs, row))
+            fh.write(f"{t:.17g},".join(cells) % tuple(row))

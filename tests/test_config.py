@@ -214,3 +214,20 @@ def test_out_of_range_value_reports_line(section, key, value):
         parse_config("\n".join(lines))
     assert exc.value.line == line
     assert key in str(exc.value)
+
+
+@pytest.mark.parametrize("value,repeat", [
+    ("0.01 0.01", "0.01"),
+    ("0.005, 0.01, 1e-2", "1e-2"),  # the same float, written differently
+])
+def test_repeated_lock_scan_eps_reports_line(value, repeat):
+    # each eps is one lock_scan.csv row block and one summary key, so a
+    # repeat would write both twice
+    sections = {name: dict(keys) for name, keys in VALID.items()}
+    sections["lock-scan"]["eps"] = value
+    lines = render(sections).splitlines()
+    line = lines.index(f"eps = {value}") + 1
+    with pytest.raises(ConfigError) as exc:
+        parse_config("\n".join(lines))
+    assert exc.value.line == line
+    assert f"bad value for 'eps': {repeat} is repeated" in str(exc.value)

@@ -856,3 +856,23 @@ def test_density_csv(tmp_path, sl_basis):
     lines = path.read_text().splitlines()
     assert lines[0] == "t,psi,p"
     assert len(lines) == 1 + len(dens.ts) * len(psi)
+
+
+def test_density_csv_bytes_match_per_cell_formatting(tmp_path):
+    # the per-snapshot template must write what formatting every cell with
+    # f"{x:.17g}" writes, signed zeros, subnormals and huge values included
+    rng = np.random.default_rng(3)
+    psi = np.linspace(-2.0, 2.0, 9)
+    psi[4] = -0.0
+    p = rng.random((4, 9))
+    p[1, :4] = [-0.0, 5e-324, 1e300, 0.0]
+    p[2, -2:] = [np.inf, np.nan]
+    ts = np.array([0.0, 1e-300, 0.1, 60.0])
+    dens = stochastic.DensityField(psi, ts, p, dpsi=0.5, n_steps=3)
+    path = tmp_path / "density.csv"
+    density_to_csv(dens, path)
+    expected = "t,psi,p\n" + "".join(
+        f"{t:.17g},{x:.17g},{pv:.17g}\n"
+        for t, row in zip(ts.tolist(), p.tolist())
+        for x, pv in zip(psi.tolist(), row))
+    assert path.read_bytes() == expected.encode()

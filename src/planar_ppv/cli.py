@@ -144,14 +144,14 @@ def run(config_path, outdir=None):
                     hw = max(8.0 * np.sqrt(max(Dsum, 1e-30) * p["t_end"]),
                              1e-3)
                 grid = np.linspace(-hw, hw, p["density_cells"])
-                # the density needs no ensemble: its blocks fill the
-                # ensemble's waits for increments, the rest runs after,
-                # and a failure among them is raised after the ensemble
+                # the density needs no ensemble: a forked drawer solves
+                # it between its draws, else it runs after the ensemble,
+                # and a failure is raised only after the ensemble
                 fp = stochastic._Background(stochastic._fp_blocks(
                     basis, nm, grid, p["t_end"], p["dt"]))
             ens = stochastic.simulate_sde_ensemble(
                 basis, nm, p["n_paths"], p["t_end"], p["dt"], cfg.seed,
-                idle=None if fp is None else fp.step)
+                job=fp)
             save(stochastic.ensemble_to_csv, ens, "noise_ensemble.csv")
             summary.append(f"diffusion_rate={_fmt(Dsum)}")
             if fp is not None:

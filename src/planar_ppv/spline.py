@@ -6,7 +6,10 @@ bc_type="periodic")``: the periodic branch of its constructor, with the
 tridiagonal solve of LAPACK ``dgtsv`` (Gaussian elimination with partial
 pivoting) written out in Python floats, and the Hermite piece
 coefficients, transcribed from SciPy 1.17 with every operation in the
-same order, so ``.c`` equals SciPy's to the bit.  The one read-out,
+same order, so ``.c`` equals SciPy's to the bit.
+``PeriodicSpline.hermite(x, y, dydx)`` takes those Hermite coefficients
+for given slopes, the pieces of ``scipy.interpolate.CubicHermiteSpline(x,
+y, dydx)``.  The one read-out,
 ``values``, is SciPy's ``__call__`` with the channel axis moved first,
 shaped (m,) + theta's shape (m = 1 for a scalar function): theta is
 reduced mod the period (the first knot is 0) to the bits of ``np.mod``,
@@ -116,6 +119,15 @@ class PeriodicSpline:
         x = _uniform_knots(x)
         y = np.asarray(y, dtype=float)
         return cls(x, _hermite(x, y, _periodic_slopes(x, y)))
+
+    @classmethod
+    def hermite(cls, x, y, dydx):
+        """The cubic Hermite interpolant of values ``y`` and slopes ``dydx``
+        at x, shaped as for :meth:`interpolate`; periodic when y[-1] ==
+        y[0] and dydx[-1] == dydx[0]."""
+        x = _uniform_knots(x)
+        return cls(x, _hermite(x, np.asarray(y, dtype=float),
+                               np.asarray(dydx, dtype=float)))
 
     def values(self, theta, derivative=False):
         """The function at theta, one array shaped like theta per channel,

@@ -2,15 +2,20 @@
 
 The phase SDE is read in the Ito sense, dpsi = v(t+psi)^T dW with
 v(t)^T = v1(t)^T G(x0(t)), the periodic interpolant
-``basis.projection(noise.G)``; the Fokker-Planck solver uses the matching
-density equation dp/dt = d/dpsi[ (v dv^T/dpsi) p + (1/2) v^T v dp/dpsi ],
-so ensemble statistics and densities agree by construction.
+``basis.projection(noise.G)``.  Given psi, v^T dW is N(0, q dt) with
+q = v^T v, the law of sqrt(q) dB for one scalar Wiener process B, so the
+ensemble steps dpsi = sqrt(q(t+psi)) dB: one increment per path and
+step whatever the channel count.  The Fokker-Planck solver keeps the
+channel interpolant v, in the density equation
+dp/dt = d/dpsi[ (v dv^T/dpsi) p + (1/2) v^T v dp/dpsi ].  The SDE's q
+interpolates that v^T v and its slope at _Q_REFINE knots per basis-grid
+interval, so the two no longer agree by construction but to the
+distance between q and v^T v (see _Q_REFINE).
 
 The ensemble's paths come in blocks of _PATH_BLOCK, each block one Wiener
 stream ``default_rng([seed, block index])``.  A chunk's increments for
-block b are one contiguous (step, channel, path in block) array, filled by
-one draw call, so a slot is laid out (block, step, channel, path in
-block).
+block b are one contiguous (step, path in block) array, filled by one
+draw call, so a slot is laid out (block, step, path in block).
 
 The ensemble draws and steps at the same time where it can: a child made
 by ``os.fork`` draws each chunk of Wiener increments into one of two
@@ -19,26 +24,29 @@ drawing and stepping overlap in time.  Where ``fork`` is missing or only
 one CPU is usable, the same draw runs in-process before each chunk.  The
 statistics do not depend on which process drew.
 
-While the forked child has not yet filled the next chunk, the parent
-calls ``simulate_sde_ensemble``'s ``idle`` instead of waiting, and
-``planar-ppv run`` passes one that advances the Fokker-Planck solve by a
-block of steps.  The blocks are small enough for their temporaries to stay
-off the allocator's mmap path, and short enough for the parent to turn
-back to the ensemble soon after a chunk is ready; the blocks not reached
-when the ensemble ends run after it.  Drawn in-process, the ensemble never
-waits, and the Fokker-Planck solve runs after it.
+``simulate_sde_ensemble``'s ``job``, a :class:`_Background`, runs in
+that child too: a block at a time while the parent has not yet freed the
+slot the next chunk goes into, then to its end after the last chunk, and
+its value or exception comes back pickled.  ``planar-ppv run`` passes the
+Fokker-Planck solve, so the parent only steps paths.  Its blocks are
+small enough for their temporaries to stay off the allocator's mmap
+path, and short enough for the child to turn back to drawing soon after
+a slot is free.  Drawn in-process, the job is left to the caller, who
+finishes it after the ensemble.
 """
 
 import contextlib
 import math
 import mmap
 import os
+import pickle
 import select
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ArgumentError, InstabilityError, InternalInconsistencyError
+from .spline import PeriodicSpline
 
 __all__ = ["NoiseModel", "PhaseEnsemble", "DensityField",
            "simulate_sde_ensemble", "solve_fp", "diffusion_summary",
@@ -78,8 +86,8 @@ class NoiseModel:
 
 
 # Steps of Wiener increments drawn per chunk.  The increments live in two
-# (blocks, chunk, m, _PATH_BLOCK) slots shared with the drawing child
-# (17 MB at 4096 paths and 2 channels), one drawn while the other is
+# (blocks, chunk, _PATH_BLOCK) slots shared with the drawing child (4.2 MB
+# each at 4096 paths, for any channel count), one drawn while the other is
 # stepped, so the ensemble's memory does not grow with n_steps.  At 4096
 # paths x 3000 steps x 2 channels on a 2-vCPU x86_64 host (medians of 8
 # alternating rounds, drawn in-process from one generator per path)
@@ -95,13 +103,25 @@ _CHUNK = 128
 # 98,304 draw calls and a transpose per chunk.
 _PATH_BLOCK = 256
 _N_STORE = 201  # times at which the ensemble records its mean and variance
+# Knots per basis-grid interval of the SDE's cubic Hermite interpolant q
+# of v^T v and its slope, where v^T v, the Fokker-Planck solver's own
+# diffusion coefficient, is a degree-6 piece per interval.  Max
+# |q - v^T v| / max v^T v over adversarial and 1e5 random phases, on the
+# 1,024-point grids of Stuart-Landau, van der Pol mu = 1 and the
+# brusselator, with isotropic noise and with the tests' nine fast
+# channels: 7.4e-12, 1.8e-9, 1.8e-10 and 4.2e-8, 1.3e-6, 1.9e-6 at 1 knot
+# per interval (a cubic spline through the grid's v^T v alone is no
+# closer); 2.6e-15, 4.4e-13, 4.4e-14 and 1e-11, 3.1e-10, 5.2e-10 at 8.
+# At 8 it takes 2.2 ms to build, and a step's evaluation costs the same.
+_Q_REFINE = 8
 # Half-point evaluations, steps x (cells - 1), per block of Fokker-Planck
 # steps: 16 steps at 481 cells.  A block's spline terms are (channels,
 # steps, cells - 1) arrays, 120 KiB each at 2 channels, under glibc's
 # initial 128 KiB mmap threshold, so the allocator reuses heap memory for
 # them instead of mapping, faulting and unmapping each one every block.
 # Blocks of 128 steps (0.5 MB terms) run between the ensemble's chunks
-# raised the noise workload's peak RSS from 50.9 to 57.5 MB (x86_64 Linux).
+# raised the noise workload's peak RSS from 50.9 to 57.5 MB (x86_64 Linux,
+# two-channel slots, the solve then in the parent).
 _FP_BLOCK_POINTS = 16 * 480
 
 
@@ -117,10 +137,11 @@ def _channel_dot(a, b):
     """sum_k a[k] b[k] over the leading channel axis, the products added
     in index order and accumulated in place in a.
 
-    Every channel sum of the noise layer is this one: v^T dW in the SDE
-    step, the Fokker-Planck drift and diffusion, its stability bound and
-    the diffusion rate.  Below 8 channels index order is np.sum's order,
-    whose sums start from +0.0 instead of the first product.
+    Every channel sum of the noise layer is this one: the Fokker-Planck
+    drift and diffusion (which the SDE's q interpolates), its stability
+    bound and the diffusion rate.  Below 8 channels index order is
+    np.sum's order, whose sums start from +0.0 instead of the first
+    product.
     """
     acc = a[0]
     acc *= b[0]
@@ -128,6 +149,23 @@ def _channel_dot(a, b):
         ak *= bk
         acc += ak
     return acc
+
+
+def _diffusion(spline, ts):
+    """q = v^T v of the channel interpolant ``spline`` at ``ts``: the
+    phase's diffusion coefficient, summed by :func:`_channel_dot`."""
+    v = spline.values(ts)
+    return _channel_dot(v, v)
+
+
+def _diffusion_spline(basis, noise):
+    """q, the SDE's diffusion coefficient: the cubic Hermite interpolant
+    of the Fokker-Planck solver's 2 * diffusion = v^T v and its slope
+    2 * drift = 2 v dv^T/dpsi at _Q_REFINE knots per basis-grid
+    interval."""
+    knots = np.linspace(0.0, basis.cycle.T, _Q_REFINE * basis.ts.size + 1)
+    drift, diff = _fp_coefficients(basis.projection(noise.G), knots)
+    return PeriodicSpline.hermite(knots, 2.0 * diff, 2.0 * drift)
 
 
 def _fp_coefficients(spline, theta):
@@ -153,42 +191,49 @@ def _usable_cpus():
 
 def _draw_chunk(rngs, out, sq):
     """The next out.shape[1] steps of increments, sq * N(0, 1), of every
-    path block: generator rngs[b] fills block b's contiguous (step,
-    channel, path in block) part out[b] in one call."""
+    path block: generator rngs[b] fills block b's contiguous (step, path
+    in block) part out[b] in one call."""
     for rng, block in zip(rngs, out):
         rng.standard_normal(out=block)
         block *= sq
 
 
-def _increments(seed, n_paths, n_steps, m, dt, idle):
-    """The Wiener increments, one (blocks, k, m, _PATH_BLOCK) chunk of
+def _increments(seed, n_paths, n_steps, dt, job=None):
+    """The Wiener increments, one (blocks, k, _PATH_BLOCK) chunk of
     k <= _CHUNK steps at a time.  Block b continues generator
     ``default_rng([seed, b])`` from chunk to chunk, so its increments are
-    those of one (n_steps, m, _PATH_BLOCK) draw.  A yielded chunk is valid
+    those of one (n_steps, _PATH_BLOCK) draw.  A yielded chunk is valid
     until the next one is asked for; close the generator to end a forked
-    drawer early.  While the forked drawer has not filled the next chunk,
-    ``idle()``, unless None, is called until it returns False."""
+    drawer early.
+
+    A forked drawer also runs ``job``, a :class:`_Background` or None: a
+    block at a time while the parent has not freed the slot it draws
+    into next, then to its end after the last chunk.  The job's outcome
+    is settled into the parent's ``job`` when the generator is asked for
+    a chunk after the last one, and ends.  Drawn in-process, ``job`` is
+    not touched."""
     sq = np.sqrt(dt)
     sizes = [min(_CHUNK, n_steps - j0) for j0 in range(0, n_steps, _CHUNK)]
     n_blocks = -(-n_paths // _PATH_BLOCK)
-    shape = (n_blocks, min(_CHUNK, n_steps), m, _PATH_BLOCK)
+    shape = (n_blocks, min(_CHUNK, n_steps), _PATH_BLOCK)
 
     def generators():
         return [np.random.default_rng([seed, b]) for b in range(n_blocks)]
 
     if not sizes or not hasattr(os, "fork") or _usable_cpus() < 2:
-        rngs, dW = generators(), np.empty(shape)
+        rngs, dB = generators(), np.empty(shape)
         for k in sizes:
-            _draw_chunk(rngs, dW[:, :k], sq)
-            yield dW[:, :k]
+            _draw_chunk(rngs, dB[:, :k], sq)
+            yield dB[:, :k]
         return
 
     # Two slots in memory shared with the child.  One byte per chunk on
     # `ready` says the child filled a slot, one on `free` that the parent
-    # is done with one.  The child only builds its generators and draws,
-    # so it takes no lock another thread could hold at the fork; it ends
-    # on EOF or EPIPE once the parent is gone, and never returns into the
-    # caller's code.
+    # is done with one; after the last chunk's byte, `ready` carries the
+    # job's pickled outcome.  The child only builds its generators, draws
+    # and runs the job, so it takes no lock another thread could hold at
+    # the fork; it ends on EOF or EPIPE once the parent is gone, and never
+    # returns into the caller's code.
     slots = np.frombuffer(mmap.mmap(-1, 2 * math.prod(shape) * 8),
                           dtype=float).reshape((2,) + shape)
     ready_r, ready_w = os.pipe()
@@ -199,12 +244,30 @@ def _increments(seed, n_paths, n_steps, m, dt, idle):
         try:
             os.close(ready_r)
             os.close(free_w)
+
+            def run_job():
+                """Step the job while `free` has nothing to read."""
+                while (job is not None
+                       and not select.select([free_r], [], [], 0)[0]
+                       and job.step()):
+                    pass
+
             rngs = generators()
             for c, k in enumerate(sizes):
-                if c >= 2 and not os.read(free_r, 1):
-                    break
+                if c >= 2:
+                    run_job()
+                    if not os.read(free_r, 1):
+                        break
                 _draw_chunk(rngs, slots[c % 2, :, :k], sq)
                 os.write(ready_w, b"r")
+            else:
+                # the parent frees no slot after the last chunk, so here
+                # a readable `free` is EOF: the parent is gone
+                run_job()
+                if job is not None and job.done:
+                    data = memoryview(job.outcome())
+                    while data:
+                        data = data[os.write(ready_w, data):]
             status = 0
         finally:
             os._exit(status)
@@ -212,9 +275,6 @@ def _increments(seed, n_paths, n_steps, m, dt, idle):
     os.close(free_r)
     try:
         for c, k in enumerate(sizes):
-            while idle and not select.select([ready_r], [], [], 0)[0]:
-                if not idle():
-                    idle = None
             if not os.read(ready_r, 1):
                 raise InternalInconsistencyError(
                     f"the Wiener increment process ended before chunk {c}")
@@ -223,6 +283,11 @@ def _increments(seed, n_paths, n_steps, m, dt, idle):
                 # EPIPE: the child is gone, and the next read finds EOF
                 with contextlib.suppress(BrokenPipeError):
                     os.write(free_w, b"f")
+        if job is not None:
+            parts = []
+            while part := os.read(ready_r, 1 << 16):
+                parts.append(part)
+            job.settle(b"".join(parts))
     finally:
         os.close(ready_r)
         os.close(free_w)
@@ -241,8 +306,17 @@ class PhaseEnsemble:
 
 
 def simulate_sde_ensemble(basis, noise, n_paths, t_end, dt, seed, *,
-                          idle=None):
-    """Euler-Maruyama ensemble of dpsi = v(t+psi)^T dW, psi(0) = 0.
+                          job=None):
+    """Euler-Maruyama ensemble of dpsi = v(t+psi)^T dW, psi(0) = 0, stepped
+    as the scalar diffusion dpsi = sqrt(q(t+psi)) dB of the same law.
+
+    q interpolates v^T v and its slope on _Q_REFINE knots per basis-grid
+    interval and is clamped at 0 (where v^T v has double zeros, as for
+    noise along one direction, an interpolant can dip below 0 between
+    knots), so a step is sqrt(max(q, 0)) times one Wiener increment
+    whatever the channel count.  It differs from v^T v of the channel
+    interpolant, which the Fokker-Planck solver uses, by the
+    interpolation error given at _Q_REFINE.
 
     The mean and variance are stored at _N_STORE times.  The Wiener
     increments come in streams of _PATH_BLOCK paths keyed by (seed, block
@@ -253,10 +327,11 @@ def simulate_sde_ensemble(basis, noise, n_paths, t_end, dt, seed, *,
     time, so memory does not grow with n_steps.  ``seed`` is an integer
     >= 0.
 
-    ``idle``, if given, is called with no arguments whenever a forked
-    drawer has not yet filled the chunk the ensemble needs next, until it
-    returns False; a short call keeps the ensemble from waiting long on a
-    ready chunk.  Drawn in-process, the ensemble never calls it.
+    ``job``, a :class:`_Background` or None, rides on a forked drawer: the
+    drawer runs it between its draws and after its last one, and the
+    ensemble returns with the job's value or exception settled, so its
+    ``result()`` returns or raises at once.  Drawn in-process, the
+    ensemble leaves the job alone, for the caller to finish.
     """
     if not isinstance(n_paths, (int, np.integer)) or n_paths < 1:
         raise ArgumentError("need an integer n_paths >= 1")
@@ -272,8 +347,7 @@ def simulate_sde_ensemble(basis, noise, n_paths, t_end, dt, seed, *,
     seed = int(seed)
     n_steps = int(round(t_end / dt))
     store_set = _stored_steps(n_steps, _N_STORE)
-    spline = basis.projection(noise.G)
-    m = spline.c[0, 0].size
+    amp = _diffusion_spline(basis, noise)
 
     # every drawn path is stepped, the last block's padding included
     psi = np.zeros((-(-n_paths // _PATH_BLOCK), _PATH_BLOCK))
@@ -286,12 +360,17 @@ def simulate_sde_ensemble(basis, noise, n_paths, t_end, dt, seed, *,
         var_out.append(np.var(paths, ddof=1) if n_paths > 1 else 0.0)
 
     record(0)
-    chunks = _increments(seed, n_paths, n_steps, m, dt, idle)
+    chunks = _increments(seed, n_paths, n_steps, dt, job)
     with contextlib.closing(chunks):
-        for j0, dW in zip(range(0, n_steps, _CHUNK), chunks):
-            # step j reads dW[:, j] as (channel, block, path in block)
-            for j, dWj in enumerate(dW.transpose(1, 2, 0, 3), j0):
-                psi += _channel_dot(spline.values(j * dt + psi), dWj)
+        # run the chunks out, so that a forked drawer's job is settled
+        for c, dB in enumerate(chunks):
+            # step j reads dB[:, j - c * _CHUNK] as (block, path in block)
+            for j, dBj in enumerate(dB.transpose(1, 0, 2), c * _CHUNK):
+                a = amp.values(j * dt + psi)[0]
+                np.maximum(a, 0.0, out=a)
+                np.sqrt(a, out=a)
+                a *= dBj
+                psi += a
                 if (j + 1) in store_set:
                     record(j + 1)
     return PhaseEnsemble(ts=np.array(ts_out), mean=np.array(mean_out),
@@ -341,7 +420,11 @@ def _fp_blocks(basis, noise, psi_grid, t_end, dt, init_width=None,
                n_store=101):
     """:func:`solve_fp`, yielding after each block of steps; returns the
     DensityField.  A block has _FP_BLOCK_POINTS // (cells - 1) steps, at
-    least one, and the last block may be shorter."""
+    least one, and the last block may be shorter.
+
+    It makes no BLAS call and takes no lock: elementwise NumPy,
+    reductions such as np.min, and the spline kernel only (the spline is
+    built in Python floats), so a forked drawer may run it."""
     if not (t_end > 0 and math.isfinite(t_end)):  # NaN fails too
         raise ArgumentError("t_end must be finite and positive")
     if not dt > 0:  # an infinite dt leaves the stability cap in charge
@@ -353,8 +436,7 @@ def _fp_blocks(basis, noise, psi_grid, t_end, dt, init_width=None,
     dpsi = float(d[0])
 
     spline = basis.projection(noise.G)
-    v = spline.values(basis.ts)
-    vsq_max = float(np.max(_channel_dot(v, v)))
+    vsq_max = float(np.max(_diffusion(spline, basis.ts)))
     if vsq_max > 0:
         dt = min(dt, 0.4 * dpsi ** 2 / vsq_max)
 
@@ -399,16 +481,17 @@ class _Background:
     ``step`` advances it by one item and says whether it may go on;
     ``result`` runs what is left and returns the generator's value.  An
     exception the generator raises is held until ``result``, so the loop
-    it rode on finishes first.
+    it rode on finishes first.  A job run to its end in a forked process
+    comes back through ``outcome`` there and ``settle`` here.
     """
 
     def __init__(self, gen):
         self._gen = gen
-        self._done = False
+        self.done = False
         self._value = self._error = None
 
     def step(self):
-        if self._done:
+        if self.done:
             return False
         try:
             next(self._gen)
@@ -417,7 +500,7 @@ class _Background:
             self._value = stop.value
         except Exception as exc:  # raised again by result()
             self._error = exc
-        self._done = True
+        self.done = True
         return False
 
     def result(self):
@@ -427,11 +510,37 @@ class _Background:
             raise self._error
         return self._value
 
+    def outcome(self):
+        """The finished job's value and exception, pickled for
+        :meth:`settle`.  An exception that does not come back from
+        pickling whole is sent as an InternalInconsistencyError naming its
+        type and message."""
+        error = self._error
+        if error is not None:
+            try:
+                pickle.loads(pickle.dumps(error))
+            except Exception:
+                error = InternalInconsistencyError(
+                    f"background job failed with {type(error).__name__}: "
+                    f"{error}")
+        return pickle.dumps((self._value, error))
+
+    def settle(self, data):
+        """Finish with the :meth:`outcome` another process sent; none, or
+        part of one (that process ended first), holds an
+        InternalInconsistencyError."""
+        try:
+            self._value, self._error = pickle.loads(data)
+        except Exception:
+            self._error = InternalInconsistencyError(
+                "the process running the background job ended before "
+                "sending its result")
+        self._gen, self.done = None, True
+
 
 def diffusion_summary(basis, noise):
     """Period-averaged v^T v: the effective phase-diffusion rate."""
-    v = basis.projection(noise.G).values(basis.ts)
-    return float(np.mean(_channel_dot(v, v)))
+    return float(np.mean(_diffusion(basis.projection(noise.G), basis.ts)))
 
 
 def ensemble_to_csv(ens, path):

@@ -224,6 +224,24 @@ def test_readme_example_runs(tmp_path):
                      "density.csv": 1 + 101 * 321}
 
 
+@pytest.mark.xfail(strict=True, reason=(
+    "stage 'verify' fails at mu = 6: adjoint_residual, monodromy_mismatch, "
+    "v1_vs_numeric and liouville (ROADMAP items 1 and 15)"))
+def test_readme_example_at_mu_6(tmp_path):
+    # the README's example on a relaxation oscillator: only mu changes
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    text = re.search(r"```ini\n(.*?)```", readme.read_text(), re.S).group(1)
+    assert text.count("mu = 1.0") == 1
+    cfg = tmp_path / "mu6.cfg"
+    cfg.write_text(text.replace("mu = 1.0", "mu = 6.0"))
+    out = tmp_path / "out"
+    status = cli.main(["run", str(cfg), "-o", str(out)])
+    failing = [line.split(",")[0]
+               for line in (out / "verify.csv").read_text().splitlines()
+               if line.endswith(",fail")]
+    assert (status, failing) == (0, [])
+
+
 def test_full_pipeline(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(VDP_FULL)
@@ -244,15 +262,16 @@ def test_full_pipeline(tmp_path):
 def test_fp_step_capped_below_config_dt(tmp_path, monkeypatch):
     # the automatic density grid makes the stable FP step (~0.0042) smaller
     # than the config dt; the solver cuts its step to 20 / 4793 instead of
-    # failing, and the last snapshot lands on t_end
+    # failing, and the last snapshot lands on t_end.  The field is read
+    # where the run writes it, wherever the solve ran
     fields = []
-    fp_blocks = stochastic._fp_blocks  # the CLI runs the FP block by block
+    density_to_csv = stochastic.density_to_csv
 
-    def recording(*args, **kwargs):
-        fields.append((yield from fp_blocks(*args, **kwargs)))
-        return fields[-1]
+    def recording(dens, path):
+        fields.append(dens)
+        density_to_csv(dens, path)
 
-    monkeypatch.setattr(stochastic, "_fp_blocks", recording)
+    monkeypatch.setattr(stochastic, "density_to_csv", recording)
     cfg = tmp_path / "run.cfg"
     cfg.write_text(BRUSSELATOR_DIRECTIONAL)
     out = tmp_path / "out"
@@ -326,8 +345,8 @@ density_halfwidth = 3.0
 def _noise_run(tmp_path, monkeypatch, text, cpus, patch=None):
     """Exit status and output directory of a run with ``cpus`` usable CPUs
     and ``patch(mp)`` applied for its length; with two, the forked drawer
-    sleeps before every chunk, so the run's Fokker-Planck blocks go into
-    the ensemble's waits."""
+    sleeps before every chunk, and runs the Fokker-Planck blocks between
+    its draws."""
     name = f"cpus{cpus}"
     cfg = tmp_path / f"{name}.cfg"
     cfg.write_text(text)
@@ -351,8 +370,8 @@ def _noise_run(tmp_path, monkeypatch, text, cpus, patch=None):
                     reason="the draws run in-process only")
 def test_noise_files_do_not_depend_on_the_overlap(tmp_path, monkeypatch,
                                                   forked_pids):
-    # in-process the density is solved after the ensemble, forked in the
-    # ensemble's waits for increments; both write the files that separate
+    # in-process the density is solved after the ensemble, forked by the
+    # drawer between its draws; both write the files that separate
     # simulate_sde_ensemble and solve_fp calls give
     runs = [_noise_run(tmp_path, monkeypatch, _SL_NOISE, cpus)
             for cpus in (1, 2)]
@@ -387,31 +406,36 @@ def test_noise_files_do_not_depend_on_the_overlap(tmp_path, monkeypatch,
 def test_fp_failure_in_the_overlap_reported_after_the_ensemble(
         tmp_path, monkeypatch, capsys, forked_pids):
     # a density that goes negative (the narrow start of
-    # test_fp_negative_density_caught_between_snapshots) fails while the
-    # forked drawer is still busy; the run reports it only once the
-    # ensemble is written, with the in-process run's stderr line, exit
-    # status and files, and leaves no child behind
+    # test_fp_negative_density_caught_between_snapshots) fails in the
+    # forked drawer; the run reports it only once the ensemble is written,
+    # when the parent asks for the density, with the in-process run's
+    # stderr line, exit status and files, and leaves no child behind
     events = []
 
     def patch(mp):
         fp_blocks = stochastic._fp_blocks
         to_csv = stochastic.ensemble_to_csv
+        result = stochastic._Background.result
 
         def narrow_start(basis, noise, psi, t_end, dt):
             width = 0.3 * (psi[1] - psi[0])
-            try:
-                return (yield from fp_blocks(basis, noise, psi, t_end, dt,
-                                             init_width=width))
-            except InstabilityError:
-                events.append("fp failed")
-                raise
+            return (yield from fp_blocks(basis, noise, psi, t_end, dt,
+                                         init_width=width))
 
         def recording_csv(ens, path):
             events.append("ensemble written")
             to_csv(ens, path)
 
+        def recording_result(job):
+            try:
+                return result(job)
+            except InstabilityError:
+                events.append("fp failed")
+                raise
+
         mp.setattr(stochastic, "_fp_blocks", narrow_start)
         mp.setattr(stochastic, "ensemble_to_csv", recording_csv)
+        mp.setattr(stochastic._Background, "result", recording_result)
 
     runs = []
     for cpus in (1, 2):
@@ -420,8 +444,7 @@ def test_fp_failure_in_the_overlap_reported_after_the_ensemble(
         runs.append((status, capsys.readouterr().err.splitlines(),
                      sorted(f.name for f in out.iterdir()),
                      (out / "noise_ensemble.csv").read_bytes()))
-    assert events == ["ensemble written", "fp failed",
-                      "fp failed", "ensemble written"]
+    assert events == ["ensemble written", "fp failed"] * 2
     assert runs[0] == runs[1]
     status, err, files, _ = runs[0]
     assert status == 1

@@ -1,4 +1,5 @@
 import os
+import pickle
 import subprocess
 import sys
 import time
@@ -7,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.interpolate import CubicSpline
+from scipy.interpolate import CubicHermiteSpline, CubicSpline
 
 import planar_ppv as pp
 from planar_ppv import stochastic
@@ -77,39 +78,82 @@ def _noise(kind):
                                                     np.sin(w * x[1])]))
 
 
-def _reference_paths(basis, noise, streams, t_end, dt, seed):
-    """Stored times and psi of the paths ``streams``.  Path p is column
-    p % B of block p // B, B = stochastic._PATH_BLOCK, and each block
-    draws its whole (n_steps, m, B) Wiener array from
-    ``default_rng([seed, block])`` up front; v^T dW adds the channels in
-    turn."""
-    n_steps = int(round(t_end / dt))
-    spline = basis.projection(noise.G)
-    m = spline.c.shape[2]
-    T = basis.cycle.T
-    sq = np.sqrt(dt)
+@pytest.fixture(scope="module")
+def bruss_basis():
+    model = pp.get_model("brusselator")
+    return pp.DilibertoBasis(pp.find_cycle(model, (1.5, 3.0)))
+
+
+def _stream_draws(streams, seed, shape, dt):
+    """The increments of the paths ``streams``, (len(streams),) + shape.
+    Path p is column p % B of block p // B, B = stochastic._PATH_BLOCK,
+    and each block draws its whole shape + (B,) array from
+    ``default_rng([seed, block])`` up front."""
     B = stochastic._PATH_BLOCK
-    blocks = {}
-    dW = np.empty((len(streams), n_steps, m))
-    for k, p in enumerate(streams):
-        if p // B not in blocks:
-            rng = np.random.default_rng([int(seed), p // B])
-            blocks[p // B] = sq * rng.standard_normal((n_steps, m, B))
-        dW[k] = blocks[p // B][:, :, p % B]
+    streams = np.asarray(streams, dtype=int)
+    blocks = np.unique(streams // B)
+    draws = np.stack([np.sqrt(dt) * np.random.default_rng([int(seed), int(b)])
+                      .standard_normal(shape + (B,)) for b in blocks])
+    # the two indices, split by the ellipsis, give the path axis first
+    return draws[np.searchsorted(blocks, streams // B), ..., streams % B]
+
+
+def _record_paths(n_steps, dt, n_paths, step):
+    """Stored times and psi of n_paths paths from psi = 0, advanced by
+    psi = step(j, psi) for each step j."""
     stride = max(1, n_steps // (stochastic._N_STORE - 1))
     stored = set(range(0, n_steps + 1, stride)) | {n_steps}
-    psi = np.zeros(len(streams))
+    psi = np.zeros(n_paths)
     ts, hist = [0.0], [psi]
     for j in range(n_steps):
-        v = spline.values(np.mod(j * dt + psi, T))
-        step = v[0] * dW[:, j, 0]
-        for k in range(1, m):
-            step = step + v[k] * dW[:, j, k]
-        psi = psi + step
+        psi = step(j, psi)
         if (j + 1) in stored:
             ts.append((j + 1) * dt)
             hist.append(psi)
     return np.array(ts), np.array(hist)
+
+
+def _reference_q(basis, noise):
+    """SciPy's cubic Hermite interpolant of v^T v and its slope 2 v dv^T at
+    stochastic._Q_REFINE knots per basis-grid interval, v the channel
+    spline, the channels added in turn."""
+    knots = np.linspace(0.0, basis.cycle.T,
+                        stochastic._Q_REFINE * basis.ts.size + 1)
+    v, dv = basis.projection(noise.G).values(knots, derivative=True)
+    return CubicHermiteSpline(knots, sum(vk * vk for vk in v),
+                              2.0 * sum(vk * dvk for vk, dvk in zip(v, dv)))
+
+
+def _reference_paths(basis, noise, streams, t_end, dt, seed):
+    """Stored times and psi of the paths ``streams``, each drawing one
+    scalar increment per step (see _stream_draws) and stepping by
+    sqrt(max(q, 0)) dB, q from _reference_q."""
+    n_steps = int(round(t_end / dt))
+    q = _reference_q(basis, noise)
+    T = basis.cycle.T
+    dB = _stream_draws(streams, seed, (n_steps,), dt)
+
+    def step(j, psi):
+        return psi + np.sqrt(np.maximum(q(np.mod(j * dt + psi, T)), 0.0)) \
+            * dB[:, j]
+
+    return _record_paths(n_steps, dt, len(dB), step)
+
+
+def _channel_paths(basis, noise, streams, t_end, dt, seed):
+    """The same for the Euler-Maruyama step of dpsi = v(t+psi)^T dW, one
+    increment per channel (each block drawing (n_steps, m, B)), v the
+    channel spline: the law the scalar step keeps."""
+    n_steps = int(round(t_end / dt))
+    spline = basis.projection(noise.G)
+    T = basis.cycle.T
+    dW = _stream_draws(streams, seed, (n_steps, spline.c.shape[2]), dt)
+
+    def step(j, psi):
+        v = spline.values(np.mod(j * dt + psi, T))
+        return psi + sum(vk * dWk for vk, dWk in zip(v, dW[:, j].T))
+
+    return _record_paths(n_steps, dt, len(dW), step)
 
 
 def _assert_stats_equal(ens, ts, hist):
@@ -132,7 +176,8 @@ _BASES_AND_NOISES = pytest.mark.parametrize("basis_name, kind", [
 @pytest.mark.parametrize("steps", ["none", "below", "equal", "partial"])
 def test_chunked_draws_match_full_draw(request, basis_name, kind, steps):
     # the chunked increments continue each block's stream, so the ensemble
-    # is bit-identical to one drawn whole and stepped on the spline itself
+    # is bit-identical to one drawn whole, one increment per step, and
+    # stepped by sqrt(max(q, 0)) dB on SciPy's interpolant of v^T v
     basis = request.getfixturevalue(basis_name)
     chunk = stochastic._CHUNK
     n_steps = {"none": 0, "below": chunk // 2 + 1, "equal": chunk,
@@ -231,13 +276,28 @@ def _assert_ensembles_equal(a, b):
     np.testing.assert_array_equal(a.var.view(np.int64), b.var.view(np.int64))
 
 
+def _watched(gen, ran):
+    """``gen``, with the pid of the process that ran each of its blocks
+    appended to ``ran``: a forked process appends to its own copy, so
+    ``ran`` lists the blocks this process ran."""
+    while True:
+        try:
+            next(gen)
+        except StopIteration as stop:
+            return stop.value
+        ran.append(os.getpid())
+        yield
+
+
 @_NEEDS_FORK
 @pytest.mark.parametrize("cpus", [1, 2], ids=["in-process", "forked"])
 def test_fp_in_the_ensembles_waits_matches_separate_calls(
         monkeypatch, forked_pids, sl_basis, cpus):
-    # the ensemble runs its idle work only while a forked drawer has not
-    # filled the next chunk, never in-process; the ensemble and the
-    # density it carried are those of separate calls to the bit
+    # a forked drawer runs the job between its draws and after the last,
+    # and the ensemble returns it settled, the parent having run none of
+    # its blocks; in-process the ensemble leaves it alone and result()
+    # runs every block here.  The ensemble and the density are those of
+    # separate calls to the bit
     monkeypatch.setattr(stochastic, "_usable_cpus", lambda: cpus)
     noise = NoiseModel.isotropic(0.05)
     psi = np.linspace(-0.5, 0.5, 41)
@@ -246,19 +306,16 @@ def test_fp_in_the_ensembles_waits_matches_separate_calls(
     alone = pp.simulate_sde_ensemble(*sde_args, seed=9)
     dens_alone = pp.solve_fp(sl_basis, noise, psi, 3.0, 0.01, n_store=40)
     _slow_draws(monkeypatch, 0.1)
-    fp = stochastic._Background(stochastic._fp_blocks(
-        sl_basis, noise, psi, 3.0, 0.01, n_store=40))
-    calls = []
-
-    def idle():
-        calls.append(None)
-        return fp.step()
-
-    ens = pp.simulate_sde_ensemble(*sde_args, seed=9, idle=idle)
-    assert bool(calls) == (cpus == 2)
+    here = []
+    fp = stochastic._Background(_watched(stochastic._fp_blocks(
+        sl_basis, noise, psi, 3.0, 0.01, n_store=40), here))
+    ens = pp.simulate_sde_ensemble(*sde_args, seed=9, job=fp)
+    assert fp.done == (cpus == 2)
     assert len(forked_pids) == 2 * (cpus - 1)
     _assert_ensembles_equal(ens, alone)
     dens = fp.result()
+    n_blocks = -(-dens.n_steps // (stochastic._FP_BLOCK_POINTS // 40))
+    assert here == ([] if cpus == 2 else [os.getpid()] * n_blocks)
     assert dens.n_steps == dens_alone.n_steps
     np.testing.assert_array_equal(dens.ts, dens_alone.ts)
     np.testing.assert_array_equal(dens.p.view(np.int64),
@@ -269,9 +326,9 @@ def test_fp_in_the_ensembles_waits_matches_separate_calls(
 def test_fp_failure_in_the_ensembles_waits_is_held(monkeypatch, forked_pids,
                                                    vdp_basis):
     # the coarse grid of test_fp_negative_density_caught_between_snapshots
-    # fails in the ensemble's first wait; the ensemble still ends as it
-    # would alone and reaps its drawer, and the error, with solve_fp's
-    # message, comes only from result()
+    # fails in the forked drawer; the ensemble still ends as it would
+    # alone and reaps its drawer, the parent runs no block, and the error,
+    # with solve_fp's message, comes only from result()
     noise = NoiseModel.directional(0.05, [1.0, 0.0])
     psi = np.linspace(-3.0, 3.0, 8)
     width = 0.3 * (psi[1] - psi[0])
@@ -281,16 +338,12 @@ def test_fp_failure_in_the_ensembles_waits_is_held(monkeypatch, forked_pids,
     sde_args = (vdp_basis, noise, 32, 2 * stochastic._CHUNK * 0.01, 0.01)
     alone = pp.simulate_sde_ensemble(*sde_args, seed=3)
     _slow_draws(monkeypatch, 0.1)
-    fp = stochastic._Background(stochastic._fp_blocks(
-        vdp_basis, noise, psi, 6.0, 0.01, init_width=width))
-    steps = []
-
-    def idle():
-        steps.append(fp.step())
-        return steps[-1]
-
-    ens = pp.simulate_sde_ensemble(*sde_args, seed=3, idle=idle)
-    assert steps == [False]  # its one block ran, and failed, in a wait
+    here = []
+    fp = stochastic._Background(_watched(stochastic._fp_blocks(
+        vdp_basis, noise, psi, 6.0, 0.01, init_width=width), here))
+    ens = pp.simulate_sde_ensemble(*sde_args, seed=3, job=fp)
+    assert fp.done
+    assert here == []
     _assert_ensembles_equal(ens, alone)
     assert len(forked_pids) == 2
     with pytest.raises(ChildProcessError):
@@ -298,6 +351,60 @@ def test_fp_failure_in_the_ensembles_waits_is_held(monkeypatch, forked_pids,
     with pytest.raises(InstabilityError) as held:
         fp.result()
     assert str(held.value) == str(direct.value)
+
+
+class _TwoPartError(Exception):
+    """Pickles, but cannot be unpickled: its one-string args do not fit
+    its two-argument __init__."""
+
+    def __init__(self, what, where):
+        super().__init__(f"{what} at {where}")
+
+
+@_NEEDS_FORK
+@pytest.mark.parametrize("kind", ["local-class", "two-part-init"])
+def test_job_error_that_cannot_be_pickled(monkeypatch, forked_pids,
+                                          sl_basis, kind):
+    # the drawer sends the job's exception pickled; one that does not come
+    # back whole arrives as InternalInconsistencyError with its type and
+    # message, still held until result()
+    class LocalError(Exception):
+        pass
+
+    error = (LocalError("lost in transit") if kind == "local-class"
+             else _TwoPartError("lost", "transit"))
+    with pytest.raises(Exception):
+        pickle.loads(pickle.dumps(error))
+
+    def failing():
+        yield
+        raise error
+
+    monkeypatch.setattr(stochastic, "_usable_cpus", lambda: 2)
+    fp = stochastic._Background(failing())
+    pp.simulate_sde_ensemble(sl_basis, NoiseModel.isotropic(0.05), 16,
+                             2 * stochastic._CHUNK * 0.01, 0.01, seed=1,
+                             job=fp)
+    assert fp.done
+    assert len(forked_pids) == 1
+    with pytest.raises(InternalInconsistencyError) as held:
+        fp.result()
+    assert type(error).__name__ in str(held.value)
+    assert str(error) in str(held.value)
+
+
+@pytest.mark.parametrize("sent", [b"", "part"])
+def test_job_outcome_cut_short_is_an_error(sent):
+    # a drawer that ends before its whole outcome is sent leaves an
+    # InternalInconsistencyError for result(), not a partial value
+    done = stochastic._Background(iter(()))
+    assert done.result() is None
+    data = done.outcome()
+    job = stochastic._Background(iter([None]))
+    job.settle(data[:len(data) // 2] if sent == "part" else sent)
+    assert job.done
+    with pytest.raises(InternalInconsistencyError, match="ended before"):
+        job.result()
 
 
 _KILLED_ENSEMBLE = """
@@ -452,8 +559,8 @@ def test_substreams_stable_under_ensemble_growth(monkeypatch, forked_pids,
 def test_one_generator_and_one_draw_per_block_per_chunk(monkeypatch,
                                                        sl_basis):
     # the drawer builds one generator per started block of paths and fills
-    # each block's part of a chunk, all of its steps and channels, in one
-    # call
+    # each block's part of a chunk, all of its steps, in one call: one
+    # increment per path and step for the two channels of isotropic noise
     monkeypatch.setattr(stochastic, "_usable_cpus", lambda: 1)
     default_rng = np.random.default_rng
     keys, draws = [], []
@@ -476,8 +583,87 @@ def test_one_generator_and_one_draw_per_block_per_chunk(monkeypatch,
     pp.simulate_sde_ensemble(sl_basis, NoiseModel.isotropic(0.05), n_paths,
                              n_steps * 0.01, 0.01, seed=4)
     assert keys == [[4, 0], [4, 1], [4, 2]]
-    assert draws == [(b, (k, 2, B)) for k in (chunk, chunk, 5)
+    assert draws == [(b, (k, B)) for k in (chunk, chunk, 5)
                      for b in range(3)]
+
+
+@pytest.mark.parametrize("kind", ["isotropic", "directional", "nine"])
+@pytest.mark.parametrize("basis_name", ["sl_basis", "vdp_basis",
+                                        "bruss_basis"])
+def test_scalar_amplitude_matches_channel_sum(request, basis_name, kind):
+    # the SDE's q is SciPy's Hermite interpolant of v^T v to the bit, and
+    # at adversarial phases it is v^T v of the channel spline, which the
+    # Fokker-Planck solver uses, to 1e-8 of max q; clamped at 0, its root
+    # is never negative or NaN
+    basis = request.getfixturevalue(basis_name)
+    noise = _noise(kind)
+    amp = stochastic._diffusion_spline(basis, noise)
+    reference = _reference_q(basis, noise)
+    np.testing.assert_array_equal(amp.c.view(np.int64),
+                                  reference.c.view(np.int64))
+    T = basis.cycle.T
+    theta = _adversarial_phases(T, amp.x)
+    q = amp.values(theta)[0]
+    np.testing.assert_array_equal(q.view(np.int64),
+                                  reference(np.mod(theta, T)).view(np.int64))
+    vsq = sum(vk * vk for vk in basis.projection(noise.G).values(theta))
+    assert np.max(np.abs(q - vsq)) <= 1e-8 * np.max(vsq)
+    assert (np.sqrt(np.maximum(q, 0.0)) >= 0.0).all()
+
+
+def test_negative_q_steps_by_zero(monkeypatch, sl_basis):
+    # an interpolant of v^T v can dip below 0 next to a double zero (to
+    # -2e-24 for Stuart-Landau's nine-channel test noise); there a step is
+    # 0, not NaN
+    knots = np.linspace(0.0, sl_basis.cycle.T, 9)
+    monkeypatch.setattr(
+        stochastic, "_diffusion_spline",
+        lambda basis, noise: PeriodicSpline.hermite(knots, np.full(9, -1e-9),
+                                                    np.zeros(9)))
+    ens = pp.simulate_sde_ensemble(sl_basis, NoiseModel.isotropic(0.05), 8,
+                                   1.0, 0.01, seed=1)
+    assert not np.any(ens.mean) and not np.any(ens.var)
+
+
+@pytest.mark.parametrize("kind", ["isotropic", "directional"])
+def test_scalar_steps_keep_the_channel_law(vdp_basis, kind):
+    # given psi, sqrt(q) dB and v^T dW are both N(0, q dt): the variance at
+    # t_end of the ensemble (seed 21) and of the channel oracle (seed 22),
+    # independent samples of N paths each, agree within 5 relative
+    # standard errors sqrt(2 / (N - 1)) of a sample variance
+    noise = _noise(kind)
+    n, t_end, dt = 4096, 8.0, 0.02
+    ens = pp.simulate_sde_ensemble(vdp_basis, noise, n, t_end, dt, seed=21)
+    ts, hist = _channel_paths(vdp_basis, noise, range(n), t_end, dt, 22)
+    np.testing.assert_array_equal(ens.ts, ts)
+    oracle = np.var(hist[-1], ddof=1)
+    assert abs(ens.var[-1] / oracle - 1.0) <= 5.0 * np.sqrt(2.0 / (n - 1))
+
+
+@_NEEDS_FORK
+@pytest.mark.parametrize("cpus", [1, 2], ids=["in-process", "forked"])
+def test_slots_hold_the_same_increments_for_any_channel_count(
+        monkeypatch, sl_basis, cpus):
+    # the increments do not depend on the noise: one channel and nine fill
+    # the slots with the same bytes, chunk by chunk
+    monkeypatch.setattr(stochastic, "_usable_cpus", lambda: cpus)
+    increments = stochastic._increments
+    seen = {}
+
+    def recording(*args):
+        for dB in increments(*args):
+            seen[kind].append(dB.tobytes())
+            yield dB
+
+    monkeypatch.setattr(stochastic, "_increments", recording)
+    for kind in ("directional", "nine"):
+        seen[kind] = []
+        pp.simulate_sde_ensemble(sl_basis, _noise(kind),
+                                 stochastic._PATH_BLOCK + 44,
+                                 (2 * stochastic._CHUNK + 37) * 0.01, 0.01,
+                                 seed=9)
+    assert len(seen["nine"]) == 3
+    assert seen["directional"] == seen["nine"]
 
 
 def test_sde_variance_grows_linearly_stuart_landau(sl_basis):
@@ -691,9 +877,9 @@ def test_fp_coefficients_sum_channels_as_np_sum(m):
 
 
 def test_nine_channel_sums_agree(sl_basis):
-    # diffusion_summary, the Fokker-Planck diffusion and the SDE step's
-    # v^T dW with dW = v add the nine channels of v^T v in index order,
-    # where np.sum would add them pairwise
+    # diffusion_summary, the Fokker-Planck diffusion (which the SDE's q
+    # interpolates) and the channel sum itself add the nine channels of
+    # v^T v in index order, where np.sum would add them pairwise
     noise = _noise("nine")
     spline = sl_basis.projection(noise.G)
     v = spline.values(sl_basis.ts)

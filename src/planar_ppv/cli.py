@@ -127,6 +127,8 @@ def run(config_path, outdir=None):
             for eps in p["eps"]:
                 summary.append(f"lock_boundary_eps_{_fmt(eps)}="
                                f"{_fmt(lm.boundaries[eps])}")
+                summary.append(f"lock_boundary_beyond_grid_eps_{_fmt(eps)}="
+                               f"{int(lm.beyond_grid[eps])}")
 
         if "noise" in cfg.sections:
             stage = "noise"

@@ -299,13 +299,18 @@ class LockMap:
 
     rows: tuple  # (eps, delta_omega, locked, mean_freq_shift)
     boundaries: dict = dc_field(default_factory=dict)  # eps -> max locked |dw|
+    # eps -> whether that |dw| is a locked end point of the grid, so that
+    # the tongue may reach beyond the grid
+    beyond_grid: dict = dc_field(default_factory=dict)
 
 
 def injection_lock_scan(basis, amp, eps_list, detuning_grid):
     """Sweep sinusoidal injection over strength and detuning grids.
 
     Records the lock flag and mean frequency shift per grid point and an
-    Arnold-tongue boundary estimate (largest locked |detuning|) per eps.
+    Arnold-tongue boundary estimate (largest locked |detuning|) per eps,
+    flagged in ``beyond_grid`` where it is the grid's first or last
+    point, so that the grid bounds the estimate, not the tongue.
     Each eps row is one integration of the one-period map over the
     projection of ``amp``, built once; a one-point grid gives exactly
     :func:`simulate_phase`'s verdict and shift at that point.
@@ -321,7 +326,7 @@ def injection_lock_scan(basis, amp, eps_list, detuning_grid):
     detuning = np.array(detuning_grid, dtype=float)
 
     rows = []
-    boundaries = {}
+    boundaries, beyond_grid = {}, {}
     for eps in eps_list:
         locked, shift = _lock_row(proj, basis.cycle.T, basis.omega, eps,
                                   detuning)
@@ -331,7 +336,10 @@ def injection_lock_scan(basis, amp, eps_list, detuning_grid):
             if lk:
                 best = max(best, abs(dw))
         boundaries[eps] = best
-    return LockMap(rows=tuple(rows), boundaries=boundaries)
+        beyond_grid[eps] = any(locked[k] and abs(detuning_grid[k]) == best
+                               for k in (0, -1))
+    return LockMap(rows=tuple(rows), boundaries=boundaries,
+                   beyond_grid=beyond_grid)
 
 
 def spectrum_to_csv(spec, path):

@@ -9,8 +9,8 @@ coefficients, transcribed from SciPy 1.17 with every operation in the
 same order, so ``.c`` equals SciPy's to the bit.
 ``PeriodicSpline.hermite(x, y, dydx)`` takes those Hermite coefficients
 for given slopes, the pieces of ``scipy.interpolate.CubicHermiteSpline(x,
-y, dydx)``.  The one read-out,
-``values``, is SciPy's ``__call__`` with the channel axis moved first,
+y, dydx)``.  The read-out
+``values`` is SciPy's ``__call__`` with the channel axis moved first,
 shaped (m,) + theta's shape (m = 1 for a scalar function): theta is
 reduced mod the period (the first knot is 0) to the bits of ``np.mod``,
 which wide arrays of phases in [0, 2^25 T) reach by an exact two-part
@@ -18,7 +18,10 @@ reduction, and the interval comes from one multiply on the uniform
 grid, corrected by one knot comparison each way and closed on the right
 as SciPy closes its last interval, and each cubic is summed in ascending
 powers from +0.0, as ``PPoly.__call__`` sums it, so the values equal
-SciPy's to the bit as well, signed zeros included.
+SciPy's to the bit as well, signed zeros included.  ``_HornerKernel``
+is a cheaper read-out of a scalar spline for the SDE's step, a Horner
+sum in the fractional knot coordinate, exact to rounding but not to
+SciPy's bits.
 """
 
 # The interpolant's construction is derived from SciPy, under this
@@ -72,7 +75,10 @@ __all__ = ["PeriodicSpline"]
 # np.mod: on a 2-vCPU x86_64 host np.mod and the reduction took 6 and
 # 15 us at 256 phases, 18-22 and 12-20 us at 1,024 and 75-81 and 27 us
 # at 4,096 (timeit, phases in [0, 1e3 T)).  A lock map of 4 detunings
-# x 64 phases stays on np.mod; one of 25 x 64 takes the reduction.
+# x 64 phases stays on np.mod; one of 25 x 64 takes the reduction.  The
+# wide callers are the Fokker-Planck blocks (7,680 half-point phases,
+# once none is negative) and the README's lock map (1,600 phases); the
+# SDE reads its q through _HornerKernel.
 _WIDE_MOD_MIN = 1024
 
 
@@ -176,6 +182,53 @@ class PeriodicSpline:
             off = (r < 0.0) | (r >= self._T)
             r[off] = np.mod(theta[off], self._T)
         return r
+
+
+class _HornerKernel:
+    """A scalar cubic :class:`PeriodicSpline` at t + psi for phases psi of
+    one shape, read into a buffer that the next call overwrites: the
+    SDE's read-out of its diffusion coefficient, once per step.
+
+    Row k holds the pieces' c[k] h^(3 - k), h = T / n, so each piece is
+    a cubic in the fractional knot coordinate u = (theta - x[i]) / h and
+    a read-out is a Horner sum over four gathers.  t is first reduced mod
+    T as a Python float, so theta = psi + (t mod T) stays near [0, T)
+    whatever t, and u = theta n / T gives the piece as its floor mod n,
+    which also wraps negative phases.  The value is the spline's to
+    rounding, not ``values``' bits: within 1e-14 of its maximum at
+    times up to 2^40 * 0.01 for |psi| <= T, the bound growing as
+    |psi| / T beyond, with the rounding of theta n / T.  A NaN psi reads
+    NaN.
+    """
+
+    def __init__(self, spline, shape):
+        n, T = spline._n, spline._T
+        h = T / n
+        self._rows = [ck * h ** (3 - k)
+                      for k, ck in enumerate(spline.c.reshape(4, n))]
+        self._T, self._n, self._scale = T, n, spline._scale
+        self._u, self._q, self._term = (np.empty(shape) for _ in range(3))
+        self._i, self._k = (np.empty(shape, dtype=np.intp) for _ in range(2))
+
+    def __call__(self, t, psi):
+        u, i, k, q, term = self._u, self._i, self._k, self._q, self._term
+        np.add(psi, t % self._T, out=u)
+        u *= self._scale
+        np.floor(u, out=term)
+        u -= term
+        i[...] = term
+        # i mod n as i - n (i // n): NumPy 2.4 divides by a scalar through
+        # libdivide in floor_divide, not in remainder (cast and wrap take
+        # 12 against 20 us at 4,096 phases on a 2-vCPU x86_64 host)
+        np.floor_divide(i, self._n, out=k)
+        k *= self._n
+        i -= k
+        self._rows[0].take(i, out=q, mode="clip")
+        for row in self._rows[1:]:
+            q *= u
+            row.take(i, out=term, mode="clip")
+            q += term
+        return q
 
 
 def _power_rows(c, n):

@@ -10,7 +10,10 @@ channel interpolant v, in the density equation
 dp/dt = d/dpsi[ (v dv^T/dpsi) p + (1/2) v^T v dp/dpsi ].  The SDE's q
 interpolates that v^T v and its slope at _Q_REFINE knots per basis-grid
 interval, so the two no longer agree by construction but to the
-distance between q and v^T v (see _Q_REFINE).
+distance between q and v^T v (see _Q_REFINE).  Each step reads q for
+every path through ``spline._HornerKernel``, a Horner sum over q's
+pieces in the fractional knot coordinate, not through
+``PeriodicSpline.values``, whose SciPy bits the SDE does not need.
 
 The ensemble's paths come in blocks of _PATH_BLOCK, each block one Wiener
 stream ``default_rng([seed, block index])``.  A chunk's increments for
@@ -46,7 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ArgumentError, InstabilityError, InternalInconsistencyError
-from .spline import PeriodicSpline
+from .spline import PeriodicSpline, _HornerKernel
 
 __all__ = ["NoiseModel", "PhaseEnsemble", "DensityField",
            "simulate_sde_ensemble", "solve_fp", "diffusion_summary",
@@ -89,10 +92,11 @@ class NoiseModel:
 # (blocks, chunk, _PATH_BLOCK) slots shared with the drawing child (4.2 MB
 # each at 4096 paths, for any channel count), one drawn while the other is
 # stepped, so the ensemble's memory does not grow with n_steps.  At 4096
-# paths x 3000 steps x 2 channels on a 2-vCPU x86_64 host (medians of 8
-# alternating rounds, drawn in-process from one generator per path)
-# chunks of 64, 128 and 256 steps took 1.62, 1.45 and 1.40 s, with
-# buffers of 8, 17 and 34 MB.
+# paths x 3000 steps, forked, with the Fokker-Planck solve as the job
+# (Stuart-Landau isotropic noise, 481 cells; 2-vCPU x86_64 host shared
+# with other work, medians of 5 alternating rounds), chunks of 64, 128
+# and 256 steps took 0.64, 0.53 and 0.70 s, with slots of 2.1, 4.2 and
+# 8.4 MB each.
 _CHUNK = 128
 # Paths per Wiener stream.  Block b of the ensemble draws from generator
 # default_rng([seed, b]), so the block size is part of the stream's
@@ -112,7 +116,8 @@ _N_STORE = 201  # times at which the ensemble records its mean and variance
 # channels: 7.4e-12, 1.8e-9, 1.8e-10 and 4.2e-8, 1.3e-6, 1.9e-6 at 1 knot
 # per interval (a cubic spline through the grid's v^T v alone is no
 # closer); 2.6e-15, 4.4e-13, 4.4e-14 and 1e-11, 3.1e-10, 5.2e-10 at 8.
-# At 8 it takes 2.2 ms to build, and a step's evaluation costs the same.
+# At 8 it takes 2.2 ms to build, and a step's read-out of q at 4096
+# phases costs the same as at 1 (56-59 us).
 _Q_REFINE = 8
 # Half-point evaluations, steps x (cells - 1), per block of Fokker-Planck
 # steps: 16 steps at 481 cells.  A block's spline terms are (channels,
@@ -316,7 +321,9 @@ def simulate_sde_ensemble(basis, noise, n_paths, t_end, dt, seed, *,
     knots), so a step is sqrt(max(q, 0)) times one Wiener increment
     whatever the channel count.  It differs from v^T v of the channel
     interpolant, which the Fokker-Planck solver uses, by the
-    interpolation error given at _Q_REFINE.
+    interpolation error given at _Q_REFINE.  Step j reads q at
+    (j dt mod T) + psi to rounding by ``spline._HornerKernel``, into
+    buffers allocated once per call.
 
     The mean and variance are stored at _N_STORE times.  The Wiener
     increments come in streams of _PATH_BLOCK paths keyed by (seed, block
@@ -347,11 +354,10 @@ def simulate_sde_ensemble(basis, noise, n_paths, t_end, dt, seed, *,
     seed = int(seed)
     n_steps = int(round(t_end / dt))
     store_set = _stored_steps(n_steps, _N_STORE)
-    amp = _diffusion_spline(basis, noise)
-
     # every drawn path is stepped, the last block's padding included
     psi = np.zeros((-(-n_paths // _PATH_BLOCK), _PATH_BLOCK))
     paths = psi.reshape(-1)[:n_paths]
+    q = _HornerKernel(_diffusion_spline(basis, noise), psi.shape)
     ts_out, mean_out, var_out = [], [], []
 
     def record(j):
@@ -366,7 +372,7 @@ def simulate_sde_ensemble(basis, noise, n_paths, t_end, dt, seed, *,
         for c, dB in enumerate(chunks):
             # step j reads dB[:, j - c * _CHUNK] as (block, path in block)
             for j, dBj in enumerate(dB.transpose(1, 0, 2), c * _CHUNK):
-                a = amp.values(j * dt + psi)[0]
+                a = q(j * dt, psi)
                 np.maximum(a, 0.0, out=a)
                 np.sqrt(a, out=a)
                 a *= dBj

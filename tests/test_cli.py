@@ -242,6 +242,23 @@ def test_readme_example_at_mu_6(tmp_path):
     assert (status, failing) == (0, [])
 
 
+@pytest.mark.parametrize("detuning_max, beyond", [(0.003, "1"),
+                                                  (0.008, "0")])
+def test_lock_boundary_beyond_grid_reported(tmp_path, detuning_max, beyond):
+    # Stuart-Landau's tongue at eps = 0.01 reaches |detuning| 0.005: a grid
+    # locked to its ends reports its edge as the boundary and flags it
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(SL_MINIMAL + "\n[lock-scan]\namp = 1.0 0.0\neps = 0.01\n"
+                   f"detuning_min = -{detuning_max}\n"
+                   f"detuning_max = {detuning_max}\ndetuning_n = 5\n")
+    out = tmp_path / "out"
+    assert cli.run(str(cfg), outdir=str(out)) == 0
+    kv = read_summary(out)
+    boundary = {"1": detuning_max, "0": 0.004}[beyond]
+    assert float(kv["lock_boundary_eps_0.01"]) == pytest.approx(boundary)
+    assert kv["lock_boundary_beyond_grid_eps_0.01"] == beyond
+
+
 def test_full_pipeline(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(VDP_FULL)

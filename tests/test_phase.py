@@ -121,6 +121,21 @@ def test_lock_scan_rows_and_boundary(sl_basis):
     by_dw = {r[1]: r[2] for r in lm.rows}
     assert by_dw[0.0] and by_dw[0.002] and not by_dw[0.05]
     assert lm.boundaries[0.01] == pytest.approx(0.002)
+    # 0.002 is inside the grid, so the grid brackets the reported edge,
+    # though its locked first point 0.0 is not the largest |detuning|
+    assert lm.beyond_grid == {0.01: False}
+
+
+@pytest.mark.parametrize("grid", [[-0.003, 0.0, 0.003], [0.0, 0.003],
+                                  [-0.003, 0.001, 0.05], [0.002]])
+def test_lock_scan_flags_a_tongue_wider_than_the_grid(sl_basis, grid):
+    # at eps = 0.01 the Stuart-Landau tongue reaches |detuning| 0.005: a
+    # grid whose largest locked |detuning| is its first or last point
+    # reports the grid's edge, not the tongue's, and says so
+    lm = pp.injection_lock_scan(sl_basis, [1.0, 0.0], [0.01], grid)
+    assert lm.boundaries[0.01] == max(abs(dw) for dw in grid
+                                      if abs(dw) < 0.005)
+    assert lm.beyond_grid == {0.01: True}
 
 
 def test_lock_scan_rows_grouped_by_eps(sl_basis):

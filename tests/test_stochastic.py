@@ -14,7 +14,7 @@ import planar_ppv as pp
 from planar_ppv import stochastic
 from planar_ppv.errors import (ArgumentError, InstabilityError,
                                InternalInconsistencyError)
-from planar_ppv.spline import PeriodicSpline
+from planar_ppv.spline import PeriodicSpline, _HornerKernel
 from planar_ppv.stochastic import NoiseModel, density_to_csv, ensemble_to_csv
 
 
@@ -127,15 +127,26 @@ def _reference_q(basis, noise):
 def _reference_paths(basis, noise, streams, t_end, dt, seed):
     """Stored times and psi of the paths ``streams``, each drawing one
     scalar increment per step (see _stream_draws) and stepping by
-    sqrt(max(q, 0)) dB, q from _reference_q."""
+    sqrt(max(q, 0)) dB.  q is _reference_q's interpolant, each piece
+    written as a cubic in the fractional knot coordinate u, coefficients
+    c[k] h^(3 - k) with h = T / n, and summed by Horner at
+    u = (psi + (t mod T)) n / T less its floor, on the piece that floor
+    mod n names."""
     n_steps = int(round(t_end / dt))
-    q = _reference_q(basis, noise)
+    c = _reference_q(basis, noise).c
+    n = c.shape[1]
     T = basis.cycle.T
+    h = T / n
+    rows = [c[k] * h ** (3 - k) for k in range(4)]
     dB = _stream_draws(streams, seed, (n_steps,), dt)
 
     def step(j, psi):
-        return psi + np.sqrt(np.maximum(q(np.mod(j * dt + psi, T)), 0.0)) \
-            * dB[:, j]
+        u = (psi + (j * dt) % T) * (n / T)
+        f = np.floor(u)
+        u -= f
+        i = np.remainder(f.astype(np.intp), n)
+        q = ((rows[0][i] * u + rows[1][i]) * u + rows[2][i]) * u + rows[3][i]
+        return psi + np.sqrt(np.maximum(q, 0.0)) * dB[:, j]
 
     return _record_paths(n_steps, dt, len(dB), step)
 
@@ -623,6 +634,53 @@ def test_negative_q_steps_by_zero(monkeypatch, sl_basis):
     ens = pp.simulate_sde_ensemble(sl_basis, NoiseModel.isotropic(0.05), 8,
                                    1.0, 0.01, seed=1)
     assert not np.any(ens.mean) and not np.any(ens.var)
+
+
+@pytest.mark.parametrize("kind", ["isotropic", "directional", "nine"])
+@pytest.mark.parametrize("basis_name", ["sl_basis", "vdp_basis",
+                                        "bruss_basis"])
+def test_q_kernel_matches_hermite_spline(request, basis_name, kind):
+    # the ensemble's read-out of q(t + psi) is SciPy's Hermite interpolant
+    # at np.mod(t % T + psi, T) to 1e-14 of max q for psi within a period
+    # of 0, at step times up to 2^40 steps; beyond, the bound grows with
+    # |psi| / T, as the rounding of (psi + t mod T) n / T does
+    basis = request.getfixturevalue(basis_name)
+    noise = _noise(kind)
+    reference = _reference_q(basis, noise)
+    T, dt = basis.cycle.T, 0.01
+    psi = _adversarial_phases(T, reference.x)
+    bound = (1e-14 * np.max(reference.c[3])
+             * np.maximum(1.0, np.abs(psi) / T))
+    amp = stochastic._diffusion_spline(basis, noise)
+    kernel = _HornerKernel(amp, psi.shape)
+    for t in (0.0, dt, 60.0, 1e4, 1e7, 2.0 ** 40 * dt):
+        want = reference(np.mod(t % T + psi, T))
+        assert np.all(np.abs(kernel(t, psi) - want) <= bound), t
+    with np.errstate(invalid="ignore"):
+        q = _HornerKernel(amp, (3,))(1e4, np.array(
+            [np.nan, 0.0, -np.nan]))
+    assert np.isnan(q[[0, 2]]).all() and np.isfinite(q[1])
+
+
+def test_ensemble_steps_without_the_generic_read_out(monkeypatch, sl_basis):
+    # q is read by the ensemble's own kernel: PeriodicSpline.values is
+    # called as often for 300 steps as for 3, only to build q
+    monkeypatch.setattr(stochastic, "_usable_cpus", lambda: 1)
+    values = PeriodicSpline.values
+    calls = []
+
+    def counting(self, *args, **kwargs):
+        calls.append(None)
+        return values(self, *args, **kwargs)
+
+    monkeypatch.setattr(PeriodicSpline, "values", counting)
+    counts = []
+    for n_steps in (3, 300):
+        calls.clear()
+        pp.simulate_sde_ensemble(sl_basis, NoiseModel.isotropic(0.05), 8,
+                                 n_steps * 0.01, 0.01, seed=1)
+        counts.append(len(calls))
+    assert counts[0] == counts[1] <= 1
 
 
 @pytest.mark.parametrize("kind", ["isotropic", "directional"])

@@ -3,8 +3,10 @@
 Reads the cycle's variational flow Phi(t, 0), integrated with the cycle,
 and integrates the adjoint equation (numeric perturbation projection
 vector, one backward period seeded from the monodromy's left
-eigenvector).  Deliberately shares no quadrature code with the
-closed-form module so the two routes stay independent.
+eigenvector).  The closed forms' b(t) and a(t) are other components of
+the same cycle flow, but Phi comes from the variational equation and b
+from the model's divergence, so the Liouville check det Phi = b still
+compares two routes; the adjoint period shares no code with either.
 """
 
 from dataclasses import dataclass

@@ -11,6 +11,10 @@ is what loads NumPy (``planar-ppv run``, ``python -m planar_ppv.cli``:
 ``import planar_ppv`` itself loads no NumPy), it first defaults each
 variable of ``_BLAS_THREAD_VARS`` to ``1``.  A value the caller set is
 kept, and a process that loaded NumPy earlier keeps its environment.
+
+Each stage module past the basis (``phase``, ``stochastic``,
+``isochron``, and ``svgplot`` for ``plot``) is imported where its stage
+runs, so a process compiles only the code its config uses.
 """
 
 import argparse
@@ -26,7 +30,7 @@ if "numpy" not in sys.modules:
 
 import numpy as np  # only after the BLAS thread defaults
 
-from . import adjoint, diliberto, isochron, phase, stochastic, svgplot
+from . import adjoint, diliberto
 from .config import load_config
 from .cycle import cycle_to_csv, find_cycle
 from .errors import ConfigError, PlanarPPVError
@@ -113,25 +117,29 @@ def run(config_path, outdir=None):
 
         if "ppv-fourier" in cfg.sections:
             stage = "ppv-fourier"
+            from . import phase
             K = cfg.sections["ppv-fourier"]["harmonics"]
             spec = phase.ppv_fourier(basis, K)
             save(phase.spectrum_to_csv, spec, "ppv_fourier.csv")
 
         if "lock-scan" in cfg.sections:
             stage = "lock-scan"
+            from . import phase
             p = cfg.sections["lock-scan"]
             grid = np.linspace(p["detuning_min"], p["detuning_max"],
                                p["detuning_n"])
             lm = phase.injection_lock_scan(basis, p["amp"], p["eps"], grid)
             save(phase.lockmap_to_csv, lm, "lock_scan.csv")
             for eps in p["eps"]:
-                summary.append(f"lock_boundary_eps_{_fmt(eps)}="
+                key = repr(float(eps))  # 0.005, where _fmt writes 17 digits
+                summary.append(f"lock_boundary_eps_{key}="
                                f"{_fmt(lm.boundaries[eps])}")
-                summary.append(f"lock_boundary_beyond_grid_eps_{_fmt(eps)}="
+                summary.append(f"lock_boundary_beyond_grid_eps_{key}="
                                f"{int(lm.beyond_grid[eps])}")
 
         if "noise" in cfg.sections:
             stage = "noise"
+            from . import stochastic
             p = cfg.sections["noise"]
             if p["kind"] == "isotropic":
                 nm = stochastic.NoiseModel.isotropic(p["sigma"])
@@ -161,6 +169,7 @@ def run(config_path, outdir=None):
 
         if "isochron" in cfg.sections:
             stage = "isochron"
+            from . import isochron
             p = cfg.sections["isochron"]
             rep = isochron.isochron_experiment(
                 basis, p["t_star"], p["offsets"], p["horizon"])
@@ -192,13 +201,18 @@ def main(argv=None):
 
     p_plot = sub.add_parser("plot", help="render a section CSV as SVG")
     p_plot.add_argument("csv")
-    p_plot.add_argument("--kind", required=True, choices=svgplot.PLOT_KINDS)
+    p_plot.add_argument("--kind", required=True,
+                        help="cycle, basis, lock, density or isochron")
     p_plot.add_argument("-o", "--output", required=True)
 
     args = parser.parse_args(argv)
     if args.command == "run":
         return run(args.config, outdir=args.outdir)
     if args.command == "plot":
+        from . import svgplot
+        if args.kind not in svgplot.PLOT_KINDS:
+            p_plot.error(f"argument --kind: invalid choice: {args.kind!r} "
+                         f"(choose from {', '.join(svgplot.PLOT_KINDS)})")
         try:
             svgplot.plot_svg(args.csv, args.kind, args.output)
         except (OSError, UnicodeDecodeError, PlanarPPVError) as exc:

@@ -13,14 +13,15 @@ and the reciprocal covectors
 
 are evaluated in closed form (alpha = a(T)/(b(T)-1) + a, beta = b/|f|^2).
 v1 is the perturbation projection vector: the T-periodic adjoint
-solution normalized by v1^T f = 1.
+solution normalized by v1^T f = 1.  The two quadratures are components
+of the cycle's own flow (``LimitCycle.integrals``), so the basis
+integrates nothing.
 """
 
 import warnings
 
 import numpy as np
 
-from . import ode
 from .errors import (ArgumentError, DegenerateCycleError,
                      InternalInconsistencyError)
 from .models import perp
@@ -34,34 +35,17 @@ __all__ = [
 ]
 
 _DEGENERATE_TOL = 1e-12
-_RTOL = 1e-12  # of the (I_div, I_a) quadrature
-
-
-def _quad_rhs(cycle):
-    """Right-hand side of the (I_div, I_a) quadrature pair along the cycle."""
-    model = cycle.model
-
-    def rhs(s, q):
-        x = cycle.point(s)
-        F = model.field(x)
-        A = model.jacobian(x)
-        Fp = perp(F)
-        n2 = F @ F
-        c = (F @ ((A + A.T) @ Fp)) / (n2 * n2)
-        return np.array([model.divergence(x), c * np.exp(q[0])])
-
-    return rhs
 
 
 class DilibertoBasis:
     """Sampled + evaluable closed-form basis along a limit cycle.
 
-    One augmented integration over [0, T] supplies dense a(t), b(t), the
-    monodromy matrix [[1, a(T)], [0, b(T)]] and the exponent mu2; all
-    vectors are evaluated from the closed forms through that dense
-    solution.  Values on a uniform grid (default n=1024) feed the CSV
-    dump, the oracle and the spectral kernel; ``projection(G)``
-    interpolates v1^T G(x0) on that grid for the phase and noise layers.
+    The cycle's dense flow supplies a(t), b(t), the monodromy matrix
+    [[1, a(T)], [0, b(T)]] and the exponent mu2; all vectors are
+    evaluated from the closed forms through that dense solution.  Values
+    on a uniform grid (default n=1024) feed the CSV dump, the oracle and
+    the spectral kernel; ``projection(G)`` interpolates v1^T G(x0) on that
+    grid for the phase and noise layers.
     """
 
     def __init__(self, cycle, n=1024):
@@ -69,9 +53,7 @@ class DilibertoBasis:
             raise ArgumentError(f"basis grid n = {n!r}; need an integer >= 16")
         self.cycle = cycle
         self.n = n
-        self._quad = ode.integrate(_quad_rhs(cycle), [0.0, 0.0], 0.0,
-                                   cycle.T, rtol=_RTOL, atol=1e-14)
-        IT = self._quad.final
+        IT = cycle.integrals_T
         self.b_T = float(np.exp(IT[0]))
         self.a_T = float(IT[1])
         if self.b_T <= 0.0:
@@ -91,7 +73,7 @@ class DilibertoBasis:
         self.ts = np.arange(n) * (cycle.T / n)
         # one array dense-output call: DOP853's Horner interpolant gives
         # every point the bits of a scalar call at that point
-        I = self._quad(self.ts)
+        I = cycle.integrals(self.ts)
         self.a_grid = I[1]
         self.b_grid = np.exp(I[0])
         x, F, u2, v1, v2, self.alpha_grid, self.beta_grid = \
@@ -116,7 +98,7 @@ class DilibertoBasis:
         a(t) = a(tau) b(T)^k + a(T) (b(T)^k - 1) / (b(T) - 1)."""
         t = np.asarray(t, dtype=float)
         k = np.floor(t / self.cycle.T)
-        I = self._quad(t - k * self.cycle.T)
+        I = self.cycle.integrals(t - k * self.cycle.T)
         bk = self.b_T ** k
         b = np.exp(I[0]) * bk
         a = I[1] * bk + self.a_T * (bk - 1.0) / (self.b_T - 1.0)

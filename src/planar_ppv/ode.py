@@ -3,9 +3,9 @@
 One pair serves every flow: Dormand-Prince 8(5,3) (Hairer, Norsett &
 Wanner, *Solving ODEs I*, II.4-II.6), with embedded error control and a
 7th-order dense output.  Its callers are the smooth planar flows (settle,
-Newton's augmented (x, Phi) flows, the last of which is the dense cycle,
-(div f, a) quadrature, adjoint oracle, batched isochron endpoints) at
-rtol 1e-10 to 1e-12, and the phase ODE (the psi path of
+Newton's augmented (x, Phi, div f, a) flows, the last of which is the
+dense cycle with its quadrature, adjoint oracle, batched isochron
+endpoints) at rtol 1e-10 to 1e-12, and the phase ODE (the psi path of
 ``simulate_phase`` and the lock scan's one-period map).
 
 The stepper, its step-size controller and first step, the dense output
@@ -24,7 +24,8 @@ Dense output is on by default; callers that read only the endpoint turn
 it off, as ``solve_ivp``'s ``dense_output=False`` does.  Each step's
 interpolant is the tuple (t_old, h, F, y_old); one :class:`Trajectory`
 holds them all and reads a scalar or an array of times with the same
-operations.
+operations, of the whole state or of a slice of its components (the
+cycle's x alone, say), with the same bits.
 """
 
 # The code below is derived from SciPy, under this notice:
@@ -111,9 +112,10 @@ class Trajectory:
     def t1(self):
         return self.ts[-1]
 
-    def __call__(self, t):
+    def __call__(self, t, components=slice(None)):
         """Dense-output evaluation at a scalar time, shape (dim,), or at a
-        1-D array of times, shape (dim, n)."""
+        1-D array of times, shape (dim, n); ``components``, a slice of the
+        state, reads only those rows, with the bits of a full read's."""
         if self.steps is None:
             raise ArgumentError("integrated with dense=False: only the "
                                 "step nodes ts, ys are kept")
@@ -121,7 +123,8 @@ class Trajectory:
         if is_scalar(t):
             t = float(t)
             k = bisect_left(self._ts_list, t)
-            return _interpolate(self.steps[min(max(k - 1, 0), last)], t)
+            return _interpolate(self.steps[min(max(k - 1, 0), last)], t,
+                                components)
         t = np.asarray(t, dtype=float)
         if t.ndim != 1:
             raise ArgumentError("dense output takes a scalar or a 1-D array "
@@ -131,11 +134,12 @@ class Trajectory:
         np.clip(segments, 0, last, out=segments)
         x = (t - self._t_old[segments]) / self._h[segments]
         o = 1 - x
-        y = np.zeros((self._y_old.shape[0], x.size))
-        for i, f in enumerate(self._F[::-1, :, segments]):
+        y_old = self._y_old[components, segments]
+        y = np.zeros(y_old.shape)
+        for i, f in enumerate(self._F[::-1, components, segments]):
             y += f
             y *= o if i % 2 else x
-        y += self._y_old[:, segments]
+        y += y_old
         return y
 
     @property
@@ -200,13 +204,13 @@ def is_scalar(t):
     return isinstance(t, float) or np.ndim(t) == 0
 
 
-def _interpolate(step, t):
+def _interpolate(step, t, components=slice(None)):
     """DOP853's interpolant on one step (t_old, h, F, y_old) at a Python
     float time, in Horner form in x and 1 - x: starting at 0.0, add F's
     rows from the last, multiplying by x and 1 - x in turn, then add
     y_old.  It runs per component on Python floats, which round each
     operation as NumPy's elementwise ufuncs do, without their per-call
-    overhead."""
+    overhead; ``components`` slices the state it reads."""
     t_old, h, F, y_old = step
     # unrolled over F's seven rows (three plus the four of D)
     x = (t - t_old) / h
@@ -215,7 +219,7 @@ def _interpolate(step, t):
         ((((((((0.0 + f6) * x + f5) * o + f4) * x + f3) * o + f2) * x
             + f1) * o + f0) * x + y0)
         for (f0, f1, f2, f3, f4, f5, f6), y0
-        in zip(F.T.tolist(), y_old.tolist())])
+        in zip(F.T[components].tolist(), y_old[components].tolist())])
 
 
 def _norm(x):

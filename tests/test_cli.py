@@ -259,6 +259,25 @@ def test_lock_boundary_beyond_grid_reported(tmp_path, detuning_max, beyond):
     assert kv["lock_boundary_beyond_grid_eps_0.01"] == beyond
 
 
+def test_lock_boundary_keys_name_eps_by_its_shortest_repr(tmp_path):
+    # eps = 0.005 printed with 17 digits is 0.0050000000000000001
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(SL_MINIMAL + "\n[lock-scan]\namp = 1.0 0.0\n"
+                   "eps = 0.005 0.01\ndetuning_min = -0.004\n"
+                   "detuning_max = 0.004\ndetuning_n = 5\n")
+    out = tmp_path / "out"
+    assert cli.run(str(cfg), outdir=str(out)) == 0
+    kv = read_summary(out)
+    assert sorted(k for k in kv if k.startswith("lock_boundary")) == [
+        "lock_boundary_beyond_grid_eps_0.005",
+        "lock_boundary_beyond_grid_eps_0.01",
+        "lock_boundary_eps_0.005", "lock_boundary_eps_0.01"]
+    assert float(kv["lock_boundary_eps_0.005"]) == pytest.approx(0.002)
+    assert kv["lock_boundary_beyond_grid_eps_0.005"] == "0"
+    assert float(kv["lock_boundary_eps_0.01"]) == pytest.approx(0.004)
+    assert kv["lock_boundary_beyond_grid_eps_0.01"] == "1"
+
+
 def test_full_pipeline(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(VDP_FULL)
@@ -613,7 +632,16 @@ def test_plot_unwritable_output_fails_in_one_line(tmp_path, capsys):
 
 
 def test_plot_unknown_kind_rejected(tmp_path, capsys):
-    import pytest
+    from planar_ppv.svgplot import PLOT_KINDS
 
-    with pytest.raises(SystemExit):
+    with pytest.raises(SystemExit) as exc:
         cli.main(["plot", "whatever.csv", "--kind", "pie", "-o", "x.svg"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "invalid choice: 'pie'" in err
+    # the kinds are checked once svgplot is imported; the help names them
+    assert all(kind in err for kind in PLOT_KINDS)
+    with pytest.raises(SystemExit):
+        cli.main(["plot", "--help"])
+    out = capsys.readouterr().out
+    assert all(kind in out for kind in PLOT_KINDS)

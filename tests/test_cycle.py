@@ -43,6 +43,32 @@ def test_cycle_point_periodicity(sl_cycle, vdp_cycle):
                                    atol=1e-10)
 
 
+def test_point_reads_the_flows_first_two_components(vdp_cycle):
+    # x alone is interpolated, with the bits of a full read of the
+    # 8-component flow, for scalar and array t, reduced mod T either way
+    T = vdp_cycle.T
+    ts = np.concatenate([np.random.default_rng(3).uniform(-T, 3 * T, 64),
+                         vdp_cycle.nodes[0], [0.0, T]])
+    full = vdp_cycle._traj(np.mod(ts, T))
+    assert full.shape == (8, ts.size)
+    point = vdp_cycle.point(ts)
+    np.testing.assert_array_equal(point.view(np.int64),
+                                  full[:2].view(np.int64))
+    for t, x in zip(ts, full[:2].T):
+        for scalar in (float(t), np.float64(t), np.asarray(t)):
+            np.testing.assert_array_equal(
+                vdp_cycle.point(scalar).view(np.int64), x.view(np.int64))
+
+
+def test_flow_into_a_fixed_point_stops_there():
+    # vdp at mu < 0 has a stable focus and no stable cycle: Newton's first
+    # flow, whose a(t) integrand divides by |f|^4, stops where |f| falls
+    # below the settle's fixed-point bound, not at the search's horizon
+    model = pp.get_model("vanderpol", mu=-1.0)
+    with pytest.raises(NoOscillationError, match="fixed point"):
+        pp.find_cycle(model, (0.5, 0.0), settle_time=0.5)
+
+
 def test_closure_invariant(sl_cycle, vdp_cycle):
     for cyc in (sl_cycle, vdp_cycle):
         # the dense cycle just before T, where point() does not wrap to 0

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 import planar_ppv as pp
-from planar_ppv import diliberto
+from planar_ppv import diliberto, ode
 from planar_ppv.diliberto import basis_to_csv
-from planar_ppv.errors import (ArgumentError, DegenerateCycleError,
+from planar_ppv.errors import (ArgumentError, CycleNotFoundError,
+                               DegenerateCycleError,
                                InternalInconsistencyError)
 from planar_ppv.models import OscillatorModel, perp
 from planar_ppv.stochastic import NoiseModel
@@ -196,14 +197,58 @@ def test_methods_reproduce_grid_rows(sl_basis, vdp_basis):
     ("stuart_landau", {}, (0.5, 0.0)),
     ("brusselator", {}, (1.5, 3.0))])
 def test_grid_equals_scalar_quadrature_calls(name, params, guess):
-    # the grid's one array call on the quadrature gives each row the bits
-    # of a scalar call at that time
+    # the grid's one array call on the cycle's integrals gives each row the
+    # bits of a scalar call at that time
     cycle = pp.find_cycle(pp.get_model(name, **params), guess,
                           settle_time=30.0)
     basis = pp.DilibertoBasis(cycle)
-    I = np.array([basis._quad(float(t)) for t in basis.ts])
+    I = np.array([cycle.integrals(float(t)) for t in basis.ts])
     np.testing.assert_array_equal(basis.a_grid, I[:, 1])
     np.testing.assert_array_equal(basis.b_grid, np.exp(I[:, 0]))
+
+
+def test_basis_integrates_nothing(monkeypatch, vdp_cycle):
+    # a(t), b(t), a(T) and b(T) are components of the cycle's own flow
+    def no_integration(*args, **kwargs):
+        raise AssertionError("the basis integrated")
+
+    monkeypatch.setattr(ode, "integrate", no_integration)
+    basis = pp.DilibertoBasis(vdp_cycle)
+    basis.v1(np.linspace(-1.0, 20.0, 7))
+    basis.a(3.0)
+    basis.b(3.0)
+
+
+@pytest.mark.parametrize("name, params, guess", [
+    ("vanderpol", {"mu": 1.0}, (2.0, 0.0)),
+    ("brusselator", {}, (1.5, 3.0))])
+def test_quadratures_match_scipy_along_the_dense_cycle(name, params, guess):
+    # an independent quadrature of (int div f, a) on SciPy's DOP853 along
+    # the cycle's dense x0(t), on NumPy products of its own
+    from scipy.integrate import solve_ivp
+
+    cycle = pp.find_cycle(pp.get_model(name, **params), guess,
+                          settle_time=30.0)
+    model = cycle.model
+
+    def rhs(t, q):
+        x = cycle.point(t)
+        F = model.field(x)
+        A = model.jacobian(x)
+        c = F @ (A + A.T) @ perp(F) / (F @ F) ** 2
+        return [model.divergence(x), c * np.exp(q[0])]
+
+    basis = pp.DilibertoBasis(cycle)
+    ref = solve_ivp(rhs, (0.0, cycle.T), [0.0, 0.0], method="DOP853",
+                    rtol=1e-12, atol=1e-14, dense_output=True)
+    assert ref.success
+    I_ref = ref.sol(basis.ts)
+    b_ref = np.exp(I_ref[0])
+    a_scale = max(1.0, np.max(np.abs(I_ref[1])))
+    assert np.max(np.abs(basis.a_grid - I_ref[1])) <= 1e-10 * a_scale
+    assert np.max(np.abs(basis.b_grid / b_ref - 1.0)) <= 1e-10
+    assert abs(basis.a_T - ref.y[1, -1]) <= 1e-10 * a_scale
+    assert abs(basis.b_T / np.exp(ref.y[0, -1]) - 1.0) <= 1e-10
 
 
 def test_normalization_defect_at_rounding_level(sl_basis, vdp_basis):
@@ -394,6 +439,12 @@ def test_underflowing_multiplier_rejected():
     # exp(2 pi * -200) underflows to 0: b(T) <= 0 is a quadrature blow-up
     with pytest.raises(InternalInconsistencyError):
         pp.DilibertoBasis(rotation_cycle(-200.0))
+
+
+def test_overflowing_multiplier_rejected():
+    # exp(2 pi * 200) overflows: the flow's b(t) leaves the float range
+    with pytest.raises(CycleNotFoundError, match="overflows"):
+        rotation_cycle(200.0)
 
 
 def test_unstable_cycle_warns():

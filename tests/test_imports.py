@@ -80,6 +80,41 @@ except AttributeError as exc:
         "module 'planar_ppv' has no attribute 'no_such_name'"]
 
 
+_SL_RUN = """[model]
+name = stuart_landau
+
+[cycle]
+guess = 1.0 0.0
+settle_time = 0.0
+
+[verify]
+tol = 1e-6
+"""
+
+
+def _stage_modules_after_run(tmp_path, config):
+    """The stage modules a fresh ``planar_ppv.cli main run`` has loaded."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(config)
+    code = ("import sys\nfrom planar_ppv import cli\n"
+            f"assert cli.main(['run', {str(cfg)!r}, '-o', "
+            f"{str(tmp_path / 'out')!r}]) == 0\n"
+            "print(sorted(m for m in ('phase', 'stochastic', 'isochron', "
+            "'svgplot') if 'planar_ppv.' + m in sys.modules))")
+    return _fresh(code)
+
+
+def test_run_loads_only_the_stage_modules_its_config_uses(tmp_path):
+    # each stage module is imported where its stage runs, so a
+    # cycle-basis-verify run compiles none of them
+    assert _stage_modules_after_run(tmp_path, _SL_RUN) == "[]"
+    lock_scan = ("\n[lock-scan]\namp = 1.0 0.0\neps = 0.01\n"
+                 "detuning_min = -0.004\ndetuning_max = 0.004\n"
+                 "detuning_n = 3\n")
+    assert (_stage_modules_after_run(tmp_path, _SL_RUN + lock_scan)
+            == "['phase']")
+
+
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task")
                     or (os.cpu_count() or 1) < 2,
                     reason="needs /proc and two CPUs for a BLAS thread")

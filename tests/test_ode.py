@@ -270,13 +270,14 @@ def test_event_needs_dense_output(rhs, p):
                       atol=1e-13, event=section, dense=False)
 
 
-def assert_scalar_path_matches_array(traj, rng):
+def assert_scalar_path_matches_array(traj, rng, components=slice(None)):
     """Scalar times take each step's Python-float Horner, arrays one
     gathered Horner over every time's own step; the array must give the
-    bits of each step's own scalar interpolant.  The times are random and
-    unsorted, with duplicates, every step boundary, and times before
-    ts[0] and after ts[-1], which the clamps send to the first and last
-    step."""
+    bits of each step's own scalar interpolant, and a read of a slice of
+    ``components`` the bits of those rows of a full read.  The times are
+    random and unsorted, with duplicates, every step boundary, and times
+    before ts[0] and after ts[-1], which the clamps send to the first and
+    last step."""
     ts = traj.ts
     span = ts[-1] - ts[0]
     inner = rng.uniform(ts[0], ts[-1], 200)
@@ -284,34 +285,38 @@ def assert_scalar_path_matches_array(traj, rng):
                             [ts[0] - 0.01 * span, ts[0] - span,
                              ts[-1] + 0.01 * span, ts[-1] + span]])
     rng.shuffle(times)
-    scalar = [traj(float(t)) for t in times]
-    ys = traj(times)
-    assert ys.shape == (traj.ys.shape[1], len(times))
+    scalar = [traj(float(t), components) for t in times]
+    ys = traj(times, components)
+    assert ys.shape == (len(range(traj.ys.shape[1])[components]),
+                        len(times))
     assert ys.flags.c_contiguous
+    assert_bits(ys, traj(times)[components])
     steps = np.clip(np.searchsorted(ts, times, side="left") - 1, 0,
                     len(ts) - 2)
     for t, k, y, y_scalar in zip(times, steps, ys.T, scalar):
         assert_bits(y, y_scalar)
-        assert_bits(traj(float(t)), y)
-        assert_bits(traj(np.float64(t)), y)
-        assert_bits(traj(np.asarray(t)), y)
-        assert_bits(ode._interpolate(traj.steps[k], float(t)), y)
+        assert_bits(traj(float(t))[components], y)
+        assert_bits(traj(np.float64(t), components), y)
+        assert_bits(traj(np.asarray(t), components), y)
+        assert_bits(ode._interpolate(traj.steps[k], float(t), components), y)
     inside = rng.uniform(ts[:-1], ts[1:])  # one time inside each step
-    for step, t, y in zip(traj.steps, inside, traj(inside).T):
-        assert_bits(ode._interpolate(step, float(t)), y)
+    for step, t, y in zip(traj.steps, inside, traj(inside, components).T):
+        assert_bits(ode._interpolate(step, float(t), components), y)
 
 
 def test_scalar_dense_output_matches_array_on_cycle_flow(vdp_cycle):
-    # the cycle's 6-dim (x, Phi) flow: cycle.point and cycle.phi
-    assert vdp_cycle._traj.ys.shape[1] == 6
+    # the cycle's 8-dim (x, Phi, I_div, I_a) flow: cycle.point, cycle.phi
+    # and cycle.integrals
+    assert vdp_cycle._traj.ys.shape[1] == 8
     assert_scalar_path_matches_array(vdp_cycle._traj,
                                      np.random.default_rng(5))
 
 
-def test_scalar_dense_output_matches_array_on_quadrature(vdp_basis):
-    # the (div f, a) quadrature behind a(t), b(t) and the basis grid
-    assert_scalar_path_matches_array(vdp_basis._quad,
-                                     np.random.default_rng(6))
+def test_scalar_dense_output_matches_array_on_quadrature(vdp_cycle):
+    # the flow's (div f, a) components behind a(t), b(t) and the basis grid
+    assert_scalar_path_matches_array(vdp_cycle._traj,
+                                     np.random.default_rng(6),
+                                     components=slice(6, 8))
 
 
 def test_scalar_dense_output_matches_array_on_adjoint_flow(vdp_cycle,

@@ -85,10 +85,11 @@ def test_traced_run_reaches_the_traced_layers(tracer, tmp_path):
     assert {"cycle.find_cycle", "adjoint.verify"} <= {
         span["name"] for span in trace.spans}
     assert trace.totals["adjoint.state_transition_calls"] == 1
-    # settle, one (x, Phi) flow per Newton iteration (the first ends at
-    # the first return), the basis quadrature and the adjoint period
+    # settle, one (x, Phi, I_div, I_a) flow per Newton iteration (the
+    # first ends at the first return; the last carries the basis
+    # quadrature) and the adjoint period
     assert (trace.totals["ode.integrate_calls"]
-            == 3 + trace.totals["cycle.newton_iters"])
+            == 2 + trace.totals["cycle.newton_iters"])
 
 
 def test_traced_isochron_stage_is_one_integration(tracer, tmp_path):
@@ -107,6 +108,7 @@ def test_traced_isochron_stage_is_one_integration(tracer, tmp_path):
         undo()
     assert "isochron.experiment" in {span["name"] for span in trace.spans}
     # settle, one flow per Newton iteration (the first ends at the first
-    # return), quadrature, adjoint period and the one batched isochron flow
+    # return; the last carries the quadrature), adjoint period and the one
+    # batched isochron flow
     assert (trace.totals["ode.integrate_calls"]
-            == 4 + trace.totals["cycle.newton_iters"])
+            == 3 + trace.totals["cycle.newton_iters"])

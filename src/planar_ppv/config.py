@@ -246,8 +246,11 @@ def _check_cross_keys(sections, grid, lines):
         return
     if sections["noise"]["kind"] == "isotropic":
         raise ConfigError("'direction' needs kind = directional", line=line)
-    if np.linalg.norm(sections["noise"]["direction"]) == 0:
-        raise ConfigError("bad value for 'direction': zero vector", line=line)
+    with np.errstate(over="ignore"):  # NoiseModel.directional's test
+        norm = np.linalg.norm(sections["noise"]["direction"])
+    if not (norm > 0 and np.isfinite(norm)):
+        raise ConfigError("bad value for 'direction': its norm must be finite "
+                          "and nonzero", line=line)
 
 
 def load_config(path):

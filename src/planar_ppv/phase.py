@@ -15,7 +15,8 @@ point locks 1:1 iff D(theta) = Psi(theta) - theta - (T - T_inj) changes
 sign, and an unlocked point's shift is the map's rotation number, a
 smooth-weighted Birkhoff average (Das et al., Nonlinearity 30, 2017).
 The lock scan evaluates the map at _MAP_PHASES phases for every detuning
-of an eps row as one vectorized state over one forcing period.
+of an eps row as one vectorized state over one forcing period, reading
+the projection through ``spline._HornerKernel``.
 """
 
 import math
@@ -25,7 +26,7 @@ import numpy as np
 
 from . import ode
 from .errors import ArgumentError
-from .spline import PeriodicSpline
+from .spline import PeriodicSpline, _HornerKernel
 
 __all__ = ["Perturbation", "PhasePath", "PPVSpectrum", "simulate_phase",
            "ppv_fourier", "injection_lock_scan", "LockMap", "spectrum_to_csv",
@@ -127,17 +128,18 @@ def _period_map(proj, T, eps, omega_inj):
 
     Psi is the map of psi over one forcing period.  Every detuning's M
     phases are one (n * M,) state integrated over s in [0, 1], t = s T_inj,
-    so the whole row shares one step sequence.  Returns D as (n, M).
+    so the whole row shares one step sequence and one read-out kernel.
+    Returns D as (n, M).
     """
     n, M = len(omega_inj), _MAP_PHASES
     t_inj = (2.0 * np.pi / omega_inj)[:, None]
     theta = np.arange(M) * (T / M)
     scale = eps * t_inj
+    read = _HornerKernel(proj, (n, M))
 
     def rhs(s, psi):
-        psi = psi.reshape(n, M)
         return (scale * np.cos(2.0 * np.pi * s)
-                * proj.values(s * t_inj + psi)[0]).ravel()
+                * read(s * t_inj, psi.reshape(n, M))).ravel()
 
     traj = ode.integrate(rhs, np.tile(theta, n), 0.0, 1.0, rtol=_MAP_RTOL,
                          atol=1e-12, dense=False)

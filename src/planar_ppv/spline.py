@@ -12,16 +12,16 @@ for given slopes, the pieces of ``scipy.interpolate.CubicHermiteSpline(x,
 y, dydx)``.  The read-out
 ``values`` is SciPy's ``__call__`` with the channel axis moved first,
 shaped (m,) + theta's shape (m = 1 for a scalar function): theta is
-reduced mod the period (the first knot is 0) to the bits of ``np.mod``,
-which wide arrays of phases in [0, 2^25 T) reach by an exact two-part
-reduction, and the interval comes from one multiply on the uniform
-grid, corrected by one knot comparison each way and closed on the right
-as SciPy closes its last interval, and each cubic is summed in ascending
-powers from +0.0, as ``PPoly.__call__`` sums it, so the values equal
-SciPy's to the bit as well, signed zeros included.  ``_HornerKernel``
-is a cheaper read-out of a scalar spline for the SDE's step, a Horner
-sum in the fractional knot coordinate, exact to rounding but not to
-SciPy's bits.
+reduced by ``np.mod`` mod the period (the first knot is 0), the interval
+comes from one multiply on the uniform grid, corrected by one knot
+comparison each way and closed on the right as SciPy closes its last
+interval, and each cubic is summed in ascending powers from +0.0, as
+``PPoly.__call__`` sums it, so the values equal SciPy's to the bit as
+well, signed zeros included.  It serves construction and library reads.
+``_HornerKernel`` is the read-out of every per-step caller (the SDE's
+q, the lock map's projection, the Fokker-Planck solver's v and its
+slope), a Horner sum in the fractional knot coordinate into buffers
+allocated once, exact to rounding but not to SciPy's bits.
 """
 
 # The interpolant's construction is derived from SciPy, under this
@@ -62,24 +62,11 @@ SciPy's bits.
 # of California Berkeley, Univ. of Colorado Denver and NAG Ltd.), which
 # is distributed under the same three-clause BSD terms.
 
-import math
-
 import numpy as np
 
 from .errors import InternalInconsistencyError
 
 __all__ = ["PeriodicSpline"]
-
-# Arrays of at least this many phases are reduced mod T by the exact
-# two-part reduction of PeriodicSpline._mod_period, narrower ones by
-# np.mod: on a 2-vCPU x86_64 host np.mod and the reduction took 6 and
-# 15 us at 256 phases, 18-22 and 12-20 us at 1,024 and 75-81 and 27 us
-# at 4,096 (timeit, phases in [0, 1e3 T)).  A lock map of 4 detunings
-# x 64 phases stays on np.mod; one of 25 x 64 takes the reduction.  The
-# wide callers are the Fokker-Planck blocks (7,680 half-point phases,
-# once none is negative) and the README's lock map (1,600 phases); the
-# SDE reads its q through _HornerKernel.
-_WIDE_MOD_MIN = 1024
 
 
 def _uniform_knots(x):
@@ -108,11 +95,6 @@ class PeriodicSpline:
         n = self.x.size - 1
         self._x_next, self._n, self._T = self.x[1:], n, float(self.x[-1])
         self._scale = n / self._T
-        # T = T_hi + T_lo, T_hi holding T's top 26 significant bits
-        mant, exp = math.frexp(self._T)
-        self._T_hi = math.ldexp(math.floor(math.ldexp(mant, 26)), exp - 26)
-        self._T_lo = self._T - self._T_hi
-        self._inv_T, self._wide_max = 1.0 / self._T, 2.0 ** 25 * self._T
         # the derivative's pieces, as PPoly.derivative forms them
         factor = np.arange(c.shape[0] - 1, 0, -1, dtype=float)
         dc = c[:-1] * factor[(slice(None),) + (None,) * (c.ndim - 1)]
@@ -140,7 +122,7 @@ class PeriodicSpline:
         stacked as (m,) + theta's shape, m = 1 for a scalar function.  With
         ``derivative``, the pair (function, derivative) from one interval
         search."""
-        th = self._mod_period(np.asarray(theta, dtype=float))
+        th = np.mod(np.asarray(theta, dtype=float), self._T)
         scalar = np.ndim(th) == 0
         if scalar:
             th = np.reshape(th, 1)
@@ -159,76 +141,75 @@ class PeriodicSpline:
             out = [v[:, 0] for v in out]
         return out if derivative else out[0]
 
-    def _mod_period(self, theta):
-        """np.mod(theta, T) to the bit.
-
-        np.mod of theta >= 0 is the exact remainder theta - k T, k =
-        floor(theta / T).  For 0 <= theta < 2^25 T, k has at most 26
-        bits, so k T_hi and k T_lo are exact products and both
-        differences are exact wherever k is right.  Next to a multiple of
-        T the float quotient can misjudge k by one; the remainder then
-        falls outside [0, T), and those phases are reduced by np.mod.
-        """
-        if theta.size < _WIDE_MOD_MIN or not (
-                0.0 <= theta.min() and theta.max() < self._wide_max):
-            return np.mod(theta, self._T)
-        k = theta * self._inv_T
-        np.floor(k, out=k)
-        r = k * self._T_hi
-        np.subtract(theta, r, out=r)
-        k *= self._T_lo
-        r -= k
-        if not (0.0 <= r.min() and r.max() < self._T):
-            off = (r < 0.0) | (r >= self._T)
-            r[off] = np.mod(theta[off], self._T)
-        return r
-
 
 class _HornerKernel:
-    """A scalar cubic :class:`PeriodicSpline` at t + psi for phases psi of
-    one shape, read into a buffer that the next call overwrites: the
-    SDE's read-out of its diffusion coefficient, once per step.
+    """A cubic :class:`PeriodicSpline` of m channels at t + psi, read into
+    buffers that the next call overwrites: the read-out of every per-step
+    caller, the SDE's q, the lock map's projection and the Fokker-Planck
+    solver's v with its slope.
 
     Row k holds the pieces' c[k] h^(3 - k), h = T / n, so each piece is
     a cubic in the fractional knot coordinate u = (theta - x[i]) / h and
-    a read-out is a Horner sum over four gathers.  t is first reduced mod
-    T as a Python float, so theta = psi + (t mod T) stays near [0, T)
-    whatever t, and u = theta n / T gives the piece as its floor mod n,
-    which also wraps negative phases.  The value is the spline's to
-    rounding, not ``values``' bits: within 1e-14 of its maximum at
+    a read-out is a Horner sum over four gathers; the derivative's rows
+    are (3 - k) c[k] h^(2 - k).  t, a number or an array of times
+    broadcast over the leading axes of ``shape`` (k rows fill the
+    buffers' first k), is first reduced mod T, a number as a Python
+    float, so theta = psi + (t mod T) stays near [0, T) whatever t, and
+    u = theta n / T gives the piece as its floor mod n, which also wraps
+    negative phases.  A read-out is shaped ``shape`` (its first k rows)
+    for a scalar spline and (m,) + that for m channels, and with
+    ``derivative`` it is the pair (function, derivative).  It is the
+    spline's to rounding, not ``values``' bits: within 1e-14 of its
+    maximum plus 2^-51 T max |slope| (the rounding of theta n / T) at
     times up to 2^40 * 0.01 for |psi| <= T, the bound growing as
-    |psi| / T beyond, with the rounding of theta n / T.  A NaN psi reads
-    NaN.
+    |psi| / T beyond.  A NaN psi reads NaN.
     """
 
-    def __init__(self, spline, shape):
+    def __init__(self, spline, shape, derivative=False):
         n, T = spline._n, spline._T
         h = T / n
-        self._rows = [ck * h ** (3 - k)
-                      for k, ck in enumerate(spline.c.reshape(4, n))]
+        c = np.moveaxis(spline.c, 1, -1).copy()  # (4, n) or (4, m, n)
+        self._rows = [[ck * h ** (3 - k) for k, ck in enumerate(c)]]
+        if derivative:
+            self._rows.append([(3 - k) * ck * h ** (2 - k)
+                               for k, ck in enumerate(c[:3])])
         self._T, self._n, self._scale = T, n, spline._scale
-        self._u, self._q, self._term = (np.empty(shape) for _ in range(3))
+        channels = c.shape[1:-1] + tuple(shape)
+        self._lead = (slice(None),) * (c.ndim - 2)  # the channel axis
+        self._outs = [np.empty(channels) for _ in self._rows]
+        self._term = np.empty(channels)
+        self._u, self._f = np.empty(shape), np.empty(shape)
         self._i, self._k = (np.empty(shape, dtype=np.intp) for _ in range(2))
 
     def __call__(self, t, psi):
-        u, i, k, q, term = self._u, self._i, self._k, self._q, self._term
-        np.add(psi, t % self._T, out=u)
+        u, f, i, k, term, outs = (self._u, self._f, self._i, self._k,
+                                  self._term, self._outs)
+        if isinstance(t, np.ndarray):
+            r = len(t)
+            u, f, i, k = u[:r], f[:r], i[:r], k[:r]
+            cut = self._lead + (slice(r),)
+            term, outs = term[cut], [q[cut] for q in outs]
+            t = np.mod(t, self._T)
+        else:
+            t = t % self._T
+        np.add(psi, t, out=u)
         u *= self._scale
-        np.floor(u, out=term)
-        u -= term
-        i[...] = term
+        np.floor(u, out=f)
+        u -= f
+        i[...] = f
         # i mod n as i - n (i // n): NumPy 2.4 divides by a scalar through
         # libdivide in floor_divide, not in remainder (cast and wrap take
         # 12 against 20 us at 4,096 phases on a 2-vCPU x86_64 host)
         np.floor_divide(i, self._n, out=k)
         k *= self._n
         i -= k
-        self._rows[0].take(i, out=q, mode="clip")
-        for row in self._rows[1:]:
-            q *= u
-            row.take(i, out=term, mode="clip")
-            q += term
-        return q
+        for rows, q in zip(self._rows, outs):  # Horner's rule
+            rows[0].take(i, axis=-1, out=q, mode="clip")
+            for row in rows[1:]:
+                q *= u
+                row.take(i, axis=-1, out=term, mode="clip")
+                q += term
+        return outs if len(outs) > 1 else outs[0]
 
 
 def _power_rows(c, n):

@@ -10,10 +10,12 @@ channel interpolant v, in the density equation
 dp/dt = d/dpsi[ (v dv^T/dpsi) p + (1/2) v^T v dp/dpsi ].  The SDE's q
 interpolates that v^T v and its slope at _Q_REFINE knots per basis-grid
 interval, so the two no longer agree by construction but to the
-distance between q and v^T v (see _Q_REFINE).  Each step reads q for
-every path through ``spline._HornerKernel``, a Horner sum over q's
-pieces in the fractional knot coordinate, not through
-``PeriodicSpline.values``, whose SciPy bits the SDE does not need.
+distance between q and v^T v (see _Q_REFINE).  Each SDE step reads q
+for every path, and each block of Fokker-Planck steps reads v and its
+slope, through ``spline._HornerKernel``, a Horner sum over the pieces in
+the fractional knot coordinate, not through ``PeriodicSpline.values``,
+whose SciPy bits neither needs; ``values`` builds q and serves the
+stability bound and ``diffusion_summary``.
 
 The ensemble's paths come in blocks of _PATH_BLOCK, each block one Wiener
 stream ``default_rng([seed, block index])``.  A chunk's increments for
@@ -31,11 +33,11 @@ statistics do not depend on which process drew.
 that child too: a block at a time while the parent has not yet freed the
 slot the next chunk goes into, then to its end after the last chunk, and
 its value or exception comes back pickled.  ``planar-ppv run`` passes the
-Fokker-Planck solve, so the parent only steps paths.  Its blocks are
-small enough for their temporaries to stay off the allocator's mmap
-path, and short enough for the child to turn back to drawing soon after
-a slot is free.  Drawn in-process, the job is left to the caller, who
-finishes it after the ensemble.
+Fokker-Planck solve, so the parent only steps paths.  Its blocks read
+into buffers allocated once per solve, and are short enough for the
+child to turn back to drawing soon after a slot is free.  Drawn
+in-process, the job is left to the caller, who finishes it after the
+ensemble.
 """
 
 import contextlib
@@ -80,7 +82,8 @@ class NoiseModel:
     def directional(cls, sigma, direction):
         """Single-channel noise of intensity sigma along a fixed direction."""
         d = np.asarray(direction, dtype=float)
-        nd = np.linalg.norm(d)
+        with np.errstate(over="ignore"):  # an overflow fails the test below
+            nd = np.linalg.norm(d)
         if not (nd > 0 and math.isfinite(nd)):
             raise ArgumentError("noise direction must be finite and nonzero")
         d = d / nd
@@ -120,13 +123,12 @@ _N_STORE = 201  # times at which the ensemble records its mean and variance
 # phases costs the same as at 1 (56-59 us).
 _Q_REFINE = 8
 # Half-point evaluations, steps x (cells - 1), per block of Fokker-Planck
-# steps: 16 steps at 481 cells.  A block's spline terms are (channels,
-# steps, cells - 1) arrays, 120 KiB each at 2 channels, under glibc's
-# initial 128 KiB mmap threshold, so the allocator reuses heap memory for
-# them instead of mapping, faulting and unmapping each one every block.
-# Blocks of 128 steps (0.5 MB terms) run between the ensemble's chunks
-# raised the noise workload's peak RSS from 50.9 to 57.5 MB (x86_64 Linux,
-# two-channel slots, the solve then in the parent).
+# steps: 16 steps at 481 cells.  A block's spline terms are read into the
+# buffers of one _HornerKernel allocated per solve, (channels, steps,
+# cells - 1) arrays of 120 KiB each at 2 channels, and the last, partial
+# block reads into their first rows.  The block length sets the buffers'
+# size and how often a forked drawer running the solve can turn back to
+# drawing.
 _FP_BLOCK_POINTS = 16 * 480
 
 
@@ -169,16 +171,17 @@ def _diffusion_spline(basis, noise):
     2 * drift = 2 v dv^T/dpsi at _Q_REFINE knots per basis-grid
     interval."""
     knots = np.linspace(0.0, basis.cycle.T, _Q_REFINE * basis.ts.size + 1)
-    drift, diff = _fp_coefficients(basis.projection(noise.G), knots)
+    drift, diff = _fp_coefficients(
+        *basis.projection(noise.G).values(knots, derivative=True))
     return PeriodicSpline.hermite(knots, 2.0 * diff, 2.0 * drift)
 
 
-def _fp_coefficients(spline, theta):
-    """The drift v dv^T/dpsi and diffusion (1/2) v^T v at theta, summed
-    over the channels by :func:`_channel_dot`.  The drift then adds +0.0,
-    so that below 8 channels it is np.sum's to the bit: a drift of -0.0
-    products reads +0.0.  A sum of squares is never -0.0."""
-    v, dv = spline.values(theta, derivative=True)
+def _fp_coefficients(v, dv):
+    """The drift v dv^T/dpsi and diffusion (1/2) v^T v of channel values
+    v and slopes dv, summed by :func:`_channel_dot` in place in v and dv.
+    The drift then adds +0.0, so that below 8 channels it is np.sum's to
+    the bit: a drift of -0.0 products reads +0.0.  A sum of squares is
+    never -0.0."""
     drift = _channel_dot(dv, v)
     drift += 0.0
     diff = _channel_dot(v, v)
@@ -410,13 +413,15 @@ def solve_fp(basis, noise, psi_grid, t_end, dt, init_width=None,
 
     Drift coefficient v dv^T/dpsi comes from the analytic derivative of
     the periodic interpolant; diffusion is second-order central.  The
-    initial condition is a narrow Gaussian at psi = 0; far boundaries
-    are absorbing (place them >= 8 predicted standard deviations out).
+    initial condition is a Gaussian at psi = 0 of standard deviation
+    ``init_width``, finite and > 0 (4 dpsi when None); far boundaries are
+    absorbing (place them >= 8 predicted standard deviations out).
 
     ``dt`` is an upper bound: the step is t_end / n for the smallest n >= 1
     whose step does not exceed min(dt, 0.4 dpsi^2 / max v^T v), the
     stability limit of the scheme, so the last snapshot falls on t_end.
-    A density below -1e-12 after any step raises ``InstabilityError``.
+    A density below -1e-12 or NaN after any step raises
+    ``InstabilityError``.
     """
     return _Background(_fp_blocks(basis, noise, psi_grid, t_end, dt,
                                   init_width, n_store)).result()
@@ -437,16 +442,21 @@ def _fp_blocks(basis, noise, psi_grid, t_end, dt, init_width=None,
         raise ArgumentError("dt must be positive")
     psi = np.asarray(psi_grid, dtype=float)
     d = np.diff(psi)
-    if psi.size < 8 or not np.allclose(d, d[0], rtol=1e-10, atol=0):
-        raise ArgumentError("psi grid must be uniform")
+    if (psi.size < 8 or not d[0] > 0
+            or not np.allclose(d, d[0], rtol=1e-10, atol=0)):
+        raise ArgumentError("psi grid must be uniform and increasing")
     dpsi = float(d[0])
+    w = 4.0 * dpsi if init_width is None else init_width
+    if not (w > 0 and math.isfinite(w)):  # NaN fails too
+        raise ArgumentError("init_width must be finite and positive")
 
-    spline = basis.projection(noise.G)
+    # a (2,) G as one channel: the kernel reads a scalar spline without
+    # the channel axis that the block's sums run over
+    spline = basis.projection(lambda x: np.reshape(noise.G(x), (2, -1)))
     vsq_max = float(np.max(_diffusion(spline, basis.ts)))
     if vsq_max > 0:
         dt = min(dt, 0.4 * dpsi ** 2 / vsq_max)
 
-    w = init_width if init_width is not None else 4.0 * dpsi
     p = np.exp(-0.5 * (psi / w) ** 2)
     p /= np.sum(p) * dpsi
 
@@ -456,11 +466,12 @@ def _fp_blocks(basis, noise, psi_grid, t_end, dt, init_width=None,
 
     half = psi[:-1] + 0.5 * dpsi
     block = max(1, _FP_BLOCK_POINTS // half.size)
+    read = _HornerKernel(spline, (block, half.size), derivative=True)
     ts_out, p_out = [0.0], [p.copy()]
     for j0 in range(0, n_steps, block):
         # v dv^T/dpsi and (1/2) v^T v at the half points of a block of steps
         steps = np.arange(j0, min(j0 + block, n_steps))
-        drifts, diffs = _fp_coefficients(spline, (steps * dt)[:, None] + half)
+        drifts, diffs = _fp_coefficients(*read((steps * dt)[:, None], half))
         for j, drift, diff in zip(steps.tolist(), drifts, diffs):
             t = j * dt
             # flux J_{i+1/2} = -[ drift * p_half + diff * dp/dpsi ]
@@ -470,9 +481,10 @@ def _fp_blocks(basis, noise, psi_grid, t_end, dt, init_width=None,
             p[0] = 0.0   # absorbing far boundaries
             p[-1] = 0.0
             p_min = np.min(p)
-            if p_min < -1e-12:
+            if not p_min >= -1e-12:  # NaN fails too
                 raise InstabilityError(
-                    f"negative density {p_min:.3e} at t = {t + dt:g}")
+                    f"{'negative' if p_min < 0 else 'NaN'} density "
+                    f"{p_min:.3e} at t = {t + dt:g}")
             if (j + 1) in store_idx:
                 ts_out.append((j + 1) * dt)
                 p_out.append(p.copy())

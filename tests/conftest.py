@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import planar_ppv as pp
+from planar_ppv.spline import PeriodicSpline
 
 
 @pytest.fixture(scope="session")
@@ -72,3 +73,18 @@ def forked_pids(monkeypatch):
 
     monkeypatch.setattr(os, "fork", recording_fork)
     return pids
+
+
+@pytest.fixture()
+def values_calls(monkeypatch):
+    """One entry per call of PeriodicSpline.values from here on, the
+    generic read-out that no per-step loop or RHS should call."""
+    values = PeriodicSpline.values
+    calls = []
+
+    def counting(self, *args, **kwargs):
+        calls.append(None)
+        return values(self, *args, **kwargs)
+
+    monkeypatch.setattr(PeriodicSpline, "values", counting)
+    return calls

@@ -125,6 +125,10 @@ NOISE = "\n[noise]\nsigma = 0.05\nn_paths = 16\nt_end = 10.0\ndt = 0.02\n"
      "harmonics = 16"),
     ("\n[ppv-fourier]\nharmonics = 512\n", "harmonics = 512"),
     (NOISE + "kind = directional\ndirection = 0 0\n", "direction = 0 0"),
+    # each component is finite, but the norm overflows: the noise stage
+    # would reject it, after a NumPy overflow warning
+    (NOISE + "kind = directional\ndirection = 1e308 1e308\n",
+     "direction = 1e308 1e308"),
     (NOISE + "direction = 0 1\n", "direction = 0 1"),
     (NOISE + "kind = isotropic\ndirection = 0 1\n", "direction = 0 1"),
     # 3 steps of 0.05 would end the ensemble at 0.15, the density at 0.13

@@ -138,6 +138,18 @@ def test_lock_scan_flags_a_tongue_wider_than_the_grid(sl_basis, grid):
     assert lm.beyond_grid == {0.01: True}
 
 
+def test_lock_scan_maps_without_the_generic_read_out(sl_basis, values_calls):
+    # the lock map's RHS reads the projection through a kernel built once
+    # a row: PeriodicSpline.values is called as often for 9 detunings as
+    # for 1, and at most once, not once an RHS call
+    counts = []
+    for grid in ([0.002], np.linspace(-0.008, 0.008, 9)):
+        values_calls.clear()
+        pp.injection_lock_scan(sl_basis, [1.0, 0.0], [0.01], grid)
+        counts.append(len(values_calls))
+    assert counts[0] == counts[1] <= 1
+
+
 def test_lock_scan_rows_grouped_by_eps(sl_basis):
     # rows run eps-major, and each eps row is its own integration: the
     # 0.01 rows do not depend on which other eps values the scan holds

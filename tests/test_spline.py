@@ -109,8 +109,9 @@ def test_rejects_knots_the_kernel_cannot_take(knots):
 
 def _nonnegative_phases(T, size):
     """Phases in [0, 2^25 T): first +-0.0, 5e-324, k T and its two
-    neighbours for k up to 1,000 and near 2^25, then ``size`` uniform
-    phases up to 1e3 T; and the number of the former."""
+    neighbours for k up to 1,000 and near 2^25, where the float quotient
+    theta / T can misjudge k by one, then ``size`` uniform phases up to
+    1e3 T."""
     k = np.concatenate([np.arange(1001.0), 2.0 ** 25 - np.arange(1.0, 50.0)])
     near = k * T
     near = np.concatenate([[0.0, -0.0, 5e-324], near,
@@ -119,15 +120,14 @@ def _nonnegative_phases(T, size):
     theta = np.concatenate([near, np.random.default_rng(6).uniform(
         0.0, 1e3, size) * T])
     assert theta.max() < 2.0 ** 25 * T
-    return theta, near.size
+    return theta
 
 
 @pytest.mark.parametrize("period", ["sl", "vdp", 0.1, 1e4,
                                     np.nextafter(8.0, 0.0)])
-def test_wide_reduction_equals_np_mod(request, monkeypatch, period):
-    # wide arrays of phases >= 0 are reduced without np.mod, bit for bit as
-    # np.mod reduces them; np.mod sees only phases next to k T whose float
-    # quotient misjudges k
+def test_wide_reduction_equals_np_mod(request, period):
+    # a wide array of phases >= 0, multiples of T and their neighbours
+    # included, is reduced as np.mod reduces it and read to SciPy's bits
     if isinstance(period, str):
         period = request.getfixturevalue(period + "_basis").cycle.T
     x = np.linspace(0.0, period, 65)
@@ -135,26 +135,10 @@ def test_wide_reduction_equals_np_mod(request, monkeypatch, period):
                   np.sin(4 * np.pi * x / period)], 1)
     y[-1] = y[0]
     spline = PeriodicSpline.interpolate(x, y)
-    theta, n_near = _nonnegative_phases(period, 4096)
-    want = np.mod(theta, period)
-    reference = CubicSpline(x, y, axis=0, bc_type="periodic")(theta)
-    passed = []
-    real_mod = np.mod
-    monkeypatch.setattr(np, "mod", lambda a, b: passed.append(np.ravel(a))
-                        or real_mod(a, b))
-    assert_bits(spline._mod_period(theta), want)
-    assert len(passed) == 1 and 0 < passed[0].size < n_near
-    assert np.isin(passed[0], theta[:n_near]).all()
-    assert_bits(read(spline, theta), reference)
-    passed.clear()
-    assert_bits(spline._mod_period(theta[n_near:]), want[n_near:])
-    assert passed == []
-    # a negative phase, a phase at 2^25 T and a narrow array take np.mod
-    for th in (np.append(theta, -1.0), np.append(theta, 2.0 ** 25 * period),
-               theta[:512]):
-        passed.clear()
-        assert_bits(spline._mod_period(th), real_mod(th, period))
-        assert [a.size for a in passed] == [th.size]
+    theta = _nonnegative_phases(period, 4096)
+    reference = CubicSpline(x, y, axis=0, bc_type="periodic")
+    assert_bits(read(spline, theta), reference(theta))
+    assert_bits(spline.values(theta), spline.values(np.mod(theta, period)))
 
 
 def test_tridiagonal_solve_refuses_to_pivot():

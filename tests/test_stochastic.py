@@ -124,6 +124,14 @@ def _reference_q(basis, noise):
                               2.0 * sum(vk * dvk for vk, dvk in zip(v, dv)))
 
 
+def _reference_v(spline):
+    """SciPy's periodic CubicSpline through the node values of the
+    channel spline ``spline``, channels last."""
+    nodes = spline.c[3]  # the node values v(x_i)
+    return CubicSpline(spline.x, np.concatenate([nodes, nodes[:1]]), axis=0,
+                       bc_type="periodic")
+
+
 def _reference_paths(basis, noise, streams, t_end, dt, seed):
     """Stored times and psi of the paths ``streams``, each drawing one
     scalar increment per step (see _stream_draws) and stepping by
@@ -494,9 +502,7 @@ def test_spline_dot_matches_cubic_spline(request, basis_name, kind):
     # (signed zeros included) and the ensemble's v^T dW is the reference sum
     basis = request.getfixturevalue(basis_name)
     spline = basis.projection(_noise(kind).G)
-    nodes = spline.c[3]  # the node values v(x_i)
-    reference = CubicSpline(spline.x, np.concatenate([nodes, nodes[:1]]),
-                            axis=0, bc_type="periodic")
+    reference = _reference_v(spline)
     np.testing.assert_array_equal(spline.c.view(np.int64),
                                   reference.c.view(np.int64))
     theta = _adversarial_phases(basis.cycle.T, spline.x)
@@ -640,46 +646,81 @@ def test_negative_q_steps_by_zero(monkeypatch, sl_basis):
 @pytest.mark.parametrize("basis_name", ["sl_basis", "vdp_basis",
                                         "bruss_basis"])
 def test_q_kernel_matches_hermite_spline(request, basis_name, kind):
-    # the ensemble's read-out of q(t + psi) is SciPy's Hermite interpolant
-    # at np.mod(t % T + psi, T) to 1e-14 of max q for psi within a period
-    # of 0, at step times up to 2^40 steps; beyond, the bound grows with
-    # |psi| / T, as the rounding of (psi + t mod T) n / T does
+    # every per-step read-out, the ensemble's q(t + psi) and the channel
+    # spline v (1, 2 or 9 channels) of the lock map and the Fokker-Planck
+    # blocks, is SciPy's interpolant at np.mod(t % T + psi, T) to 1e-14 of
+    # its max for psi within a period of 0, at step times up to 2^40
+    # steps; beyond, the bound grows with |psi| / T, as the rounding of
+    # (psi + t mod T) n / T does.  That rounding, 2^-52 of theta twice,
+    # also moves v by up to 2^-51 T max |v'|, which the nine fast
+    # channels' slope (68 max |v| / T on van der Pol) makes larger than
+    # 1e-14 max |v|.  The derivative's rows carry 1 / h, h the knot
+    # spacing, and it reads within 1e-14 max / h.  Each row of an array
+    # of times reads as that time alone does, and a shorter array reads
+    # into the kernel's first rows
     basis = request.getfixturevalue(basis_name)
     noise = _noise(kind)
-    reference = _reference_q(basis, noise)
     T, dt = basis.cycle.T, 0.01
-    psi = _adversarial_phases(T, reference.x)
-    bound = (1e-14 * np.max(reference.c[3])
-             * np.maximum(1.0, np.abs(psi) / T))
-    amp = stochastic._diffusion_spline(basis, noise)
-    kernel = _HornerKernel(amp, psi.shape)
-    for t in (0.0, dt, 60.0, 1e4, 1e7, 2.0 ** 40 * dt):
-        want = reference(np.mod(t % T + psi, T))
-        assert np.all(np.abs(kernel(t, psi) - want) <= bound), t
+    times = np.array([0.0, dt, 60.0, 1e4, 1e7, 2.0 ** 40 * dt])
+    q = stochastic._diffusion_spline(basis, noise)
+    v = basis.projection(noise.G)
+    psi = _adversarial_phases(T, q.x)
+    grow = np.maximum(1.0, np.abs(psi) / T)
+    for spline, ref, slope_rounding in (
+            (q, _reference_q(basis, noise), 0.0),
+            (v, _reference_v(v), 2.0 ** -51 * T)):
+        refs = (ref, ref.derivative())
+        fmax, dfmax = (np.max(np.abs(r(ref.x))) for r in refs)
+        h = T / (ref.x.size - 1)
+        bounds = (grow * (1e-14 * fmax + slope_rounding * dfmax),
+                  grow * 1e-14 * fmax / h)
+        one = _HornerKernel(spline, psi.shape, derivative=True)
+        rows = _HornerKernel(spline, (times.size, psi.size), derivative=True)
+        # time first, then the channels of a channel spline
+        full = [np.moveaxis(a, -2, 0).copy()
+                for a in rows(times[:, None], psi)]
+        for r, t in enumerate(times):
+            theta = np.mod(t % T + psi, T)
+            for got, row, want, bound in zip(one(t, psi), full, refs, bounds):
+                # SciPy's channel axis last, the kernel's first
+                want = np.moveaxis(want(theta), -1, 0) if got.ndim > 1 \
+                    else want(theta)
+                assert np.all(np.abs(got - want) <= bound), t
+                np.testing.assert_array_equal(row[r], got)
+        for got, row in zip(rows(times[:2, None], psi), full):
+            np.testing.assert_array_equal(np.moveaxis(got, -2, 0), row[:2])
     with np.errstate(invalid="ignore"):
-        q = _HornerKernel(amp, (3,))(1e4, np.array(
-            [np.nan, 0.0, -np.nan]))
-    assert np.isnan(q[[0, 2]]).all() and np.isfinite(q[1])
+        nan = _HornerKernel(q, (3,))(1e4, np.array([np.nan, 0.0, -np.nan]))
+    assert np.isnan(nan[[0, 2]]).all() and np.isfinite(nan[1])
 
 
-def test_ensemble_steps_without_the_generic_read_out(monkeypatch, sl_basis):
+def test_ensemble_steps_without_the_generic_read_out(monkeypatch, sl_basis,
+                                                     values_calls):
     # q is read by the ensemble's own kernel: PeriodicSpline.values is
     # called as often for 300 steps as for 3, only to build q
     monkeypatch.setattr(stochastic, "_usable_cpus", lambda: 1)
-    values = PeriodicSpline.values
-    calls = []
-
-    def counting(self, *args, **kwargs):
-        calls.append(None)
-        return values(self, *args, **kwargs)
-
-    monkeypatch.setattr(PeriodicSpline, "values", counting)
     counts = []
     for n_steps in (3, 300):
-        calls.clear()
+        values_calls.clear()
         pp.simulate_sde_ensemble(sl_basis, NoiseModel.isotropic(0.05), 8,
                                  n_steps * 0.01, 0.01, seed=1)
-        counts.append(len(calls))
+        counts.append(len(values_calls))
+    assert counts[0] == counts[1] <= 1
+
+
+def test_fp_steps_without_the_generic_read_out(sl_basis, values_calls):
+    # the Fokker-Planck blocks read v and dv through a kernel:
+    # PeriodicSpline.values is called as often over 1,000 steps (six
+    # blocks) as over 100 (one), only for the stability bound, not once a
+    # block
+    noise = NoiseModel.isotropic(0.05)
+    psi = np.linspace(-0.5, 0.5, 41)
+    counts = []
+    for t_end in (1.0, 10.0):
+        values_calls.clear()
+        assert pp.solve_fp(sl_basis, noise, psi, t_end, 0.01).n_steps \
+            == round(100 * t_end)
+        counts.append(len(values_calls))
     assert counts[0] == counts[1] <= 1
 
 
@@ -817,11 +858,45 @@ def test_fp_rejects_non_finite_times(sl_basis):
     np.testing.assert_array_equal(still.p[-1], still.p[0])
 
 
-def _reference_fp(basis, noise, psi, t_end, dt, n_store):
-    """solve_fp's density snapshots, evaluating the spline step by step
-    and adding the channels in index order from +0.0."""
+def _horner_read(spline):
+    """read(t, half) of the channel values and slopes at t + half, as
+    rows of (half, channel): SciPy's pieces of ``spline`` written as
+    cubics in the fractional knot coordinate u, coefficients c[k]
+    h^(3 - k) with h = T / n and slope coefficients (3 - k) c[k]
+    h^(2 - k), summed by Horner at u = (half + np.mod(t, T)) n / T less
+    its floor, on the piece that floor mod n names."""
+    ref = _reference_v(spline)
+    n = ref.c.shape[1]
+    T = ref.x[-1]
+    h = T / n
+    rows = [ck * h ** (3 - k) for k, ck in enumerate(ref.c)]
+    drows = [(3 - k) * ck * h ** (2 - k) for k, ck in enumerate(ref.c[:3])]
+
+    def read(t, half):
+        u = (half + np.mod(t, T)) * (n / T)
+        f = np.floor(u)
+        u -= f
+        i = np.remainder(f.astype(np.intp), n)
+        u = u[:, None]
+        v = ((rows[0][i] * u + rows[1][i]) * u + rows[2][i]) * u + rows[3][i]
+        dv = (drows[0][i] * u + drows[1][i]) * u + drows[2][i]
+        return v.T, dv.T
+
+    return read
+
+
+def _values_read(spline):
+    """read(t, half) by the spline's generic read-out, SciPy's bits."""
+    return lambda t, half: spline.values(t + half, derivative=True)
+
+
+def _reference_fp(basis, noise, psi, t_end, dt, n_store, reader=_horner_read):
+    """solve_fp's density snapshots, reading the channel spline step by
+    step through ``reader(spline)`` and adding the channels in index
+    order from +0.0."""
     dpsi = float(psi[1] - psi[0])
     spline = basis.projection(noise.G)
+    read = reader(spline)
     vsq_max = float(np.max(sum(v * v for v in spline.values(basis.ts))))
     dt = min(dt, 0.4 * dpsi ** 2 / vsq_max)
     w = 4.0 * dpsi
@@ -833,7 +908,7 @@ def _reference_fp(basis, noise, psi, t_end, dt, n_store):
     half = psi[:-1] + 0.5 * dpsi
     ts_out, p_out = [0.0], [p.copy()]
     for j in range(n_steps):
-        v, dv = spline.values(j * dt + half, derivative=True)
+        v, dv = read(j * dt, half)
         drift = sum(vk * dvk for vk, dvk in zip(v, dv))
         diff = 0.5 * sum(vk * vk for vk in v)
         p_half = 0.5 * (p[:-1] + p[1:])
@@ -849,11 +924,11 @@ def _reference_fp(basis, noise, psi, t_end, dt, n_store):
 
 @_BASES_AND_NOISES
 def test_fp_blocks_match_per_step_reference(request, basis_name, kind):
-    # the spline terms come a block of steps at a time, channel-major, and
-    # the density equals the per-step loop's to the bit; the solve crosses
-    # two block boundaries and ends on a partial block, and the later
-    # blocks' phases are all >= 0, which takes the kernel's wide reduction
-    # instead of np.mod
+    # the spline terms come a block of steps at a time, channel-major, from
+    # the kernel's Horner sums, and the density equals the per-step loop's
+    # to the bit; the solve crosses two block boundaries and ends on a
+    # partial block, read into the first rows of the kernel's buffers.  It
+    # stays within 1e-13 of the per-step loop on SciPy's bits
     basis = request.getfixturevalue(basis_name)
     noise = _noise(kind)
     psi = np.linspace(-0.5, 0.5, 41)
@@ -866,6 +941,9 @@ def test_fp_blocks_match_per_step_reference(request, basis_name, kind):
     assert dens.n_steps == n_steps
     np.testing.assert_array_equal(dens.ts, ts)
     np.testing.assert_array_equal(dens.p.view(np.int64), p.view(np.int64))
+    _, _, oracle = _reference_fp(basis, noise, psi, t_end, dt, 40,
+                                 reader=_values_read)
+    assert np.max(np.abs(dens.p - oracle)) <= 1e-13
 
 
 @pytest.mark.parametrize("steps", [1, 7, 16, 128])
@@ -912,7 +990,8 @@ def test_fp_coefficients_sum_channels_as_np_sum(m):
     y[-1] = y[0]
     spline = PeriodicSpline.interpolate(x, y)
     theta = rng.uniform(-3.0, 6.0, (5, 300))
-    drift, diff = stochastic._fp_coefficients(spline, theta)
+    drift, diff = stochastic._fp_coefficients(
+        *spline.values(theta, derivative=True))
     v, dv = spline.values(theta, derivative=True)
     # sum() starts from 0, which adds as +0.0
     np.testing.assert_array_equal(
@@ -945,7 +1024,8 @@ def test_nine_channel_sums_agree(sl_basis):
     trailing = np.ascontiguousarray(np.moveaxis(v * v, 0, -1))
     assert not np.array_equal(vsq, np.sum(trailing, axis=-1))
     assert pp.diffusion_summary(sl_basis, noise) == float(np.mean(vsq))
-    _, diff = stochastic._fp_coefficients(spline, sl_basis.ts)
+    _, diff = stochastic._fp_coefficients(
+        *spline.values(sl_basis.ts, derivative=True))
     np.testing.assert_array_equal(diff, 0.5 * vsq)
     np.testing.assert_array_equal(
         stochastic._channel_dot(spline.values(sl_basis.ts), v), vsq)
@@ -989,6 +1069,10 @@ def test_fp_rejects_bad_grids(sl_basis):
     with pytest.raises(ArgumentError):
         pp.solve_fp(sl_basis, noise, np.array([0.0, 0.1, 0.3]), 1.0, 1e-4)
     grid = np.linspace(-1, 1, 101)
+    # a decreasing grid has a negative default init_width and normalizes
+    # the start to a negative density: the grid is named, not the width
+    with pytest.raises(ArgumentError, match="increasing"):
+        pp.solve_fp(sl_basis, noise, grid[::-1], 1.0, 1e-4)
     with pytest.raises(ArgumentError):
         pp.solve_fp(sl_basis, noise, grid, 0.0, 1e-4)
     for dt in (0.0, -0.01):
@@ -997,6 +1081,36 @@ def test_fp_rejects_bad_grids(sl_basis):
     for n_store in (0, 1, 2.5, np.nan):
         with pytest.raises(ArgumentError):
             pp.solve_fp(sl_basis, noise, grid, 1.0, 1e-3, n_store=n_store)
+
+
+@pytest.mark.parametrize("width", [0.0, -0.1, np.nan, np.inf])
+def test_fp_rejects_bad_init_width(sl_basis, width):
+    # a zero width divided by zero (with RuntimeWarnings) and a NaN width
+    # started from a NaN density, and both returned it
+    with pytest.raises(ArgumentError, match="init_width"):
+        pp.solve_fp(sl_basis, NoiseModel.isotropic(0.05),
+                    np.linspace(-1, 1, 101), 1.0, 1e-3, init_width=width)
+
+
+def test_fp_nan_density_raises(sl_basis):
+    # a NaN density fails the guard as a negative one does, naming the
+    # step: here the projection of a library G that reads NaN
+    noise = NoiseModel(G=lambda x: np.full((2, 1), np.nan))
+    with pytest.raises(InstabilityError, match="NaN density nan at t = 0.01$"):
+        pp.solve_fp(sl_basis, noise, np.linspace(-1, 1, 101), 1.0, 0.01)
+
+
+def test_fp_reads_a_vector_g_as_one_channel(sl_basis):
+    # a library G returning (2,) is one noise channel, as (2, 1) is: the
+    # densities agree to the bit (the block sums run over the channels,
+    # never over the steps of a scalar spline's read-out)
+    psi = np.linspace(-1, 1, 101)
+    d = np.array([1.0, 0.5])
+    vector, column = (pp.solve_fp(sl_basis, NoiseModel(G=lambda x, g=g: g),
+                                  psi, 1.0, 0.01)
+                      for g in (0.05 * d, 0.05 * d[:, None]))
+    np.testing.assert_array_equal(vector.p.view(np.int64),
+                                  column.p.view(np.int64))
 
 
 def test_fp_negative_density_caught_between_snapshots(vdp_basis):

@@ -154,9 +154,9 @@ def run(config_path, outdir=None):
                     hw = max(8.0 * np.sqrt(max(Dsum, 1e-30) * p["t_end"]),
                              1e-3)
                 grid = np.linspace(-hw, hw, p["density_cells"])
-                # the density needs no ensemble: a forked drawer solves
-                # it between its draws, else it runs after the ensemble,
-                # and a failure is raised only after the ensemble
+                # the density needs no ensemble: its blocks fill the
+                # waits for a forked drawer's chunks, the rest runs after
+                # the ensemble, and a failure is raised only after it
                 fp = stochastic._Background(stochastic._fp_blocks(
                     basis, nm, grid, p["t_end"], p["dt"]))
             ens = stochastic.simulate_sde_ensemble(

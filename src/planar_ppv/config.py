@@ -76,9 +76,11 @@ def _at_least(n):
 _FINITE = (np.isfinite, "finite")
 _POSITIVE = (lambda v: 0 < v < np.inf, "finite and > 0")
 _NONNEGATIVE = (lambda v: 0 <= v < np.inf, "finite and >= 0")
+# a [model] parameter; its key is checked once the model's name is known
+_MODEL_PARAM = _Key(float, _FINITE)
 
 _SCHEMA = {
-    "model": None,  # validated via the model registry
+    "model": None,  # a name, then the named model's parameters
     "cycle": {"guess": _Key(_parse_vec2, _FINITE),
               "settle_time": _Key(float, _NONNEGATIVE, 100.0),
               "tol": _Key(float, _POSITIVE, 1e-10)},
@@ -162,12 +164,12 @@ def parse_config(text):
             raise ConfigError(f"duplicate key {key!r}", line=lineno)
         schema = _SCHEMA[section]
         if schema is None:
-            raw[section][key] = value
-            continue
-        if key not in schema:
+            spec = _Key(str) if key == "name" else _MODEL_PARAM
+        elif key in schema:
+            spec = schema[key]
+        else:
             raise ConfigError(
                 f"unknown key {key!r} in section [{section}]", line=lineno)
-        spec = schema[key]
         try:
             parsed = spec.parse(value)
         except ValueError as exc:
@@ -188,10 +190,14 @@ def parse_config(text):
                           line=lines.get("model"))
     name = model_raw.pop("name")
     try:
-        params = {k: float(v) for k, v in model_raw.items()}
-        get_model(name, **params)  # validates name + parameter keys
-    except (ConfigError, ValueError) as exc:
-        raise ConfigError(str(exc), line=lines.get("model"))
+        known = get_model(name).params  # the defaults name every parameter
+    except ConfigError as exc:
+        raise ConfigError(str(exc), line=lines["model"])
+    for key in model_raw:
+        if key not in known:
+            raise ConfigError(f"unknown parameter {key!r} for model "
+                              f"{name!r}", line=lines["model", key])
+    params = model_raw
 
     def section_dict(sec):
         given = raw.get(sec, {})

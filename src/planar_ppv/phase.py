@@ -326,6 +326,8 @@ def injection_lock_scan(basis, amp, eps_list, detuning_grid):
     amp = np.asarray(amp, dtype=float)
     proj = basis.projection(lambda x: amp)
     detuning = np.array(detuning_grid, dtype=float)
+    if not np.isfinite(detuning).all():
+        raise ArgumentError("every detuning must be finite")
 
     rows = []
     boundaries, beyond_grid = {}, {}

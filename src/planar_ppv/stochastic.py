@@ -29,22 +29,20 @@ drawing and stepping overlap in time.  Where ``fork`` is missing or only
 one CPU is usable, the same draw runs in-process before each chunk.  The
 statistics do not depend on which process drew.
 
-``simulate_sde_ensemble``'s ``job``, a :class:`_Background`, runs in
-that child too: a block at a time while the parent has not yet freed the
-slot the next chunk goes into, then to its end after the last chunk, and
-its value or exception comes back pickled.  ``planar-ppv run`` passes the
-Fokker-Planck solve, so the parent only steps paths.  Its blocks read
-into buffers allocated once per solve, and are short enough for the
-child to turn back to drawing soon after a slot is free.  Drawn
-in-process, the job is left to the caller, who finishes it after the
-ensemble.
+``simulate_sde_ensemble``'s ``job``, a :class:`_Background`, fills the
+parent's waits: while a forked drawer has not yet filled the slot the
+parent steps next, the parent runs the job a block at a time.
+``planar-ppv run`` passes the Fokker-Planck solve, and finishes whatever
+is left of it after the ensemble, which is all of it when the draws run
+in-process.  The solve's blocks read into buffers allocated once per
+solve, and are short enough for the parent to turn back to stepping
+soon after a chunk is ready.
 """
 
 import contextlib
 import math
 import mmap
 import os
-import pickle
 import select
 from dataclasses import dataclass
 
@@ -95,11 +93,12 @@ class NoiseModel:
 # (blocks, chunk, _PATH_BLOCK) slots shared with the drawing child (4.2 MB
 # each at 4096 paths, for any channel count), one drawn while the other is
 # stepped, so the ensemble's memory does not grow with n_steps.  At 4096
-# paths x 3000 steps, forked, with the Fokker-Planck solve as the job
-# (Stuart-Landau isotropic noise, 481 cells; 2-vCPU x86_64 host shared
-# with other work, medians of 5 alternating rounds), chunks of 64, 128
-# and 256 steps took 0.64, 0.53 and 0.70 s, with slots of 2.1, 4.2 and
-# 8.4 MB each.
+# paths x 3000 steps, forked, with the Fokker-Planck solve in the
+# parent's waits and its rest after the ensemble (Stuart-Landau isotropic
+# noise, 481 cells; 2-vCPU x86_64 host shared with other work, medians of
+# 10 alternating rounds), chunks of 64, 128 and 256 steps took 0.31, 0.30
+# and 0.32 s, each of the others faster than 128 in 3 rounds of 10, with
+# slots of 2.1, 4.2 and 8.4 MB each.
 _CHUNK = 128
 # Paths per Wiener stream.  Block b of the ensemble draws from generator
 # default_rng([seed, b]), so the block size is part of the stream's
@@ -127,8 +126,8 @@ _Q_REFINE = 8
 # buffers of one _HornerKernel allocated per solve, (channels, steps,
 # cells - 1) arrays of 120 KiB each at 2 channels, and the last, partial
 # block reads into their first rows.  The block length sets the buffers'
-# size and how often a forked drawer running the solve can turn back to
-# drawing.
+# size and how long a parent running the solve in its waits is away from
+# the drawer's next chunk.
 _FP_BLOCK_POINTS = 16 * 480
 
 
@@ -214,12 +213,9 @@ def _increments(seed, n_paths, n_steps, dt, job=None):
     until the next one is asked for; close the generator to end a forked
     drawer early.
 
-    A forked drawer also runs ``job``, a :class:`_Background` or None: a
-    block at a time while the parent has not freed the slot it draws
-    into next, then to its end after the last chunk.  The job's outcome
-    is settled into the parent's ``job`` when the generator is asked for
-    a chunk after the last one, and ends.  Drawn in-process, ``job`` is
-    not touched."""
+    Where a forked drawer fills the slots, the parent runs ``job``, a
+    :class:`_Background` or None, a block at a time while the next chunk
+    is not ready.  Drawn in-process, ``job`` is not touched."""
     sq = np.sqrt(dt)
     sizes = [min(_CHUNK, n_steps - j0) for j0 in range(0, n_steps, _CHUNK)]
     n_blocks = -(-n_paths // _PATH_BLOCK)
@@ -237,11 +233,10 @@ def _increments(seed, n_paths, n_steps, dt, job=None):
 
     # Two slots in memory shared with the child.  One byte per chunk on
     # `ready` says the child filled a slot, one on `free` that the parent
-    # is done with one; after the last chunk's byte, `ready` carries the
-    # job's pickled outcome.  The child only builds its generators, draws
-    # and runs the job, so it takes no lock another thread could hold at
-    # the fork; it ends on EOF or EPIPE once the parent is gone, and never
-    # returns into the caller's code.
+    # is done with one.  The child only builds its generators and draws,
+    # so it takes no lock another thread could hold at the fork; it ends
+    # on EOF or EPIPE once the parent is gone, and never returns into the
+    # caller's code.
     slots = np.frombuffer(mmap.mmap(-1, 2 * math.prod(shape) * 8),
                           dtype=float).reshape((2,) + shape)
     ready_r, ready_w = os.pipe()
@@ -252,30 +247,12 @@ def _increments(seed, n_paths, n_steps, dt, job=None):
         try:
             os.close(ready_r)
             os.close(free_w)
-
-            def run_job():
-                """Step the job while `free` has nothing to read."""
-                while (job is not None
-                       and not select.select([free_r], [], [], 0)[0]
-                       and job.step()):
-                    pass
-
             rngs = generators()
             for c, k in enumerate(sizes):
-                if c >= 2:
-                    run_job()
-                    if not os.read(free_r, 1):
-                        break
+                if c >= 2 and not os.read(free_r, 1):
+                    break
                 _draw_chunk(rngs, slots[c % 2, :, :k], sq)
                 os.write(ready_w, b"r")
-            else:
-                # the parent frees no slot after the last chunk, so here
-                # a readable `free` is EOF: the parent is gone
-                run_job()
-                if job is not None and job.done:
-                    data = memoryview(job.outcome())
-                    while data:
-                        data = data[os.write(ready_w, data):]
             status = 0
         finally:
             os._exit(status)
@@ -283,6 +260,10 @@ def _increments(seed, n_paths, n_steps, dt, job=None):
     os.close(free_r)
     try:
         for c, k in enumerate(sizes):
+            while (job is not None
+                   and not select.select([ready_r], [], [], 0)[0]
+                   and job.step()):
+                pass
             if not os.read(ready_r, 1):
                 raise InternalInconsistencyError(
                     f"the Wiener increment process ended before chunk {c}")
@@ -291,11 +272,6 @@ def _increments(seed, n_paths, n_steps, dt, job=None):
                 # EPIPE: the child is gone, and the next read finds EOF
                 with contextlib.suppress(BrokenPipeError):
                     os.write(free_w, b"f")
-        if job is not None:
-            parts = []
-            while part := os.read(ready_r, 1 << 16):
-                parts.append(part)
-            job.settle(b"".join(parts))
     finally:
         os.close(ready_r)
         os.close(free_w)
@@ -337,11 +313,11 @@ def simulate_sde_ensemble(basis, noise, n_paths, t_end, dt, seed, *,
     time, so memory does not grow with n_steps.  ``seed`` is an integer
     >= 0.
 
-    ``job``, a :class:`_Background` or None, rides on a forked drawer: the
-    drawer runs it between its draws and after its last one, and the
-    ensemble returns with the job's value or exception settled, so its
-    ``result()`` returns or raises at once.  Drawn in-process, the
-    ensemble leaves the job alone, for the caller to finish.
+    ``job``, a :class:`_Background` or None, fills the waits for a forked
+    drawer: the ensemble runs it a block at a time while the next chunk
+    is not ready, and holds its exception.  Drawn in-process, the
+    ensemble leaves the job alone.  Either way the caller finishes it
+    with ``result()``.
     """
     if not isinstance(n_paths, (int, np.integer)) or n_paths < 1:
         raise ArgumentError("need an integer n_paths >= 1")
@@ -371,7 +347,7 @@ def simulate_sde_ensemble(basis, noise, n_paths, t_end, dt, seed, *,
     record(0)
     chunks = _increments(seed, n_paths, n_steps, dt, job)
     with contextlib.closing(chunks):
-        # run the chunks out, so that a forked drawer's job is settled
+        # an error in the step loop ends and reaps a forked drawer
         for c, dB in enumerate(chunks):
             # step j reads dB[:, j - c * _CHUNK] as (block, path in block)
             for j, dBj in enumerate(dB.transpose(1, 0, 2), c * _CHUNK):
@@ -431,11 +407,7 @@ def _fp_blocks(basis, noise, psi_grid, t_end, dt, init_width=None,
                n_store=101):
     """:func:`solve_fp`, yielding after each block of steps; returns the
     DensityField.  A block has _FP_BLOCK_POINTS // (cells - 1) steps, at
-    least one, and the last block may be shorter.
-
-    It makes no BLAS call and takes no lock: elementwise NumPy,
-    reductions such as np.min, and the spline kernel only (the spline is
-    built in Python floats), so a forked drawer may run it."""
+    least one, and the last block may be shorter."""
     if not (t_end > 0 and math.isfinite(t_end)):  # NaN fails too
         raise ArgumentError("t_end must be finite and positive")
     if not dt > 0:  # an infinite dt leaves the stability cap in charge
@@ -499,8 +471,7 @@ class _Background:
     ``step`` advances it by one item and says whether it may go on;
     ``result`` runs what is left and returns the generator's value.  An
     exception the generator raises is held until ``result``, so the loop
-    it rode on finishes first.  A job run to its end in a forked process
-    comes back through ``outcome`` there and ``settle`` here.
+    it rode on finishes first.
     """
 
     def __init__(self, gen):
@@ -527,33 +498,6 @@ class _Background:
         if self._error is not None:
             raise self._error
         return self._value
-
-    def outcome(self):
-        """The finished job's value and exception, pickled for
-        :meth:`settle`.  An exception that does not come back from
-        pickling whole is sent as an InternalInconsistencyError naming its
-        type and message."""
-        error = self._error
-        if error is not None:
-            try:
-                pickle.loads(pickle.dumps(error))
-            except Exception:
-                error = InternalInconsistencyError(
-                    f"background job failed with {type(error).__name__}: "
-                    f"{error}")
-        return pickle.dumps((self._value, error))
-
-    def settle(self, data):
-        """Finish with the :meth:`outcome` another process sent; none, or
-        part of one (that process ended first), holds an
-        InternalInconsistencyError."""
-        try:
-            self._value, self._error = pickle.loads(data)
-        except Exception:
-            self._error = InternalInconsistencyError(
-                "the process running the background job ended before "
-                "sending its result")
-        self._gen, self.done = None, True
 
 
 def diffusion_summary(basis, noise):

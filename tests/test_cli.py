@@ -381,8 +381,8 @@ density_halfwidth = 3.0
 def _noise_run(tmp_path, monkeypatch, text, cpus, patch=None):
     """Exit status and output directory of a run with ``cpus`` usable CPUs
     and ``patch(mp)`` applied for its length; with two, the forked drawer
-    sleeps before every chunk, and runs the Fokker-Planck blocks between
-    its draws."""
+    sleeps before every chunk, and the parent runs Fokker-Planck blocks
+    while it waits."""
     name = f"cpus{cpus}"
     cfg = tmp_path / f"{name}.cfg"
     cfg.write_text(text)
@@ -406,9 +406,9 @@ def _noise_run(tmp_path, monkeypatch, text, cpus, patch=None):
                     reason="the draws run in-process only")
 def test_noise_files_do_not_depend_on_the_overlap(tmp_path, monkeypatch,
                                                   forked_pids):
-    # in-process the density is solved after the ensemble, forked by the
-    # drawer between its draws; both write the files that separate
-    # simulate_sde_ensemble and solve_fp calls give
+    # in-process the density is solved after the ensemble, forked in the
+    # parent's waits for the drawer's chunks; both write the files that
+    # separate simulate_sde_ensemble and solve_fp calls give
     runs = [_noise_run(tmp_path, monkeypatch, _SL_NOISE, cpus)
             for cpus in (1, 2)]
     assert [status for status, _ in runs] == [0, 0]
@@ -442,10 +442,10 @@ def test_noise_files_do_not_depend_on_the_overlap(tmp_path, monkeypatch,
 def test_fp_failure_in_the_overlap_reported_after_the_ensemble(
         tmp_path, monkeypatch, capsys, forked_pids):
     # a density that goes negative (the narrow start of
-    # test_fp_negative_density_caught_between_snapshots) fails in the
-    # forked drawer; the run reports it only once the ensemble is written,
-    # when the parent asks for the density, with the in-process run's
-    # stderr line, exit status and files, and leaves no child behind
+    # test_fp_negative_density_caught_between_snapshots) fails in a wait
+    # for the forked drawer; the run reports it only once the ensemble is
+    # written, when the parent asks for the density, with the in-process
+    # run's stderr line, exit status and files, and leaves no child behind
     events = []
 
     def patch(mp):

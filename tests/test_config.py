@@ -80,6 +80,22 @@ def test_unknown_model_param_rejected():
         parse_config(BASE.replace("mu = 1.5", "nu = 1.5"))
 
 
+@pytest.mark.parametrize("line,message", [
+    ("mu = abc", "bad value for 'mu': could not convert string to float"),
+    ("mu = nan", "bad value for 'mu': nan is not finite"),
+    ("mu = 1e400", "bad value for 'mu': 1e400 is not finite"),
+    ("muu = 1.0", "unknown parameter 'muu' for model 'vanderpol'"),
+], ids=["text", "nan", "overflow", "unknown"])
+def test_bad_model_parameter_reports_its_line(line, message):
+    # each parameter is parsed and checked on its own line, not reported
+    # on the [model] header
+    text = "\n[model]\nname = vanderpol\n\n" + line + "\n\n[verify]\n"
+    with pytest.raises(ConfigError) as exc:
+        parse_config(text)
+    assert exc.value.line == 5
+    assert str(exc.value).startswith(f"line 5: {message}")
+
+
 def test_no_experiment_section_rejected():
     with pytest.raises(ConfigError) as exc:
         parse_config("[model]\nname = vanderpol\n")

@@ -219,6 +219,15 @@ def test_lock_scan_rejects_nonpositive_injection(sl_basis):
         pp.injection_lock_scan(sl_basis, [1.0, 0.0], [0.01], [0.0, -1.5])
 
 
+@pytest.mark.parametrize("dw", [np.inf, -np.inf, np.nan])
+def test_lock_scan_rejects_non_finite_detuning(sl_basis, dw):
+    # unchecked, an infinite detuning divides by zero into a row of shift
+    # -inf, and a NaN one is reported as an injection frequency <= 0
+    with np.errstate(all="raise"):
+        with pytest.raises(ArgumentError, match="detuning must be finite"):
+            pp.injection_lock_scan(sl_basis, [1.0, 0.0], [0.01], [0.0, dw])
+
+
 def _adler_edges(basis, eps, hw, tol=1e-9):
     """Tongue edges (lower, upper) by multisection on the map's sign test,
     each bracketed in [0.5, 1.5] x the Adler half-width ``hw``."""

@@ -1,5 +1,4 @@
 import os
-import pickle
 import subprocess
 import sys
 import time
@@ -312,11 +311,11 @@ def _watched(gen, ran):
 @pytest.mark.parametrize("cpus", [1, 2], ids=["in-process", "forked"])
 def test_fp_in_the_ensembles_waits_matches_separate_calls(
         monkeypatch, forked_pids, sl_basis, cpus):
-    # a forked drawer runs the job between its draws and after the last,
-    # and the ensemble returns it settled, the parent having run none of
-    # its blocks; in-process the ensemble leaves it alone and result()
-    # runs every block here.  The ensemble and the density are those of
-    # separate calls to the bit
+    # while a forked drawer's next chunk is not ready the parent runs the
+    # job's blocks, at least one before the ensemble returns; in-process
+    # the ensemble leaves it alone.  Either way result() runs the rest
+    # here, so every block runs in this process, and the ensemble and the
+    # density are those of separate calls to the bit
     monkeypatch.setattr(stochastic, "_usable_cpus", lambda: cpus)
     noise = NoiseModel.isotropic(0.05)
     psi = np.linspace(-0.5, 0.5, 41)
@@ -329,12 +328,12 @@ def test_fp_in_the_ensembles_waits_matches_separate_calls(
     fp = stochastic._Background(_watched(stochastic._fp_blocks(
         sl_basis, noise, psi, 3.0, 0.01, n_store=40), here))
     ens = pp.simulate_sde_ensemble(*sde_args, seed=9, job=fp)
-    assert fp.done == (cpus == 2)
+    assert (len(here) > 0) == (cpus == 2)
     assert len(forked_pids) == 2 * (cpus - 1)
     _assert_ensembles_equal(ens, alone)
     dens = fp.result()
     n_blocks = -(-dens.n_steps // (stochastic._FP_BLOCK_POINTS // 40))
-    assert here == ([] if cpus == 2 else [os.getpid()] * n_blocks)
+    assert here == [os.getpid()] * n_blocks
     assert dens.n_steps == dens_alone.n_steps
     np.testing.assert_array_equal(dens.ts, dens_alone.ts)
     np.testing.assert_array_equal(dens.p.view(np.int64),
@@ -345,9 +344,10 @@ def test_fp_in_the_ensembles_waits_matches_separate_calls(
 def test_fp_failure_in_the_ensembles_waits_is_held(monkeypatch, forked_pids,
                                                    vdp_basis):
     # the coarse grid of test_fp_negative_density_caught_between_snapshots
-    # fails in the forked drawer; the ensemble still ends as it would
-    # alone and reaps its drawer, the parent runs no block, and the error,
-    # with solve_fp's message, comes only from result()
+    # fails in this process, in its wait for the forked drawer's first
+    # chunk; the ensemble still ends as it would alone and reaps its
+    # drawer, and the error, with solve_fp's message, comes only from
+    # result()
     noise = NoiseModel.directional(0.05, [1.0, 0.0])
     psi = np.linspace(-3.0, 3.0, 8)
     width = 0.3 * (psi[1] - psi[0])
@@ -357,12 +357,27 @@ def test_fp_failure_in_the_ensembles_waits_is_held(monkeypatch, forked_pids,
     sde_args = (vdp_basis, noise, 32, 2 * stochastic._CHUNK * 0.01, 0.01)
     alone = pp.simulate_sde_ensemble(*sde_args, seed=3)
     _slow_draws(monkeypatch, 0.1)
-    here = []
-    fp = stochastic._Background(_watched(stochastic._fp_blocks(
-        vdp_basis, noise, psi, 6.0, 0.01, init_width=width), here))
+    events = []
+    increments = stochastic._increments
+
+    def watched_increments(*args):
+        for dB in increments(*args):
+            events.append("chunk")
+            yield dB
+
+    def failing_blocks():
+        try:
+            return (yield from stochastic._fp_blocks(
+                vdp_basis, noise, psi, 6.0, 0.01, init_width=width))
+        except InstabilityError:
+            events.append(os.getpid())
+            raise
+
+    monkeypatch.setattr(stochastic, "_increments", watched_increments)
+    fp = stochastic._Background(failing_blocks())
     ens = pp.simulate_sde_ensemble(*sde_args, seed=3, job=fp)
     assert fp.done
-    assert here == []
+    assert events == [os.getpid(), "chunk", "chunk"]
     _assert_ensembles_equal(ens, alone)
     assert len(forked_pids) == 2
     with pytest.raises(ChildProcessError):
@@ -370,60 +385,6 @@ def test_fp_failure_in_the_ensembles_waits_is_held(monkeypatch, forked_pids,
     with pytest.raises(InstabilityError) as held:
         fp.result()
     assert str(held.value) == str(direct.value)
-
-
-class _TwoPartError(Exception):
-    """Pickles, but cannot be unpickled: its one-string args do not fit
-    its two-argument __init__."""
-
-    def __init__(self, what, where):
-        super().__init__(f"{what} at {where}")
-
-
-@_NEEDS_FORK
-@pytest.mark.parametrize("kind", ["local-class", "two-part-init"])
-def test_job_error_that_cannot_be_pickled(monkeypatch, forked_pids,
-                                          sl_basis, kind):
-    # the drawer sends the job's exception pickled; one that does not come
-    # back whole arrives as InternalInconsistencyError with its type and
-    # message, still held until result()
-    class LocalError(Exception):
-        pass
-
-    error = (LocalError("lost in transit") if kind == "local-class"
-             else _TwoPartError("lost", "transit"))
-    with pytest.raises(Exception):
-        pickle.loads(pickle.dumps(error))
-
-    def failing():
-        yield
-        raise error
-
-    monkeypatch.setattr(stochastic, "_usable_cpus", lambda: 2)
-    fp = stochastic._Background(failing())
-    pp.simulate_sde_ensemble(sl_basis, NoiseModel.isotropic(0.05), 16,
-                             2 * stochastic._CHUNK * 0.01, 0.01, seed=1,
-                             job=fp)
-    assert fp.done
-    assert len(forked_pids) == 1
-    with pytest.raises(InternalInconsistencyError) as held:
-        fp.result()
-    assert type(error).__name__ in str(held.value)
-    assert str(error) in str(held.value)
-
-
-@pytest.mark.parametrize("sent", [b"", "part"])
-def test_job_outcome_cut_short_is_an_error(sent):
-    # a drawer that ends before its whole outcome is sent leaves an
-    # InternalInconsistencyError for result(), not a partial value
-    done = stochastic._Background(iter(()))
-    assert done.result() is None
-    data = done.outcome()
-    job = stochastic._Background(iter([None]))
-    job.settle(data[:len(data) // 2] if sent == "part" else sent)
-    assert job.done
-    with pytest.raises(InternalInconsistencyError, match="ended before"):
-        job.result()
 
 
 _KILLED_ENSEMBLE = """

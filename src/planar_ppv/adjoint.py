@@ -43,11 +43,14 @@ def numeric_ppv(cycle, n):
         raise ArgumentError("need an integer n >= 16 of samples")
     model = cycle.model
     T = cycle.T
+    jacobian = model._jacobian
 
     def rhs(s, z):
-        # z(s) = y(-s); adjoint dy/dt = -A^T y  =>  dz/ds = +A^T(-s) z
-        A = model.jacobian(cycle.point(-s))
-        return A.T @ z
+        # z(s) = y(-s); adjoint dy/dt = -A^T y  =>  dz/ds = +A^T(-s) z,
+        # on Python floats
+        (a00, a01), (a10, a11) = jacobian(cycle.at(-s))
+        z0, z1 = z
+        return [a00 * z0 + a10 * z1, a01 * z0 + a11 * z1]
 
     mults, vecs = np.linalg.eig(cycle.monodromy.T)
     y0 = vecs[:, np.argmin(np.abs(mults - 1.0))].real
@@ -95,6 +98,8 @@ class VerificationReport:
 
 def verify_basis(basis, tol):
     """Cross-check the closed-form basis against direct integrations."""
+    if not 0 < tol < np.inf:  # NaN fails too
+        raise ArgumentError(f"tol must be finite and > 0, got {tol!r}")
     cycle = basis.cycle
     T = cycle.T
 

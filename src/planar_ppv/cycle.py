@@ -19,7 +19,7 @@ import numpy as np
 
 from . import ode
 from .errors import ArgumentError, CycleNotFoundError, NoOscillationError
-from .models import OscillatorModel
+from .models import OscillatorModel, planar_point
 
 __all__ = ["LimitCycle", "find_cycle", "sample_cycle", "cycle_to_csv"]
 
@@ -29,7 +29,7 @@ _RTOL = 1e-12
 _MAX_RETURN_TIME = 800.0
 # the flow's state: x, Phi row by row, then I_div and I_a
 _X, _PHI, _INTEGRALS = slice(0, 2), slice(2, 6), slice(6, 8)
-_START = np.array([1.0, 0.0, 0.0, 1.0, 0.0, 0.0])  # Phi = I, I_div = I_a = 0
+_START = [1.0, 0.0, 0.0, 1.0, 0.0, 0.0]  # Phi = I, I_div = I_a = 0
 
 
 @dataclass(frozen=True)
@@ -49,8 +49,13 @@ class LimitCycle:
         A scalar is reduced as a Python float: ``%`` is ``np.mod``'s
         fmod-and-adjust, without its per-call overhead."""
         if ode.is_scalar(t):
-            return self._traj(float(t) % self.T, _X)
+            return np.array(self.at(t))
         return self._traj(np.mod(t, self.T), _X)
+
+    def at(self, t):
+        """x0(t mod T) at a scalar time as a list of two Python floats,
+        the scalar read behind :meth:`point`."""
+        return self._traj.at(float(t) % self.T, _X)
 
     def phi(self, t):
         """2x2 Phi(t, 0) for scalar t in [0, T]; exactly I at t = 0."""
@@ -96,7 +101,7 @@ def find_cycle(model, guess, settle_time=100.0, tol=1e-10):
         raise ArgumentError("settle_time must be non-negative")
     if not tol > 0:
         raise ArgumentError("tol must be positive")
-    p = np.array(guess, dtype=float)
+    p = np.array(planar_point(guess, "guess"))
     if settle_time > 0:
         p = ode.integrate(model.rhs, p, 0.0, settle_time, rtol=_RTOL,
                           atol=1e-13, dense=False).final
@@ -107,19 +112,22 @@ def find_cycle(model, guess, settle_time=100.0, tol=1e-10):
         raise NoOscillationError(
             f"trajectory converged to a fixed point near {p}")
     n = fp / nf
+    rhs, jacobian, divergence = model.rhs, model._jacobian, model._divergence
 
     def augmented(t, z):
-        # on Python floats: no BLAS product whose rounding is the machine's
-        x = z[_X]
-        p00, p01, p10, p11, i_div, _ = z[2:].tolist()
-        (a00, a01), (a10, a11) = model.jacobian(x).tolist()
-        f0, f1 = model.rhs(t, x).tolist()
+        # on Python floats: the field through model.rhs, the Jacobian and
+        # the divergence through the model's own expressions
+        x1, x2, p00, p01, p10, p11, i_div, _ = z
+        x = x1, x2
+        f0, f1 = rhs(t, x)
+        (a00, a01), (a10, a11) = jacobian(x)
         n2 = f0 * f0 + f1 * f1
         # a's integrand divides by |f|^4 and resolves the flow's turns as
         # it nears a fixed point: stop there, as after the settle
         if n2 < _FIXED_POINT_TOL * _FIXED_POINT_TOL:
             raise NoOscillationError(
-                f"the flow converged to a fixed point near {x} at t = {t:.6g}")
+                f"the flow converged to a fixed point near {np.array(x)} at "
+                f"t = {t:.6g}")
         try:
             b = math.exp(i_div)
         except OverflowError:
@@ -129,18 +137,20 @@ def find_cycle(model, guess, settle_time=100.0, tol=1e-10):
         # f^T (A + A^T) f_perp / |f|^4 with f_perp = (f1, -f0), times b
         c = (2.0 * (a00 - a11) * f0 * f1
              + (a01 + a10) * (f1 * f1 - f0 * f0)) / (n2 * n2)
-        return np.array([f0, f1,
-                         a00 * p00 + a01 * p10, a00 * p01 + a01 * p11,
-                         a10 * p00 + a11 * p10, a10 * p01 + a11 * p11,
-                         float(model.divergence(x)), c * b])
+        return [f0, f1,
+                a00 * p00 + a01 * p10, a00 * p01 + a01 * p11,
+                a10 * p00 + a11 * p10, a10 * p01 + a11 * p11,
+                float(divergence(x)), c * b]
+
+    (n0, n1), (s0, s1) = n.tolist(), p.tolist()
 
     def section(t, z):  # p lies on it: the start is no crossing
-        return n @ (z[:2] - p) if t > 0 else 1.0
+        return n0 * (z[0] - s0) + n1 * (z[1] - s1) if t > 0 else 1.0
 
     x, T, event = p.copy(), _MAX_RETURN_TIME, section
     residuals = []
     for _ in range(_MAX_NEWTON):
-        traj = ode.integrate(augmented, np.concatenate([x, _START]),
+        traj = ode.integrate(augmented, x.tolist() + _START,
                              0.0, T, rtol=_RTOL, atol=1e-13, event=event)
         if event is not None and traj.status != 1:
             raise CycleNotFoundError("no return to the Poincare section found")

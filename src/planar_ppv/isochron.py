@@ -9,13 +9,14 @@ sequence, and only the endpoints are kept.  Seeds placed along u2 share
 non-isochron direction do not.  The experiment quantifies both spreads.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import ode
-from .errors import NotConvergedError
-from .models import perp
+from .errors import ArgumentError, NotConvergedError
+from .models import perp, planar_point
 
 __all__ = ["PhaseReading", "IsochronReport", "asymptotic_phase",
            "isochron_experiment", "isochron_to_csv"]
@@ -63,20 +64,23 @@ def _nearest_cycle_time(cycle, pt):
 def _asymptotic_phases(cycle, seeds, horizon):
     """(phase, residual) of each ``(label, point)`` seed, in order.
 
-    The N points form one (2, N) state, flattened, integrated once over
-    [0, horizon]: the model evaluates the whole batch in each RHS call,
-    and the seeds share one step sequence.  Each endpoint is projected
+    The N points form one state of 2N float components, every x1 and
+    then every x2, integrated once over [0, horizon]: each RHS call
+    evaluates the model's ``rhs`` at every seed, and the seeds share one
+    step sequence.  Each endpoint is projected
     to its nearest cycle time t*, and the phase is (t* - horizon) mod T.
     An endpoint farther than 1e-6 from the cycle raises
     :class:`NotConvergedError` naming the seed's label.
     """
-    pts = np.array([pt for _, pt in seeds], dtype=float).T  # (2, N)
+    n = len(seeds)
+    x1, x2 = zip(*[pt for _, pt in seeds])
     rhs = cycle.model.rhs
 
     def batch(t, z):
-        return rhs(t, z.reshape(pts.shape)).ravel()
+        f1, f2 = zip(*[rhs(t, x) for x in zip(z[:n], z[n:])])
+        return f1 + f2
 
-    traj = ode.integrate(batch, pts.ravel(), 0.0, horizon, rtol=_RTOL,
+    traj = ode.integrate(batch, x1 + x2, 0.0, horizon, rtol=_RTOL,
                          atol=1e-12, dense=False)
     readings = []
     for (label, _), end in zip(seeds, traj.final.reshape(2, -1).T):
@@ -97,10 +101,16 @@ def asymptotic_phase(cycle, x0, horizon):
     mod T.  An endpoint farther than 1e-6 from the cycle raises
     :class:`NotConvergedError`.
     """
-    x0 = np.asarray(x0, dtype=float)
+    _check_horizon(horizon)
+    x0 = np.array(planar_point(x0, "x0"))
     [(phase, resid)] = _asymptotic_phases(cycle, [(f"seed {x0}", x0)],
                                           horizon)
     return PhaseReading(seed=x0, phase=phase, residual=resid)
+
+
+def _check_horizon(horizon):
+    if not 0 < horizon < math.inf:  # NaN fails too
+        raise ArgumentError(f"horizon must be finite and > 0, got {horizon!r}")
 
 
 def _circular_spread(phases, T):
@@ -130,6 +140,13 @@ def isochron_experiment(basis, t_star, offsets, horizon):
     When the two directions coincide (orthogonally decomposable
     oscillators) the control set is degenerate and skipped.
     """
+    if not math.isfinite(t_star):
+        raise ArgumentError(f"t_star must be finite, got {t_star!r}")
+    offsets = [float(off) for off in offsets]
+    if not offsets or not all(map(math.isfinite, offsets)):
+        raise ArgumentError("offsets must be a non-empty list of finite "
+                            f"numbers, got {offsets!r}")
+    _check_horizon(horizon)
     cycle = basis.cycle
     p = cycle.point(t_star)
     u2 = basis.u2(t_star)
@@ -140,7 +157,7 @@ def isochron_experiment(basis, t_star, offsets, horizon):
                      np.linalg.norm(ctrl + u2)) < 1e-6
 
     sets = [("isochron", u2)] + ([] if degenerate else [("control", ctrl)])
-    keys = [(name, float(off), d) for name, d in sets for off in offsets]
+    keys = [(name, off, d) for name, d in sets for off in offsets]
     readings = _asymptotic_phases(
         cycle, [(f"{name} seed at offset {off:.17g}", p + off * d)
                 for name, off, d in keys], horizon)

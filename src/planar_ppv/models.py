@@ -2,13 +2,16 @@
 
 Built-in oscillators are addressed by name + parameter map:
 ``vanderpol`` (mu), ``stuart_landau`` (omega), ``brusselator`` (a, b).
-Every evaluation takes a point (2,) or a batch (2, N): ``field`` returns
-(2,) or (2, N), ``jacobian`` (2, 2) or (2, 2, N), ``divergence`` a scalar
-or (N,).  For the built-ins a point gives the bits of its column in a
-batch: every square is a product, since ``**`` on a point's NumPy scalar
-calls ``pow``, which may round apart from the product an array takes.
-Results are assembled with ``np.array``; ``np.stack`` over two scalars
-costs several times their arithmetic.
+Each writes its field, Jacobian and divergence once, as expressions of a
+point's two coordinates: Python floats (the integrators' flows, through
+``rhs``), the NumPy scalars of a point (2,), or the two rows of a batch
+(2, N).  The checked methods return arrays: ``field`` (2,) or (2, N),
+``jacobian`` (2, 2) or (2, 2, N), ``divergence`` a scalar or (N,).  A
+point gives the bits of its column in a batch, on floats as on NumPy
+scalars: every square is a product, since ``**`` on a point calls
+``pow``, which may round apart from the product an array takes, and IEEE
+``+ - * /`` round alike on Python floats and in NumPy's elementwise
+loops.
 """
 
 import math
@@ -17,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigError, DomainError
+from .errors import ArgumentError, ConfigError, DomainError
 
 __all__ = [
     "OscillatorModel",
@@ -38,9 +41,37 @@ def _check_point(x):
     return x
 
 
+def planar_point(value, name):
+    """``value`` as a pair of Python floats, or :class:`ArgumentError`
+    naming the argument unless it is a finite 2-vector."""
+    try:
+        x1, x2 = (float(v) for v in value)
+    except (TypeError, ValueError):
+        x1 = x2 = math.nan
+    if not (math.isfinite(x1) and math.isfinite(x2)):
+        raise ArgumentError(f"{name} must be a finite 2-vector, got {value!r}")
+    return x1, x2
+
+
+def _batch_array(entries, x):
+    """Nested entries of a point's or a batch's evaluation as one array;
+    in a batch, a constant entry is broadcast to the batch's columns."""
+    if x.ndim == 1:
+        return np.array(entries)
+    shape = x.shape[1:]
+    return np.array([[np.broadcast_to(e, shape) for e in row]
+                     for row in entries])
+
+
 @dataclass(frozen=True)
 class OscillatorModel:
-    """A planar autonomous vector field with closed-form derivatives."""
+    """A planar autonomous vector field with closed-form derivatives.
+
+    Each callable takes a point as a sequence of two coordinates, floats
+    or the rows of a batch, and returns the field as a pair, the Jacobian
+    as two rows of two and the divergence as a scalar, of floats or
+    arrays; an array result such as ``np.stack(...)`` works as well.
+    """
 
     name: str
     params: dict = field(default_factory=dict)
@@ -49,76 +80,70 @@ class OscillatorModel:
     _divergence: Callable = None
 
     def field(self, x):
-        return self._field(_check_point(x))
+        return np.array(self._field(_check_point(x)))
 
     def jacobian(self, x):
-        return self._jacobian(_check_point(x))
+        x = _check_point(x)
+        return _batch_array(self._jacobian(x), x)
 
     def divergence(self, x):
         return self._divergence(_check_point(x))
 
     def rhs(self, t, x):
-        """ODE right-hand side in integrator convention (t ignored)."""
-        return self._field(np.asarray(x, dtype=float))
+        """ODE right-hand side in the integrator's convention (t ignored):
+        the field at a pair of floats, as a pair, unchecked; every flow
+        evaluates its field here."""
+        return self._field(x)
 
 
 def _vanderpol(mu):
     def f(x):
-        x1, x2 = x[0], x[1]
-        return np.array([x2, mu * (1.0 - x1 * x1) * x2 - x1])
+        x1, x2 = x
+        return x2, mu * (1.0 - x1 * x1) * x2 - x1
 
     def jac(x):
         x1, x2 = x
-        if x.ndim == 1:
-            zero, one = 0.0, 1.0
-        else:
-            zero, one = np.zeros_like(x1), np.ones_like(x1)
-        return np.array([
-            [zero, one],
-            [-2.0 * mu * x1 * x2 - 1.0, mu * (1.0 - x1 * x1)],
-        ])
+        return (0.0, 1.0), (-2.0 * mu * x1 * x2 - 1.0, mu * (1.0 - x1 * x1))
 
     def div(x):
-        return mu * (1.0 - x[0] * x[0]) + 0.0 * x[1]
+        x1, x2 = x
+        return mu * (1.0 - x1 * x1) + 0.0 * x2
 
     return f, jac, div
 
 
 def _stuart_landau(omega):
     def f(x):
-        x1, x2 = x[0], x[1]
+        x1, x2 = x
         r2 = x1 * x1 + x2 * x2
-        return np.array([x1 * (1.0 - r2) - omega * x2,
-                         x2 * (1.0 - r2) + omega * x1])
+        return x1 * (1.0 - r2) - omega * x2, x2 * (1.0 - r2) + omega * x1
 
     def jac(x):
         x1, x2 = x
-        return np.array([
-            [1.0 - 3.0 * (x1 * x1) - x2 * x2, -2.0 * x1 * x2 - omega],
-            [-2.0 * x1 * x2 + omega, 1.0 - x1 * x1 - 3.0 * (x2 * x2)],
-        ])
+        return ((1.0 - 3.0 * (x1 * x1) - x2 * x2, -2.0 * x1 * x2 - omega),
+                (-2.0 * x1 * x2 + omega, 1.0 - x1 * x1 - 3.0 * (x2 * x2)))
 
     def div(x):
-        return 2.0 - 4.0 * (x[0] * x[0] + x[1] * x[1])
+        x1, x2 = x
+        return 2.0 - 4.0 * (x1 * x1 + x2 * x2)
 
     return f, jac, div
 
 
 def _brusselator(a, b):
     def f(x):
-        x1, x2 = x[0], x[1]
-        return np.array([a + (x1 * x1) * x2 - (b + 1.0) * x1,
-                         b * x1 - (x1 * x1) * x2])
+        x1, x2 = x
+        return (a + (x1 * x1) * x2 - (b + 1.0) * x1,
+                b * x1 - (x1 * x1) * x2)
 
     def jac(x):
         x1, x2 = x
-        return np.array([
-            [2.0 * x1 * x2 - (b + 1.0), x1 * x1],
-            [b - 2.0 * x1 * x2, -(x1 * x1)],
-        ])
+        return ((2.0 * x1 * x2 - (b + 1.0), x1 * x1),
+                (b - 2.0 * x1 * x2, -(x1 * x1)))
 
     def div(x):
-        return 2.0 * x[0] * x[1] - (b + 1.0) - x[0] * x[0]
+        x1, x2 = x
+        return 2.0 * x1 * x2 - (b + 1.0) - x1 * x1
 
     return f, jac, div
 

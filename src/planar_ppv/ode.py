@@ -8,24 +8,36 @@ dense cycle with its quadrature, adjoint oracle, batched isochron
 endpoints) at rtol 1e-10 to 1e-12, and the phase ODE (the psi path of
 ``simulate_phase`` and the lock scan's one-period map).
 
-The stepper, its step-size controller and first step, the dense output
-and the event root finder are transcribed from SciPy 1.17
-(``scipy/integrate/_ivp`` and the C ``brentq``), with every arithmetic
-operation, BLAS product, norm and min/max in SciPy's order, so steps,
-statistics, dense values and event times equal ``solve_ivp``'s to the
-bit (``tests/test_ode.py`` checks this against SciPy, with and without
-dense output).  Step control runs on Python floats, which round as
-SciPy's NumPy scalars do.  Only what the pipeline uses is kept: the
-stepper goes forward only (t1 > t0), at most one event is located and
-it is terminal on an upward crossing, and there is no ``t_eval``,
-``max_step``, ``first_step``, vectorized or complex support.
+A state is a sequence of components, and the right-hand side takes one
+and returns one.  A component is a Python float (every planar flow) or a
+1-D NumPy array (the lock map's (n M,) phase state is one).  At these
+sizes NumPy's stepper paid for calls, not arithmetic, so one kernel
+writes DOP853's stages out once: each line sums the nonzero coefficients
+of its ``_DOP853_*`` row in coefficient order, per component with
+``zip``.  Every operation is an IEEE ``+ - * /`` rounded to nearest, so a
+float and an array element round alike, and no BLAS product, whose
+rounding depends on the machine, is on the way.
+
+The step-size controller and first step, the dense output and the event
+root finder are transcribed from SciPy 1.17 (``scipy/integrate/_ivp``
+and the C ``brentq``), in SciPy's order of operations, each of its dot
+products summed in coefficient order.  ``tests/test_ode.py`` pins the
+kernel bit for bit against SciPy's stepper with its sums in that order,
+and the accepted steps, RHS counts and statuses against plain
+``solve_ivp`` (on the 1-D phase ODE its accept/reject decisions differ).  The error norm
+adds the squares of float components in order, and those of an array
+component with NumPy's pairwise sum.  Only what the pipeline uses is
+kept: the stepper goes forward only (t1 > t0), at most one event is
+located and it is terminal on an upward crossing, and there is no
+``t_eval``, ``max_step``, ``first_step``, vectorized or complex support.
 
 Dense output is on by default; callers that read only the endpoint turn
 it off, as ``solve_ivp``'s ``dense_output=False`` does.  Each step's
-interpolant is the tuple (t_old, h, F, y_old); one :class:`Trajectory`
-holds them all and reads a scalar or an array of times with the same
-operations, of the whole state or of a slice of its components (the
-cycle's x alone, say), with the same bits.
+interpolant is the tuple (t_old, h, F, y_old), F its seven coefficient
+rows, each a list of components; one :class:`Trajectory` holds them all
+and reads a scalar or an array of times with the same operations, of the
+whole state or of a slice of its components (the cycle's x alone, say),
+with the same bits.
 """
 
 # The code below is derived from SciPy, under this notice:
@@ -83,8 +95,10 @@ class Trajectory:
 
     ``nfev`` and ``status`` are the integrator's statistics:
     right-hand-side calls and its termination status (0: reached the end
-    of the span, 1: event).  ``steps`` holds each step's interpolant
-    (t_old, h, F, y_old), or None after ``dense=False``.
+    of the span, 1: event).  ``ts`` holds the step times and ``ys`` the
+    flattened states there, (n_samples, dim).  ``steps`` holds each
+    step's interpolant (t_old, h, F, y_old), or None after
+    ``dense=False``.
 
     A time on a step boundary belongs to the step that ends there, and a
     time outside [ts[0], ts[-1]] to the first or last step.  A scalar time
@@ -96,35 +110,49 @@ class Trajectory:
 
     def __init__(self, ts, ys, steps, nfev, status):
         self.ts = ts
-        self.ys = ys  # shape (n_samples, dim)
+        self.ys = ys
         self.steps = steps
         self.nfev = nfev
         self.status = status
         if steps is not None:
             self._ts_list = ts.tolist()
             t_old, h, F, y_old = zip(*steps)
+            n = len(steps)
             self._t_old = np.array(t_old)
             self._h = np.array(h)
-            self._F = np.stack(F, axis=-1)  # (7, dim, steps)
-            self._y_old = np.stack(y_old, axis=-1)
+            self._F = np.ascontiguousarray(  # (7, dim, steps)
+                np.array(F).reshape(n, 7, -1).transpose(1, 2, 0))
+            self._y_old = np.ascontiguousarray(
+                np.array(y_old).reshape(n, -1).T)
 
     @property
     def t1(self):
         return self.ts[-1]
 
-    def __call__(self, t, components=slice(None)):
-        """Dense-output evaluation at a scalar time, shape (dim,), or at a
-        1-D array of times, shape (dim, n); ``components``, a slice of the
-        state, reads only those rows, with the bits of a full read's."""
+    def at(self, t, components=slice(None)):
+        """Dense-output state at a Python float time, as a list of its
+        components (of ``components``, a slice of them): the scalar read
+        behind ``__call__``, for callers that compute on floats."""
+        last = self._last_step()
+        k = bisect_left(self._ts_list, t)
+        return _interpolate(self.steps[min(max(k - 1, 0), last)], t,
+                            components)
+
+    def _last_step(self):
         if self.steps is None:
             raise ArgumentError("integrated with dense=False: only the "
                                 "step nodes ts, ys are kept")
-        last = len(self.steps) - 1
+        return len(self.steps) - 1
+
+    def __call__(self, t, components=slice(None)):
+        """Dense-output evaluation at a scalar time, shape (dim,), or at a
+        1-D array of times, shape (dim, n); ``components``, a slice of the
+        state, reads only those rows, with the bits of a full read's.  For
+        a state of array components the rows are the flattened elements,
+        and a scalar read gives one row per component instead."""
         if is_scalar(t):
-            t = float(t)
-            k = bisect_left(self._ts_list, t)
-            return _interpolate(self.steps[min(max(k - 1, 0), last)], t,
-                                components)
+            return np.array(self.at(float(t), components))
+        last = self._last_step()
         t = np.asarray(t, dtype=float)
         if t.ndim != 1:
             raise ArgumentError("dense output takes a scalar or a 1-D array "
@@ -151,12 +179,15 @@ def integrate(rhs, x0, t0, t1, rtol=1e-10, atol=1e-12, event=None,
               dense=True):
     """Integrate ``dx/dt = rhs(t, x)`` over [t0, t1].
 
-    An upward zero crossing of ``event(t, x)`` ends the integration at its
-    root (status 1), located on the crossing step's interpolant, so an
-    event needs ``dense``.  ``dense`` is ``solve_ivp``'s ``dense_output``:
-    with False no step interpolant is built (that saves three RHS calls
-    per step) and the trajectory cannot be called.  Steps and states do
-    not depend on it.
+    ``x0`` is a sequence of components, each a float or a 1-D array;
+    ``rhs(t, x)`` and ``event(t, x)`` receive the state as a list of
+    them, and ``rhs`` returns a sequence of as many.  An upward zero
+    crossing of ``event`` ends the integration at its root (status 1),
+    located on the crossing step's interpolant, so an event needs
+    ``dense``.  ``dense`` is ``solve_ivp``'s ``dense_output``: with False
+    no step interpolant is built (that saves three RHS calls per step)
+    and the trajectory cannot be called.  Steps and states do not depend
+    on it.
     """
     t0, t1 = float(t0), float(t1)
     if not (math.isfinite(t0) and math.isfinite(t1) and t1 > t0):
@@ -165,12 +196,17 @@ def integrate(rhs, x0, t0, t1, rtol=1e-10, atol=1e-12, event=None,
         raise ArgumentError("tolerances must be positive")
     if event is not None and not dense:
         raise ArgumentError("an event is located on dense output")
-    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    if x0.ndim != 1 or x0.size == 0 or not np.isfinite(x0).all():
-        raise ArgumentError("the initial state must be a finite 1-D array")
-    solver = _DOP853(rhs, t0, x0, t1, rtol, atol)
-    ts, ys, steps = [t0], [x0], []
-    g = event(t0, x0) if event is not None else None
+    try:
+        y0 = [np.array(c, dtype=float) if isinstance(c, np.ndarray)
+              else float(c) for c in x0]
+    except (TypeError, ValueError):
+        y0 = None
+    if not y0 or not _finite(y0):
+        raise ArgumentError("the initial state must be a non-empty sequence "
+                            "of finite components")
+    solver = _DOP853(rhs, t0, y0, t1, rtol, atol)
+    ts, ys, steps = [t0], [y0], []
+    g = event(t0, y0) if event is not None else None
     status = None
     while status is None:
         if not solver.step():
@@ -193,7 +229,7 @@ def integrate(rhs, x0, t0, t1, rtol=1e-10, atol=1e-12, event=None,
             ts.append(t)
             ys.append(y)
             steps.append(step)
-    return Trajectory(np.array(ts), np.vstack(ys),
+    return Trajectory(np.array(ts), np.array(ys).reshape(len(ys), -1),
                       steps if dense else None, solver.nfev, status)
 
 
@@ -206,73 +242,46 @@ def is_scalar(t):
 
 def _interpolate(step, t, components=slice(None)):
     """DOP853's interpolant on one step (t_old, h, F, y_old) at a Python
-    float time, in Horner form in x and 1 - x: starting at 0.0, add F's
-    rows from the last, multiplying by x and 1 - x in turn, then add
-    y_old.  It runs per component on Python floats, which round each
-    operation as NumPy's elementwise ufuncs do, without their per-call
+    float time, as a list of components, in Horner form in x and 1 - x:
+    starting at 0.0, add F's rows from the last, multiplying by x and
+    1 - x in turn, then add y_old.  On Python floats each operation
+    rounds as NumPy's elementwise ufuncs do, without their per-call
     overhead; ``components`` slices the state it reads."""
     t_old, h, F, y_old = step
     # unrolled over F's seven rows (three plus the four of D)
     x = (t - t_old) / h
     o = 1 - x
-    return np.array([
-        ((((((((0.0 + f6) * x + f5) * o + f4) * x + f3) * o + f2) * x
-            + f1) * o + f0) * x + y0)
-        for (f0, f1, f2, f3, f4, f5, f6), y0
-        in zip(F.T[components].tolist(), y_old[components].tolist())])
+    return [((((((((0.0 + f6) * x + f5) * o + f4) * x + f3) * o + f2) * x
+               + f1) * o + f0) * x + y0)
+            for f0, f1, f2, f3, f4, f5, f6, y0
+            in zip(*[row[components] for row in F], y_old[components])]
 
 
-def _norm(x):
-    """RMS norm of an error vector; ``np.linalg.norm`` of a 1-D float array
-    is this square root of ``x.dot(x)``."""
-    return math.sqrt(x.dot(x)) / x.size ** 0.5
+def _finite(y):
+    return all(math.isfinite(c) if isinstance(c, float)
+               else np.isfinite(c).all() for c in y)
 
 
-def _stages(K, A, C, first):
-    """Each stage's ``np.dot`` operands and node, from stage ``first`` on:
-    (K[:s].T, a[:s], c), with the views into K made once per solver."""
-    return [(K[:s].T, a[:s], c)
-            for s, a, c in zip(range(first, first + len(A)), A, C.tolist())]
-
-
-def _initial_step(fun, t0, y0, t_bound, f0, rtol, atol):
-    """First step from the scaled sizes of y0, f0 and a trial derivative
-    (Hairer, Norsett & Wanner, II.4)."""
-    interval_length = t_bound - t0
-    scale = atol + np.abs(y0) * rtol
-    d0 = _norm(y0 / scale)
-    d1 = _norm(f0 / scale)
-    if d0 < 1e-5 or d1 < 1e-5:
-        h0 = 1e-6
-    else:
-        h0 = 0.01 * d0 / d1
-    h0 = min(h0, interval_length)
-    y1 = y0 + h0 * f0
-    f1 = fun(t0 + h0, y1)
-    d2 = _norm((f1 - f0) / scale) / h0
-    if d1 <= 1e-15 and d2 <= 1e-15:
-        h1 = max(1e-6, h0 * 1e-3)
-    else:
-        h1 = (0.01 / max(d1, d2)) ** (1 / 8)
-    return min(100 * h0, h1, interval_length)
-
-
-def _lower_triangle(rows):
-    """Square matrix with the given rows below the diagonal, zero above."""
-    M = np.zeros((len(rows), len(rows)))
-    for i, row in enumerate(rows):
-        M[i, :len(row)] = row
-    return M
+def _rms(xs, n):
+    """RMS norm of a state of n elements, ``np.linalg.norm(x) / n ** 0.5``:
+    the squares of float components add in order, those of array
+    components elementwise and then by NumPy's pairwise sum."""
+    total = 0.0
+    for x in xs:
+        total += x * x
+    if type(total) is not float:
+        total = float(total.sum())
+    return math.sqrt(total) / n ** 0.5
 
 
 # DOP853: 12 stages plus the 13th (FSAL) for the step, and three more for
 # the 7th-order interpolant, in Hairer's coefficients rounded to double.
-_DOP853_C = np.array([
+_DOP853_C = [
     0.0, 0.05260015195876773, 0.0789002279381516, 0.1183503419072274,
     0.2816496580927726, 0.3333333333333333, 0.25, 0.3076923076923077,
     0.6512820512820513, 0.6, 0.8571428571428571, 1.0, 1.0, 0.1, 0.2,
-    0.7777777777777778])
-_DOP853_A = _lower_triangle([
+    0.7777777777777778]
+_DOP853_A = [
     [],
     [0.05260015195876773],
     [0.0197250569845379, 0.0591751709536137],
@@ -307,16 +316,16 @@ _DOP853_A = _lower_triangle([
     [-0.42889630158379194, 0, 0, 0, 0, -4.697621415361164,
      7.683421196062599, 4.06898981839711, 0.3567271874552811, 0, 0, 0,
      -0.0013990241651590145, 2.9475147891527724, -9.15095847217987],
-])
-_DOP853_E3 = np.array([
+]
+_DOP853_E3 = [
     -0.18980075407240762, 0, 0, 0, 0, 4.450312892752409,
     1.8915178993145003, -5.801203960010585, -0.4226823213237919,
-    -0.1521609496625161, 0.20136540080403034, 0.02265179219836082, 0])
-_DOP853_E5 = np.array([
+    -0.1521609496625161, 0.20136540080403034, 0.02265179219836082, 0]
+_DOP853_E5 = [
     0.01312004499419488, 0, 0, 0, 0, -1.2251564463762044,
     -0.4957589496572502, 1.6643771824549864, -0.35032884874997366,
-    0.3341791187130175, 0.08192320648511571, -0.022355307863886294, 0])
-_DOP853_D = np.array([
+    0.3341791187130175, 0.08192320648511571, -0.022355307863886294, 0]
+_DOP853_D = [
     [-8.428938276109013, 0, 0, 0, 0, 0.5667149535193777,
      -3.0689499459498917, 2.38466765651207, 2.117034582445028,
      -0.871391583777973, 2.2404374302607883, 0.6315787787694688,
@@ -334,11 +343,162 @@ _DOP853_D = np.array([
      357.6391179106141, 93.40532418362432, -37.45832313645163,
      104.0996495089623, 29.8402934266605, -43.53345659001114,
      96.32455395918828, -39.17726167561544, -149.72683625798564],
-])
+]
 
 
-_N_STAGES = 12
-_DOP853_B = _DOP853_A[_N_STAGES, :_N_STAGES]
+def _nonzero(row):
+    return [a for a in row if a]
+
+
+# Each table's nonzero coefficients by Hairer's 1-based indices: a5_3
+# weighs stage k3 in stage k5, b the step, e5/e3 the error estimates,
+# and dr_j the stage k_j in D's row r; c_i is stage k_i's node.
+(_, c2, c3, c4, c5, c6, c7, c8, c9, c10, c11, c12, _, c14, c15,
+ c16) = _DOP853_C
+((a2_1,), (a3_1, a3_2), (a4_1, a4_3), (a5_1, a5_3, a5_4), (a6_1, a6_4, a6_5),
+ (a7_1, a7_4, a7_5, a7_6), (a8_1, a8_4, a8_5, a8_6, a8_7),
+ (a9_1, a9_4, a9_5, a9_6, a9_7, a9_8),
+ (a10_1, a10_4, a10_5, a10_6, a10_7, a10_8, a10_9),
+ (a11_1, a11_4, a11_5, a11_6, a11_7, a11_8, a11_9, a11_10),
+ (a12_1, a12_4, a12_5, a12_6, a12_7, a12_8, a12_9, a12_10, a12_11),
+ (b1, b6, b7, b8, b9, b10, b11, b12),
+ (a14_1, a14_7, a14_8, a14_9, a14_10, a14_11, a14_12, a14_13),
+ (a15_1, a15_6, a15_7, a15_8, a15_11, a15_12, a15_13, a15_14),
+ (a16_1, a16_6, a16_7, a16_8, a16_9, a16_13, a16_14, a16_15),
+ ) = map(_nonzero, _DOP853_A[1:])
+e5_1, e5_6, e5_7, e5_8, e5_9, e5_10, e5_11, e5_12 = _nonzero(_DOP853_E5)
+e3_1, e3_6, e3_7, e3_8, e3_9, e3_10, e3_11, e3_12 = _nonzero(_DOP853_E3)
+((d1_1, d1_6, d1_7, d1_8, d1_9, d1_10, d1_11, d1_12, d1_13, d1_14, d1_15,
+  d1_16),
+ (d2_1, d2_6, d2_7, d2_8, d2_9, d2_10, d2_11, d2_12, d2_13, d2_14, d2_15,
+  d2_16),
+ (d3_1, d3_6, d3_7, d3_8, d3_9, d3_10, d3_11, d3_12, d3_13, d3_14, d3_15,
+  d3_16),
+ (d4_1, d4_6, d4_7, d4_8, d4_9, d4_10, d4_11, d4_12, d4_13, d4_14, d4_15,
+  d4_16),
+ ) = map(_nonzero, _DOP853_D)
+
+
+def _rk_step(fun, t, y, k1, h):
+    """One step of the pair from (t, y), k1 = fun(t, y), of size h.
+
+    Returns the new state and the stages the error estimate and the
+    interpolant read: k1, k6, ..., k12 and k13 = fun(t + h, y_new).
+    Each stage input is y + (sum of a_ij k_j) h per component.
+    """
+    k2 = fun(t + c2 * h, [s + a2_1 * q1 * h for s, q1 in zip(y, k1)])
+    k3 = fun(t + c3 * h, [s + (a3_1 * q1 + a3_2 * q2) * h
+                          for s, q1, q2 in zip(y, k1, k2)])
+    k4 = fun(t + c4 * h, [s + (a4_1 * q1 + a4_3 * q3) * h
+                          for s, q1, q3 in zip(y, k1, k3)])
+    k5 = fun(t + c5 * h, [s + (a5_1 * q1 + a5_3 * q3 + a5_4 * q4) * h
+                          for s, q1, q3, q4 in zip(y, k1, k3, k4)])
+    k6 = fun(t + c6 * h, [s + (a6_1 * q1 + a6_4 * q4 + a6_5 * q5) * h
+                          for s, q1, q4, q5 in zip(y, k1, k4, k5)])
+    k7 = fun(t + c7 * h, [
+        s + (a7_1 * q1 + a7_4 * q4 + a7_5 * q5 + a7_6 * q6) * h
+        for s, q1, q4, q5, q6 in zip(y, k1, k4, k5, k6)])
+    k8 = fun(t + c8 * h, [
+        s + (a8_1 * q1 + a8_4 * q4 + a8_5 * q5 + a8_6 * q6 + a8_7 * q7) * h
+        for s, q1, q4, q5, q6, q7 in zip(y, k1, k4, k5, k6, k7)])
+    k9 = fun(t + c9 * h, [
+        s + (a9_1 * q1 + a9_4 * q4 + a9_5 * q5 + a9_6 * q6 + a9_7 * q7
+             + a9_8 * q8) * h
+        for s, q1, q4, q5, q6, q7, q8 in zip(y, k1, k4, k5, k6, k7, k8)])
+    k10 = fun(t + c10 * h, [
+        s + (a10_1 * q1 + a10_4 * q4 + a10_5 * q5 + a10_6 * q6 + a10_7 * q7
+             + a10_8 * q8 + a10_9 * q9) * h
+        for s, q1, q4, q5, q6, q7, q8, q9
+        in zip(y, k1, k4, k5, k6, k7, k8, k9)])
+    k11 = fun(t + c11 * h, [
+        s + (a11_1 * q1 + a11_4 * q4 + a11_5 * q5 + a11_6 * q6 + a11_7 * q7
+             + a11_8 * q8 + a11_9 * q9 + a11_10 * q10) * h
+        for s, q1, q4, q5, q6, q7, q8, q9, q10
+        in zip(y, k1, k4, k5, k6, k7, k8, k9, k10)])
+    k12 = fun(t + c12 * h, [
+        s + (a12_1 * q1 + a12_4 * q4 + a12_5 * q5 + a12_6 * q6 + a12_7 * q7
+             + a12_8 * q8 + a12_9 * q9 + a12_10 * q10 + a12_11 * q11) * h
+        for s, q1, q4, q5, q6, q7, q8, q9, q10, q11
+        in zip(y, k1, k4, k5, k6, k7, k8, k9, k10, k11)])
+    y_new = [s + h * (b1 * q1 + b6 * q6 + b7 * q7 + b8 * q8 + b9 * q9
+                      + b10 * q10 + b11 * q11 + b12 * q12)
+             for s, q1, q6, q7, q8, q9, q10, q11, q12
+             in zip(y, k1, k6, k7, k8, k9, k10, k11, k12)]
+    k13 = fun(t + h, y_new)
+    return y_new, (k1, k6, k7, k8, k9, k10, k11, k12, k13)
+
+
+def _error_norm(y, y_new, stages, h, rtol, atol, n, maximum):
+    """DOP853's scaled error estimate of a step of n state elements;
+    ``maximum`` is ``max`` on float components, ``np.maximum`` on
+    arrays.  The squares add as in :func:`_rms`."""
+    k1, k6, k7, k8, k9, k10, k11, k12, _ = stages
+    err5 = err3 = 0.0
+    for s, u, q1, q6, q7, q8, q9, q10, q11, q12 in zip(
+            y, y_new, k1, k6, k7, k8, k9, k10, k11, k12):
+        scale = atol + maximum(abs(s), abs(u)) * rtol
+        e = (e5_1 * q1 + e5_6 * q6 + e5_7 * q7 + e5_8 * q8 + e5_9 * q9
+             + e5_10 * q10 + e5_11 * q11 + e5_12 * q12) / scale
+        err5 += e * e
+        e = (e3_1 * q1 + e3_6 * q6 + e3_7 * q7 + e3_8 * q8 + e3_9 * q9
+             + e3_10 * q10 + e3_11 * q11 + e3_12 * q12) / scale
+        err3 += e * e
+    if type(err5) is not float:
+        err5, err3 = float(err5.sum()), float(err3.sum())
+    # squared norms, as SciPy's norm(err) ** 2
+    err5_norm_2 = math.sqrt(err5) ** 2
+    err3_norm_2 = math.sqrt(err3) ** 2
+    if err5_norm_2 == 0 and err3_norm_2 == 0:
+        return 0.0
+    denom = err5_norm_2 + 0.01 * err3_norm_2
+    return h * err5_norm_2 / math.sqrt(denom * n)
+
+
+def _interpolant(fun, t_old, h, y_old, y, stages):
+    """The step's interpolant (t_old, h, F, y_old): three more stages and
+    F's seven rows, (y - y_old, ...) and h times D's four rows of sums."""
+    k1, k6, k7, k8, k9, k10, k11, k12, k13 = stages
+    k14 = fun(t_old + c14 * h, [
+        s + (a14_1 * q1 + a14_7 * q7 + a14_8 * q8 + a14_9 * q9 + a14_10 * q10
+             + a14_11 * q11 + a14_12 * q12 + a14_13 * q13) * h
+        for s, q1, q7, q8, q9, q10, q11, q12, q13
+        in zip(y_old, k1, k7, k8, k9, k10, k11, k12, k13)])
+    k15 = fun(t_old + c15 * h, [
+        s + (a15_1 * q1 + a15_6 * q6 + a15_7 * q7 + a15_8 * q8 + a15_11 * q11
+             + a15_12 * q12 + a15_13 * q13 + a15_14 * q14) * h
+        for s, q1, q6, q7, q8, q11, q12, q13, q14
+        in zip(y_old, k1, k6, k7, k8, k11, k12, k13, k14)])
+    k16 = fun(t_old + c16 * h, [
+        s + (a16_1 * q1 + a16_6 * q6 + a16_7 * q7 + a16_8 * q8 + a16_9 * q9
+             + a16_13 * q13 + a16_14 * q14 + a16_15 * q15) * h
+        for s, q1, q6, q7, q8, q9, q13, q14, q15
+        in zip(y_old, k1, k6, k7, k8, k9, k13, k14, k15)])
+    ks = (k1, k6, k7, k8, k9, k10, k11, k12, k13, k14, k15, k16)
+    dy = [u - s for s, u in zip(y_old, y)]
+    F = (dy,
+         [h * q1 - d for d, q1 in zip(dy, k1)],
+         [2 * d - h * (q13 + q1) for d, q1, q13 in zip(dy, k1, k13)],
+         [h * (d1_1 * q1 + d1_6 * q6 + d1_7 * q7 + d1_8 * q8 + d1_9 * q9
+               + d1_10 * q10 + d1_11 * q11 + d1_12 * q12 + d1_13 * q13
+               + d1_14 * q14 + d1_15 * q15 + d1_16 * q16)
+          for q1, q6, q7, q8, q9, q10, q11, q12, q13, q14, q15, q16
+          in zip(*ks)],
+         [h * (d2_1 * q1 + d2_6 * q6 + d2_7 * q7 + d2_8 * q8 + d2_9 * q9
+               + d2_10 * q10 + d2_11 * q11 + d2_12 * q12 + d2_13 * q13
+               + d2_14 * q14 + d2_15 * q15 + d2_16 * q16)
+          for q1, q6, q7, q8, q9, q10, q11, q12, q13, q14, q15, q16
+          in zip(*ks)],
+         [h * (d3_1 * q1 + d3_6 * q6 + d3_7 * q7 + d3_8 * q8 + d3_9 * q9
+               + d3_10 * q10 + d3_11 * q11 + d3_12 * q12 + d3_13 * q13
+               + d3_14 * q14 + d3_15 * q15 + d3_16 * q16)
+          for q1, q6, q7, q8, q9, q10, q11, q12, q13, q14, q15, q16
+          in zip(*ks)],
+         [h * (d4_1 * q1 + d4_6 * q6 + d4_7 * q7 + d4_8 * q8 + d4_9 * q9
+               + d4_10 * q10 + d4_11 * q11 + d4_12 * q12 + d4_13 * q13
+               + d4_14 * q14 + d4_15 * q15 + d4_16 * q16)
+          for q1, q6, q7, q8, q9, q10, q11, q12, q13, q14, q15, q16
+          in zip(*ks)])
+    return t_old, h, F, y_old
 
 
 class _DOP853:
@@ -346,60 +506,52 @@ class _DOP853:
     t_bound, with Hairer's 7th-order dense output.
 
     Times, step sizes and error norms are Python floats, which round each
-    operation as the NumPy scalars of SciPy's stepper do; the stages stay
-    on NumPy, with their ``np.dot`` operands as views made once.
+    operation as the NumPy scalars of SciPy's stepper do.  ``nfev``
+    counts the RHS calls: two to start, twelve per step tried and three
+    per interpolant.
     """
 
     def __init__(self, fun, t0, y0, t_bound, rtol, atol):
-        self.nfev = 0
-
-        def counted(t, y):
-            self.nfev += 1
-            return np.asarray(fun(t, y), dtype=float)
-
-        self.fun = counted
+        self.fun = fun
         self.t, self.y, self.t_bound = t0, y0, t_bound
-        self.t_old = self.y_old = None
+        self.t_old = self.y_old = self.stages = None
         self.rtol = max(rtol, 100 * _EPS)
         self.atol = float(atol)
+        self.n = sum(np.size(c) for c in y0)
+        self.maximum = (max if all(isinstance(c, float) for c in y0)
+                        else np.maximum)
         # a diverging start is reported by the check below, not by NumPy
         with np.errstate(over="ignore", invalid="ignore"):
-            self.f = self.fun(t0, y0)
-        if not np.isfinite(self.f).all():
+            self.f = fun(t0, y0)
+        if len(self.f) != len(y0):
+            raise ArgumentError(f"the right-hand side returns {len(self.f)} "
+                                f"components for a state of {len(y0)}")
+        if not _finite(self.f):
             raise IntegrationFailureError(
                 f"right-hand side is not finite at t={t0:.6g}", last_t=t0)
-        self.h = _initial_step(self.fun, t0, y0, t_bound, self.f,
-                               self.rtol, self.atol)
-        self.K_extended = np.empty((len(_DOP853_C), y0.size))
-        self.K = self.K_extended[:_N_STAGES + 1]
-        self.KT = self.K.T
-        self.stages = _stages(self.K, _DOP853_A[1:_N_STAGES, :_N_STAGES],
-                              _DOP853_C[1:_N_STAGES], 1)
-        self.extra_stages = _stages(self.K_extended, _DOP853_A[_N_STAGES + 1:],
-                                    _DOP853_C[_N_STAGES + 1:], _N_STAGES + 1)
-        self.KT_B = self.K[:-1].T
+        self.h = self._initial_step()
+        self.nfev = 2
 
-    def _rk_step(self, t, y, h):
-        """One step of the pair; its stages land in the rows of K."""
-        K = self.K
-        K[0] = self.f
-        for s, (KT_s, a, c) in enumerate(self.stages, start=1):
-            dy = np.dot(KT_s, a) * h
-            K[s] = self.fun(t + c * h, y + dy)
-        y_new = y + h * np.dot(self.KT_B, _DOP853_B)
-        f_new = self.fun(t + h, y_new)
-        K[-1] = f_new
-        return y_new, f_new
-
-    def _error_norm(self, h, scale):
-        err5 = np.dot(self.KT, _DOP853_E5) / scale
-        err3 = np.dot(self.KT, _DOP853_E3) / scale
-        err5_norm_2 = math.sqrt(err5.dot(err5))**2
-        err3_norm_2 = math.sqrt(err3.dot(err3))**2
-        if err5_norm_2 == 0 and err3_norm_2 == 0:
-            return 0.0
-        denom = err5_norm_2 + 0.01 * err3_norm_2
-        return h * err5_norm_2 / math.sqrt(denom * len(scale))
+    def _initial_step(self):
+        """First step from the scaled sizes of y0, f0 and a trial
+        derivative (Hairer, Norsett & Wanner, II.4)."""
+        t0, y0, f0, n = self.t, self.y, self.f, self.n
+        interval_length = self.t_bound - t0
+        scale = [self.atol + abs(s) * self.rtol for s in y0]
+        d0 = _rms([s / w for s, w in zip(y0, scale)], n)
+        d1 = _rms([q / w for q, w in zip(f0, scale)], n)
+        if d0 < 1e-5 or d1 < 1e-5:
+            h0 = 1e-6
+        else:
+            h0 = 0.01 * d0 / d1
+        h0 = min(h0, interval_length)
+        f1 = self.fun(t0 + h0, [s + h0 * q for s, q in zip(y0, f0)])
+        d2 = _rms([(p - q) / w for p, q, w in zip(f1, f0, scale)], n) / h0
+        if d1 <= 1e-15 and d2 <= 1e-15:
+            h1 = max(1e-6, h0 * 1e-3)
+        else:
+            h1 = (0.01 / max(d1, d2)) ** (1 / 8)
+        return min(100 * h0, h1, interval_length)
 
     def step(self):
         """Take one accepted step; False once the step size underflows or
@@ -413,9 +565,10 @@ class _DOP853:
                 return False
             t_new = min(t + h, self.t_bound)
             h = t_new - t
-            y_new, f_new = self._rk_step(t, y, h)
-            scale = self.atol + np.maximum(np.abs(y), np.abs(y_new)) * self.rtol
-            error_norm = self._error_norm(h, scale)
+            y_new, stages = _rk_step(self.fun, t, y, self.f, h)
+            self.nfev += 12
+            error_norm = _error_norm(y, y_new, stages, h, self.rtol,
+                                     self.atol, self.n, self.maximum)
             if error_norm < 1:
                 break
             h *= max(_MIN_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT)
@@ -427,28 +580,16 @@ class _DOP853:
         if step_rejected:
             factor = min(1, factor)
         self.t_old, self.y_old = t, y
-        self.t, self.y, self.f = t_new, y_new, f_new
+        self.t, self.y, self.f, self.stages = t_new, y_new, stages[-1], stages
         self.h = h * factor
         return True
 
     def dense_output(self):
         """The last step's interpolant (t_old, h, F, y_old); its three extra
         stages count in ``nfev``."""
-        K = self.K_extended
-        t_old, y_old = self.t_old, self.y_old
-        h = self.t - t_old
-        for s, (KT_s, a, c) in enumerate(self.extra_stages,
-                                         start=_N_STAGES + 1):
-            dy = np.dot(KT_s, a) * h
-            K[s] = self.fun(t_old + c * h, y_old + dy)
-        F = np.empty((len(_DOP853_D) + 3, y_old.size))
-        f_old = K[0]
-        delta_y = self.y - y_old
-        F[0] = delta_y
-        F[1] = h * f_old - delta_y
-        F[2] = 2 * delta_y - h * (self.f + f_old)
-        F[3:] = h * np.dot(_DOP853_D, K)
-        return t_old, h, F, y_old
+        self.nfev += 3
+        return _interpolant(self.fun, self.t_old, self.t - self.t_old,
+                            self.y_old, self.y, self.stages)
 
 
 def _signbit(x):

@@ -26,6 +26,7 @@ import numpy as np
 
 from . import ode
 from .errors import ArgumentError
+from .models import planar_point
 from .spline import PeriodicSpline, _HornerKernel
 
 __all__ = ["Perturbation", "PhasePath", "PPVSpectrum", "simulate_phase",
@@ -115,10 +116,11 @@ class PhasePath:
 
 
 def _rhs(proj, eps, u):
-    """rhs(t, psi) = eps u(t) proj(t + psi), elementwise in psi."""
+    """rhs(t, [psi]) = [eps u(t) proj(t + psi)], on a Python float psi."""
 
     def rhs(t, psi):
-        return eps * u(t) * proj.values(np.add(t, psi))[0]
+        (psi,) = psi
+        return [float(eps * u(t) * proj.values(t + psi)[0])]
 
     return rhs
 
@@ -127,8 +129,9 @@ def _period_map(proj, T, eps, omega_inj):
     """D(theta_m) = Psi(theta_m) - theta_m - (T - T_inj), theta_m = m T / M.
 
     Psi is the map of psi over one forcing period.  Every detuning's M
-    phases are one (n * M,) state integrated over s in [0, 1], t = s T_inj,
-    so the whole row shares one step sequence and one read-out kernel.
+    phases are one (n * M,) array, the state's one component, integrated
+    over s in [0, 1], t = s T_inj, so the whole row shares one step
+    sequence and one read-out kernel.
     Returns D as (n, M).
     """
     n, M = len(omega_inj), _MAP_PHASES
@@ -138,10 +141,11 @@ def _period_map(proj, T, eps, omega_inj):
     read = _HornerKernel(proj, (n, M))
 
     def rhs(s, psi):
-        return (scale * np.cos(2.0 * np.pi * s)
-                * read(s * t_inj, psi.reshape(n, M))).ravel()
+        (psi,) = psi
+        return [(scale * np.cos(2.0 * np.pi * s)
+                 * read(s * t_inj, psi.reshape(n, M))).ravel()]
 
-    traj = ode.integrate(rhs, np.tile(theta, n), 0.0, 1.0, rtol=_MAP_RTOL,
+    traj = ode.integrate(rhs, [np.tile(theta, n)], 0.0, 1.0, rtol=_MAP_RTOL,
                          atol=1e-12, dense=False)
     return traj.final.reshape(n, M) - theta - (T - t_inj)
 
@@ -323,7 +327,7 @@ def injection_lock_scan(basis, amp, eps_list, detuning_grid):
         raise ArgumentError("empty scan grid")
     if not all(eps >= 0 and math.isfinite(eps) for eps in eps_list):
         raise ArgumentError("every eps must be finite and non-negative")
-    amp = np.asarray(amp, dtype=float)
+    amp = np.array(planar_point(amp, "amp"))
     proj = basis.projection(lambda x: amp)
     detuning = np.array(detuning_grid, dtype=float)
     if not np.isfinite(detuning).all():

@@ -108,3 +108,10 @@ def test_verify_integrates_variational_once(monkeypatch, sl_basis):
     monkeypatch.setattr(ode, "integrate", counting("integrate", ode.integrate))
     assert adjoint.verify_basis(sl_basis, 1e-5).passed
     assert calls == {"state_transition": 1, "integrate": 1}
+
+
+@pytest.mark.parametrize("tol", [np.nan, -1.0, 0.0, np.inf])
+def test_verify_rejects_bad_tol(sl_basis, tol):
+    # unchecked, NaN or a negative tol failed every metric of the report
+    with pytest.raises(ArgumentError, match="tol"):
+        pp.verify_basis(sl_basis, tol)

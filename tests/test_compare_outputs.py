@@ -54,8 +54,9 @@ def test_csv_column_differences_per_column(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     a.write_text("eps,locked,shift,t\n0.01,True,1e-3,0\n0.02,False,2e-3,1\n")
     b.write_text("eps,locked,shift,t\n0.01,False,1.5e-3,0\n0.02,False,1e-3,1\n")
+    # rows 1e-3 / 1.5e-3 and 2e-3 / 1e-3: relative 1/3 and 1/2
     assert tool.csv_column_differences(str(a), str(b)) == [
-        "locked differs", "shift max|d| 0.001"]
+        "locked differs", "shift max|d| 0.001 rel 0.5"]
     assert tool.csv_column_differences(str(a), str(a)) == []
     b.write_text("eps,locked,shift,t\n0.01,True,1e-3,0\n")
     assert tool.csv_column_differences(str(a), str(b)) is None
@@ -93,10 +94,26 @@ def test_summary_differences_per_key(tmp_path):
     b.write_text("model=vanderpol\nT=6.5\nmax_defect=2.0e-03 fail\n"
                  "isochron_degenerate=1\ndiffusion_rate=0.002\n")
     assert tool.summary_differences(str(a), str(b)) == [
-        "T max|d| 0.1", "max_defect 1.0e-09 pass -> 2.0e-03 fail",
-        "isochron_degenerate max|d| 1", "mu2 -1.06 -> (none)",
+        "T max|d| 0.1 rel 0.0152", "max_defect 1.0e-09 pass -> 2.0e-03 fail",
+        "isochron_degenerate max|d| 1 rel 1", "mu2 -1.06 -> (none)",
         "diffusion_rate (none) -> 0.002"]
     assert tool.summary_differences(str(a), str(a)) == []
+
+
+def test_relative_difference_reads_a_last_bit_move_as_one(tmp_path):
+    # a move in the last bit reads about 1e-16 relative at any size, so it
+    # stands apart from a real move however large the values are
+    tool = load_tool()
+    big, big_next = "1.0715086071862673e+301", "1.0715086071862676e+301"
+    assert tool.numeric_difference([(big, big_next)]) == (
+        "max|d| 2.38e+285 rel 2.22e-16")  # 2 ** 1000 and the next double
+    assert tool.numeric_difference([("0.25", "0.5"), ("0", "0.0")]) == (
+        "max|d| 0.25 rel 0.5")
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    a.write_text(f"v1x,T\n3.0,{big}\n")
+    b.write_text(f"v1x,T\n3.0000000000000004,{big_next}\n")
+    assert tool.csv_column_differences(str(a), str(b)) == [
+        "v1x max|d| 4.44e-16 rel 1.48e-16", "T max|d| 2.38e+285 rel 2.22e-16"]
 
 
 def test_compare_prints_the_summary_keys_that_differ(tmp_path, monkeypatch,

@@ -255,3 +255,20 @@ def test_cycle_csv(tmp_path, sl_cycle):
     assert len(lines) == 513
     t, x, y = (float(v) for v in lines[1].split(","))
     assert (t, x) == (0.0, pytest.approx(1.0, abs=1e-10))
+
+
+@pytest.mark.parametrize("settle_time", [0.0, 10.0], ids=["no-settle",
+                                                          "settle"])
+@pytest.mark.parametrize("guess", [(1.0, 0.0, 0.5), (1.0,), (np.nan, 0.0),
+                                   (np.inf, 0.0), "ab", None],
+                         ids=["three", "one", "nan", "inf", "str", "none"])
+def test_non_planar_guess_is_an_argument_error(monkeypatch, sl_model,
+                                              guess, settle_time):
+    # the flows evaluate the model on two floats unchecked, so the guess
+    # is checked where it enters, before any integration
+    def no_integration(*args, **kwargs):
+        raise AssertionError("integrated before checking the arguments")
+
+    monkeypatch.setattr(ode, "integrate", no_integration)
+    with pytest.raises(ArgumentError, match="guess"):
+        pp.find_cycle(sl_model, guess, settle_time=settle_time)

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 import planar_ppv as pp
-from planar_ppv.errors import NotConvergedError
+from planar_ppv import ode
+from planar_ppv.errors import ArgumentError, NotConvergedError
 from planar_ppv.isochron import isochron_to_csv
 
 
@@ -207,7 +208,6 @@ def test_experiment_is_one_integration(monkeypatch, vdp_basis):
 def test_single_seed_is_a_lone_integration(vdp_cycle):
     # asymptotic_phase is the batch of one, with the steps and the bits
     # of integrating the bare (2,) point
-    from planar_ppv import ode
     from planar_ppv.isochron import _nearest_cycle_time
 
     seed = np.array([2.1, 0.2])
@@ -217,3 +217,37 @@ def test_single_seed_is_a_lone_integration(vdp_cycle):
     r = pp.asymptotic_phase(vdp_cycle, seed, 19.0)
     assert r.phase == float(np.mod(t_star - 19.0, vdp_cycle.T))
     assert r.residual == resid
+
+
+def no_integration(*args, **kwargs):
+    raise AssertionError("integrated before checking the arguments")
+
+
+@pytest.mark.parametrize("x0, horizon", [
+    ((1.0, 0.0, 0.5), 10.0), ((1.0,), 10.0), ((np.nan, 0.0), 10.0),
+    ((1.0, 0.0), np.nan), ((1.0, 0.0), 0.0), ((1.0, 0.0), np.inf)],
+    ids=["three", "one", "nan", "horizon-nan", "horizon-zero",
+         "horizon-inf"])
+def test_asymptotic_phase_rejects_bad_arguments(monkeypatch, sl_cycle, x0,
+                                                horizon):
+    monkeypatch.setattr(ode, "integrate", no_integration)
+    name = "x0" if horizon == 10.0 else "horizon"
+    with pytest.raises(ArgumentError, match=name):
+        pp.asymptotic_phase(sl_cycle, x0, horizon)
+
+
+@pytest.mark.parametrize("bad", [
+    {"t_star": np.nan}, {"t_star": np.inf}, {"offsets": []},
+    {"offsets": [0.01, np.nan]}, {"offsets": [np.inf]},
+    {"horizon": np.nan}, {"horizon": -1.0}],
+    ids=["t-star-nan", "t-star-inf", "offsets-empty", "offsets-nan",
+         "offsets-inf", "horizon-nan", "horizon-negative"])
+def test_isochron_experiment_rejects_bad_arguments(monkeypatch, vdp_basis,
+                                                   bad):
+    # the config checks these keys; the library call names the argument
+    monkeypatch.setattr(ode, "integrate", no_integration)
+    args = {"t_star": 1.0, "offsets": [-0.05, 0.0, 0.05], "horizon": 19.0}
+    args.update(bad)
+    (name,) = bad
+    with pytest.raises(ArgumentError, match=name):
+        pp.isochron_experiment(vdp_basis, **args)

@@ -157,15 +157,22 @@ _coord = st.floats(-3.0, 3.0)
 @given(points=st.lists(st.tuples(_coord, _coord), min_size=1, max_size=5))
 def test_point_equals_batch_column_bit_for_bit(name, points):
     # every square is a product, so a point and its column in a batch
-    # round alike, down to the sign of zero
+    # round alike, down to the sign of zero; so does a point given as a
+    # pair of Python floats, the flows' evaluation (``rhs`` for the field,
+    # the model's own expressions for the Jacobian and the divergence)
     model = pp.get_model(name)
     x = np.array(points).T
+    on_floats = {"field": lambda p: model.rhs(0.0, p),
+                 "jacobian": model._jacobian, "divergence": model._divergence}
     for method in ("field", "jacobian", "divergence"):
         batch = np.asarray(getattr(model, method)(x))
         for i in range(x.shape[1]):
+            column = batch[..., i].view(np.int64)
             point = np.asarray(getattr(model, method)(x[:, i]))
-            assert np.array_equal(point.view(np.int64),
-                                  batch[..., i].view(np.int64)), (method, i)
+            assert np.array_equal(point.view(np.int64), column), (method, i)
+            pair = on_floats[method](tuple(x[:, i].tolist()))
+            assert np.array_equal(np.array(pair).view(np.int64),
+                                  column), (method, i, "floats")
 
 
 @pytest.mark.parametrize("name", pp.models.model_names())

@@ -1,27 +1,37 @@
+import math
+import types
+
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
+from scipy.integrate._ivp import common, rk
 from scipy.optimize import brentq
 
 from planar_ppv import adjoint, ode, phase
 from planar_ppv.errors import ArgumentError, IntegrationFailureError
 
+# A state is a sequence of components and the RHS returns one; these
+# problems take a list of floats from ode.integrate and an array from
+# solve_ivp alike.
+
 
 def rotation(t, x):
-    return np.array([-x[1], x[0]])
+    return [-x[1], x[0]]
 
 
 def decay(t, x):
-    return -x
+    return [-v for v in x]
 
 
 def stuart_landau_rhs(t, x):
-    r2 = x[0] ** 2 + x[1] ** 2
-    return np.array([x[0] * (1 - r2) - x[1], x[1] * (1 - r2) + x[0]])
+    x1, x2 = x
+    r2 = x1 * x1 + x2 * x2
+    return [x1 * (1 - r2) - x2, x2 * (1 - r2) + x1]
 
 
 def vanderpol_rhs(t, x):
-    return np.array([x[1], (1 - x[0] ** 2) * x[1] - x[0]])
+    x1, x2 = x
+    return [x2, (1 - x1 * x1) * x2 - x1]
 
 
 def test_rotation_full_turn():
@@ -32,6 +42,11 @@ def test_rotation_full_turn():
 def test_exponential_decay():
     traj = ode.integrate(decay, [1.0], 0.0, 1.0, rtol=1e-10, atol=1e-12)
     assert traj.final[0] == pytest.approx(np.exp(-1.0), abs=1e-9)
+    # a state of one array component steps each element alike
+    traj = ode.integrate(decay, [np.array([1.0, 2.0])], 0.0, 1.0,
+                         rtol=1e-10, atol=1e-12)
+    np.testing.assert_allclose(traj.final, [np.exp(-1.0), 2 * np.exp(-1.0)],
+                               atol=1e-9)
 
 
 def test_stuart_landau_radius():
@@ -42,15 +57,21 @@ def test_stuart_landau_radius():
 
 
 def test_statistics_count_rhs_calls():
-    calls = []
+    # nfev is counted arithmetically: two calls to start, twelve per step
+    # tried (vdp at rtol 1e-6 rejects some) and three per interpolant
+    for rhs, x0 in ((stuart_landau_rhs, [1.0, 0.0]),
+                    (vanderpol_rhs, [2.0, 0.0])):
+        for dense in (True, False):
+            calls = []
 
-    def counted(t, x):
-        calls.append(t)
-        return stuart_landau_rhs(t, x)
+            def counted(t, x):
+                calls.append(t)
+                return rhs(t, x)
 
-    traj = ode.integrate(counted, [1.0, 0.0], 0.0, 2 * np.pi)
-    assert traj.nfev == len(calls)
-    assert traj.status == 0
+            traj = ode.integrate(counted, x0, 0.0, 2 * np.pi, rtol=1e-6,
+                                 dense=dense)
+            assert traj.nfev == len(calls)
+            assert traj.status == 0
 
 
 def test_dense_output_reproduces_samples():
@@ -108,26 +129,43 @@ def test_bad_span_rejected():
 
 
 @pytest.mark.parametrize("field", [
-    lambda t, x: np.array([np.nan, 0.0]),
+    lambda t, x: [np.nan, 0.0],
     vanderpol_rhs], ids=["nan", "vdp-inf-times-zero"])
 def test_non_finite_start_fails_instead_of_looping(field):
     # a NaN first field gives a NaN first step, which never compares
     # below the smallest step
     rhs = call_limited(field)
-    with pytest.raises(IntegrationFailureError, match="not finite") as exc, \
-            np.errstate(over="ignore", invalid="ignore"):
+    with pytest.raises(IntegrationFailureError, match="not finite") as exc:
         ode.integrate(rhs, [1e200, 0.0], 0.0, 1.0)
     assert exc.value.last_t == 0.0
 
 
 def test_blowup_raises_with_last_time():
+    # the state overflows mid-flow, on floats and on an array component:
+    # the step control rejects the NaN error estimates down to the
+    # smallest step, with no NumPy warning (the suite turns warnings into
+    # errors)
     def explode(t, x):
-        return x ** 2
+        return [v * v for v in x]
 
-    with pytest.raises(IntegrationFailureError) as exc:
-        ode.integrate(explode, [1.0], 0.0, 5.0)
-    assert exc.value.last_t is not None
-    assert 0.0 < exc.value.last_t <= 5.0
+    for x0 in ([1.0], [np.array([1.0, 0.5])]):
+        with pytest.raises(IntegrationFailureError) as exc:
+            ode.integrate(explode, x0, 0.0, 5.0)
+        assert exc.value.last_t is not None
+        assert 0.0 < exc.value.last_t <= 5.0
+
+
+@pytest.mark.parametrize("x0", [[], [1.0, np.nan], [[1.0, 2.0]], None,
+                                [np.array([1.0, np.inf])]])
+def test_bad_initial_state_rejected(x0):
+    with pytest.raises(ArgumentError, match="initial state"):
+        ode.integrate(call_limited(decay, limit=0), x0, 0.0, 1.0)
+
+
+def test_rhs_of_another_size_rejected():
+    # zip would silently drop the third component
+    with pytest.raises(ArgumentError, match="2 components for a state of 3"):
+        ode.integrate(lambda t, x: [1.0, 2.0], [0.0, 0.0, 0.0], 0.0, 1.0)
 
 
 def assert_bits(got, want):
@@ -138,28 +176,113 @@ def assert_bits(got, want):
 
 
 def assert_same_nodes(traj, ref):
-    """Same steps, states and statistics as ``solve_ivp``."""
+    """Same steps, states and statistics as ``ref``."""
     assert_bits(traj.ts, ref.t)
     assert_bits(traj.ys, ref.y.T)
     assert traj.nfev == ref.nfev
     assert traj.status == ref.status
 
 
+def random_times(ref, rng):
+    return rng.uniform(ref.t[0], ref.t[-1], 200)
+
+
 def assert_same_solution(traj, ref, rng):
-    """Same steps, states, statistics and dense output as ``solve_ivp``,
-    at random times (unsorted, one array and one by one) and at every
+    """Same steps, states, statistics and dense output as ``ref``, at
+    random times (unsorted, one array and one by one) and at every
     segment end."""
     assert_same_nodes(traj, ref)
-    ts = rng.uniform(ref.t[0], ref.t[-1], 200)
+    ts = random_times(ref, rng)
     assert_bits(traj(ts), ref.sol(ts))
     assert_bits(traj(ref.t), ref.sol(ref.t))
     for t in np.concatenate([ts[:20], ref.t]):
         assert_bits(traj(t), ref.sol(t))
 
 
-# The integrator is transcribed from SciPy's solve_ivp, which stays the
-# reference here: steps, nfev, dense output and event times must match
-# it to the bit.  ORACLE is solve_ivp's name for the pair.
+# Bound on the distance from SciPy's own solve_ivp, relative to the
+# solution's scale: the final state, the states at the nodes and at random
+# times against SciPy's dense solution there, and event times.  Node
+# times are not compared: the step controller sets them from an error
+# estimate that cancels to about rtol of the stages, so the rounding of
+# its sum moves a step by up to about eps / rtol relative.
+CLOSE = 1e-11
+
+
+def assert_close_solution(traj, ref, rng=None):
+    """Same accepted steps, RHS count and status as SciPy's solve_ivp,
+    with states within CLOSE: the final one, and, given ``rng``, those at
+    the nodes and at random times against ``ref``'s dense output."""
+    assert (len(traj.ts), traj.nfev, traj.status) == (len(ref.t), ref.nfev,
+                                                      ref.status)
+    scale = max(1.0, np.max(np.abs(ref.y)))
+    assert np.max(np.abs(traj.final - ref.y[:, -1])) <= CLOSE * scale
+    if rng is not None:
+        ts = random_times(ref, rng)
+        assert np.max(np.abs(traj(ts) - ref.sol(ts))) <= CLOSE * scale
+        assert np.max(np.abs(traj.ys.T - ref.sol(traj.ts))) <= CLOSE * scale
+
+
+def in_order_dot(a, b):
+    """``np.dot`` of the stages and a coefficient vector, (n, s) . (s,),
+    or of coefficient rows and the stages, (r, s) . (s, n), with each sum
+    taken in coefficient order over the nonzero coefficients."""
+    a, b = np.asarray(a), np.asarray(b)
+    if b.ndim == 2:
+        return np.array([in_order_dot(b.T, row) for row in a])
+    terms = [a[:, j] * c for j, c in enumerate(b.tolist()) if c != 0]
+    total = terms[0]
+    for term in terms[1:]:
+        total = total + term
+    return total
+
+
+def in_order_sum_squares(x):
+    total = 0.0
+    for v in np.asarray(x).tolist():
+        total += v * v
+    return total
+
+
+def pairwise_sum_squares(x):
+    return float(np.sum(np.asarray(x) * x))
+
+
+def solve_reference(monkeypatch, rhs, x0, t1, **kwargs):
+    """The in-order reference: SciPy's own DOP853 and solve_ivp, coded
+    apart from ``ode``, with each ``np.dot`` summed in coefficient order
+    and each ``np.linalg.norm`` the root of a sum of squares taken as the
+    state's components take it: floats in order, an array component by
+    NumPy's pairwise sum.  A state of one array component is passed to
+    SciPy flat."""
+    fun, y0, sum_squares = scipy_problem(rhs, x0)
+    shim = types.SimpleNamespace(**vars(np))
+    shim.dot = in_order_dot
+    shim.linalg = types.SimpleNamespace(
+        norm=lambda x: math.sqrt(sum_squares(x)))
+    with monkeypatch.context() as m:
+        m.setattr(rk, "np", shim)
+        m.setattr(common, "np", shim)
+        return solve_ivp(fun, (0.0, t1), y0, method="DOP853", **kwargs)
+
+
+def scipy_problem(rhs, x0):
+    """(fun, y0, sum_squares) of a state for solve_ivp."""
+    if isinstance(x0[0], np.ndarray):
+        (y0,) = x0
+        return (lambda t, y: rhs(t, [y])[0]), y0, pairwise_sum_squares
+    return rhs, np.array(x0, dtype=float), in_order_sum_squares
+
+
+def solve_scipy(method, rhs, x0, t1, **kwargs):
+    fun, y0, _ = scipy_problem(rhs, x0)
+    return solve_ivp(fun, (0.0, t1), y0, method=method, **kwargs)
+
+
+# The integrator transcribes SciPy's solve_ivp, and the stage sums are
+# written out in coefficient order: steps, nfev, dense output and event
+# times must match the in-order reference to the bit, and SciPy's own
+# solve_ivp (whose sums are BLAS products) in steps, nfev and status,
+# with values within CLOSE.  ORACLE is solve_ivp's name for the pair.
 ORACLE = ["DOP853"]
 PROBLEMS = {"vdp": (vanderpol_rhs, [2.0, 0.0], 20.0),
             "sl": (stuart_landau_rhs, [0.3, 0.1], 10.0)}
@@ -184,8 +307,9 @@ def captured_integration(monkeypatch, run):
 def problem(request, monkeypatch):
     """(rhs, x0, t1) by name: a planar flow, or the phase ODE as one of its
     two callers passes it under an additive injection on van der Pol's
-    spline projection: ``simulate_phase``'s psi, a (1,) state, and the
-    lock map's (n * 64,) state for a row of n = 4 detunings."""
+    spline projection: ``simulate_phase``'s psi, one float component, and
+    the lock map's one (n * 64,) array component for a row of n = 4
+    detunings."""
     if request.param in PROBLEMS:
         return PROBLEMS[request.param]
     basis = request.getfixturevalue("vdp_basis")
@@ -198,56 +322,96 @@ def problem(request, monkeypatch):
     rhs, x0, t1 = captured_integration(
         monkeypatch, lambda: phase.injection_lock_scan(
             basis, amp, [eps], np.linspace(-0.012, 0.012, 4)))
-    assert x0.shape == (4 * 64,)
+    (x,) = x0
+    assert x.shape == (4 * 64,)
     return rhs, x0, t1
 
 
 @pytest.mark.parametrize("method", ORACLE)
 @pytest.mark.parametrize("rtol", [1e-6, 1e-10, 1e-12])
 @pytest.mark.parametrize("problem", ["vdp", "sl", "psi"], indirect=True)
-def test_matches_solve_ivp_to_the_bit(method, rtol, problem):
+def test_matches_solve_ivp_to_the_bit(method, rtol, problem, monkeypatch):
+    # to the bit against the in-order reference
     rhs, x0, t1 = problem
-    traj = ode.integrate(rhs, x0, 0.0, t1, rtol=rtol, atol=rtol * 1e-2)
-    ref = solve_ivp(rhs, (0.0, t1), x0, method=method, rtol=rtol,
-                    atol=rtol * 1e-2, dense_output=True)
+    tols = {"rtol": rtol, "atol": rtol * 1e-2}
+    traj = ode.integrate(rhs, x0, 0.0, t1, **tols)
+    ref = solve_reference(monkeypatch, rhs, x0, t1, dense_output=True, **tols)
     assert_same_solution(traj, ref, np.random.default_rng(3))
+
+
+# On the 1-D phase ODE the BLAS sums of SciPy's stepper round apart from
+# coefficient order, and the step control's accept/reject decisions
+# differ: steps 87 against SciPy's 89 at rtol 1e-6, nfev 4919 against
+# 4907 at 1e-10 and 8573 against 8513 at 1e-12, with values apart by
+# 6.2e-7, 6.0e-10 and 2.9e-11, the size of the local error.
+_PSI_COUNTS_DIFFER = pytest.mark.xfail(
+    strict=True, reason="psi's accepted and rejected steps differ from "
+                        "SciPy's BLAS-summed stepper")
+
+
+@pytest.mark.parametrize("method", ORACLE)
+@pytest.mark.parametrize("rtol", [1e-6, 1e-10, 1e-12])
+@pytest.mark.parametrize("problem", [
+    "vdp", "sl", pytest.param("psi", marks=_PSI_COUNTS_DIFFER)],
+    indirect=True)
+def test_same_steps_as_solve_ivp(method, rtol, problem):
+    rhs, x0, t1 = problem
+    tols = {"rtol": rtol, "atol": rtol * 1e-2}
+    traj = ode.integrate(rhs, x0, 0.0, t1, **tols)
+    assert_close_solution(
+        traj, solve_scipy(method, rhs, x0, t1, dense_output=True, **tols),
+        np.random.default_rng(3))
+
+
+def section_through(rhs, p):
+    """The section through p normal to the flow, as cycle.find_cycle sets
+    it up, as a terminal upward event for both integrators."""
+    f = rhs(0.0, p)
+    n = np.array(f) / math.hypot(*f)
+
+    def section(t, x):
+        return n[0] * (x[0] - p[0]) + n[1] * (x[1] - p[1]) if t > 0 else 1.0
+
+    section.terminal = True
+    section.direction = 1.0
+    return section
 
 
 @pytest.mark.parametrize("method", ORACLE)
 @pytest.mark.parametrize("rhs, p", [
-    (vanderpol_rhs, np.array([2.0, 0.0])),
-    (stuart_landau_rhs, np.array([0.6, -0.8]))], ids=["vdp", "sl"])
-def test_event_matches_solve_ivp_to_the_bit(method, rhs, p):
-    # the first upward return to the section through p normal to the
-    # flow, as cycle.find_cycle sets it up
-    n = rhs(0.0, p) / np.linalg.norm(rhs(0.0, p))
-
-    def section(t, x):
-        return n @ (x - p) if t > 0 else 1.0
-
-    traj = ode.integrate(rhs, p, 0.0, 50.0, rtol=1e-12, atol=1e-13,
-                         event=section)
-    section.terminal = True
-    section.direction = 1.0
-    ref = solve_ivp(rhs, (0.0, 50.0), p, method=method, rtol=1e-12,
-                    atol=1e-13, dense_output=True, events=section)
+    (vanderpol_rhs, [2.0, 0.0]),
+    (stuart_landau_rhs, [0.6, -0.8])], ids=["vdp", "sl"])
+def test_event_matches_solve_ivp_to_the_bit(method, rhs, p, monkeypatch):
+    # the first upward return to the section through p
+    section = section_through(rhs, p)
+    tols = {"rtol": 1e-12, "atol": 1e-13}
+    traj = ode.integrate(rhs, p, 0.0, 50.0, event=section, **tols)
+    ref = solve_reference(monkeypatch, rhs, p, 50.0, dense_output=True,
+                          events=section, **tols)
     assert traj.status == 1
     assert traj.t1 == ref.t_events[0][0]
     assert_same_solution(traj, ref, np.random.default_rng(4))
+    plain = solve_scipy(method, rhs, p, 50.0, dense_output=True,
+                        events=section, **tols)
+    assert abs(traj.t1 - plain.t_events[0][0]) <= CLOSE * traj.t1
+    assert_close_solution(traj, plain, np.random.default_rng(4))
 
 
 # dense=False is solve_ivp's dense_output=False: no interpolant is built,
 # so there are three RHS calls fewer per step, over the same steps
 @pytest.mark.parametrize("method", ORACLE)
 @pytest.mark.parametrize("problem", ["vdp", "sl", "lockmap"], indirect=True)
-def test_final_only_matches_solve_ivp_to_the_bit(method, problem):
+def test_final_only_matches_solve_ivp_to_the_bit(method, problem,
+                                                 monkeypatch):
     rhs, x0, t1 = problem
-    traj = ode.integrate(rhs, x0, 0.0, t1, rtol=1e-12, atol=1e-13,
-                         dense=False)
-    ref = solve_ivp(rhs, (0.0, t1), x0, method=method, rtol=1e-12,
-                    atol=1e-13, dense_output=False)
+    tols = {"rtol": 1e-12, "atol": 1e-13}
+    traj = ode.integrate(rhs, x0, 0.0, t1, dense=False, **tols)
+    ref = solve_reference(monkeypatch, rhs, x0, t1, dense_output=False,
+                          **tols)
     assert_same_nodes(traj, ref)
-    dense = ode.integrate(rhs, x0, 0.0, t1, rtol=1e-12, atol=1e-13)
+    assert_close_solution(
+        traj, solve_scipy(method, rhs, x0, t1, dense_output=False, **tols))
+    dense = ode.integrate(rhs, x0, 0.0, t1, **tols)
     assert_bits(traj.ys, dense.ys)
     assert dense.nfev - traj.nfev == 3 * (len(traj.ts) - 1)
     with pytest.raises(ArgumentError):
@@ -255,19 +419,58 @@ def test_final_only_matches_solve_ivp_to_the_bit(method, problem):
 
 
 @pytest.mark.parametrize("rhs, p", [
-    (vanderpol_rhs, np.array([2.0, 0.0])),
-    (stuart_landau_rhs, np.array([0.6, -0.8]))], ids=["vdp", "sl"])
+    (vanderpol_rhs, [2.0, 0.0]),
+    (stuart_landau_rhs, [0.6, -0.8])], ids=["vdp", "sl"])
 def test_event_needs_dense_output(rhs, p):
     # the event root is located on the crossing step's interpolant, which
     # dense=False does not build; the call fails before any RHS call
-    n = rhs(0.0, p) / np.linalg.norm(rhs(0.0, p))
-
-    def section(t, x):
-        return n @ (x - p) if t > 0 else 1.0
-
     with pytest.raises(ArgumentError, match="dense"):
         ode.integrate(call_limited(rhs, limit=0), p, 0.0, 50.0, rtol=1e-12,
-                      atol=1e-13, event=section, dense=False)
+                      atol=1e-13, event=section_through(rhs, p), dense=False)
+
+
+def test_planar_flow_makes_no_blas_product(monkeypatch):
+    # the stepper, its interpolant and the event finder run on the
+    # state's components: with np.dot unavailable a planar flow still
+    # integrates, dense and to an event, and reads its dense output
+    p = [2.0, 0.0]
+    section = section_through(vanderpol_rhs, p)
+    want = ode.integrate(vanderpol_rhs, p, 0.0, 50.0, rtol=1e-12,
+                         atol=1e-13, event=section)
+
+    def no_blas(*args, **kwargs):
+        raise AssertionError("np.dot called")
+
+    monkeypatch.setattr(np, "dot", no_blas)
+    traj = ode.integrate(vanderpol_rhs, p, 0.0, 50.0, rtol=1e-12,
+                         atol=1e-13, event=section)
+    assert traj.status == 1
+    assert_bits(traj.ys, want.ys)
+    ts = np.linspace(0.0, traj.t1, 7)
+    assert_bits(traj(ts), want(ts))
+    assert_bits(traj(0.5 * traj.t1), want(0.5 * traj.t1))
+
+
+def test_kernel_step_same_on_floats_and_one_array():
+    # one step of the kernel on four float components, and on one array
+    # component holding the same four values: the same stages, new state
+    # and interpolant, bit for bit, as every operation is an IEEE + - * /
+    def rhs(t, y):
+        return [s * (1.0 - s) + t * s - 0.25 for s in y]
+
+    y = [0.1, -0.7, 1.3, 2.9]
+    t, h = 0.3, 0.125
+    new_f, stages_f = ode._rk_step(rhs, t, y, rhs(t, y), h)
+    y_a = [np.array(y)]
+    new_a, stages_a = ode._rk_step(rhs, t, y_a, rhs(t, y_a), h)
+    assert_bits(new_a[0], new_f)
+    assert len(stages_a) == len(stages_f) == 9
+    for (k_a,), k_f in zip(stages_a, stages_f):
+        assert_bits(k_a, k_f)
+    _, _, F_f, _ = ode._interpolant(rhs, t, h, y, new_f, stages_f)
+    _, _, F_a, _ = ode._interpolant(rhs, t, h, y_a, new_a, stages_a)
+    for (row_a,), row_f in zip(F_a, F_f):
+        assert_bits(row_a, row_f)
 
 
 def assert_scalar_path_matches_array(traj, rng, components=slice(None)):

@@ -172,7 +172,8 @@ def _strobe_psi_lock(basis, amp, eps, detunings, horizon):
     omega_inj = basis.omega + np.asarray(detunings, dtype=float)
 
     def rhs(t, psi):
-        return eps * np.cos(omega_inj * t) * proj.values(t + psi)[0]
+        return (eps * np.cos(omega_inj * t)
+                * proj.values(t + np.asarray(psi))[0])
 
     traj = ode.integrate(rhs, np.zeros(len(omega_inj)), 0.0, horizon,
                          rtol=1e-8, atol=1e-12)
@@ -324,7 +325,7 @@ def test_full_system_agrees_with_lock_map(vdp_model, vdp_basis, vdp_cycle):
     omega_inj = vdp_basis.omega + dws
 
     def rhs(t, x):
-        x = x.reshape(2, -1)
+        x = np.reshape(x, (2, -1))
         return (vdp_model.rhs(t, x)
                 + eps * amp[:, None] * np.cos(omega_inj * t)).ravel()
 
@@ -345,6 +346,20 @@ def test_full_system_agrees_with_lock_map(vdp_model, vdp_basis, vdp_cycle):
 def test_lock_scan_empty_grid_rejected(sl_basis):
     with pytest.raises(ArgumentError):
         pp.injection_lock_scan(sl_basis, [1.0, 0.0], [], [0.0])
+
+
+@pytest.mark.parametrize("amp", [[1.0, 0.0, 2.0], [1.0], [np.nan, 0.0],
+                                 [np.inf, 0.0], [[1.0, 0.0]]],
+                         ids=["three", "one", "nan", "inf", "nested"])
+def test_lock_scan_rejects_non_planar_amp(monkeypatch, sl_basis, amp):
+    # unchecked, a 3-vector scanned as if planar, a 1-vector raised
+    # IndexError and a non-finite one failed inside the integrator
+    def no_integration(*args, **kwargs):
+        raise AssertionError("integrated before checking the arguments")
+
+    monkeypatch.setattr(ode, "integrate", no_integration)
+    with pytest.raises(ArgumentError, match="amp"):
+        pp.injection_lock_scan(sl_basis, amp, [0.01], [0.0])
 
 
 @pytest.mark.parametrize("eps", [-0.01, np.inf, np.nan])

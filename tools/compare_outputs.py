@@ -15,10 +15,11 @@ counters.  A run that takes longer than ``RUN_TIMEOUT_S`` is killed and
 reported as ``timeout``, which counts as a difference.  One line is
 printed per config with its exit codes, the files that differ and the
 counters whose totals differ, then one line per differing CSV whose
-header and row count agree: the largest absolute difference of each
-numeric column that differs, and the name of each other column that
-does.  A differing ``summary.txt`` gets one line listing each key whose
-value differs: ``max|d|`` for a number, ``old -> new`` for anything else
+header and row count agree: the largest absolute and the largest
+relative difference (|a - b| / max(|a|, |b|)) of each numeric column that
+differs, and the name of each other column that does.  A differing
+``summary.txt`` gets one line listing each key whose value differs:
+``max|d| ... rel ...`` for a number, ``old -> new`` for anything else
 (a verification verdict, a key in one file only), so verdicts and flags
 that held can be read off the output.  The exit status is 0 when every
 exit code, output file and counter total agrees, 1 otherwise.
@@ -98,9 +99,9 @@ def differing_files(dir_a, dir_b):
 
 
 def csv_column_differences(path_a, path_b):
-    """``name max|d| X`` for each numeric column of two CSVs that differs,
-    and ``name differs`` for each other column that does; None unless the
-    files have the same header, row count and row widths."""
+    """``name max|d| X rel Y`` for each numeric column of two CSVs that
+    differs, and ``name differs`` for each other column that does; None
+    unless the files have the same header, row count and row widths."""
     tables = []
     for path in (path_a, path_b):
         with open(path, newline="") as fh:
@@ -117,16 +118,25 @@ def csv_column_differences(path_a, path_b):
         if not pairs:
             continue
         try:
-            d = max(abs(float(a) - float(b)) for a, b in pairs)
+            out.append(f"{name} {numeric_difference(pairs)}")
         except ValueError:
             out.append(f"{name} differs")
-        else:
-            out.append(f"{name} max|d| {d:.3g}")
     return out
 
 
+def numeric_difference(pairs):
+    """``max|d| X rel Y`` over (a, b) pairs of number strings: the largest
+    |a - b|, and the largest |a - b| / max(|a|, |b|), which reads about
+    1e-16 for a move in the last bits whatever the value's size."""
+    nums = [(float(a), float(b)) for a, b in pairs]
+    d = max(abs(a - b) for a, b in nums)
+    rel = max((abs(a - b) / max(abs(a), abs(b)) for a, b in nums if a != b),
+              default=0.0)
+    return f"max|d| {d:.3g} rel {rel:.3g}"
+
+
 def summary_differences(path_a, path_b):
-    """``key max|d| X`` for each key of two ``key=value`` summaries whose
+    """``key max|d| X rel Y`` for each key of two ``key=value`` summaries whose
     numeric values differ, and ``key A -> B`` for each other key whose
     value does; a key missing from one file reads ``(none)`` there."""
     summaries = []
@@ -141,7 +151,7 @@ def summary_differences(path_a, path_b):
         if old == new:
             continue
         try:
-            out.append(f"{key} max|d| {abs(float(old) - float(new)):.3g}")
+            out.append(f"{key} {numeric_difference([(old, new)])}")
         except (TypeError, ValueError):
             old, new = ("(none)" if v is None else v for v in (old, new))
             out.append(f"{key} {old} -> {new}")
